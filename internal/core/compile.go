@@ -95,6 +95,10 @@ type Compiled struct {
 	QuantifierDepth int
 	// UpTypes and DownTypes count the types of Θ↑ and Θ↓.
 	UpTypes, DownTypes int
+	// Grounder grounds Program for the τ_td functional dependencies of
+	// Width (Theorem 4.4). It is built with the program, so its checks
+	// run once per compiled program, however often it is evaluated.
+	Grounder *datalog.Grounder
 }
 
 // witness is a structure (A, ā) — the W(ϑ) of the construction: A is the
@@ -197,6 +201,10 @@ func compileAutomatonCtx(ctx context.Context, sig *structure.Signature, phi *mso
 			return nil, err
 		}
 	}
+	gr, err := datalog.NewGrounder(c.prog, datalog.TDFuncDeps(opts.Width))
+	if err != nil {
+		return nil, fmt.Errorf("core: compiled program is not quasi-guarded: %w", err)
+	}
 	return &Compiled{
 		Program:         c.prog,
 		QueryPred:       "phi",
@@ -204,6 +212,7 @@ func compileAutomatonCtx(ctx context.Context, sig *structure.Signature, phi *mso
 		QuantifierDepth: opts.QuantifierDepth,
 		UpTypes:         len(c.up),
 		DownTypes:       len(c.down),
+		Grounder:        gr,
 	}, nil
 }
 

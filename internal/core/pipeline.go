@@ -158,7 +158,7 @@ func runWithDecomposition(ctx context.Context, st *structure.Structure, d *tree.
 	}
 	start = time.Now()
 	edb := datalog.FromStructure(td, "")
-	out, err := datalog.EvalQuasiGuardedCtx(ctx, compiled.Program, edb, datalog.TDFuncDeps(w))
+	out, err := compiled.Grounder.Eval(ctx, edb)
 	if err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}

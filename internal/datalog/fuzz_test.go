@@ -45,6 +45,7 @@ func FuzzEval(f *testing.F) {
 	f.Add("p(X) :- e(X, Y).")
 	f.Add("p(X) :- e(X, Y), not p(Y).")
 	f.Add("p(X) :- e(X, X). q :- p(a).")
+	f.Add("q :- e(A, 0, 0).") // an atom of another arity than its EDB relation
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 300 || strings.Count(src, ".") > 12 {
 			return // keep evaluation cheap

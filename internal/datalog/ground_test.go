@@ -1,9 +1,14 @@
 package datalog
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/horn"
 )
 
 // chainTD builds a τ_td-like EDB describing a chain of tree nodes with
@@ -182,46 +187,145 @@ func TestGroundFactsHelper(t *testing.T) {
 	}
 }
 
-// Property: the quasi-guarded evaluation agrees with semi-naive
-// evaluation on random chain databases with random breakages.
-func TestQuickQuasiGuardedAgreesWithSeminaive(t *testing.T) {
-	p := MustParse(tdProgram)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(15) + 1
-		full := chainTD(n)
-		db := NewDB()
-		for _, pred := range full.Preds() {
-			for _, tup := range full.Tuples(pred) {
-				if pred == "e" && rng.Intn(4) == 0 {
-					continue // randomly drop edges
-				}
-				db.AddFact(pred, tup...)
+// shapesProgram holds the rule shapes a slot plan must get right, over
+// the τ_td-like signature of chainTD: a repeated variable inside a join
+// atom (as guard and later), a body constant, the neq builtin, a negated
+// extensional atom, variable-free rules, 0-ary heads, and a guard that
+// is not the first extensional atom.
+const shapesProgram = `
+theta0(V) :- bag(V, X0, X1), leaf(V), e(X0, X1).
+theta0(V) :- bag(V, X0, X1), child1(V1, V), theta0(V1), bag(V1, Y0, Y1), e(X0, X1).
+accept :- root(V), theta0(V).
+same(V) :- bag(V, X, X).
+nextsame(V) :- bag(V, X0, X1), child1(V, W), bag(W, Y, Y).
+mark(V) :- bag(V, X0, X1), e(X0, x3).
+split(V) :- bag(V, X0, X1), neq(X0, X1), not e(X0, X1).
+late(V) :- e(X0, X1), bag(V, X0, X1), theta0(V).
+flag :- leaf(s0), e(x0, x1).
+start.
+both :- flag, start, accept.
+`
+
+// randomChainDB is chainTD(n) with a random quarter of its edges dropped,
+// plus a few self-loop edges and detached nodes with repeated bags.
+func randomChainDB(rng *rand.Rand) *DB {
+	n := rng.Intn(15) + 1
+	full := chainTD(n)
+	db := NewDB()
+	for _, pred := range full.Preds() {
+		for _, tup := range full.Tuples(pred) {
+			if pred == "e" && rng.Intn(4) == 0 {
+				continue // randomly drop edges
 			}
+			db.AddFact(pred, tup...)
 		}
-		qg, err := EvalQuasiGuarded(p, db, TDFuncDeps(1))
-		if err != nil {
-			return false
-		}
-		sn, err := Eval(p, db)
-		if err != nil {
-			return false
-		}
-		if qg.Has("accept") != sn.Has("accept") {
-			return false
-		}
-		if qg.Count("theta0") != sn.Count("theta0") {
-			return false
-		}
-		for _, tup := range sn.Tuples("theta0") {
-			if !qg.Has("theta0", tup...) {
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		x := "x" + itoa(rng.Intn(n+1))
+		db.AddFact("e", x, x)
+		db.AddFact("bag", "t"+itoa(i), x, x)
+	}
+	return db
+}
+
+// Property: the quasi-guarded evaluation agrees with semi-naive
+// evaluation, on every intensional predicate, on random chain databases.
+func TestQuickQuasiGuardedAgreesWithSeminaive(t *testing.T) {
+	for _, src := range []string{tdProgram, shapesProgram} {
+		p := MustParse(src)
+		f := func(seed int64) bool {
+			db := randomChainDB(rand.New(rand.NewSource(seed)))
+			qg, err := EvalQuasiGuarded(p, db.Clone(), TDFuncDeps(1))
+			if err != nil {
+				t.Log(err)
 				return false
 			}
+			sn, err := Eval(p, db)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			for pred := range p.IntensionalPreds() {
+				got, want := qg.Tuples(pred), sn.Tuples(pred)
+				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Logf("%s: grounded %v, semi-naive %v", pred, got, want)
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(41))}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(41))}); err != nil {
+}
+
+// clauseHash is an FNV-1a hash of a ground Horn program's clause list.
+func clauseHash(p *horn.Program) uint64 {
+	h := fnvOffset64
+	mix := func(v int) {
+		h ^= uint64(v)
+		h *= fnvPrime64
+	}
+	mix(p.NumVars)
+	for _, c := range p.Clauses {
+		mix(c.Head)
+		mix(len(c.Body))
+		for _, b := range c.Body {
+			mix(b)
+		}
+	}
+	return h
+}
+
+// TestGroundTDProgramPinned pins tdProgram's ground program over
+// chainTD(n) — atom count, size and clause list — to what the original
+// map-binding grounder produced.
+func TestGroundTDProgramPinned(t *testing.T) {
+	p := MustParse(tdProgram)
+	for _, pin := range []struct {
+		n, atoms, size int
+		hash           uint64
+	}{
+		{1, 2, 3, 0x886bb060009be22d},
+		{2, 3, 5, 0x5aacb3a033a05a74},
+		{7, 8, 15, 0x40836427f9eb3f4d},
+		{20, 21, 41, 0x9677e30beaa2fc4},
+		{64, 65, 129, 0x49d7ff4ca833bc0c},
+	} {
+		g, err := Ground(p, chainTD(pin.n), TDFuncDeps(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumAtoms() != pin.atoms || g.Size() != pin.size || clauseHash(g.Horn) != pin.hash {
+			t.Fatalf("n=%d: %d atoms, size %d, hash %#x; pinned %d, %d, %#x",
+				pin.n, g.NumAtoms(), g.Size(), clauseHash(g.Horn), pin.atoms, pin.size, pin.hash)
+		}
+	}
+}
+
+// TestGroundStartsAtGuard pins that every rule is joined from its
+// quasi-guard. In p(V) :- e(X,Y), e(Y,Z), bag(V,X,Y,Z) the guard is the
+// bag atom; a join from the first e atom enumerates every pair of edges
+// through the star's centre, n² instances for n clauses.
+func TestGroundStartsAtGuard(t *testing.T) {
+	const n = 20000
+	p := MustParse(`p(V) :- e(X, Y), e(Y, Z), bag(V, X, Y, Z).`)
+	db := NewDB()
+	for i := 0; i < n; i++ {
+		leaf := "l" + itoa(i)
+		db.AddFact("e", "c", leaf)
+		db.AddFact("e", leaf, "c")
+		db.AddFact("bag", "s"+itoa(i), leaf, "c", leaf)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	g, err := GroundCtx(ctx, p, db, TDFuncDeps(2))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(g.Horn.Clauses) != n || g.NumAtoms() != n {
+		t.Fatalf("%d clauses over %d atoms, want %d of each", len(g.Horn.Clauses), g.NumAtoms(), n)
 	}
 }
 

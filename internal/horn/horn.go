@@ -18,9 +18,13 @@ type Clause struct {
 type Program struct {
 	NumVars int
 	Clauses []Clause
+	// arena is the chunk AddClause carves clause bodies from, so a
+	// program of many short clauses does not allocate one per clause.
+	arena []int
 }
 
-// AddClause appends a clause, growing NumVars as needed.
+// AddClause appends a clause, growing NumVars as needed. The body is
+// copied.
 func (p *Program) AddClause(head int, body ...int) {
 	if head >= p.NumVars {
 		p.NumVars = head + 1
@@ -30,7 +34,21 @@ func (p *Program) AddClause(head int, body ...int) {
 			p.NumVars = b + 1
 		}
 	}
-	p.Clauses = append(p.Clauses, Clause{Head: head, Body: append([]int(nil), body...)})
+	var b []int
+	if n := len(body); n > 0 {
+		if len(p.arena) < n {
+			p.arena = make([]int, 4096+n)
+		}
+		b = p.arena[:n:n]
+		p.arena = p.arena[n:]
+		copy(b, body)
+	}
+	if len(p.Clauses) == cap(p.Clauses) {
+		// Double, where append grows a large slice by a quarter and so
+		// copies it about four times over.
+		p.Clauses = append(make([]Clause, 0, 2*cap(p.Clauses)+256), p.Clauses...)
+	}
+	p.Clauses = append(p.Clauses, Clause{Head: head, Body: b})
 }
 
 // Size returns the total number of literal occurrences, the |P'| of
@@ -50,13 +68,26 @@ func (p *Program) Size() int {
 func (p *Program) Solve() []bool {
 	truth := make([]bool, p.NumVars)
 	remaining := make([]int, len(p.Clauses))
-	occ := make([][]int, p.NumVars) // variable → clauses with it in the body
+	// Occurrence lists (variable → clauses with it in the body) share one
+	// array: variable v's clauses are occ[start[v]:start[v+1]], in clause
+	// order.
+	start := make([]int, p.NumVars+2)
+	for _, c := range p.Clauses {
+		for _, b := range c.Body {
+			start[b+2]++
+		}
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	occ := make([]int, start[len(start)-1])
 	var queue []int
 
 	for ci, c := range p.Clauses {
 		remaining[ci] = len(c.Body)
 		for _, b := range c.Body {
-			occ[b] = append(occ[b], ci)
+			occ[start[b+1]] = ci
+			start[b+1]++
 		}
 		if len(c.Body) == 0 && !truth[c.Head] {
 			truth[c.Head] = true
@@ -69,7 +100,7 @@ func (p *Program) Solve() []bool {
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ci := range occ[v] {
+		for _, ci := range occ[start[v]:start[v+1]] {
 			remaining[ci]--
 			if remaining[ci] == 0 {
 				h := p.Clauses[ci].Head

@@ -699,9 +699,11 @@ func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		// (ensure has already revalidated the fingerprint).
 		if entry, ok := s.results[key]; ok {
 			s.stats.ResultCacheHits++
+			// Read the entry under s.mu: Mutate replaces its result in place.
+			res, evalSize := entry.res, entry.evalSize
 			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, entry.evalSize, true)
-			return cachedResult(entry.res, trace), nil
+			trace.Record(stage.Eval, 0, evalSize, true)
+			return cachedResult(res, trace), nil
 		}
 		if f := s.evalFlights[key]; f != nil {
 			s.mu.Unlock()
@@ -789,9 +791,11 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 		s.mu.Lock()
 		if entry, ok := s.results[key]; ok {
 			s.stats.ResultCacheHits++
+			// Read the entry under s.mu: Mutate replaces its result in place.
+			res, evalSize := entry.res, entry.evalSize
 			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, entry.evalSize, true)
-			return cachedResult(entry.res, trace), nil
+			trace.Record(stage.Eval, 0, evalSize, true)
+			return cachedResult(res, trace), nil
 		}
 		if f := s.evalFlights[key]; f != nil {
 			s.mu.Unlock()
@@ -914,7 +918,7 @@ func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art arti
 	if CurrentEvalPath() == EvalDirect {
 		out, err = datalog.EvalCtx(ctx, compiled.Program, art.edb.Clone())
 	} else {
-		out, err = datalog.EvalQuasiGuardedCtx(ctx, compiled.Program, art.edb.Clone(), datalog.TDFuncDeps(art.width))
+		out, err = compiled.Grounder.Eval(ctx, art.edb.Clone())
 	}
 	if err != nil {
 		return nil, nil, stage.Wrap(stage.Eval, err)
