@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/datalog"
@@ -133,6 +135,38 @@ func TestGroundCompiledMSOPinned(t *testing.T) {
 				t.Fatalf("%s n=%d: %d atoms, size %d, hash %#x; pinned %d, %d, %#x",
 					pin.formula, pin.n, g.NumAtoms(), g.Size(), clauseHash(g.Horn), pin.atoms, pin.size, pin.hash)
 			}
+		}
+	}
+}
+
+// TestGrounderConcurrent shares one compiled program's Grounder between
+// goroutines, as programs from the session layer's ProgramCache are
+// shared: every evaluation must match a serial one.
+func TestGrounderConcurrent(t *testing.T) {
+	c, edb := compiledColoredTree(t, "c(x)")
+	ctx := context.Background()
+	want, err := c.Grounder.Eval(ctx, edb.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]*datalog.DB, 4)
+	errs := make([]error, len(outs))
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = c.Grounder.Eval(ctx, edb.Clone())
+		}(i)
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if out.NumFacts() != want.NumFacts() || !reflect.DeepEqual(out.Tuples("phi"), want.Tuples("phi")) {
+			t.Fatalf("goroutine %d: %d facts, phi %v; serial %d facts, phi %v",
+				i, out.NumFacts(), out.Tuples("phi"), want.NumFacts(), want.Tuples("phi"))
 		}
 	}
 }
