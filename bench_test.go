@@ -354,10 +354,10 @@ func BenchmarkTCPath1000(b *testing.B) {
 }
 
 // BenchmarkTDGrounding is the streaming-engine acceptance workload: a
-// τ_td chain evaluated three ways — the Theorem 4.4 grounding, and the
-// direct fixpoint under each rule-evaluation backend. Compare B/op
-// across sub-benchmarks: the grounding materializes the ground Horn
-// program, the streaming backend holds O(1) rows in flight per rule.
+// τ_td chain evaluated two ways — the Theorem 4.4 grounding, and the
+// direct streaming fixpoint. Compare B/op across sub-benchmarks: the
+// grounding materializes the ground Horn program, the streaming engine
+// holds O(1) rows in flight per rule.
 func BenchmarkTDGrounding(b *testing.B) {
 	prog, edb := bench.TDChainProgram(bench.RATypes), bench.TDChain(2000)
 	check := func(out *datalog.DB, err error) {
@@ -375,16 +375,12 @@ func BenchmarkTDGrounding(b *testing.B) {
 			check(datalog.EvalQuasiGuarded(prog, edb.Clone(), datalog.TDFuncDeps(1)))
 		}
 	})
-	for _, eng := range []datalog.Engine{datalog.EngineStreaming, datalog.EngineMaterialized} {
-		eng := eng
-		b.Run("direct-"+eng.String(), func(b *testing.B) {
-			defer datalog.SetEngine(datalog.SetEngine(eng))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				check(datalog.Eval(prog, edb))
-			}
-		})
-	}
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			check(datalog.Eval(prog, edb))
+		}
+	})
 }
 
 // BenchmarkPrimalityEval times the primality-shaped theta program (the

@@ -18,9 +18,9 @@ type DB struct {
 	rels   map[string]*relation
 
 	// deltaIx caches ApplyDelta's scheduling index (stratification,
-	// consumer indexes, compiled rules) across calls against this
-	// database; it is keyed by program identity and engine inside
-	// ApplyDeltaCtx and never survives Clone.
+	// consumer indexes, rule plans) across calls against this database;
+	// it is keyed by program identity inside ApplyDeltaCtx and never
+	// survives Clone.
 	deltaIx *deltaIndex
 }
 
@@ -67,16 +67,16 @@ func equalTuple(a, b []int) bool {
 	return true
 }
 
-// index accelerates match for one set of bound positions. Buckets hold
-// indices into relation.tuples in insertion order, so match results are
-// always emitted in insertion order regardless of which index serves them.
+// index accelerates probe for one set of bound positions. Buckets hold
+// indices into relation.tuples in insertion order, so candidates are
+// always listed in insertion order regardless of which index serves them.
 type index struct {
 	positions []int  // the indexed (bound) positions, ascending
 	mask      uint64 // bitmask of positions
 	buckets   map[uint64][]int32
 }
 
-// maxReuseBucket is the selectivity threshold for answering a match from
+// maxReuseBucket is the selectivity threshold for answering a probe from
 // an existing index on a subset of the bound positions (with residual
 // filtering) instead of building a dedicated index: reuse only while the
 // average bucket holds at most this many tuples.
@@ -89,11 +89,11 @@ const maxReuseBucket = 4
 // probing with element-wise equality checks, so insertion performs no
 // per-entry allocation.
 //
-// Concurrency: match and has may be called from many goroutines during a
+// Concurrency: probe and has may be called from many goroutines during a
 // parallel evaluation round, during which no inserts happen (derivations
 // are buffered and merged serially between rounds — the WaitGroup
 // barrier orders the phases). The only cross-goroutine mutation is the
-// lazy construction of match indexes, which mu guards; tuples, slots and
+// lazy construction of probe indexes, which mu guards; tuples, slots and
 // existing index buckets are immutable while readers are active.
 type relation struct {
 	arity  int
@@ -202,6 +202,16 @@ func (r *relation) appendShared(tuple []int) {
 	}
 }
 
+// ofArity returns r when it stores tuples of the given arity, else nil
+// (an empty relation): an atom matches no tuple of another arity. Every
+// join that binds an atom to a stored relation goes through it.
+func ofArity(r *relation, arity int) *relation {
+	if r == nil || r.arity != arity {
+		return nil
+	}
+	return r
+}
+
 func (r *relation) has(tuple []int) bool {
 	_, ok := r.lookup(tuple)
 	return ok
@@ -248,7 +258,7 @@ func (r *relation) lookupIdx(tuple []int) int {
 
 // removeBatch deletes every listed tuple that is present, compacting
 // storage (surviving tuples keep their relative order) and rebuilding
-// the dedup table in one pass. Match indexes are discarded and rebuilt
+// the dedup table in one pass. Probe indexes are discarded and rebuilt
 // lazily — deletion is the one mutation that invalidates them, so the
 // "inserts never rebuild" guarantee is unaffected. Only dedup relations
 // support removal. Returns the number of tuples removed.
@@ -298,87 +308,12 @@ func (r *relation) removeBatch(tuples [][]int) int {
 	return len(dead)
 }
 
-// match returns the tuples agreeing with pattern, where pattern[i] < 0
-// means "unbound". Partial patterns are served from an incrementally
-// maintained index on the bound positions (or a sufficiently selective
-// subset of them, with residual filtering); results appear in tuple
-// insertion order.
-//
-// The returned outer slice is buf-backed (or fresh when buf is too
-// small) and owned by the caller; the inner tuples alias the relation's
-// own storage and MUST NOT be mutated. The result never aliases the
-// caller's pattern.
-func (r *relation) match(pattern []int, buf [][]int) [][]int {
-	var boundArr [16]int
-	bound := boundArr[:0]
-	var mask uint64
-	for i, v := range pattern {
-		if v >= 0 {
-			bound = append(bound, i)
-			if i < 64 {
-				mask |= 1 << uint(i)
-			}
-		}
-	}
-	if len(bound) == 0 {
-		// Copy into buf rather than exposing r.tuples: the caller owns the
-		// returned outer slice (it may reuse it as a scratch buffer).
-		return append(buf[:0], r.tuples...)
-	}
-	if len(bound) == len(pattern) && r.dedup && len(pattern) < 64 {
-		if t, ok := r.lookup(pattern); ok {
-			return append(buf[:0], t)
-		}
-		return nil
-	}
-	if len(pattern) >= 64 {
-		// Positions beyond the mask width cannot be indexed distinctly;
-		// fall back to a filtered scan (unreachable for the paper's
-		// bounded-width signatures).
-		out := buf[:0]
-		for _, t := range r.tuples {
-			ok := true
-			for _, p := range bound {
-				if t[p] != pattern[p] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	r.mu.RLock()
-	idx := r.indexes[mask]
-	r.mu.RUnlock()
-	if idx == nil {
-		idx = r.obtainIndex(mask, bound)
-	}
-	ph := hashProj(pattern, idx.positions)
-	out := buf[:0]
-	for _, ti := range idx.buckets[ph] {
-		t := r.tuples[ti]
-		ok := true
-		for _, p := range bound {
-			if t[p] != pattern[p] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// probe answers a streaming-layer Probe: the same index machinery as
-// match, but zero-copy — the candidates reference the relation's own
-// storage (an index bucket, a lookup hit, or the full tuple array)
-// instead of being copied into a buffer, with residual filtering left
-// to the ra operator. The concurrency contract matches match.
+// probe answers a streaming-layer Probe for pattern, where pattern[i] < 0
+// means "unbound". It is zero-copy: the candidates reference the
+// relation's own storage — an exact-match lookup hit, an incrementally
+// maintained index bucket on the bound positions (or on a sufficiently
+// selective subset of them), or the full tuple array — in insertion
+// order, and the caller re-checks each candidate against the pattern.
 func (r *relation) probe(pattern []int, c *ra.Candidates) {
 	var boundArr [16]int
 	bound := boundArr[:0]
@@ -392,8 +327,9 @@ func (r *relation) probe(pattern []int, c *ra.Candidates) {
 		}
 	}
 	if len(bound) == 0 || len(pattern) >= 64 {
-		// Unconstrained, or positions beyond the mask width (then the
-		// operator's residual filter does the work, as in match).
+		// Unconstrained, or positions beyond the mask width, which
+		// cannot be indexed distinctly (then the caller's residual
+		// check does the work).
 		c.SetRows(r.tuples)
 		return
 	}
@@ -417,8 +353,8 @@ func (r *relation) probe(pattern []int, c *ra.Candidates) {
 // obtainIndex returns an index able to serve the bound-position mask,
 // creating one if needed. If a live index on a subset of the bound
 // positions is selective enough (small average bucket), it is aliased
-// under the mask instead of building a new index — match's residual
-// filter makes any subset index correct.
+// under the mask instead of building a new index — the caller's residual
+// check makes any subset index correct.
 func (r *relation) obtainIndex(mask uint64, bound []int) *index {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -567,7 +503,7 @@ func (db *DB) NumFacts() int {
 	return n
 }
 
-// IndexBuilds reports how many full match-index constructions have been
+// IndexBuilds reports how many full probe-index constructions have been
 // performed for pred. Because insert maintains live indexes in place,
 // this stays constant under insertion once the index exists; tests use it
 // to pin down the incremental-maintenance guarantee.

@@ -3,16 +3,37 @@ package datalog
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/datalog/ra"
 )
 
-// TestMatchResultNoAliasing is the regression test for the seed bug where
-// match leaked aliases to caller or internal state: the fully-bound case
-// returned the caller's own pattern slice, and the zero-bound case
-// returned the relation's tuple list itself, so mutating either result
-// corrupted the other side. The contract now is: the outer slice is
-// caller-owned (never the pattern, never internal storage); only the
-// inner tuples are shared and read-only.
-func TestMatchResultNoAliasing(t *testing.T) {
+// probeMatches returns the candidates of r.probe(pattern) that agree
+// with the pattern, the re-check every probe caller makes.
+func probeMatches(r *relation, pattern []int) [][]int {
+	var c ra.Candidates
+	r.probe(pattern, &c)
+	var out [][]int
+	for i := 0; i < c.Len(); i++ {
+		t := c.At(i)
+		ok := true
+		for p, v := range pattern {
+			if v >= 0 && t[p] != v {
+				ok = false
+			}
+		}
+		if ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestProbeResultNoAliasing is the regression test for the seed bug where
+// a fully bound lookup answered with the caller's own pattern slice, so
+// a caller reusing its pattern buffer rewrote the result. Candidates
+// reference the relation's storage, never the pattern, on every path:
+// exact lookup, index bucket, and full scan.
+func TestProbeResultNoAliasing(t *testing.T) {
 	db := NewDB()
 	db.AddFact("e", "a", "b")
 	db.AddFact("e", "b", "c")
@@ -20,42 +41,25 @@ func TestMatchResultNoAliasing(t *testing.T) {
 	r := db.rels["e"]
 	a, b := db.Intern("a"), db.Intern("b")
 
-	// Fully bound: the result must not alias the pattern slice.
-	pattern := []int{a, b}
-	res := r.match(pattern, nil)
-	if len(res) != 1 {
-		t.Fatalf("fully-bound match returned %d tuples, want 1", len(res))
+	for _, pattern := range [][]int{{a, b}, {a, -1}, {-1, -1}} {
+		var c ra.Candidates
+		r.probe(pattern, &c)
+		if c.Len() == 0 {
+			t.Fatalf("probe %v found no candidates", pattern)
+		}
+		var got [][]int
+		for i := 0; i < c.Len(); i++ {
+			got = append(got, append([]int(nil), c.At(i)...))
+		}
+		pattern[0], pattern[1] = -7, -7 // caller reuses its pattern buffer
+		for i := 0; i < c.Len(); i++ {
+			if !reflect.DeepEqual(c.At(i), got[i]) {
+				t.Fatalf("candidate %d changed when the caller's pattern was reused: %v, was %v", i, c.At(i), got[i])
+			}
+		}
 	}
-	pattern[0], pattern[1] = -7, -7 // caller reuses its pattern buffer
-	if res[0][0] != a || res[0][1] != b {
-		t.Fatalf("match result changed when the caller's pattern was reused: %v", res[0])
-	}
-
-	// Zero bound: the outer slice must not alias r.tuples — appending to
-	// and overwriting the result must leave the relation intact.
-	all := r.match([]int{-1, -1}, nil)
-	if len(all) != 3 {
-		t.Fatalf("zero-bound match returned %d tuples, want 3", len(all))
-	}
-	junk := []int{-9, -9}
-	for i := range all {
-		all[i] = junk
-	}
-	_ = append(all[:0], junk, junk, junk, junk)
 	if db.Count("e") != 3 || !db.Has("e", "a", "b") || !db.Has("e", "b", "c") || !db.Has("e", "a", "c") {
-		t.Fatal("mutating a zero-bound match result corrupted the relation")
-	}
-
-	// Partially bound (index path): same ownership rules.
-	byFirst := r.match([]int{a, -1}, nil)
-	if len(byFirst) != 2 {
-		t.Fatalf("partial match returned %d tuples, want 2", len(byFirst))
-	}
-	for i := range byFirst {
-		byFirst[i] = junk
-	}
-	if got := r.match([]int{a, -1}, nil); len(got) != 2 || got[0][0] != a {
-		t.Fatal("mutating a partial match result corrupted the index")
+		t.Fatal("probing corrupted the relation")
 	}
 }
 
@@ -73,18 +77,18 @@ func TestInsertKeepsLiveIndexes(t *testing.T) {
 	db.AddTuple("e", []int{ids[0], ids[1]})
 	r := db.rels["e"]
 
-	if got := r.match([]int{ids[0], -1}, nil); len(got) != 1 {
-		t.Fatalf("initial match: %d tuples, want 1", len(got))
+	if got := probeMatches(r, []int{ids[0], -1}); len(got) != 1 {
+		t.Fatalf("initial probe: %d tuples, want 1", len(got))
 	}
 	if got := db.IndexBuilds("e"); got != 1 {
-		t.Fatalf("IndexBuilds = %d after first indexed match, want 1", got)
+		t.Fatalf("IndexBuilds = %d after first indexed probe, want 1", got)
 	}
 
 	for i := 1; i < 60; i++ {
 		db.AddTuple("e", []int{ids[0], db.Intern("fresh" + string(rune('0'+i%10)) + string(rune('a'+i%26)))})
 		want := i + 1
-		if got := len(r.match([]int{ids[0], -1}, nil)); got != want {
-			t.Fatalf("after %d inserts: match returned %d tuples, want %d", i, got, want)
+		if got := len(probeMatches(r, []int{ids[0], -1})); got != want {
+			t.Fatalf("after %d inserts: probe matched %d tuples, want %d", i, got, want)
 		}
 	}
 	if got := db.IndexBuilds("e"); got != 1 {

@@ -41,10 +41,12 @@ func ApplyDelta(p *Program, db *DB, ins, del []Fact) (DeltaStats, error) {
 // mutated in place to equal Eval(p, edb − del + ins). Insertions are
 // propagated semi-naively with the edit delta as the seed; retractions
 // use DRed (over-delete every derivation that consumed a deleted fact,
-// then re-derive what has an intact alternative support), both phases
-// reusing the compiled rule machinery — under the streaming engine the
-// insertion rounds run through the same cached rulePlans as Eval, with
-// the delta relation as the scan input.
+// then re-derive what has an intact alternative support). Every join of
+// both phases runs on the same streaming rule plans as Eval, with a
+// delta relation as the input of the delta occurrence; the re-derive
+// check starts its plan from the head fact's columns. Rows streamed in
+// every phase, over-delete included, count against the context budget's
+// MaxStreamTuples, as they do in Eval.
 //
 // Both phases are consumer-driven: tasks are scheduled per delta tuple
 // through an index over the rules' body occurrences, so the cost is
@@ -52,9 +54,9 @@ func ApplyDelta(p *Program, db *DB, ins, del []Fact) (DeltaStats, error) {
 // compiled MSO programs have thousands of strata and mostly-ground rule
 // bodies, and a single-tuple edit must not visit them all. The index
 // (with its compiled rules, stratification, and validation) is cached on
-// db across calls, keyed by program identity and engine: the program
-// must not be mutated between calls, and calls sharing a db must not
-// run concurrently — both already required by the in-place maintenance
+// db across calls, keyed by program identity: the program must not be
+// mutated between calls, and calls sharing a db must not run
+// concurrently — both already required by the in-place maintenance
 // contract.
 //
 // Supported fragment: edits must target extensional predicates, and
@@ -70,20 +72,15 @@ func ApplyDeltaCtx(ctx context.Context, p *Program, db *DB, ins, del []Fact) (De
 	if err := faultinject.Check("datalog.delta"); err != nil {
 		return stats, stage.Wrap(stage.Eval, err)
 	}
-	cfg := evalConfig{
-		streaming: CurrentEngine() == EngineStreaming,
-		budget:    stage.BudgetFrom(ctx),
-		collector: statsCollectorFrom(ctx),
-	}
 	ix := db.deltaIx
-	if ix == nil || ix.p != p || ix.cfg.streaming != cfg.streaming {
+	if ix == nil || ix.p != p {
 		var err error
-		if ix, err = buildDeltaIndex(p, db, cfg.streaming); err != nil {
+		if ix, err = buildDeltaIndex(p, db); err != nil {
 			return stats, err
 		}
 		db.deltaIx = ix
 	}
-	ix.ctx, ix.cfg = ctx, cfg
+	ix.ctx, ix.cfg = ctx, configFrom(ctx)
 	arities := map[string]int{}
 	for _, f := range append(append([]Fact(nil), ins...), del...) {
 		if ix.intens[f.Pred] {
@@ -326,9 +323,10 @@ func (cx *consumerIndex) forTuples(pred string, tuples [][]int, emit func(consum
 
 // deltaIndex is the scheduling index ApplyDelta caches on the database:
 // the validated program's stratification, per-tuple consumer indexes for
-// positive and negated occurrences, and compiled rule instances keyed by
-// (rule, occurrence) — everything that is per-program, so repeated edits
-// against a warm database pay only for their dirty cone.
+// positive and negated occurrences, and compiled rule plans keyed by
+// (rule, occurrence) and by rule for the re-derive check — everything
+// that is per-program, so repeated edits against a warm database pay
+// only for their dirty cone.
 type deltaIndex struct {
 	ctx         context.Context
 	p           *Program
@@ -341,15 +339,15 @@ type deltaIndex struct {
 	byHead      map[string][]int // head pred → rule indices (program order)
 	pos         consumerIndex    // positive non-builtin occurrences
 	neg         consumerIndex    // negated non-builtin occurrences
-	plain       []*cRule         // compiled rules (full body), by rule index
-	flipCache   map[consumer]*cRule
+	compiled    []*cRule         // by rule index; instances share their atoms
 	instCache   map[consumer]*cRule
+	derivers    []*cRule // head-seeded plans, by rule index
 }
 
 // buildDeltaIndex validates the program against the supported fragment
 // and builds the scheduling index. Constants are interned up front so
 // compilation inside the phases never races with DB readers.
-func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
+func buildDeltaIndex(p *Program, db *DB) (*deltaIndex, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -379,7 +377,6 @@ func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
 	}
 	ix := &deltaIndex{
 		p: p, db: db,
-		cfg:         evalConfig{streaming: streaming},
 		intens:      intens,
 		strata:      strata,
 		nStrata:     len(strata),
@@ -387,9 +384,9 @@ func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
 		byHead:      headIndex(p),
 		pos:         newConsumerIndex(),
 		neg:         newConsumerIndex(),
-		plain:       make([]*cRule, len(p.Rules)),
-		flipCache:   map[consumer]*cRule{},
+		compiled:    make([]*cRule, len(p.Rules)),
 		instCache:   map[consumer]*cRule{},
+		derivers:    make([]*cRule, len(p.Rules)),
 	}
 	for ri, r := range p.Rules {
 		ix.ruleStratum[ri] = predStratum[r.Head.Pred]
@@ -408,56 +405,50 @@ func buildDeltaIndex(p *Program, db *DB, streaming bool) (*deltaIndex, error) {
 	return ix, nil
 }
 
-// plainRule, flipRule, and instance hand out compiled rule instances,
-// cached across calls; the per-call context and budget plumbing is
-// refreshed on every access since the cache outlives the call.
-func (ix *deltaIndex) plainRule(ri int) *cRule {
-	c := ix.plain[ri]
-	if c == nil {
-		c = compileRule(ix.p.Rules[ri], ix.db)
-		ix.plain[ri] = c
-	}
-	c.ctx = ix.ctx
-	return c
-}
-
-// flipRule compiles the rule with the negation at occ dropped, so the
-// occurrence can be scanned positively over an edit delta: in phase A
-// over the insertions that falsify ¬q(t̄), in phase C over the deletions
-// that make it vacuously true.
-func (ix *deltaIndex) flipRule(cn consumer) *cRule {
-	c := ix.flipCache[cn]
-	if c == nil {
-		r := ix.p.Rules[cn.ri]
-		r.Body = append([]Atom(nil), r.Body...)
-		r.Body[cn.occ].Negated = false
-		c = compileRule(r, ix.db)
-		ix.flipCache[cn] = c
-	}
-	c.ctx = ix.ctx
-	return c
-}
-
-// instance is the insertion-round variant: budget/stats plumbing and,
-// under the streaming engine, the per-occurrence cached plan — the same
-// machinery evalStratum gives its tasks.
+// instance and deriver hand out compiled rule plans, cached across
+// calls; the per-call context and budget plumbing is refreshed on every
+// access since the cache outlives the call.
+//
+// instance plans the rule with occurrence cn.occ as the delta, the same
+// plan evalStratum gives that task. A negated occurrence is planned
+// flipped — negation dropped — so it can be scanned positively over an
+// edit delta: in phase A over the insertions that falsify ¬q(t̄), in
+// phase C over the deletions that make it vacuously true.
 func (ix *deltaIndex) instance(cn consumer) (*cRule, error) {
 	c := ix.instCache[cn]
 	if c == nil {
-		c = compileRule(ix.p.Rules[cn.ri], ix.db)
-		if ix.cfg.streaming {
-			c.streaming = true
-			plan, err := buildPlan(c, cn.occ)
-			if err != nil {
-				return nil, err
-			}
-			c.plan = plan
+		t := ix.compiled[cn.ri]
+		if t == nil {
+			t = compileRule(ix.p.Rules[cn.ri], ix.db)
+			ix.compiled[cn.ri] = t
+		}
+		if t.body[cn.occ].negated {
+			flipped := *t
+			flipped.body = append([]cAtom(nil), t.body...)
+			flipped.body[cn.occ].negated = false
+			t = &flipped
+		}
+		var err error
+		if c, err = t.instance(cn.occ, ix.cfg, nil); err != nil {
+			return nil, err
 		}
 		ix.instCache[cn] = c
 	}
-	c.ctx = ix.ctx
-	c.budget = ix.cfg.budget
-	c.collector = ix.cfg.collector
+	c.ctx, c.cfg = ix.ctx, ix.cfg
+	return c, nil
+}
+
+// deriver is rule ri's head-seeded plan for the re-derive check.
+func (ix *deltaIndex) deriver(ri int) (*cRule, error) {
+	c := ix.derivers[ri]
+	if c == nil {
+		var err error
+		if c, err = compileDeriver(ix.p.Rules[ri], ix.db, ix.cfg); err != nil {
+			return nil, err
+		}
+		ix.derivers[ri] = c
+	}
+	c.ctx, c.cfg = ix.ctx, ix.cfg
 	return c, nil
 }
 
@@ -481,31 +472,28 @@ func deltaView(src *relation, from int) *relation {
 // round in that stratum. Tasks only ever flow to the same or higher
 // strata (stratification points dependencies downward), so one ascending
 // pass suffices. Batches are sorted by (rule, occurrence), so discovery
-// order is deterministic.
+// order is deterministic. A task at a negated occurrence is a flipped
+// one (see instance).
 func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) error {
-	type dtask struct {
-		cn   consumer
-		flip bool
-	}
-	pend := make([]map[dtask]bool, ix.nStrata)
+	pend := make([]map[consumer]bool, ix.nStrata)
 	remaining := 0
-	add := func(t dtask) {
+	add := func(cn consumer) {
 		// Over-deletion only removes facts of the old fixpoint: a rule
 		// whose head predicate is empty derived nothing, so nothing it
 		// derived can die. On type-style programs (one populated type
 		// predicate per bag out of dozens possible) this skips the vast
 		// majority of a wave fact's consumers.
-		if r := ix.db.rels[ix.p.Rules[t.cn.ri].Head.Pred]; r == nil || len(r.tuples) == 0 {
+		if r := ix.db.rels[ix.p.Rules[cn.ri].Head.Pred]; r == nil || len(r.tuples) == 0 {
 			return
 		}
-		s := ix.ruleStratum[t.cn.ri]
+		s := ix.ruleStratum[cn.ri]
 		m := pend[s]
 		if m == nil {
-			m = map[dtask]bool{}
+			m = map[consumer]bool{}
 			pend[s] = m
 		}
-		if !m[t] {
-			m[t] = true
+		if !m[cn] {
+			m[cn] = true
 			remaining++
 		}
 	}
@@ -513,10 +501,10 @@ func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) 
 	// consumers of the EDB insertions. Batch sorting makes seed order
 	// irrelevant, so iterating the edit maps directly is fine.
 	for pred, d := range allDel {
-		ix.pos.forTuples(pred, d.tuples, func(cn consumer) { add(dtask{cn, false}) })
+		ix.pos.forTuples(pred, d.tuples, add)
 	}
 	for pred, d := range insSeed {
-		ix.neg.forTuples(pred, d.tuples, func(cn consumer) { add(dtask{cn, true}) })
+		ix.neg.forTuples(pred, d.tuples, add)
 	}
 	// collect routes one emitted head into the over-delete set; only
 	// facts of the old fixpoint not yet over-deleted extend the wave.
@@ -549,32 +537,23 @@ func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) 
 			if err := ix.ctx.Err(); err != nil {
 				return stage.Wrap(stage.Eval, err)
 			}
-			batch := make([]dtask, 0, len(pend[s]))
-			for t := range pend[s] {
-				batch = append(batch, t)
+			batch := make([]consumer, 0, len(pend[s]))
+			for cn := range pend[s] {
+				batch = append(batch, cn)
 			}
 			remaining -= len(batch)
 			pend[s] = nil
-			sort.Slice(batch, func(a, b int) bool {
-				if batch[a].cn != batch[b].cn {
-					return batch[a].cn.ri < batch[b].cn.ri ||
-						(batch[a].cn.ri == batch[b].cn.ri && batch[a].cn.occ < batch[b].cn.occ)
-				}
-				return !batch[a].flip && batch[b].flip
-			})
+			sortConsumers(batch)
 			// One shared view per predicate: every in-stratum consumer a
 			// deleted tuple can match is scheduled when the tuple arrives,
 			// so a round advances the watermark for all of them at once.
 			views := map[string]*relation{}
 			wave := map[string]*relation{}
-			for _, t := range batch {
-				var c *cRule
-				var src map[string]*relation
-				if t.flip {
-					c = ix.flipRule(t.cn)
-					src = insSeed
-				} else {
-					pred := ix.p.Rules[t.cn.ri].Body[t.cn.occ].Pred
+			for _, cn := range batch {
+				r := ix.p.Rules[cn.ri]
+				pred := r.Body[cn.occ].Pred
+				src := insSeed[pred] // a flipped occurrence scans the insertions
+				if !r.Body[cn.occ].Negated {
 					d := allDel[pred]
 					if d == nil || len(d.tuples) == 0 {
 						continue
@@ -590,11 +569,13 @@ func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) 
 					if v == nil {
 						continue // already scanned by an earlier round
 					}
-					c = ix.plainRule(t.cn.ri)
-					src = views
+					src = v
 				}
-				head := ix.p.Rules[t.cn.ri].Head
-				if err := c.eval(src, t.cn.occ, collect(head.Pred, len(head.Args), wave)); err != nil {
+				c, err := ix.instance(cn)
+				if err != nil {
+					return err
+				}
+				if err := c.eval(src, collect(r.Head.Pred, len(r.Head.Args), wave)); err != nil {
 					return err
 				}
 			}
@@ -618,11 +599,19 @@ func (ix *deltaIndex) overDelete(allDel, insSeed, overdel map[string]*relation) 
 						w.appendShared(t)
 					}
 				}
-				ix.pos.forTuples(pred, d.tuples, func(cn consumer) { add(dtask{cn, false}) })
+				ix.pos.forTuples(pred, d.tuples, add)
 			}
 		}
 	}
 	return nil
+}
+
+// sortConsumers orders a batch by (rule, occurrence).
+func sortConsumers(batch []consumer) {
+	sort.Slice(batch, func(a, b int) bool {
+		return batch[a].ri < batch[b].ri ||
+			(batch[a].ri == batch[b].ri && batch[a].occ < batch[b].occ)
+	})
 }
 
 type rederiveCounts struct {
@@ -633,11 +622,11 @@ type rederiveCounts struct {
 // rederive is DRed phase C, against the new state: restore over-deleted
 // facts that kept an alternative derivation, seed derivations a deletion
 // unblocked (¬q(t̄) now holds for every net-deleted q-fact), and run
-// semi-naive insertion rounds through the shared round runner — under
-// the streaming engine these reuse per-rule cached plans with the delta
-// relation as the scan input, exactly as Eval does. Newly derived facts
-// are merged into allIns and their consumers scheduled, with the same
-// per-tuple scheduling and per-stratum watermarks as phase A.
+// semi-naive insertion rounds through the shared round runner, on the
+// per-occurrence plans with the delta relation as the scan input,
+// exactly as Eval does. Newly derived facts are merged into allIns and
+// their consumers scheduled, with the same per-tuple scheduling and
+// per-stratum watermarks as phase A.
 func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (rederiveCounts, error) {
 	var n rederiveCounts
 	pend := make([]map[consumer]bool, ix.nStrata)
@@ -690,7 +679,11 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 			}
 			cs := make([]*cRule, 0, len(ix.byHead[pred]))
 			for _, ri := range ix.byHead[pred] {
-				cs = append(cs, ix.plainRule(ri))
+				c, err := ix.deriver(ri)
+				if err != nil {
+					return n, err
+				}
+				cs = append(cs, c)
 			}
 			rel := ix.db.rel(pred, od.arity)
 			var restored [][]int
@@ -715,10 +708,7 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 		// Derivations a deletion unblocked, in (rule, occurrence) order;
 		// duplicates from several matching tuples run once (the relation
 		// dedup makes reruns harmless, this just avoids them).
-		sort.Slice(unblocked[s], func(a, b int) bool {
-			return unblocked[s][a].ri < unblocked[s][b].ri ||
-				(unblocked[s][a].ri == unblocked[s][b].ri && unblocked[s][a].occ < unblocked[s][b].occ)
-		})
+		sortConsumers(unblocked[s])
 		var prev *consumer
 		for i := range unblocked[s] {
 			cn := unblocked[s][i]
@@ -729,11 +719,15 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 			if err := ix.ctx.Err(); err != nil {
 				return n, stage.Wrap(stage.Eval, err)
 			}
-			c := ix.flipRule(cn)
-			head := ix.p.Rules[cn.ri].Head
+			c, err := ix.instance(cn)
+			if err != nil {
+				return n, err
+			}
+			r := ix.p.Rules[cn.ri]
+			head := r.Head
 			rel := ix.db.rel(head.Pred, len(head.Args))
 			var derived [][]int
-			err := c.eval(allDel, cn.occ, func(t []int) {
+			err = c.eval(allDel[r.Body[cn.occ].Pred], func(t []int) {
 				if stored, added := rel.insertRow(t); added {
 					n.derived++
 					record(head.Pred, len(head.Args), stored)
@@ -759,13 +753,10 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 				batch = append(batch, cn)
 			}
 			pend[s] = nil
-			sort.Slice(batch, func(a, b int) bool {
-				return batch[a].ri < batch[b].ri ||
-					(batch[a].ri == batch[b].ri && batch[a].occ < batch[b].occ)
-			})
+			sortConsumers(batch)
 			views := map[string]*relation{}
 			total := 0
-			var tasks []stratumTask
+			var tasks []*cRule
 			for _, cn := range batch {
 				pred := ix.p.Rules[cn.ri].Body[cn.occ].Pred
 				d := allIns[pred]
@@ -788,7 +779,7 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 				if err != nil {
 					return n, err
 				}
-				tasks = append(tasks, stratumTask{prog: c, occ: cn.occ})
+				tasks = append(tasks, c)
 			}
 			if len(tasks) == 0 {
 				continue
@@ -823,8 +814,9 @@ func (ix *deltaIndex) rederive(overdel, allDel, allIns map[string]*relation) (re
 	return n, nil
 }
 
-// anyDerivation reports whether any of the compiled rules (all sharing
-// one head predicate) derives the fact in the database's current state.
+// anyDerivation reports whether any of the head-seeded rules (all
+// sharing one head predicate) derives the fact in the database's current
+// state.
 func anyDerivation(rules []*cRule, fact []int) (bool, error) {
 	for _, c := range rules {
 		ok, err := c.derives(fact)
@@ -833,44 +825,4 @@ func anyDerivation(rules []*cRule, fact []int) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// derives reports whether the rule derives the given head fact in the
-// database's current state: head arguments are unified with the fact up
-// front and the body enumeration stops at the first witness.
-func (c *cRule) derives(fact []int) (bool, error) {
-	for i, a := range c.head {
-		if a.slot < 0 {
-			if a.c != fact[i] {
-				return false, nil
-			}
-			continue
-		}
-		if v := c.binding[a.slot]; v >= 0 && v != fact[i] {
-			for j := range c.binding {
-				c.binding[j] = -1
-			}
-			return false, nil
-		}
-		c.binding[a.slot] = fact[i]
-	}
-	found := false
-	c.deltaOcc = -1
-	c.emit = func([]int) {
-		found = true
-		c.stopped = true
-	}
-	for i := range c.body {
-		a := &c.body[i]
-		if a.builtin {
-			continue
-		}
-		a.rel = c.db.rels[a.pred]
-	}
-	err := c.step(0)
-	c.stopped = false
-	for j := range c.binding {
-		c.binding[j] = -1
-	}
-	return found, err
 }

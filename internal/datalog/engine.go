@@ -5,40 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// Engine selects the rule-evaluation backend.
-type Engine int32
-
-const (
-	// EngineStreaming (the default) evaluates rule bodies through the
-	// pull-based relational-algebra pipeline of internal/datalog/ra:
-	// plans with predicate/constant pushdown into index probes,
-	// constant-space projection, and O(1) rows in flight per rule.
-	EngineStreaming Engine = iota
-	// EngineMaterialized is the pre-streaming backend: a recursive
-	// backtracking join that copies index matches into per-binding
-	// buffers. Kept selectable for the naive-reference differential
-	// suite and interleaved A/B benchmarks.
-	EngineMaterialized
-)
-
-func (e Engine) String() string {
-	if e == EngineMaterialized {
-		return "materialized"
-	}
-	return "streaming"
-}
-
-var engine atomic.Int32 // Engine, zero value = EngineStreaming
-
-// SetEngine selects the rule-evaluation backend for subsequent Eval
-// calls and returns the previous setting. Evaluations capture the
-// engine once at entry, so a concurrent switch never splits one run
-// across backends.
-func SetEngine(e Engine) Engine { return Engine(engine.Swap(int32(e))) }
-
-// CurrentEngine reports the selected rule-evaluation backend.
-func CurrentEngine() Engine { return Engine(engine.Load()) }
-
 // EngineStats are the streaming engine's cumulative counters: the row
 // volume moved through operator pipelines, the number of joins planned
 // with probe constraints pushed into relation indexes, and the

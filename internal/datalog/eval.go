@@ -48,10 +48,10 @@ func Eval(p *Program, edb *DB) (*DB, error) {
 }
 
 // EvalCtx is Eval with cancellation support: the stratum loop, each
-// semi-naive round and the join recursion itself (every 1024 extension
-// steps) check ctx, so evaluation of a large program stops promptly
-// after cancellation or a deadline. A context error is returned wrapped
-// in a *stage.Error tagged stage.Eval.
+// semi-naive round and the rule pipelines themselves (every 1024
+// operator steps) check ctx, so evaluation of a large program stops
+// promptly after cancellation or a deadline. A context error is returned
+// wrapped in a *stage.Error tagged stage.Eval.
 func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -66,11 +66,7 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := evalConfig{
-		streaming: CurrentEngine() == EngineStreaming,
-		budget:    stage.BudgetFrom(ctx),
-		collector: statsCollectorFrom(ctx),
-	}
+	cfg := configFrom(ctx)
 	db := edb.Clone()
 	// Intern every constant of the program up front: rule compilation then
 	// only reads the interning table, which keeps parallel tasks free of
@@ -92,13 +88,15 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	return db, nil
 }
 
-// evalConfig is the per-run evaluation setup, captured once at EvalCtx
-// entry: the engine choice (a concurrent SetEngine never splits a run),
-// the stream-tuples budget, and the stats collector.
+// evalConfig is the per-run evaluation setup read from the context: the
+// stream-tuples budget and the stats collector.
 type evalConfig struct {
-	streaming bool
 	budget    *stage.Budget
 	collector *StatsCollector
+}
+
+func configFrom(ctx context.Context) evalConfig {
+	return evalConfig{budget: stage.BudgetFrom(ctx), collector: statsCollectorFrom(ctx)}
 }
 
 func internProgramConsts(p *Program, db *DB) {
@@ -257,16 +255,6 @@ func stratify(p *Program) ([][]string, error) {
 	return groups, nil
 }
 
-// stratumTask is one unit of a round's work: a compiled rule evaluated
-// either in full (occ == -1, the first pass) or with one body occurrence
-// of a stratum predicate restricted to the previous round's delta. Each
-// (rule, occ) pair keeps its own compiled instance across rounds, so the
-// scratch buffers warm up once and tasks never share mutable state.
-type stratumTask struct {
-	prog *cRule
-	occ  int
-}
-
 // parallelThreshold is the minimum number of pending input tuples before
 // a round fans its tasks out to goroutines; below it the per-goroutine
 // overhead outweighs the work.
@@ -274,42 +262,39 @@ const parallelThreshold = 128
 
 // evalStratum runs semi-naive iteration for one stratum's rules.
 func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, db *DB, cfg evalConfig) error {
-	// Compiled instances per rule, indexed by occ+1 (slot 0 is the full
-	// first-pass evaluation). Filled lazily; compilation — including the
-	// one-time streaming plan build — is serial, so the parallel phase
-	// only ever reads the cache.
-	compiled := make([][]*cRule, len(rules))
+	// Planned instances per rule, indexed by occ+1 (slot 0 is the full
+	// first-pass evaluation); each (rule, occ) pair keeps its own
+	// instance across rounds, so the plan and its scratch buffers warm up
+	// once and tasks never share mutable state. Filled lazily;
+	// compilation is serial, so the parallel phase only ever reads the
+	// cache.
+	compiled := make([]*cRule, len(rules))
+	planned := make([][]*cRule, len(rules))
 	instance := func(ri, occ int) (*cRule, error) {
-		if compiled[ri] == nil {
-			compiled[ri] = make([]*cRule, len(rules[ri].Body)+1)
+		if planned[ri] == nil {
+			compiled[ri] = compileRule(rules[ri], db)
+			planned[ri] = make([]*cRule, len(rules[ri].Body)+1)
 		}
-		if c := compiled[ri][occ+1]; c != nil {
+		if c := planned[ri][occ+1]; c != nil {
 			return c, nil
 		}
-		c := compileRule(rules[ri], db)
-		c.ctx = ctx
-		c.budget = cfg.budget
-		c.collector = cfg.collector
-		if cfg.streaming {
-			c.streaming = true
-			plan, err := buildPlan(c, occ)
-			if err != nil {
-				return nil, err
-			}
-			c.plan = plan
+		c, err := compiled[ri].instance(occ, cfg, nil)
+		if err != nil {
+			return nil, err
 		}
-		compiled[ri][occ+1] = c
+		c.ctx = ctx
+		planned[ri][occ+1] = c
 		return c, nil
 	}
 
 	// First pass: evaluate every rule in full.
-	tasks := make([]stratumTask, len(rules))
+	tasks := make([]*cRule, len(rules))
 	for i := range rules {
 		c, err := instance(i, -1)
 		if err != nil {
 			return err
 		}
-		tasks[i] = stratumTask{prog: c, occ: -1}
+		tasks[i] = c
 	}
 	delta, err := runStratumRound(ctx, tasks, nil, db, db.NumFacts())
 	if err != nil {
@@ -340,7 +325,7 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 				if err != nil {
 					return err
 				}
-				tasks = append(tasks, stratumTask{prog: c, occ: occ})
+				tasks = append(tasks, c)
 			}
 		}
 		if len(tasks) == 0 {
@@ -353,31 +338,30 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 	}
 }
 
-// runStratumRound evaluates one round's tasks and returns the delta of
-// genuinely new facts. Small rounds run serially with derivations
-// inserted as they are found; large rounds fan the tasks out to a worker
-// pool, with each task buffering its derivations and the buffers merged
-// through the dedup tables in task order afterwards — so the derived
-// fact set is identical, and for a fixed worker setting even the tuple
-// insertion order is deterministic.
+// runStratumRound evaluates one round's tasks — each a compiled rule
+// whose delta occurrence, if it has one, reads that predicate's relation
+// in delta — and returns the delta of genuinely new facts. Small rounds
+// run serially with derivations inserted as they are found; large rounds
+// fan the tasks out to a worker pool, with each task buffering its
+// derivations and the buffers merged through the dedup tables in task
+// order afterwards — so the derived fact set is identical, and for a
+// fixed worker setting even the tuple insertion order is deterministic.
 //
 // Each task evaluates one rule, so everything it emits belongs to the
-// rule's head predicate; emitted tuples are freshly allocated and the
-// database adopts them without copying, sharing new ones with the
-// (dedup-free) delta relation rather than re-hashing them into it.
-func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]*relation, db *DB, workSize int) (map[string]*relation, error) {
+// rule's head predicate. New tuples are shared between the database and
+// the (dedup-free) delta relation rather than re-hashed into it.
+func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*relation, db *DB, workSize int) (map[string]*relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
 	newDelta := map[string]*relation{}
-	sink := func(t stratumTask) (*relation, *relation) {
-		pred := t.prog.headPred
-		nd, ok := newDelta[pred]
+	sink := func(c *cRule) (*relation, *relation) {
+		nd, ok := newDelta[c.headPred]
 		if !ok {
-			nd = newDeltaRelation(t.prog.headArity)
-			newDelta[pred] = nd
+			nd = newDeltaRelation(c.headArity)
+			newDelta[c.headPred] = nd
 		}
-		return db.rel(pred, t.prog.headArity), nd
+		return db.rel(c.headPred, c.headArity), nd
 	}
 	workers := int(maxWorkers.Load())
 	if workers > len(tasks) {
@@ -387,7 +371,7 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 	// worker-loop fault-injection point: a handler or join panic becomes
 	// a stage-tagged *stage.PanicError instead of killing the worker
 	// goroutine (and with it the process).
-	evalTask := func(t stratumTask, emit func([]int)) (err error) {
+	evalTask := func(c *cRule, emit func([]int)) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = stage.Wrap(stage.Eval, stage.NewPanicError(r))
@@ -396,28 +380,23 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 		if err := faultinject.Check("datalog.stratum-task"); err != nil {
 			return stage.Wrap(stage.Eval, err)
 		}
-		return t.prog.eval(delta, t.occ, emit)
+		var d *relation
+		if c.occ >= 0 {
+			d = delta[c.body[c.occ].pred]
+		}
+		return c.eval(d, emit)
 	}
 	if workers <= 1 || workSize < parallelThreshold {
-		for _, t := range tasks {
-			rel, nd := sink(t)
-			var err error
-			if t.prog.streaming {
-				// Streamed rows are reused operator buffers: the relation
-				// copies only genuinely new tuples, so the serial path
-				// holds O(1) rows in flight per rule.
-				err = evalTask(t, func(row []int) {
-					if stored, added := rel.insertRow(row); added {
-						nd.appendShared(stored)
-					}
-				})
-			} else {
-				err = evalTask(t, func(tuple []int) {
-					if rel.insertOwned(tuple) {
-						nd.appendShared(tuple)
-					}
-				})
-			}
+		for _, c := range tasks {
+			rel, nd := sink(c)
+			// Streamed rows are reused operator buffers: the relation
+			// copies only genuinely new tuples, so the serial path holds
+			// O(1) rows in flight per rule.
+			err := evalTask(c, func(row []int) {
+				if stored, added := rel.insertRow(row); added {
+					nd.appendShared(stored)
+				}
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -425,15 +404,14 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 		return newDelta, nil
 	}
 	// Parallel round: each task buffers its derivations privately and the
-	// buffers merge in task order. Streaming tasks pre-filter against the
-	// (frozen, read-only) head relation so already-known facts are never
-	// buffered, and the buffers themselves are reused across rounds —
-	// together this replaces the old grow-only per-round join buffers.
+	// buffers merge in task order. Tasks pre-filter against the (frozen,
+	// read-only) head relation so already-known facts are never buffered,
+	// and the buffers themselves are reused across rounds.
 	headRels := make([]*relation, len(tasks))
 	bufs := make([][][]int, len(tasks))
-	for i, t := range tasks {
-		headRels[i] = db.rel(t.prog.headPred, t.prog.headArity)
-		bufs[i] = t.prog.outBuf[:0]
+	for i, c := range tasks {
+		headRels[i] = db.rel(c.headPred, c.headArity)
+		bufs[i] = c.outBuf[:0]
 	}
 	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup
@@ -443,19 +421,12 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 			defer wg.Done()
 			for i := w; i < len(tasks); i += workers {
 				i := i
-				t := tasks[i]
-				if t.prog.streaming {
-					rel := headRels[i]
-					errs[i] = evalTask(t, func(row []int) {
-						if !rel.has(row) {
-							bufs[i] = append(bufs[i], t.prog.arenaCopy(row))
-						}
-					})
-				} else {
-					errs[i] = evalTask(t, func(tuple []int) {
-						bufs[i] = append(bufs[i], tuple)
-					})
-				}
+				c, rel := tasks[i], headRels[i]
+				errs[i] = evalTask(c, func(row []int) {
+					if !rel.has(row) {
+						bufs[i] = append(bufs[i], c.arenaCopy(row))
+					}
+				})
 			}
 		}(w)
 	}
@@ -465,13 +436,11 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 			return nil, err
 		}
 	}
-	if len(tasks) > 0 && tasks[0].prog.streaming {
-		pending := int64(0)
-		for _, buf := range bufs {
-			pending += int64(len(buf))
-		}
-		notePeakBuffered(tasks[0].prog.collector, pending)
+	pending := int64(0)
+	for _, buf := range bufs {
+		pending += int64(len(buf))
 	}
+	notePeakBuffered(tasks[0].cfg.collector, pending)
 	for i, buf := range bufs {
 		rel, nd := sink(tasks[i])
 		for _, tuple := range buf {
@@ -479,7 +448,7 @@ func runStratumRound(ctx context.Context, tasks []stratumTask, delta map[string]
 				nd.appendShared(tuple)
 			}
 		}
-		tasks[i].prog.outBuf = buf[:0]
+		tasks[i].outBuf = buf[:0]
 	}
 	return newDelta, nil
 }
@@ -491,59 +460,51 @@ type cArg struct {
 	c    int
 }
 
-// cAtom is a compiled body atom: predicate classification resolved once,
-// arguments mapped to slots/IDs, and reusable per-atom scratch buffers so
-// the join recursion allocates nothing per tuple. rel is transient: it is
-// re-resolved at the start of every eval call.
+// cAtom is a compiled body atom: predicate classification resolved once
+// and arguments mapped to slots/IDs. It is read-only once compiled.
 type cAtom struct {
-	pred     string
-	negated  bool
-	builtin  bool
-	args     []cArg
-	rel      *relation // resolved per eval call (nil: empty relation)
-	pat      []int     // pattern buffer
-	ground   []int     // ground-args buffer
-	matchBuf [][]int   // match result buffer
+	pred    string
+	negated bool
+	builtin bool
+	args    []cArg
 }
 
 // cRule is a rule compiled for repeated evaluation: variables mapped to
-// integer slots, atoms to cAtoms, plus all the scratch state the join
-// recursion needs. A cRule instance is single-threaded — evalStratum keeps
-// one per (rule, delta-occurrence) task so buffers warm up across rounds
-// without any sharing between parallel tasks.
+// integer slots and atoms to cAtoms. compileRule yields a template;
+// instance plans it for one delta occurrence. A planned instance is
+// single-threaded — evalStratum keeps one per (rule, delta-occurrence)
+// task so buffers warm up across rounds without any sharing between
+// parallel tasks — and shares only the read-only head and body with the
+// template and its other instances.
 type cRule struct {
 	src       Rule
 	db        *DB
-	ctx       context.Context // nil: never cancelled
-	tick      uint            // cancellation-check counter for step
 	headPred  string
 	headArity int
 	head      []cArg
 	body      []cAtom
-	binding   []int  // slot → constant ID, -1 unbound
-	processed []bool // body atoms consumed on the current recursion path
-	deltaOcc  int
-	emit      func([]int)
-	stopped   bool // set by an emit callback to abandon the enumeration
-	// Head tuples are carved from arena chunks: they are handed to emit
-	// (and ultimately adopted by the database), so allocating them one
-	// slice at a time would dominate GC work on derivation-heavy programs.
-	arena []int
-	// Streaming-engine state: the pushdown-analyzed plan (built once per
-	// instance, reused every round), budget/stats plumbing, and the
-	// parallel-round output buffer reused across rounds.
-	streaming bool
-	plan      *rulePlan
-	budget    *stage.Budget
-	collector *StatsCollector
-	outBuf    [][]int
+	nslots    int
+	occ       int         // the delta occurrence the plan starts from; -1 for none
+	plan      *rulePlan   // nil in a template
+	rels      []*relation // per body atom, bound by start (nil: empty relation)
+	// Per-run plumbing, set by the owner before each use: the plan's
+	// cancellation poll reads ctx (nil: never cancelled), and streamed
+	// rows are charged to cfg's budget and collector.
+	ctx context.Context
+	cfg evalConfig
+	// Rows a parallel round buffers are carved from arena chunks into
+	// outBuf, which is reused across rounds: they are ultimately adopted
+	// by the database, so allocating them one slice at a time would
+	// dominate GC work on derivation-heavy programs.
+	arena  []int
+	outBuf [][]int
 }
 
 // compileRule maps the rule's variables to integer slots and its atom
-// arguments to slot/constant descriptors, so the per-tuple inner loops of
-// eval touch no maps. All program constants must already be interned when
-// compilation can race with other DB readers (Eval guarantees this by
-// interning up front and compiling serially).
+// arguments to slot/constant descriptors, so the per-row work of its
+// plans touches no maps. All program constants must already be interned
+// when compilation can race with other DB readers (Eval guarantees this
+// by interning up front and compiling serially).
 func compileRule(r Rule, db *DB) *cRule {
 	slots := map[string]int{}
 	compileArgs := func(args []Term) []cArg {
@@ -564,21 +525,14 @@ func compileRule(r Rule, db *DB) *cRule {
 	}
 	body := make([]cAtom, len(r.Body))
 	for i, a := range r.Body {
-		args := compileArgs(a.Args)
 		body[i] = cAtom{
 			pred:    a.Pred,
 			negated: a.Negated,
 			builtin: IsBuiltin(a.Pred),
-			args:    args,
-			pat:     make([]int, len(args)),
-			ground:  make([]int, len(args)),
+			args:    compileArgs(a.Args),
 		}
 	}
 	head := compileArgs(r.Head.Args)
-	binding := make([]int, len(slots))
-	for i := range binding {
-		binding[i] = -1
-	}
 	return &cRule{
 		src:       r,
 		db:        db,
@@ -586,37 +540,36 @@ func compileRule(r Rule, db *DB) *cRule {
 		headArity: len(r.Head.Args),
 		head:      head,
 		body:      body,
-		binding:   binding,
-		processed: make([]bool, len(r.Body)),
+		nslots:    len(slots),
+		occ:       -1,
 	}
 }
 
-// eval enumerates all satisfying assignments of the rule body and emits
-// the corresponding head tuples (freshly allocated, ownership passes to
-// emit). If deltaOcc ≥ 0, that body-atom occurrence is matched against
-// delta[pred] instead of the full relation.
-//
-// Concurrent eval calls on distinct cRule instances are read-only on the
-// DB apart from lazy index builds, which the relations synchronize
-// internally.
-func (c *cRule) eval(delta map[string]*relation, deltaOcc int, emit func([]int)) error {
-	c.deltaOcc = deltaOcc
-	c.emit = emit
-	for i := range c.body {
-		a := &c.body[i]
-		if a.builtin {
-			continue
-		}
-		if i == deltaOcc {
-			a.rel = delta[a.pred]
-		} else {
-			a.rel = c.db.rels[a.pred]
-		}
+// instance returns a copy of the compiled rule planned with body
+// occurrence occ as the delta (-1: the full first pass); a non-nil seed
+// is the relation that occurrence scans (see compileDeriver). cfg's
+// collector counts the plan's pushed-down joins. The copy shares the
+// template's head and body, so a rule's instances cost only their
+// plans.
+func (t *cRule) instance(occ int, cfg evalConfig, seed *headSeed) (*cRule, error) {
+	c := &cRule{
+		src:       t.src,
+		db:        t.db,
+		headPred:  t.headPred,
+		headArity: t.headArity,
+		head:      t.head,
+		body:      t.body,
+		nslots:    t.nslots,
+		occ:       occ,
+		rels:      make([]*relation, len(t.body)),
+		cfg:       cfg,
 	}
-	if c.streaming {
-		return c.evalStream(emit)
+	plan, err := buildPlan(c, seed)
+	if err != nil {
+		return nil, err
 	}
-	return c.step(0)
+	c.plan = plan
+	return c, nil
 }
 
 // arenaCopy copies a borrowed row into an arena-carved tuple the caller
@@ -630,179 +583,4 @@ func (c *cRule) arenaCopy(row []int) []int {
 	c.arena = c.arena[n:]
 	copy(tuple, row)
 	return tuple
-}
-
-func (c *cRule) emitHead() {
-	n := len(c.head)
-	if len(c.arena) < n {
-		c.arena = make([]int, 4096+n)
-	}
-	tuple := c.arena[:n:n]
-	c.arena = c.arena[n:]
-	for i, a := range c.head {
-		if a.slot >= 0 {
-			tuple[i] = c.binding[a.slot]
-		} else {
-			tuple[i] = a.c
-		}
-	}
-	c.emit(tuple)
-}
-
-func (c *cRule) atomBound(a *cAtom) bool {
-	for _, ar := range a.args {
-		if ar.slot >= 0 && c.binding[ar.slot] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *cRule) groundArgs(a *cAtom) []int {
-	for i, ar := range a.args {
-		if ar.slot >= 0 {
-			a.ground[i] = c.binding[ar.slot]
-		} else {
-			a.ground[i] = ar.c
-		}
-	}
-	return a.ground
-}
-
-// step extends the current partial assignment by one body atom. Every
-// 1024 extension steps it polls the context, so even a single huge join
-// stops promptly after cancellation.
-func (c *cRule) step(done int) error {
-	if c.stopped {
-		return nil
-	}
-	if c.tick++; c.tick&1023 == 0 && c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			return stage.Wrap(stage.Eval, err)
-		}
-	}
-	if done == len(c.body) {
-		c.emitHead()
-		return nil
-	}
-	// Prefer any fully bound negated or builtin atom (cheap filters).
-	for i := range c.body {
-		a := &c.body[i]
-		if c.processed[i] || (!a.negated && !a.builtin) || !c.atomBound(a) {
-			continue
-		}
-		args := c.groundArgs(a)
-		var holds bool
-		if a.builtin {
-			names := make([]string, len(args))
-			for j, id := range args {
-				names[j] = c.db.ConstName(id)
-			}
-			var err error
-			holds, err = callBuiltin(a.pred, names)
-			if err != nil {
-				return err
-			}
-		} else {
-			holds = a.rel != nil && a.rel.has(args)
-		}
-		if a.negated {
-			holds = !holds
-		}
-		if !holds {
-			return nil
-		}
-		c.processed[i] = true
-		err := c.step(done + 1)
-		c.processed[i] = false
-		return err
-	}
-	// Otherwise take the delta occurrence while it is still pending — its
-	// relation is the round's wavefront (typically a handful of tuples
-	// whose constants bind most of the rule), so starting there turns the
-	// remaining enumeration into indexed lookups; the streaming planner
-	// applies the same heuristic in buildPlan. Then the first unprocessed
-	// positive relational atom in body order.
-	pick := -1
-	if d := c.deltaOcc; d >= 0 && !c.processed[d] && !c.body[d].negated && !c.body[d].builtin {
-		pick = d
-	}
-	if pick < 0 {
-		for i := range c.body {
-			a := &c.body[i]
-			if !c.processed[i] && !a.negated && !a.builtin {
-				pick = i
-				break
-			}
-		}
-	}
-	if pick < 0 {
-		return fmt.Errorf("datalog: internal error: unbound atom remains in rule %s", c.src)
-	}
-	a := &c.body[pick]
-	rel := a.rel
-	if rel == nil {
-		return nil // empty relation: no matches
-	}
-	anyBound := false
-	for j, ar := range a.args {
-		if ar.slot >= 0 {
-			v := c.binding[ar.slot]
-			a.pat[j] = v // -1 when unbound
-			anyBound = anyBound || v >= 0
-		} else {
-			a.pat[j] = ar.c
-			anyBound = true
-		}
-	}
-	// All-unbound patterns iterate the relation's storage directly via
-	// a local snapshot (stable under concurrent-phase appends) instead
-	// of copying tuple headers through match.
-	tuples := rel.tuples
-	if anyBound {
-		a.matchBuf = rel.match(a.pat, a.matchBuf)
-		tuples = a.matchBuf
-	}
-	c.processed[pick] = true
-	var boundBuf [16]int
-	for _, tuple := range tuples {
-		// Unify, handling repeated fresh variables.
-		bound := boundBuf[:0]
-		ok := true
-		for j, ar := range a.args {
-			if ar.slot < 0 {
-				continue
-			}
-			if v := c.binding[ar.slot]; v >= 0 {
-				if tuple[j] != v {
-					ok = false
-					break
-				}
-			} else {
-				c.binding[ar.slot] = tuple[j]
-				bound = append(bound, ar.slot)
-			}
-		}
-		if ok {
-			if err := c.step(done + 1); err != nil {
-				return err
-			}
-		}
-		for _, s := range bound {
-			c.binding[s] = -1
-		}
-		if c.stopped {
-			break
-		}
-	}
-	c.processed[pick] = false
-	return nil
-}
-
-// evalRule compiles the rule and evaluates it once; the incremental path
-// in evalStratum keeps compiled instances alive across rounds instead.
-// Retained for one-shot callers (the naive reference evaluator, tests).
-func evalRule(r Rule, db *DB, delta map[string]*relation, deltaOcc int, emit func(string, []int)) error {
-	c := compileRule(r, db)
-	return c.eval(delta, deltaOcc, func(tuple []int) { emit(r.Head.Pred, tuple) })
 }

@@ -1,10 +1,13 @@
 package datalog
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stage"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -205,6 +208,38 @@ good(X) :- mark(X).
 	}
 	if !out.Has("success") {
 		t.Fatal("success not derived")
+	}
+}
+
+// TestArityMismatchedAtoms pins that an atom matches no tuple of a
+// stored relation of another arity, in the semi-naive engine as in the
+// grounder: over a binary e, Eval used to derive q from the first two
+// programs and panic with an index out of range on the next two. The
+// last one, FuzzEval's 25-atom input, is a 2^25-row cross product
+// unless the mismatched atoms are empty; the stream-tuples cap turns
+// that into an error instead of a ten-second run.
+func TestArityMismatchedAtoms(t *testing.T) {
+	edb := NewDB()
+	edb.AddFact("e", "a", "b")
+	edb.AddFact("e", "b", "a")
+	progs := []string{"q :- e.", "q :- e(A).", "q :- e(A, 0, 0).", "q :- e(A, b, a).", "0:-" + strings.Repeat("e,", 25) + "0."}
+	for _, src := range progs {
+		p := MustParse(src)
+		ctx := stage.WithBudget(context.Background(), &stage.Budget{MaxStreamTuples: 1000})
+		got, err := EvalCtx(ctx, p, edb)
+		if err != nil {
+			t.Fatalf("%q: Eval: %v", src, err)
+		}
+		want, err := EvalQuasiGuarded(p, edb.Clone(), TDFuncDeps(1))
+		if err != nil {
+			t.Fatalf("%q: EvalQuasiGuarded: %v", src, err)
+		}
+		sameFacts(t, got, want, src)
+		ref, err := naiveEval(p, edb)
+		if err != nil {
+			t.Fatalf("%q: reference: %v", src, err)
+		}
+		sameFacts(t, got, ref, src+" (reference)")
 	}
 }
 

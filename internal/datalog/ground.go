@@ -524,9 +524,8 @@ func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 		if join {
 			st.kind = stepJoin
 		}
-		if rel := s.edb.rels[a.Pred]; rel != nil && rel.arity == len(a.Args) && (st.kind == stepJoin || st.kind == stepTest) {
-			// A relation of another arity holds no tuple the atom matches.
-			st.rel = rel
+		if st.kind == stepJoin || st.kind == stepTest {
+			st.rel = ofArity(s.edb.rels[a.Pred], len(a.Args))
 		}
 		s.steps = append(s.steps, st)
 	}

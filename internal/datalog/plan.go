@@ -32,9 +32,12 @@ type rulePlan struct {
 	// binds are the scan/probe adapters to re-point at the current
 	// relation (full or delta) before each eval call.
 	binds []*boundRel
+	// seed, in a head-seeded plan, holds the one fact the delta
+	// occurrence scans; see compileDeriver.
+	seed *headSeed
 	// groundFilters are variable-free negated/builtin atoms, hoisted
-	// out of the pipeline and checked once per eval call (matching the
-	// materialized engine, which tests them before any join work).
+	// out of the pipeline and checked once per eval call, before any
+	// join work.
 	groundFilters []*filterSpec
 	// pushdowns counts lookup joins planned with at least one probe
 	// constraint pushed into a relation index.
@@ -67,6 +70,16 @@ func (b *boundRel) Probe(pattern []int, c *ra.Candidates) {
 	b.r.probe(pattern, c)
 }
 
+// headSeed is the one-row relation a head-seeded plan starts from: the
+// fact whose derivation is being checked. Its scan checks the head's
+// constants and repeated variables and binds the head's variables, so
+// the rest of the plan runs with them pre-bound.
+type headSeed struct{ rows [][]int }
+
+func (h *headSeed) Rows() [][]int { return h.rows }
+
+func (h *headSeed) Probe(_ []int, c *ra.Candidates) { c.SetRows(h.rows) }
+
 // unitIter emits a single zero-width row per pass: the source under
 // rules whose body has no positive relational atoms.
 type unitIter struct{ done bool }
@@ -85,36 +98,37 @@ func (u *unitIter) Next() (ra.Row, bool, error) {
 // pipeline row: σ that cannot be pushed into a probe. Scratch buffers
 // live on the spec; a plan (like its cRule) is single-goroutine.
 type filterSpec struct {
-	c      *cRule
-	a      *cAtom
-	cols   []int // per arg: pipeline column, or -1 for a constant
-	consts []int
-	names  []string // builtin name buffer
+	c     *cRule
+	atom  int      // body index
+	cols  []int    // per arg: pipeline column, or -1 for a constant
+	args  []int    // ground argument buffer
+	names []string // builtin name buffer (builtins only)
 }
 
 func (f *filterSpec) check(row ra.Row) (bool, error) {
-	args := f.a.ground
+	a := &f.c.body[f.atom]
 	for i, col := range f.cols {
 		if col >= 0 {
-			args[i] = row[col]
+			f.args[i] = row[col]
 		} else {
-			args[i] = f.consts[i]
+			f.args[i] = a.args[i].c
 		}
 	}
 	var holds bool
-	if f.a.builtin {
-		for j, id := range args {
+	if a.builtin {
+		for j, id := range f.args {
 			f.names[j] = f.c.db.ConstName(id)
 		}
 		var err error
-		holds, err = callBuiltin(f.a.pred, f.names)
+		holds, err = callBuiltin(a.pred, f.names)
 		if err != nil {
 			return false, err
 		}
 	} else {
-		holds = f.a.rel != nil && f.a.rel.has(args)
+		r := f.c.rels[f.atom]
+		holds = r != nil && r.has(f.args)
 	}
-	if f.a.negated {
+	if a.negated {
 		holds = !holds
 	}
 	return holds, nil
@@ -126,10 +140,12 @@ func (f *filterSpec) check(row ra.Row) (bool, error) {
 // the index probes; symmetric hash joins only across disconnected
 // components), negated/builtin atoms placed as filters at the earliest
 // point their variables are bound, dead columns dropped at the source,
-// and a constant-space head projection on top.
-func buildPlan(c *cRule, deltaOcc int) (*rulePlan, error) {
+// and a constant-space head projection on top. A non-nil seed is the
+// relation the delta occurrence scans, in place of a bound one.
+func buildPlan(c *cRule, seed *headSeed) (*rulePlan, error) {
 	planBuilds.Add(1)
-	p := &rulePlan{ctl: &ra.Ctl{}}
+	p := &rulePlan{ctl: &ra.Ctl{}, seed: seed}
+	deltaOcc := c.occ
 	p.ctl.Check = func() error {
 		if c.ctx != nil {
 			if err := c.ctx.Err(); err != nil {
@@ -150,7 +166,7 @@ func buildPlan(c *cRule, deltaOcc int) (*rulePlan, error) {
 
 	// Which slots need a pipeline column: those read outside the atom
 	// that first binds them (head, filters, or a second positive atom).
-	nslots := len(c.binding)
+	nslots := c.nslots
 	posCount := make([]int, nslots)
 	needCol := make([]bool, nslots)
 	seenInAtom := make([]int, nslots)
@@ -237,13 +253,15 @@ func buildPlan(c *cRule, deltaOcc int) (*rulePlan, error) {
 	filterPlaced := make([]bool, len(c.body))
 	newFilter := func(fi int) *filterSpec {
 		a := &c.body[fi]
-		f := &filterSpec{c: c, a: a, cols: make([]int, len(a.args)), consts: make([]int, len(a.args)), names: make([]string, len(a.args))}
+		n := len(a.args)
+		f := &filterSpec{c: c, atom: fi, cols: make([]int, n), args: make([]int, n)}
+		if a.builtin {
+			f.names = make([]string, n)
+		}
 		for i, ar := range a.args {
+			f.cols[i] = -1
 			if ar.slot >= 0 {
 				f.cols[i] = slotCol[ar.slot]
-			} else {
-				f.cols[i] = -1
-				f.consts[i] = ar.c
 			}
 		}
 		return f
@@ -301,8 +319,12 @@ func buildPlan(c *cRule, deltaOcc int) (*rulePlan, error) {
 		for s := range seenAt {
 			colBound[s] = true
 		}
-		b := &boundRel{atom: ai}
-		p.binds = append(p.binds, b)
+		var b ra.Relation = seed
+		if ai != deltaOcc || seed == nil {
+			br := &boundRel{atom: ai}
+			p.binds = append(p.binds, br)
+			b = br
+		}
 		switch {
 		case tree == nil:
 			tree = ra.NewScan(b, terms, p.ctl)
@@ -360,7 +382,7 @@ func buildPlan(c *cRule, deltaOcc int) (*rulePlan, error) {
 		}
 	}
 	p.root = ra.NewProject(tree, headCols, p.ctl)
-	addJoinsPushedDown(c.collector, p.pushdowns)
+	addJoinsPushedDown(c.cfg.collector, p.pushdowns)
 	return p, nil
 }
 
@@ -372,46 +394,94 @@ func (p *rulePlan) flush(c *cRule) error {
 		return nil
 	}
 	p.flushed = p.ctl.Streamed
-	addTuplesStreamed(c.collector, d)
-	if c.budget != nil {
-		if err := c.budget.AddStreamTuples(d); err != nil {
+	addTuplesStreamed(c.cfg.collector, d)
+	if c.cfg.budget != nil {
+		if err := c.cfg.budget.AddStreamTuples(d); err != nil {
 			return stage.Wrap(stage.Eval, err)
 		}
 	}
 	return nil
 }
 
-// evalStream runs the rule's streaming plan: rebind the relations,
-// reset the operator tree, and pull rows into emit. Emitted rows are
-// the projection's reused buffer — sinks copy what they keep.
-func (c *cRule) evalStream(emit func([]int)) error {
+// eval runs the rule's plan and pulls every head row into emit. The
+// delta occurrence, if the plan has one, reads delta; every other atom
+// reads its stored relation. Emitted rows are the projection's reused
+// buffer — sinks copy what they keep.
+//
+// Concurrent eval calls on distinct cRule instances are read-only on the
+// DB apart from lazy index builds, which the relations synchronize
+// internally.
+func (c *cRule) eval(delta *relation, emit func([]int)) error {
+	ok, err := c.start(delta)
+	for ok && err == nil {
+		var row []int
+		if row, ok, err = c.plan.root.Next(); ok {
+			emit(row)
+		}
+	}
+	return c.finish(err)
+}
+
+// compileDeriver compiles rule r head-seeded: its body gains a leading
+// atom over the head's arguments, planned as the delta occurrence and
+// scanned over a one-row relation holding the fact to check, so derives
+// needs only the plan's first row.
+func compileDeriver(r Rule, db *DB, cfg evalConfig) (*cRule, error) {
+	seeded := r
+	seeded.Body = append([]Atom{{Pred: r.Head.Pred, Args: r.Head.Args}}, r.Body...)
+	return compileRule(seeded, db).instance(0, cfg, &headSeed{rows: make([][]int, 1)})
+}
+
+// derives reports whether a head-seeded rule (see compileDeriver)
+// derives the given head fact in the database's current state.
+func (c *cRule) derives(fact []int) (bool, error) {
+	c.plan.seed.rows[0] = fact
+	ok, err := c.start(nil)
+	if ok && err == nil {
+		_, ok, err = c.plan.root.Next()
+	}
+	return ok && err == nil, c.finish(err)
+}
+
+// start resolves every body atom's relation — a stored relation, or
+// delta at the delta occurrence — rebinds the plan to them, decides the
+// ground filters and rewinds the operator tree. It reports false when a
+// ground filter fails, so the plan yields nothing.
+func (c *cRule) start(delta *relation) (bool, error) {
+	for i := range c.body {
+		a := &c.body[i]
+		if a.builtin {
+			continue
+		}
+		r := c.db.rels[a.pred]
+		if i == c.occ {
+			r = delta
+		}
+		c.rels[i] = ofArity(r, len(a.args))
+	}
 	p := c.plan
 	for _, b := range p.binds {
-		b.r = c.body[b.atom].rel
+		b.r = c.rels[b.atom]
 	}
 	for _, f := range p.groundFilters {
-		holds, err := f.check(nil)
-		if err != nil || !holds {
-			return err
+		if holds, err := f.check(nil); err != nil || !holds {
+			return false, err
 		}
 	}
 	p.root.Reset()
-	for {
-		row, ok, err := p.root.Next()
-		if err != nil {
-			if ferr := p.flush(c); ferr != nil {
-				err = ferr
-			} else if errors.Is(err, faultinject.ErrInjected) {
-				err = stage.Wrap(stage.Eval, err)
-			}
-			notePeakBuffered(c.collector, p.ctl.PeakBuffered)
-			return err
-		}
-		if !ok {
-			break
-		}
-		emit(row)
+	return true, nil
+}
+
+// finish closes one run of the plan: it reports the streamed rows and
+// the peak buffered, and tags a pipeline error with its stage.
+func (c *cRule) finish(err error) error {
+	p := c.plan
+	notePeakBuffered(c.cfg.collector, p.ctl.PeakBuffered)
+	if ferr := p.flush(c); ferr != nil {
+		return ferr
 	}
-	notePeakBuffered(c.collector, p.ctl.PeakBuffered)
-	return p.flush(c)
+	if errors.Is(err, faultinject.ErrInjected) {
+		err = stage.Wrap(stage.Eval, err)
+	}
+	return err
 }

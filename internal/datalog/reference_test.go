@@ -10,8 +10,9 @@ import (
 
 // naiveEval is a deliberately simple reference evaluator: stratified, but
 // within each stratum it re-runs every rule in full until a whole pass
-// derives nothing new (naive fixpoint, no deltas, no parallelism). The
-// differential tests below hold the optimized semi-naive engine to it.
+// derives nothing new (naive fixpoint, no deltas, no parallelism), each
+// rule by naiveRule's nested-loop join. The differential tests below
+// hold the optimized semi-naive engine to it.
 func naiveEval(p *Program, edb *DB) (*DB, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -35,8 +36,8 @@ func naiveEval(p *Program, edb *DB) (*DB, error) {
 		for changed := true; changed; {
 			changed = false
 			for _, r := range rules {
-				err := evalRule(r, db, nil, -1, func(pred string, tuple []int) {
-					if db.rel(pred, len(tuple)).insertOwned(tuple) {
+				err := naiveRule(r, db, func(tuple []int) {
+					if db.rel(r.Head.Pred, len(tuple)).insertOwned(tuple) {
 						changed = true
 					}
 				})
@@ -47,6 +48,99 @@ func naiveEval(p *Program, edb *DB) (*DB, error) {
 		}
 	}
 	return db, nil
+}
+
+// naiveRule emits the head tuple of every assignment that satisfies r's
+// body, found by a plain nested-loop join that shares no code with the
+// engine's plans: the positive atoms in body order, each against every
+// stored tuple of its arity, then the negated and builtin atoms as
+// checks on the complete assignment (safety binds all their variables).
+func naiveRule(r Rule, db *DB, emit func([]int)) error {
+	var pos, checks []Atom
+	for _, a := range r.Body {
+		if a.Negated || IsBuiltin(a.Pred) {
+			checks = append(checks, a)
+		} else {
+			pos = append(pos, a)
+		}
+	}
+	binding := map[string]int{}
+	ground := func(args []Term) []int {
+		t := make([]int, len(args))
+		for i, a := range args {
+			if a.IsVar() {
+				t[i] = binding[a.Var]
+			} else {
+				t[i] = db.Intern(a.Const)
+			}
+		}
+		return t
+	}
+	var join func(k int) error
+	join = func(k int) error {
+		if k < len(pos) {
+			a := pos[k]
+			rel := db.rels[a.Pred]
+			if rel == nil {
+				return nil
+			}
+			for _, t := range rel.tuples {
+				if len(t) != len(a.Args) {
+					continue
+				}
+				var fresh []string
+				ok := true
+				for i, arg := range a.Args {
+					v, bound := binding[arg.Var]
+					switch {
+					case !arg.IsVar():
+						ok = db.Intern(arg.Const) == t[i]
+					case bound:
+						ok = v == t[i]
+					default:
+						binding[arg.Var] = t[i]
+						fresh = append(fresh, arg.Var)
+					}
+					if !ok {
+						break
+					}
+				}
+				var err error
+				if ok {
+					err = join(k + 1)
+				}
+				for _, v := range fresh {
+					delete(binding, v)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for _, a := range checks {
+			args := ground(a.Args)
+			var holds bool
+			if IsBuiltin(a.Pred) {
+				names := make([]string, len(args))
+				for i, id := range args {
+					names[i] = db.ConstName(id)
+				}
+				var err error
+				if holds, err = callBuiltin(a.Pred, names); err != nil {
+					return err
+				}
+			} else if rel := db.rels[a.Pred]; rel != nil {
+				holds = rel.has(args)
+			}
+			if holds == a.Negated {
+				return nil
+			}
+		}
+		emit(ground(r.Head.Args))
+		return nil
+	}
+	return join(0)
 }
 
 // sameFacts compares two result databases predicate by predicate.
@@ -167,14 +261,11 @@ func joinRules(rules []string) string {
 	return s
 }
 
-// TestDifferentialRandomPrograms is the satellite differential test: the
-// semi-naive engine — under BOTH backends, the streaming relational-
-// algebra pipeline and the materialized backtracking join — must agree
-// with the naive reference evaluator on every randomized stratified
-// program, so neither the storage/parallelism changes nor the streaming
-// rebuild can silently change semantics. The reference itself always
-// runs the materialized step() path (evalRule compiles without a plan),
-// so the three-way comparison is never circular.
+// TestDifferentialRandomPrograms holds the semi-naive engine's streaming
+// plans to the naive reference evaluator on randomized stratified
+// programs, so neither storage, parallelism nor planning changes can
+// silently change semantics. The reference joins by naiveRule's nested
+// loops, never through a plan, so the comparison is not circular.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	edb := func() *DB {
@@ -188,7 +279,6 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		}
 		return db
 	}
-	defer SetEngine(SetEngine(EngineStreaming))
 	tried, run := 0, 0
 	for run < 250 && tried < 2500 {
 		tried++
@@ -199,17 +289,14 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		run++
 		db := edb()
 		want, refErr := naiveEval(p, db)
-		for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-			SetEngine(eng)
-			got, err := Eval(p, db)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("program %v: %s engine disagrees with reference on error: %v vs %v", p, eng, err, refErr)
-			}
-			if err != nil {
-				continue
-			}
-			sameFacts(t, got, want, fmt.Sprintf("program #%d engine=%s %v", run, eng, p))
+		got, err := Eval(p, db)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("program %v: engine disagrees with reference on error: %v vs %v", p, err, refErr)
 		}
+		if err != nil {
+			continue
+		}
+		sameFacts(t, got, want, fmt.Sprintf("program #%d %v", run, p))
 	}
 	if run < 100 {
 		t.Fatalf("generator too weak: only %d/%d candidates were valid programs", run, tried)
@@ -230,7 +317,6 @@ func TestDifferentialKnownPrograms(t *testing.T) {
 		// Constant pushdown into probes, repeated variables in one atom.
 		"loop(X) :- e(X, X).\nanchored(Y) :- e(v0, Y), not loop(Y).",
 	}
-	defer SetEngine(SetEngine(EngineStreaming))
 	for _, src := range cases {
 		p := MustParse(src)
 		db := NewDB()
@@ -247,22 +333,18 @@ func TestDifferentialKnownPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q (reference): %v", src, err)
 		}
-		for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-			SetEngine(eng)
-			got, err := Eval(p, db)
-			if err != nil {
-				t.Fatalf("%q (%s): %v", src, eng, err)
-			}
-			sameFacts(t, got, want, fmt.Sprintf("%s: %s", eng, src))
+		got, err := Eval(p, db)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
 		}
+		sameFacts(t, got, want, src)
 	}
 }
 
-// TestParallelDeterminism checks the determinism claim for both
-// backends: the derived fact set is identical across worker counts,
-// including runs big enough to actually take the parallel path (where
-// the streaming backend pre-filters against the frozen head relation
-// and merges reused per-task buffers in task order).
+// TestParallelDeterminism checks the determinism claim: the derived fact
+// set is identical across worker counts, including runs big enough to
+// actually take the parallel path (where tasks pre-filter against the
+// frozen head relation and reused per-task buffers merge in task order).
 func TestParallelDeterminism(t *testing.T) {
 	p := MustParse("path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).")
 	db := NewDB()
@@ -271,21 +353,16 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	defer SetEngine(SetEngine(EngineStreaming))
-	for _, eng := range []Engine{EngineStreaming, EngineMaterialized} {
-		SetEngine(eng)
-		SetMaxWorkers(1)
-		serial, err := Eval(p, db)
+	serial, err := Eval(p, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 13} {
+		SetMaxWorkers(workers)
+		out, err := Eval(p, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 13} {
-			SetMaxWorkers(workers)
-			out, err := Eval(p, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFacts(t, out, serial, fmt.Sprintf("engine=%s workers=%d", eng, workers))
-		}
+		sameFacts(t, out, serial, fmt.Sprintf("workers=%d", workers))
 	}
 }
