@@ -96,7 +96,7 @@ accept :- root(V), theta(V).
 		log.Fatal(err)
 	}
 	fmt.Printf("ground program: %d clauses over %d atoms (linear in the %d facts)\n",
-		len(g.Horn.Clauses), g.NumAtoms(), db3.NumFacts())
+		g.Horn.Len(), g.NumAtoms(), db3.NumFacts())
 	out3, err := monadic.EvalQuasiGuarded(prog3, db3, monadic.TDFuncDeps(1))
 	if err != nil {
 		log.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -64,11 +65,12 @@ func clauseHash(p *horn.Program) uint64 {
 		h *= 1099511628211
 	}
 	mix(p.NumVars)
-	for _, c := range p.Clauses {
-		mix(c.Head)
-		mix(len(c.Body))
-		for _, b := range c.Body {
-			mix(b)
+	for i := 0; i < p.Len(); i++ {
+		head, body := p.Clause(i)
+		mix(head)
+		mix(len(body))
+		for _, b := range body {
+			mix(int(b))
 		}
 	}
 	return h
@@ -214,21 +216,37 @@ func BenchmarkGroundCompiledMSO(b *testing.B) {
 // copy of a 20-element colored tree's τ_td, as a cold session
 // evaluation runs it. Allocation counts are deterministic, so the
 // ceiling is 1.25× the count measured when the slot-plan grounder
-// landed; the map-binding grounder it replaced made 606,394.
+// landed; the map-binding grounder it replaced made 606,394. The count
+// does not see how large each allocation is, so the bytes are gated
+// too, at 1.10× the volume measured (go1.24, linux/amd64) once prefixes
+// were shared and the ground program stored flat.
 func TestGroundAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are gated without -race")
 	}
-	const measured = 508
+	const measured, measuredBytes = 508, 965_397
 	c, edb := compiledColoredTree(t, "c(x)")
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(5, func() {
+	eval := func() {
 		if _, err := c.Grounder.Eval(ctx, edb.Clone()); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(5, eval)
 	t.Logf("%.0f allocations per evaluation (ceiling %.0f)", allocs, 1.25*measured)
 	if allocs > 1.25*measured {
 		t.Fatalf("%.0f allocations per evaluation, ceiling %.0f", allocs, 1.25*measured)
+	}
+	const runs = 5
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("%.0f B per evaluation (ceiling %.0f)", bytes, 1.10*measuredBytes)
+	if bytes > 1.10*measuredBytes {
+		t.Fatalf("%.0f B per evaluation, ceiling %.0f", bytes, 1.10*measuredBytes)
 	}
 }

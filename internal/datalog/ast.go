@@ -11,6 +11,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -164,7 +165,7 @@ func (p *Program) IsMonadic() bool {
 // non-builtin body atom.
 func (p *Program) Validate() error {
 	arity := map[string]int{}
-	seen := func(a Atom, where string, ri int) error {
+	seen := func(a Atom, ri int) error {
 		if got, ok := arity[a.Pred]; ok {
 			if got != len(a.Args) {
 				return fmt.Errorf("datalog: rule %d: predicate %s used with arity %d and %d", ri, a.Pred, got, len(a.Args))
@@ -172,40 +173,47 @@ func (p *Program) Validate() error {
 		} else {
 			arity[a.Pred] = len(a.Args)
 		}
-		_ = where
 		return nil
 	}
+	// Per rule: the variables of its positive non-builtin body atoms, and
+	// which body atoms those are. Rules are short, so a list beats a map.
+	var positive []string
+	var relational []bool
+	safe := func(t Term) bool { return !t.IsVar() || slices.Contains(positive, t.Var) }
 	for ri, r := range p.Rules {
 		if r.Head.Negated {
 			return fmt.Errorf("datalog: rule %d: negated head", ri)
 		}
-		if err := seen(r.Head, "head", ri); err != nil {
+		if err := seen(r.Head, ri); err != nil {
 			return err
 		}
-		positive := map[string]bool{}
+		positive, relational = positive[:0], relational[:0]
 		for _, a := range r.Body {
-			if err := seen(a, "body", ri); err != nil {
+			if err := seen(a, ri); err != nil {
 				return err
 			}
-			if !a.Negated && !IsBuiltin(a.Pred) {
-				for _, t := range a.Args {
-					if t.IsVar() {
-						positive[t.Var] = true
-					}
+			rel := !a.Negated && !IsBuiltin(a.Pred)
+			relational = append(relational, rel)
+			if !rel {
+				continue
+			}
+			for _, t := range a.Args {
+				if !safe(t) {
+					positive = append(positive, t.Var)
 				}
 			}
 		}
 		for _, t := range r.Head.Args {
-			if t.IsVar() && !positive[t.Var] {
+			if !safe(t) {
 				return fmt.Errorf("datalog: rule %d: unsafe head variable %s", ri, t.Var)
 			}
 		}
-		for _, a := range r.Body {
-			if !a.Negated && !IsBuiltin(a.Pred) {
+		for i, a := range r.Body {
+			if relational[i] {
 				continue
 			}
 			for _, t := range a.Args {
-				if t.IsVar() && !positive[t.Var] {
+				if !safe(t) {
 					return fmt.Errorf("datalog: rule %d: unsafe variable %s in %s", ri, t.Var, a)
 				}
 			}

@@ -16,12 +16,6 @@ type DB struct {
 	names  []string
 	byName map[string]int
 	rels   map[string]*relation
-
-	// deltaIx caches ApplyDelta's scheduling index (stratification,
-	// consumer indexes, rule plans) across calls against this database;
-	// it is keyed by program identity inside ApplyDeltaCtx and never
-	// survives Clone.
-	deltaIx *deltaIndex
 }
 
 // NewDB returns an empty database.
@@ -237,77 +231,6 @@ func (r *relation) lookup(tuple []int) ([]int, bool) {
 	}
 }
 
-// lookupIdx returns the storage index of the tuple, or -1.
-func (r *relation) lookupIdx(tuple []int) int {
-	if len(r.slots) == 0 {
-		return -1
-	}
-	mask := uint64(len(r.slots) - 1)
-	i := hashTuple(tuple) & mask
-	for {
-		s := r.slots[i]
-		if s == 0 {
-			return -1
-		}
-		if equalTuple(r.tuples[s-1], tuple) {
-			return int(s - 1)
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// removeBatch deletes every listed tuple that is present, compacting
-// storage (surviving tuples keep their relative order) and rebuilding
-// the dedup table in one pass. Probe indexes are discarded and rebuilt
-// lazily — deletion is the one mutation that invalidates them, so the
-// "inserts never rebuild" guarantee is unaffected. Only dedup relations
-// support removal. Returns the number of tuples removed.
-//
-// Like insert, removeBatch must not run concurrently with readers.
-func (r *relation) removeBatch(tuples [][]int) int {
-	if !r.dedup {
-		panic("datalog: removeBatch on a delta relation")
-	}
-	var dead map[int]struct{}
-	for _, t := range tuples {
-		if ti := r.lookupIdx(t); ti >= 0 {
-			if dead == nil {
-				dead = make(map[int]struct{}, len(tuples))
-			}
-			dead[ti] = struct{}{}
-		}
-	}
-	if len(dead) == 0 {
-		return 0
-	}
-	out := r.tuples[:0]
-	for i, t := range r.tuples {
-		if _, d := dead[i]; !d {
-			out = append(out, t)
-		}
-	}
-	for i := len(out); i < len(r.tuples); i++ {
-		r.tuples[i] = nil
-	}
-	r.tuples = out
-	for i := range r.slots {
-		r.slots[i] = 0
-	}
-	mask := uint64(len(r.slots) - 1)
-	for ti, t := range r.tuples {
-		i := hashTuple(t) & mask
-		for r.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		r.slots[i] = int32(ti + 1)
-	}
-	r.mu.Lock()
-	r.indexes = map[uint64]*index{}
-	r.live = nil
-	r.mu.Unlock()
-	return len(dead)
-}
-
 // probe answers a streaming-layer Probe for pattern, where pattern[i] < 0
 // means "unbound". It is zero-copy: the candidates reference the
 // relation's own storage — an exact-match lookup hit, an incrementally
@@ -315,6 +238,36 @@ func (r *relation) removeBatch(tuples [][]int) int {
 // selective subset of them), or the full tuple array — in insertion
 // order, and the caller re-checks each candidate against the pattern.
 func (r *relation) probe(pattern []int, c *ra.Candidates) {
+	if r.dedup && len(pattern) > 0 && len(pattern) < 64 && isGround(pattern) {
+		if t, ok := r.lookup(pattern); ok {
+			c.SetOne(t)
+		} else {
+			c.SetEmpty()
+		}
+		return
+	}
+	if rows, all := r.bucket(pattern); all {
+		c.SetRows(r.tuples)
+	} else {
+		c.SetBucket(rows, r.tuples)
+	}
+}
+
+func isGround(pattern []int) bool {
+	for _, v := range pattern {
+		if v < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// bucket returns the row numbers, in insertion order, of the index
+// bucket that serves pattern's bound positions, or all = true when the
+// pattern binds no position an index can key (none bound, or positions
+// beyond the mask width) and every row is a candidate. Like probe's,
+// the candidates may be a superset of the matches.
+func (r *relation) bucket(pattern []int) (rows []int32, all bool) {
 	var boundArr [16]int
 	bound := boundArr[:0]
 	var mask uint64
@@ -327,19 +280,7 @@ func (r *relation) probe(pattern []int, c *ra.Candidates) {
 		}
 	}
 	if len(bound) == 0 || len(pattern) >= 64 {
-		// Unconstrained, or positions beyond the mask width, which
-		// cannot be indexed distinctly (then the caller's residual
-		// check does the work).
-		c.SetRows(r.tuples)
-		return
-	}
-	if len(bound) == len(pattern) && r.dedup {
-		if t, ok := r.lookup(pattern); ok {
-			c.SetOne(t)
-		} else {
-			c.SetEmpty()
-		}
-		return
+		return nil, true
 	}
 	r.mu.RLock()
 	idx := r.indexes[mask]
@@ -347,7 +288,7 @@ func (r *relation) probe(pattern []int, c *ra.Candidates) {
 	if idx == nil {
 		idx = r.obtainIndex(mask, bound)
 	}
-	c.SetBucket(idx.buckets[hashProj(pattern, idx.positions)], r.tuples)
+	return idx.buckets[hashProj(pattern, idx.positions)], false
 }
 
 // obtainIndex returns an index able to serve the bound-position mask,

@@ -278,7 +278,7 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 		if c := planned[ri][occ+1]; c != nil {
 			return c, nil
 		}
-		c, err := compiled[ri].instance(occ, cfg, nil)
+		c, err := compiled[ri].instance(occ, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -546,12 +546,10 @@ func compileRule(r Rule, db *DB) *cRule {
 }
 
 // instance returns a copy of the compiled rule planned with body
-// occurrence occ as the delta (-1: the full first pass); a non-nil seed
-// is the relation that occurrence scans (see compileDeriver). cfg's
-// collector counts the plan's pushed-down joins. The copy shares the
-// template's head and body, so a rule's instances cost only their
-// plans.
-func (t *cRule) instance(occ int, cfg evalConfig, seed *headSeed) (*cRule, error) {
+// occurrence occ as the delta (-1: the full first pass). cfg's collector
+// counts the plan's pushed-down joins. The copy shares the template's
+// head and body, so a rule's instances cost only their plans.
+func (t *cRule) instance(occ int, cfg evalConfig) (*cRule, error) {
 	c := &cRule{
 		src:       t.src,
 		db:        t.db,
@@ -564,7 +562,7 @@ func (t *cRule) instance(occ int, cfg evalConfig, seed *headSeed) (*cRule, error
 		rels:      make([]*relation, len(t.body)),
 		cfg:       cfg,
 	}
-	plan, err := buildPlan(c, seed)
+	plan, err := buildPlan(c)
 	if err != nil {
 		return nil, err
 	}

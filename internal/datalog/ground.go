@@ -46,88 +46,117 @@ func TDFuncDeps(w int) []FuncDep {
 // first rule without a quasi-guard.
 func QuasiGuards(p *Program, fds []FuncDep) ([]int, error) {
 	intens := p.IntensionalPreds()
-	fdsByPred := map[string][]FuncDep{}
-	for _, fd := range fds {
-		fdsByPred[fd.Pred] = append(fdsByPred[fd.Pred], fd)
-	}
+	byPred := fdIndex(fds)
+	var s grounding
+	var kinds []stepKind
 	guards := make([]int, len(p.Rules))
 	for ri, r := range p.Rules {
-		guards[ri] = -1
-		allVars := map[string]bool{}
-		for _, t := range r.Head.Args {
-			if t.IsVar() {
-				allVars[t.Var] = true
-			}
-		}
+		kinds = kinds[:0]
 		for _, a := range r.Body {
-			for _, t := range a.Args {
-				if t.IsVar() {
-					allVars[t.Var] = true
-				}
-			}
+			kinds = append(kinds, atomKind(a.Pred, intens))
 		}
-		if len(allVars) == 0 {
-			guards[ri] = -2 // ground rule: trivially quasi-guarded, no guard needed
-			continue
-		}
-		for bi, b := range r.Body {
-			if b.Negated || intens[b.Pred] || IsBuiltin(b.Pred) {
-				continue
-			}
-			known := map[string]bool{}
-			for _, t := range b.Args {
-				if t.IsVar() {
-					known[t.Var] = true
-				}
-			}
-			// Close under functional dependence through positive
-			// extensional body atoms.
-			for changed := true; changed; {
-				changed = false
-				for _, a := range r.Body {
-					if a.Negated || intens[a.Pred] {
-						continue
-					}
-					for _, fd := range fdsByPred[a.Pred] {
-						if len(a.Args) <= maxPos(fd) {
-							continue
-						}
-						fromKnown := true
-						for _, pos := range fd.From {
-							if t := a.Args[pos]; t.IsVar() && !known[t.Var] {
-								fromKnown = false
-								break
-							}
-						}
-						if !fromKnown {
-							continue
-						}
-						for _, pos := range fd.To {
-							if t := a.Args[pos]; t.IsVar() && !known[t.Var] {
-								known[t.Var] = true
-								changed = true
-							}
-						}
-					}
-				}
-			}
-			covered := true
-			for v := range allVars {
-				if !known[v] {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				guards[ri] = bi
-				break
-			}
-		}
-		if guards[ri] == -1 {
+		s.layout(r)
+		if guards[ri] = s.quasiGuard(r, kinds, intens, byPred); guards[ri] == -1 {
 			return nil, fmt.Errorf("datalog: rule %d has no quasi-guard: %s", ri, r)
 		}
 	}
 	return guards, nil
+}
+
+// atomKind classifies a body atom's predicate as a builtin, an
+// intensional literal or an extensional test.
+func atomKind(pred string, intens map[string]bool) stepKind {
+	switch {
+	case IsBuiltin(pred):
+		return stepBuiltin
+	case intens[pred]:
+		return stepLit
+	default:
+		return stepTest
+	}
+}
+
+func fdIndex(fds []FuncDep) map[string][]FuncDep {
+	byPred := map[string][]FuncDep{}
+	for _, fd := range fds {
+		byPred[fd.Pred] = append(byPred[fd.Pred], fd)
+	}
+	return byPred
+}
+
+// quasiGuard returns the index of rule r's first quasi-guard over the
+// variable numbering s.layout(r) computed, -2 for a rule without
+// variables (trivially quasi-guarded, no guard needed), or -1 if it has
+// none. kinds classifies the rule's body atoms (see atomKind).
+func (s *grounding) quasiGuard(r Rule, kinds []stepKind, intens map[string]bool, byPred map[string][]FuncDep) int {
+	if len(s.varNames) == 0 {
+		return -2
+	}
+	// The dependencies usable for the closure: those of positive
+	// extensional body atoms.
+	s.fdAtoms = s.fdAtoms[:0]
+	for i, a := range r.Body {
+		if a.Negated || kinds[i] == stepLit || kinds[i] == stepBuiltin && intens[a.Pred] {
+			continue
+		}
+		for j := range byPred[a.Pred] {
+			if fd := &byPred[a.Pred][j]; len(a.Args) > maxPos(*fd) {
+				s.fdAtoms = append(s.fdAtoms, atomFD{atom: i, fd: fd})
+			}
+		}
+	}
+	for bi, b := range r.Body {
+		if b.Negated || kinds[bi] != stepTest {
+			continue
+		}
+		known := append(s.known[:0], make([]bool, len(s.varNames))...)
+		s.known = known
+		for _, v := range s.atomArgs(bi) {
+			if v >= 0 {
+				known[v] = true
+			}
+		}
+		// Close under functional dependence.
+		for changed := true; changed; {
+			changed = false
+			for _, af := range s.fdAtoms {
+				args := s.atomArgs(af.atom)
+				fromKnown := true
+				for _, pos := range af.fd.From {
+					if v := args[pos]; v >= 0 && !known[v] {
+						fromKnown = false
+						break
+					}
+				}
+				if !fromKnown {
+					continue
+				}
+				for _, pos := range af.fd.To {
+					if v := args[pos]; v >= 0 && !known[v] {
+						known[v] = true
+						changed = true
+					}
+				}
+			}
+		}
+		covered := true
+		for _, k := range known {
+			if !k {
+				covered = false
+				break
+			}
+		}
+		if covered {
+			return bi
+		}
+	}
+	return -1
+}
+
+// atomFD is a functional dependency of one body atom.
+type atomFD struct {
+	atom int
+	fd   *FuncDep
 }
 
 func maxPos(fd FuncDep) int {
@@ -149,34 +178,41 @@ func maxPos(fd FuncDep) int {
 // quasi-guarded datalog program over a database, together with the
 // interning table of ground intensional atoms.
 type GroundProgram struct {
-	Horn  *horn.Program
+	Horn *horn.Program
+	// atoms lists the interned ground atoms by ID; their tuples lie back
+	// to back in args, so an atom costs 8 bytes and no slice header.
 	atoms []groundAtom
-	slots []int32 // open-addressed atom table: atom ID+1 per slot, 0 = empty
+	args  []int32
+	preds []string // intensional predicates by ID
+	slots []int32  // open-addressed atom table: atom ID+1 per slot, 0 = empty
 	db    *DB
 	// budget, when non-nil, caps len(atoms) at MaxGroundAtoms: the
 	// check fires per newly interned atom, so an over-budget grounding
 	// aborts in memory proportional to the cap, not the blowup.
 	budget    *stage.Budget
 	budgetErr error
-	// arena is the chunk interned atoms' tuples are carved from.
-	arena []int
 }
 
+// groundAtom is an interned atom's predicate ID and the end of its tuple
+// in GroundProgram.args; the tuple starts where the previous atom's ends.
 type groundAtom struct {
-	pred  string
-	tuple []int
+	pred int32
+	end  int32
 }
 
-// atomHash hashes a (pred, tuple) pair FNV-style without building a
-// string key.
-func atomHash(pred string, tuple []int) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(pred); i++ {
-		h ^= uint64(pred[i])
-		h *= fnvPrime64
+// tuple returns atom id's ground arguments.
+func (g *GroundProgram) tuple(id int) []int32 {
+	lo := int32(0)
+	if id > 0 {
+		lo = g.atoms[id-1].end
 	}
-	h ^= uint64(len(pred)) // separate predicate bytes from tuple words
-	h *= fnvPrime64
+	return g.args[lo:g.atoms[id].end]
+}
+
+// atomHash hashes a (predicate ID, tuple) pair FNV-style; a tuple hashes
+// alike as []int and as []int32.
+func atomHash[T int | int32](pred int32, tuple []T) uint64 {
+	h := (fnvOffset64 ^ uint64(pred)) * fnvPrime64
 	for _, v := range tuple {
 		h ^= uint64(v)
 		h *= fnvPrime64
@@ -188,14 +224,14 @@ func atomHash(pred string, tuple []int) uint64 {
 // atoms structurally, like relation's dedup table. A budget violation is
 // recorded in g.budgetErr (checked by the grounding loop) rather than
 // returned, so the hot path keeps its int-only signature.
-func (g *GroundProgram) atomID(pred string, tuple []int) int {
+func (g *GroundProgram) atomID(pred int32, tuple []int) int {
 	if 2*(len(g.atoms)+1) > len(g.slots) {
 		g.grow()
 	}
 	mask := uint64(len(g.slots) - 1)
 	i := atomHash(pred, tuple) & mask
 	for id := g.slots[i]; id != 0; id = g.slots[i] {
-		if a := &g.atoms[id-1]; a.pred == pred && equalTuple(a.tuple, tuple) {
+		if g.atoms[id-1].pred == pred && sameTuple(g.tuple(int(id-1)), tuple) {
 			return int(id - 1)
 		}
 		i = (i + 1) & mask
@@ -205,21 +241,32 @@ func (g *GroundProgram) atomID(pred string, tuple []int) int {
 			g.budgetErr = stage.Wrap(stage.Eval, err)
 		}
 	}
-	n := len(tuple)
-	if len(g.arena) < n {
-		g.arena = make([]int, 4096+n)
+	// Double the arrays, where append grows a large slice by a quarter
+	// and so copies it about four times over.
+	if len(g.args)+len(tuple) > cap(g.args) {
+		g.args = append(make([]int32, 0, 2*cap(g.args)+len(tuple)+1024), g.args...)
 	}
-	t := g.arena[:n:n]
-	g.arena = g.arena[n:]
-	copy(t, tuple)
+	for _, v := range tuple {
+		g.args = append(g.args, int32(v))
+	}
 	if len(g.atoms) == cap(g.atoms) {
-		// Double, where append grows a large slice by a quarter and so
-		// copies it about four times over.
 		g.atoms = append(make([]groundAtom, 0, 2*cap(g.atoms)+256), g.atoms...)
 	}
-	g.atoms = append(g.atoms, groundAtom{pred: pred, tuple: t})
+	g.atoms = append(g.atoms, groundAtom{pred: pred, end: int32(len(g.args))})
 	g.slots[i] = int32(len(g.atoms))
 	return len(g.atoms) - 1
+}
+
+func sameTuple(a []int32, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if int(v) != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // grow rebuilds the atom table at double capacity.
@@ -231,7 +278,7 @@ func (g *GroundProgram) grow() {
 	slots := make([]int32, n)
 	mask := uint64(n - 1)
 	for id, a := range g.atoms {
-		i := atomHash(a.pred, a.tuple) & mask
+		i := atomHash(a.pred, g.tuple(id)) & mask
 		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -248,19 +295,46 @@ func (g *GroundProgram) Size() int { return g.Horn.Size() }
 
 // Grounder grounds one quasi-guarded, semipositive program over any
 // number of databases (Theorem 4.4). NewGrounder runs the program-level
-// checks — Validate, semipositivity and QuasiGuards — once and keeps
-// what grounding needs from them: each rule's guard and whether each
-// body atom is extensional, intensional or a builtin. Ground then only
-// instantiates. It plans every rule per call, over numbered variable
-// slots, into scratch reused from rule to rule, so a Grounder holds
-// nothing per rule beyond its guard index and a byte per body atom.
+// checks — Validate, semipositivity and QuasiGuards — once, plans every
+// rule, and files each plan's prefix in a trie: the guard join that
+// starts the plan and the fully bound extensional tests and builtins
+// right after it, which bind nothing and intern nothing. Rules compiled
+// from one formula mostly share their guard and many of those tests, so
+// Ground evaluates each distinct prefix once per call, as a filtered
+// subsequence of its parent's guard tuples, and starts each rule's
+// remaining plan from its prefix's tuples. A rule none of whose guard
+// tuples pass its prefix is skipped without being planned; the others
+// are planned per call, over numbered variable slots, into scratch
+// reused from rule to rule, so a Grounder holds per rule only its
+// guard, its prefix node and the prefix's length.
 //
 // A Grounder is immutable and safe for concurrent use. The program must
 // not be modified after NewGrounder.
 type Grounder struct {
 	prog   *Program
-	guards []int
+	rules  []groundRule
 	kinds  []stepKind // every rule's body atoms in turn: stepTest, stepLit or stepBuiltin
+	nodes  []prefixNode
+	consts []string         // program constants, in the order Ground interns them
+	preds  []string         // intensional predicates by ID
+	predID map[string]int32 // inverse of preds
+}
+
+// groundRule is what a Grounder keeps of one rule: its quasi-guard's
+// body index (-2: a rule without variables), its prefix node, and the
+// number of plan steps the prefix covers.
+type groundRule struct {
+	guard, node, skip int32
+}
+
+// prefixNode is one step of a shared plan prefix. Node 0, the root, is
+// the empty prefix of plans that do not start with a join; its children
+// are guard joins, and every deeper node a test or builtin on the
+// variables its join binds. A node's step keeps constants as indices
+// into Grounder.consts.
+type prefixNode struct {
+	parent, join int32 // join: the guard join the node filters, itself at depth 1
+	step         groundStep
 }
 
 // NewGrounder checks that p is a valid, semipositive program with a
@@ -269,27 +343,98 @@ func NewGrounder(p *Program, fds []FuncDep) (*Grounder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	intens := p.IntensionalPreds()
-	var kinds []stepKind
+	gr := &Grounder{prog: p, rules: make([]groundRule, len(p.Rules)), nodes: make([]prefixNode, 1), predID: map[string]int32{}}
+	intens := map[string]bool{}
 	for _, r := range p.Rules {
-		for _, a := range r.Body {
-			switch {
-			case a.Negated && intens[a.Pred]:
-				return nil, fmt.Errorf("datalog: quasi-guarded evaluation requires semipositive programs; rule %s negates intensional %s", r, a.Pred)
-			case IsBuiltin(a.Pred):
-				kinds = append(kinds, stepBuiltin)
-			case intens[a.Pred]:
-				kinds = append(kinds, stepLit)
-			default:
-				kinds = append(kinds, stepTest)
-			}
+		if _, ok := gr.predID[r.Head.Pred]; !ok {
+			gr.predID[r.Head.Pred] = int32(len(gr.preds))
+			gr.preds = append(gr.preds, r.Head.Pred)
+			intens[r.Head.Pred] = true
 		}
 	}
-	guards, err := QuasiGuards(p, fds)
-	if err != nil {
-		return nil, err
+	kindOf := map[string]stepKind{}
+	for _, r := range p.Rules {
+		for _, a := range r.Body {
+			k, ok := kindOf[a.Pred]
+			if !ok {
+				k = atomKind(a.Pred, intens)
+				kindOf[a.Pred] = k
+			}
+			if a.Negated && intens[a.Pred] {
+				return nil, fmt.Errorf("datalog: quasi-guarded evaluation requires semipositive programs; rule %s negates intensional %s", r, a.Pred)
+			}
+			gr.kinds = append(gr.kinds, k)
+		}
 	}
-	return &Grounder{prog: p, guards: guards, kinds: kinds}, nil
+	// Planning interns the program's constants into a scratch database,
+	// which numbers them in the order Ground is to intern them.
+	consts := NewDB()
+	s := &grounding{edb: consts, gr: gr}
+	byPred := fdIndex(fds)
+	children := map[string]int32{}
+	var key []byte
+	kinds := gr.kinds
+	for ri, r := range p.Rules {
+		s.layout(r)
+		guard := s.quasiGuard(r, kinds[:len(r.Body)], intens, byPred)
+		if guard == -1 {
+			return nil, fmt.Errorf("datalog: rule %d has no quasi-guard: %s", ri, r)
+		}
+		if err := s.plan(r, guard, kinds[:len(r.Body)]); err != nil {
+			return nil, err
+		}
+		kinds = kinds[len(r.Body):]
+		// The prefix: a leading guard join, then the tests and builtins
+		// right after it.
+		node, n := int32(0), 0
+		for n < len(s.steps) {
+			st := &s.steps[n]
+			if n == 0 && st.kind != stepJoin || n > 0 && st.kind != stepTest && st.kind != stepBuiltin {
+				break
+			}
+			key = appendStepKey(key[:0], node, st)
+			child, ok := children[string(key)]
+			if !ok {
+				child = int32(len(gr.nodes))
+				join := child
+				if n > 0 {
+					join = gr.nodes[node].join
+				}
+				nd := prefixNode{parent: node, join: join, step: *st}
+				nd.step.rel, nd.step.args = nil, append([]gArg(nil), st.args...)
+				gr.nodes = append(gr.nodes, nd)
+				children[string(key)] = child
+			}
+			node = child
+			n++
+		}
+		gr.rules[ri] = groundRule{guard: int32(guard), node: node, skip: int32(n)}
+	}
+	gr.consts = consts.names
+	return gr, nil
+}
+
+// appendStepKey appends the trie key of step st under node parent: the
+// parent, the step's kind, polarity and predicate, and its arguments.
+func appendStepKey(b []byte, parent int32, st *groundStep) []byte {
+	b = appendUint32(b, uint32(parent))
+	b = append(b, byte(st.kind))
+	if st.negated {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = appendUint32(b, uint32(len(st.pred)))
+	b = append(b, st.pred...)
+	for _, a := range st.args {
+		b = append(b, byte(a.kind))
+		b = appendUint32(b, uint32(a.v))
+	}
+	return b
+}
+
+func appendUint32(b []byte, v uint32) []byte {
+	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // Ground instantiates the program over edb (Theorem 4.4): each rule is
@@ -299,12 +444,19 @@ func NewGrounder(p *Program, fds []FuncDep) (*Grounder, error) {
 // propositional variables. The result has size O(|P|·|A|). Program
 // constants are interned into edb.
 //
+// Rules are ground in program order and each rule's instances in guard
+// tuple order, so sharing prefixes leaves the clause list and the atom
+// numbering as if every rule were joined on its own.
+//
 // The rule loop and every 1024 instantiation steps poll ctx; a context
 // error comes back wrapped in a *stage.Error tagged stage.Eval, and so
 // does a violation of the MaxGroundAtoms budget attached to ctx.
 func (gr *Grounder) Ground(ctx context.Context, edb *DB) (*GroundProgram, error) {
-	g := &GroundProgram{Horn: &horn.Program{}, db: edb, budget: stage.BudgetFrom(ctx)}
-	s := &grounding{ctx: ctx, g: g, edb: edb}
+	g := &GroundProgram{Horn: &horn.Program{}, preds: gr.preds, db: edb, budget: stage.BudgetFrom(ctx)}
+	s := &grounding{ctx: ctx, g: g, edb: edb, gr: gr, consts: make([]int, len(gr.consts)), spans: make([]span, len(gr.nodes))}
+	for i, c := range gr.consts {
+		s.consts[i] = edb.Intern(c)
+	}
 	kinds := gr.kinds
 	for ri, r := range gr.prog.Rules {
 		if err := ctx.Err(); err != nil {
@@ -313,12 +465,35 @@ func (gr *Grounder) Ground(ctx context.Context, edb *DB) (*GroundProgram, error)
 		if err := faultinject.Check("datalog.ground-rule"); err != nil {
 			return nil, stage.Wrap(stage.Eval, err)
 		}
-		if err := s.plan(r, gr.guards[ri], kinds[:len(r.Body)]); err != nil {
+		rk := kinds[:len(r.Body)]
+		kinds = kinds[len(r.Body):]
+		gi := gr.rules[ri]
+		var rows []int32
+		if gi.node != 0 {
+			var err error
+			if rows, err = s.rows(gi.node); err != nil {
+				return nil, err
+			}
+			if len(rows) == 0 {
+				continue
+			}
+		}
+		s.layout(r)
+		if err := s.plan(r, int(gi.guard), rk); err != nil {
 			return nil, err
 		}
-		kinds = kinds[len(r.Body):]
-		if err := s.run(0); err != nil {
-			return nil, err
+		if gi.node == 0 {
+			if err := s.run(0); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		join := &s.steps[0]
+		for _, i := range rows {
+			s.bind(join.args, join.rel.tuples[i])
+			if err := s.run(int(gi.skip)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return g, nil
@@ -335,22 +510,24 @@ func (gr *Grounder) Eval(ctx context.Context, edb *DB) (*DB, error) {
 	}
 	truth := g.Horn.Solve()
 	// The derived tuples move into one right-sized array rather than
-	// keeping g's arena chunks alive for as long as the result is cached.
+	// keeping g's atom table alive for as long as the result is cached.
 	n := 0
 	for id, tv := range truth {
 		if tv {
-			n += len(g.atoms[id].tuple)
+			n += len(g.tuple(id))
 		}
 	}
 	flat := make([]int, n)
 	out := edb.Clone()
 	for id, tv := range truth {
 		if tv {
-			a := g.atoms[id]
-			t := flat[:len(a.tuple):len(a.tuple)]
-			flat = flat[len(a.tuple):]
-			copy(t, a.tuple)
-			out.rel(a.pred, len(t)).insertOwned(t)
+			a := g.tuple(id)
+			t := flat[:len(a):len(a)]
+			flat = flat[len(a):]
+			for i, v := range a {
+				t[i] = int(v)
+			}
+			out.rel(g.preds[g.atoms[id].pred], len(t)).insertOwned(t)
 		}
 	}
 	return out, nil
@@ -403,6 +580,7 @@ const (
 type groundStep struct {
 	kind    stepKind
 	negated bool
+	id      int32 // stepLit: the predicate's ID
 	pred    string
 	rel     *relation // stepJoin, stepTest: nil for an empty relation
 	args    []gArg
@@ -426,13 +604,15 @@ const (
 	argRepeat
 )
 
-// grounding is the state of one Grounder.Ground call: the ground
-// program being built, and the current rule's plan and binding, whose
-// buffers are reused from rule to rule.
+// grounding is the state of one Grounder.Ground call — the ground
+// program being built, the prefix nodes' guard tuples, and the current
+// rule's plan and binding, whose buffers are reused from rule to rule —
+// or NewGrounder's scratch for planning each rule once.
 type grounding struct {
 	ctx  context.Context
 	g    *GroundProgram
 	edb  *DB
+	gr   *Grounder
 	tick uint
 
 	// The layout's view of the rule: variables numbered by first
@@ -445,27 +625,35 @@ type grounding struct {
 	varSlot   []int
 	nslots    int
 	processed []bool
+	known     []bool   // quasiGuard: variables the candidate determines
+	fdAtoms   []atomFD // quasiGuard: the rule's usable dependencies
 
 	steps    []groundStep
 	cands    []ra.Candidates // step → its current probe's candidates (joins)
 	args     []gArg          // backing store of the plan's argument lists
 	head     []gArg
-	headPred string
+	headID   int32
 	binding  []int    // slot → constant ID; a step reads only slots bound before it
 	lits     []int    // the current instance's intensional body literals
 	tuple    []int    // probe pattern / ground arguments
 	names    []string // builtin arguments
+	consts   []int    // Grounder.consts index → constant ID in edb
+	spans    []span   // per prefix node: its guard tuples in rowBuf
+	rowBuf   []int32
+	node     groundStep // a prefix node's step with its constants interned
+	nodeArgs []gArg
 }
 
-// plan lays rule r out as steps: a fully bound atom first, in body
-// order; otherwise a join on a positive extensional atom — the
-// quasi-guard while it is pending, else the first one sharing a bound
-// variable, else the first one. Starting at the guard bounds each
-// rule's instances by the guard's tuples, where a join from an earlier
-// body atom could enumerate a cross product first. The order fixes the
-// clause order and atom numbering of the ground program, which tests
-// pin.
-func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
+// span locates a prefix node's guard tuples in grounding.rowBuf once
+// they are computed.
+type span struct {
+	lo, hi int32
+	done   bool
+}
+
+// layout numbers rule r's variables by first occurrence and records
+// each argument's variable number.
+func (s *grounding) layout(r Rule) {
 	s.varNames, s.argVar, s.atomEnd = s.varNames[:0], s.argVar[:0], s.atomEnd[:0]
 	for i := 0; i <= len(r.Body); i++ {
 		a := r.Head
@@ -477,6 +665,18 @@ func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 		}
 		s.atomEnd = append(s.atomEnd, len(s.argVar))
 	}
+}
+
+// plan lays rule r out, over the variable numbering s.layout(r)
+// computed, as steps: a fully bound atom first, in body order;
+// otherwise a join on a positive extensional atom — the quasi-guard
+// while it is pending, else the first one sharing a bound variable,
+// else the first one. Starting at the guard bounds each rule's
+// instances by the guard's tuples, where a join from an earlier body
+// atom could enumerate a cross product first. The order fixes the
+// clause order and atom numbering of the ground program, which tests
+// pin.
+func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 	s.varSlot = s.varSlot[:0]
 	for range s.varNames {
 		s.varSlot = append(s.varSlot, -1)
@@ -521,24 +721,32 @@ func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 		s.processed[next] = true
 		a := r.Body[next]
 		st := groundStep{kind: kinds[next], negated: a.Negated, pred: a.Pred, args: s.planArgs(a.Args, next)}
-		if join {
+		switch {
+		case join:
 			st.kind = stepJoin
+		case st.kind == stepLit:
+			st.id = s.gr.predID[a.Pred]
 		}
 		if st.kind == stepJoin || st.kind == stepTest {
 			st.rel = ofArity(s.edb.rels[a.Pred], len(a.Args))
 		}
 		s.steps = append(s.steps, st)
 	}
-	s.headPred = r.Head.Pred
+	s.headID = s.gr.predID[r.Head.Pred]
 	s.head = s.planArgs(r.Head.Args, len(r.Body))
 	if len(s.cands) < len(s.steps) {
 		s.cands = make([]ra.Candidates, len(s.steps))
 	}
-	if cap(s.binding) < s.nslots {
-		s.binding = make([]int, s.nslots)
-	}
-	s.binding = s.binding[:s.nslots]
+	s.reserve(s.nslots)
 	return nil
+}
+
+// reserve sizes the binding for n slots.
+func (s *grounding) reserve(n int) {
+	if cap(s.binding) < n {
+		s.binding = make([]int, n)
+	}
+	s.binding = s.binding[:n]
 }
 
 // varNum returns the term's variable number, numbering a new variable,
@@ -604,17 +812,130 @@ func (s *grounding) planArgs(terms []Term, i int) []gArg {
 	return s.args[start:len(s.args):len(s.args)]
 }
 
-// run extends the current instance by plan step k and recurses; past
-// the last step it emits the instance's clause. It polls the context
-// every 1024 calls.
-func (s *grounding) run(k int) error {
+// poll counts one instantiation step and checks the context every 1024.
+func (s *grounding) poll() error {
 	if s.tick++; s.tick&1023 == 0 {
 		if err := s.ctx.Err(); err != nil {
 			return stage.Wrap(stage.Eval, err)
 		}
 	}
+	return nil
+}
+
+// rows returns the row numbers, into the guard relation, of the guard
+// tuples that pass prefix node n, in the order its join lists them. The
+// first call for a node computes them, from its parent's rows, or from
+// the relation for a join.
+func (s *grounding) rows(n int32) ([]int32, error) {
+	if sp := s.spans[n]; sp.done {
+		return s.rowBuf[sp.lo:sp.hi], nil
+	}
+	nd := &s.gr.nodes[n]
+	var parent []int32
+	if nd.parent != 0 {
+		var err error
+		if parent, err = s.rows(nd.parent); err != nil {
+			return nil, err
+		}
+	}
+	join := &s.gr.nodes[nd.join].step
+	s.reserve(max(len(s.binding), len(join.args)))
+	st := s.resolve(&nd.step)
+	lo := len(s.rowBuf)
+	switch {
+	case nd.parent == 0:
+		if err := s.scan(st); err != nil {
+			return nil, err
+		}
+	case len(parent) > 0:
+		rel := ofArity(s.edb.rels[join.pred], len(join.args))
+		for _, i := range parent {
+			if err := s.poll(); err != nil {
+				return nil, err
+			}
+			s.bind(join.args, rel.tuples[i])
+			holds, err := s.holds(st)
+			if err != nil {
+				return nil, err
+			}
+			if holds {
+				s.rowBuf = append(s.rowBuf, i)
+			}
+		}
+	}
+	s.spans[n] = span{lo: int32(lo), hi: int32(len(s.rowBuf)), done: true}
+	return s.rowBuf[lo:], nil
+}
+
+// resolve returns a prefix node's step as a plan of this call would have
+// it: constants interned in edb, the relation bound.
+func (s *grounding) resolve(st *groundStep) *groundStep {
+	s.node = *st
+	s.nodeArgs = s.nodeArgs[:0]
+	for _, a := range st.args {
+		if a.kind == argConst {
+			a.v = s.consts[a.v]
+		}
+		s.nodeArgs = append(s.nodeArgs, a)
+	}
+	s.node.args = s.nodeArgs
+	if st.kind != stepBuiltin {
+		s.node.rel = ofArity(s.edb.rels[st.pred], len(st.args))
+	}
+	return &s.node
+}
+
+// scan appends the row numbers of the tuples the guard join st matches
+// to rowBuf: the candidates of a probe on its constants, in insertion
+// order, that agree with it on its repeated variables too.
+func (s *grounding) scan(st *groundStep) error {
+	if st.rel == nil {
+		return nil
+	}
+	pat := s.tuple[:0]
+	for _, a := range st.args {
+		if a.kind == argConst {
+			pat = append(pat, a.v)
+		} else {
+			pat = append(pat, -1)
+		}
+	}
+	s.tuple = pat
+	tuples := st.rel.tuples
+	check := func(i int32) error {
+		if err := s.poll(); err != nil {
+			return err
+		}
+		if s.unify(st.args, tuples[i]) {
+			s.rowBuf = append(s.rowBuf, i)
+		}
+		return nil
+	}
+	if bucket, all := st.rel.bucket(pat); !all {
+		for _, i := range bucket {
+			if err := check(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := range tuples {
+		if err := check(int32(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run extends the current instance by plan step k and recurses; past
+// the last step it emits the instance's clause. It polls the context
+// every 1024 calls.
+func (s *grounding) run(k int) error {
+	if err := s.poll(); err != nil {
+		return err
+	}
 	if k == len(s.steps) {
-		head := s.g.atomID(s.headPred, s.ground(s.head))
+		head := s.g.atomID(s.headID, s.ground(s.head))
 		if s.g.budgetErr != nil {
 			return s.g.budgetErr
 		}
@@ -626,7 +947,7 @@ func (s *grounding) run(k int) error {
 	case stepJoin:
 		return s.join(k, st)
 	case stepLit:
-		lit := s.g.atomID(st.pred, s.ground(st.args))
+		lit := s.g.atomID(st.id, s.ground(st.args))
 		if s.g.budgetErr != nil {
 			return s.g.budgetErr
 		}
@@ -634,25 +955,26 @@ func (s *grounding) run(k int) error {
 		err := s.run(k + 1)
 		s.lits = s.lits[:len(s.lits)-1]
 		return err
-	case stepBuiltin:
+	default:
+		if holds, err := s.holds(st); err != nil || !holds {
+			return err
+		}
+		return s.run(k + 1)
+	}
+}
+
+// holds decides a bound test or builtin step under the current binding.
+func (s *grounding) holds(st *groundStep) (bool, error) {
+	if st.kind == stepBuiltin {
 		s.names = s.names[:0]
 		for _, id := range s.ground(st.args) {
 			s.names = append(s.names, s.edb.ConstName(id))
 		}
 		holds, err := callBuiltin(st.pred, s.names)
-		if err != nil {
-			return err
-		}
-		if holds == st.negated {
-			return nil
-		}
-		return s.run(k + 1)
-	default:
-		if holds := st.rel != nil && st.rel.has(s.ground(st.args)); holds == st.negated {
-			return nil
-		}
-		return s.run(k + 1)
+		return holds != st.negated, err
 	}
+	holds := st.rel != nil && st.rel.has(s.ground(st.args))
+	return holds != st.negated, nil
 }
 
 // join enumerates the tuples of step k's atom that agree with the
@@ -709,6 +1031,16 @@ func (s *grounding) unify(args []gArg, t []int) bool {
 	return true
 }
 
+// bind binds the fresh positions of a guard join's args to a tuple
+// already known to match it.
+func (s *grounding) bind(args []gArg, t []int) {
+	for j, a := range args {
+		if a.kind == argFresh {
+			s.binding[a.v] = t[j]
+		}
+	}
+}
+
 // ground writes the atom's ground arguments under the current binding
 // into the shared tuple buffer.
 func (s *grounding) ground(args []gArg) []int {
@@ -729,12 +1061,13 @@ func (s *grounding) ground(args []gArg) []int {
 func (g *GroundProgram) Facts(truth []bool, pred string) [][]string {
 	var out [][]string
 	for id, tv := range truth {
-		if !tv || g.atoms[id].pred != pred {
+		if !tv || g.preds[g.atoms[id].pred] != pred {
 			continue
 		}
-		names := make([]string, len(g.atoms[id].tuple))
-		for i, e := range g.atoms[id].tuple {
-			names[i] = g.db.ConstName(e)
+		t := g.tuple(id)
+		names := make([]string, len(t))
+		for i, e := range t {
+			names[i] = g.db.ConstName(int(e))
 		}
 		out = append(out, names)
 	}

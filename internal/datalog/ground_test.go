@@ -206,8 +206,44 @@ start.
 both :- flag, start, accept.
 `
 
+// prefixProgram holds rules whose plans share prefixes — the guard join
+// and the bound tests and builtins after it — over chainTD's signature.
+// Rules sharing a guard differ only in a test's polarity, a constant
+// argument, a repeated variable, or a builtin; some prefixes extend
+// others (d0 before pe, so a node's rows are computed with its
+// ancestors'); a guard has constants; an intensional literal ends a
+// prefix; and rules whose plans start with a fully bound atom before
+// the guard (0-ary extensional and intensional atoms, a constant-only
+// atom) have none.
+const prefixProgram = `
+d0(V) :- bag(V, X0, X1), e(X0, X1), not e(X1, X0), leaf(V).
+pe(V) :- bag(V, X0, X1), e(X0, X1).
+pn(V) :- bag(V, X0, X1), not e(X0, X1).
+c3(V) :- bag(V, X0, X1), e(X0, x3).
+c4(V) :- bag(V, X0, X1), e(X0, x4).
+rs(V) :- bag(V, X0, X1), e(X0, X0).
+rg(V) :- bag(V, X, X), leaf(V).
+rf(V) :- bag(V, X0, X1), leaf(V).
+b0(V) :- bag(V, X0, X1), neq(X0, X1).
+b1(V) :- bag(V, X0, X1), not neq(X0, X1).
+b2(V) :- bag(V, X0, X1), neq(X0, x2).
+b3(V) :- bag(V, X0, X1), neq(X0, x3).
+nb(V) :- bag(V, X0, X1), not broken(V), e(X0, X1).
+g2(V) :- bag(V, x2, X1), e(x2, X1).
+g3(V) :- bag(V, x3, X1), e(x3, X1).
+d1(V) :- bag(V, X0, X1), e(X0, X1), not e(X1, X0), not leaf(V), child1(W, V), d0(W).
+d1(V) :- bag(V, X0, X1), e(X0, X1), not e(X1, X0), not leaf(V), child1(W, V), d1(W).
+lit(V) :- bag(V, X0, X1), pe(V), e(X1, X0).
+lit(V) :- bag(V, X0, X1), pn(V), not e(X1, X0).
+z0 :- flag0, bag(V, X0, X1), e(X0, X1).
+z1(V) :- start, bag(V, X0, X1), leaf(V).
+z2(V) :- e(x0, x1), bag(V, X0, X1), not e(X0, X1).
+start.
+`
+
 // randomChainDB is chainTD(n) with a random quarter of its edges dropped,
-// plus a few self-loop edges and detached nodes with repeated bags.
+// plus a few self-loop edges and detached nodes with repeated bags, and
+// at random the 0-ary fact flag0.
 func randomChainDB(rng *rand.Rand) *DB {
 	n := rng.Intn(15) + 1
 	full := chainTD(n)
@@ -225,13 +261,17 @@ func randomChainDB(rng *rand.Rand) *DB {
 		db.AddFact("e", x, x)
 		db.AddFact("bag", "t"+itoa(i), x, x)
 	}
+	if rng.Intn(2) == 0 {
+		db.AddFact("flag0")
+	}
 	return db
 }
 
 // Property: the quasi-guarded evaluation agrees with semi-naive
-// evaluation, on every intensional predicate, on random chain databases.
+// evaluation and with the naive oracle, on every intensional predicate,
+// on random chain databases.
 func TestQuickQuasiGuardedAgreesWithSeminaive(t *testing.T) {
-	for _, src := range []string{tdProgram, shapesProgram} {
+	for _, src := range []string{tdProgram, shapesProgram, prefixProgram} {
 		p := MustParse(src)
 		f := func(seed int64) bool {
 			db := randomChainDB(rand.New(rand.NewSource(seed)))
@@ -245,11 +285,18 @@ func TestQuickQuasiGuardedAgreesWithSeminaive(t *testing.T) {
 				t.Log(err)
 				return false
 			}
+			nv, err := naiveEval(p, db)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
 			for pred := range p.IntensionalPreds() {
-				got, want := qg.Tuples(pred), sn.Tuples(pred)
-				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-					t.Logf("%s: grounded %v, semi-naive %v", pred, got, want)
-					return false
+				got := qg.Tuples(pred)
+				for name, want := range map[string][][]string{"semi-naive": sn.Tuples(pred), "naive": nv.Tuples(pred)} {
+					if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+						t.Logf("%s: grounded %v, %s %v", pred, got, name, want)
+						return false
+					}
 				}
 			}
 			return true
@@ -268,11 +315,12 @@ func clauseHash(p *horn.Program) uint64 {
 		h *= fnvPrime64
 	}
 	mix(p.NumVars)
-	for _, c := range p.Clauses {
-		mix(c.Head)
-		mix(len(c.Body))
-		for _, b := range c.Body {
-			mix(b)
+	for i := 0; i < p.Len(); i++ {
+		head, body := p.Clause(i)
+		mix(head)
+		mix(len(body))
+		for _, b := range body {
+			mix(int(b))
 		}
 	}
 	return h
@@ -324,8 +372,8 @@ func TestGroundStartsAtGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Horn.Clauses) != n || g.NumAtoms() != n {
-		t.Fatalf("%d clauses over %d atoms, want %d of each", len(g.Horn.Clauses), g.NumAtoms(), n)
+	if g.Horn.Len() != n || g.NumAtoms() != n {
+		t.Fatalf("%d clauses over %d atoms, want %d of each", g.Horn.Len(), g.NumAtoms(), n)
 	}
 }
 
@@ -353,5 +401,53 @@ func TestDBBasics(t *testing.T) {
 	}
 	if got := FormatBindings("p", c.Tuples("p")); got != "p(a).\np(b)." {
 		t.Fatalf("FormatBindings = %q", got)
+	}
+}
+
+// TestGrounderPrefixTrie pins how NewGrounder files prefixProgram's
+// plans: rules that differ in a test's polarity or constant get sibling
+// nodes under one shared guard join, a longer prefix extends a shorter
+// one, an intensional literal ends a prefix, and plans starting with a
+// fully bound atom have the empty prefix.
+func TestGrounderPrefixTrie(t *testing.T) {
+	p := MustParse(prefixProgram)
+	gr, err := NewGrounder(p, TDFuncDeps(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := map[string]groundRule{}
+	for ri, r := range p.Rules {
+		if _, seen := node[r.Head.Pred]; !seen {
+			node[r.Head.Pred] = gr.rules[ri]
+		}
+	}
+	parent := func(pred string) int32 { return gr.nodes[node[pred].node].parent }
+	for _, pair := range [][2]string{{"pe", "pn"}, {"c3", "c4"}, {"pe", "rs"}, {"b0", "b1"}, {"b2", "b3"}} {
+		a, b := node[pair[0]].node, node[pair[1]].node
+		if a == b || parent(pair[0]) != parent(pair[1]) {
+			t.Errorf("%s and %s: nodes %d and %d under %d and %d, want siblings", pair[0], pair[1], a, b, parent(pair[0]), parent(pair[1]))
+		}
+	}
+	join := gr.nodes[node["pe"].node].join
+	for _, pred := range []string{"d0", "pn", "c3", "rf", "b2", "nb", "d1", "lit"} {
+		if got := gr.nodes[node[pred].node].join; got != join {
+			t.Errorf("%s: guard join %d, want the shared %d", pred, got, join)
+		}
+	}
+	for _, pred := range []string{"rg", "g2", "g3"} {
+		if got := gr.nodes[node[pred].node].join; got == join {
+			t.Errorf("%s: shares the guard join of bag(V, X0, X1)", pred)
+		}
+	}
+	if n := node["d0"].node; gr.nodes[gr.nodes[n].parent].parent != node["pe"].node {
+		t.Errorf("d0's prefix does not extend pe's")
+	}
+	if got := node["lit"]; got.node != join || got.skip != 1 {
+		t.Errorf("lit: node %d, %d steps; want the guard join alone", got.node, got.skip)
+	}
+	for _, pred := range []string{"z0", "z1", "z2", "start"} {
+		if got := node[pred]; got.node != 0 || got.skip != 0 {
+			t.Errorf("%s: node %d, %d steps; want the empty prefix", pred, got.node, got.skip)
+		}
 	}
 }

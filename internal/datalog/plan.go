@@ -32,9 +32,6 @@ type rulePlan struct {
 	// binds are the scan/probe adapters to re-point at the current
 	// relation (full or delta) before each eval call.
 	binds []*boundRel
-	// seed, in a head-seeded plan, holds the one fact the delta
-	// occurrence scans; see compileDeriver.
-	seed *headSeed
 	// groundFilters are variable-free negated/builtin atoms, hoisted
 	// out of the pipeline and checked once per eval call, before any
 	// join work.
@@ -69,16 +66,6 @@ func (b *boundRel) Probe(pattern []int, c *ra.Candidates) {
 	}
 	b.r.probe(pattern, c)
 }
-
-// headSeed is the one-row relation a head-seeded plan starts from: the
-// fact whose derivation is being checked. Its scan checks the head's
-// constants and repeated variables and binds the head's variables, so
-// the rest of the plan runs with them pre-bound.
-type headSeed struct{ rows [][]int }
-
-func (h *headSeed) Rows() [][]int { return h.rows }
-
-func (h *headSeed) Probe(_ []int, c *ra.Candidates) { c.SetRows(h.rows) }
 
 // unitIter emits a single zero-width row per pass: the source under
 // rules whose body has no positive relational atoms.
@@ -140,11 +127,10 @@ func (f *filterSpec) check(row ra.Row) (bool, error) {
 // the index probes; symmetric hash joins only across disconnected
 // components), negated/builtin atoms placed as filters at the earliest
 // point their variables are bound, dead columns dropped at the source,
-// and a constant-space head projection on top. A non-nil seed is the
-// relation the delta occurrence scans, in place of a bound one.
-func buildPlan(c *cRule, seed *headSeed) (*rulePlan, error) {
+// and a constant-space head projection on top.
+func buildPlan(c *cRule) (*rulePlan, error) {
 	planBuilds.Add(1)
-	p := &rulePlan{ctl: &ra.Ctl{}, seed: seed}
+	p := &rulePlan{ctl: &ra.Ctl{}}
 	deltaOcc := c.occ
 	p.ctl.Check = func() error {
 		if c.ctx != nil {
@@ -319,12 +305,8 @@ func buildPlan(c *cRule, seed *headSeed) (*rulePlan, error) {
 		for s := range seenAt {
 			colBound[s] = true
 		}
-		var b ra.Relation = seed
-		if ai != deltaOcc || seed == nil {
-			br := &boundRel{atom: ai}
-			p.binds = append(p.binds, br)
-			b = br
-		}
+		b := &boundRel{atom: ai}
+		p.binds = append(p.binds, b)
 		switch {
 		case tree == nil:
 			tree = ra.NewScan(b, terms, p.ctl)
@@ -420,27 +402,6 @@ func (c *cRule) eval(delta *relation, emit func([]int)) error {
 		}
 	}
 	return c.finish(err)
-}
-
-// compileDeriver compiles rule r head-seeded: its body gains a leading
-// atom over the head's arguments, planned as the delta occurrence and
-// scanned over a one-row relation holding the fact to check, so derives
-// needs only the plan's first row.
-func compileDeriver(r Rule, db *DB, cfg evalConfig) (*cRule, error) {
-	seeded := r
-	seeded.Body = append([]Atom{{Pred: r.Head.Pred, Args: r.Head.Args}}, r.Body...)
-	return compileRule(seeded, db).instance(0, cfg, &headSeed{rows: make([][]int, 1)})
-}
-
-// derives reports whether a head-seeded rule (see compileDeriver)
-// derives the given head fact in the database's current state.
-func (c *cRule) derives(fact []int) (bool, error) {
-	c.plan.seed.rows[0] = fact
-	ok, err := c.start(nil)
-	if ok && err == nil {
-		_, ok, err = c.plan.root.Next()
-	}
-	return ok && err == nil, c.finish(err)
 }
 
 // start resolves every body atom's relation — a stored relation, or

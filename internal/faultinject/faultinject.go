@@ -18,8 +18,7 @@
 //	session.compile session.eval session.solver
 //	decompose.min-fill decompose.min-degree decompose.greedy-bfs
 //	decompose.repair
-//	dp.node dp.chain datalog.ground-rule datalog.stratum-task
-//	datalog.delta
+//	dp.node dp.chain datalog.ground-rule datalog.stratum-task ra.join
 //	solver.introduce solver.forget solver.join solver.witness
 //	solver.repair
 //	game.expand game.memo

@@ -6,21 +6,15 @@
 // ground program is then solved here in time linear in its size.
 package horn
 
-// Clause is a definite Horn clause: Head ← Body[0] ∧ … ∧ Body[n-1].
-// Variables are identified by dense non-negative integers. A clause with
-// an empty body is a fact.
-type Clause struct {
-	Head int
-	Body []int
-}
-
-// Program is a set of definite Horn clauses over variables 0..NumVars-1.
+// Program is a set of definite Horn clauses over variables
+// 0..NumVars-1. A clause is Head ← Body[0] ∧ … ∧ Body[n-1]; one with an
+// empty body is a fact. Clauses are stored flat, with no header per
+// clause: clause i has head heads[i] and body body[ends[i-1]:ends[i]].
 type Program struct {
 	NumVars int
-	Clauses []Clause
-	// arena is the chunk AddClause carves clause bodies from, so a
-	// program of many short clauses does not allocate one per clause.
-	arena []int
+	heads   []int32
+	ends    []int32
+	body    []int32
 }
 
 // AddClause appends a clause, growing NumVars as needed. The body is
@@ -29,37 +23,42 @@ func (p *Program) AddClause(head int, body ...int) {
 	if head >= p.NumVars {
 		p.NumVars = head + 1
 	}
+	p.heads = appendDoubling(p.heads, int32(head))
 	for _, b := range body {
 		if b >= p.NumVars {
 			p.NumVars = b + 1
 		}
+		p.body = appendDoubling(p.body, int32(b))
 	}
-	var b []int
-	if n := len(body); n > 0 {
-		if len(p.arena) < n {
-			p.arena = make([]int, 4096+n)
-		}
-		b = p.arena[:n:n]
-		p.arena = p.arena[n:]
-		copy(b, body)
+	p.ends = appendDoubling(p.ends, int32(len(p.body)))
+}
+
+// appendDoubling appends v, doubling s when it is full, where append
+// grows a large slice by a quarter and so copies it about four times
+// over.
+func appendDoubling(s []int32, v int32) []int32 {
+	if len(s) == cap(s) {
+		s = append(make([]int32, 0, 2*cap(s)+256), s...)
 	}
-	if len(p.Clauses) == cap(p.Clauses) {
-		// Double, where append grows a large slice by a quarter and so
-		// copies it about four times over.
-		p.Clauses = append(make([]Clause, 0, 2*cap(p.Clauses)+256), p.Clauses...)
+	return append(s, v)
+}
+
+// Len returns the number of clauses.
+func (p *Program) Len() int { return len(p.heads) }
+
+// Clause returns clause i's head and body. The body aliases the
+// program's storage and must not be modified.
+func (p *Program) Clause(i int) (head int, body []int32) {
+	lo := int32(0)
+	if i > 0 {
+		lo = p.ends[i-1]
 	}
-	p.Clauses = append(p.Clauses, Clause{Head: head, Body: b})
+	return int(p.heads[i]), p.body[lo:p.ends[i]:p.ends[i]]
 }
 
 // Size returns the total number of literal occurrences, the |P'| of
 // Theorem 4.4's complexity bound.
-func (p *Program) Size() int {
-	n := 0
-	for _, c := range p.Clauses {
-		n += 1 + len(c.Body)
-	}
-	return n
-}
+func (p *Program) Size() int { return len(p.heads) + len(p.body) }
 
 // Solve computes the least model by linear-time unit resolution (LTUR):
 // each clause keeps a counter of unsatisfied body literals; when it drops
@@ -67,32 +66,33 @@ func (p *Program) Size() int {
 // Runs in time O(Size()).
 func (p *Program) Solve() []bool {
 	truth := make([]bool, p.NumVars)
-	remaining := make([]int, len(p.Clauses))
+	remaining := make([]int32, len(p.heads))
 	// Occurrence lists (variable → clauses with it in the body) share one
 	// array: variable v's clauses are occ[start[v]:start[v+1]], in clause
 	// order.
-	start := make([]int, p.NumVars+2)
-	for _, c := range p.Clauses {
-		for _, b := range c.Body {
-			start[b+2]++
-		}
+	start := make([]int32, p.NumVars+2)
+	for _, b := range p.body {
+		start[b+2]++
 	}
 	for i := 2; i < len(start); i++ {
 		start[i] += start[i-1]
 	}
-	occ := make([]int, start[len(start)-1])
-	var queue []int
+	occ := make([]int32, len(p.body))
+	var queue []int32
 
-	for ci, c := range p.Clauses {
-		remaining[ci] = len(c.Body)
-		for _, b := range c.Body {
-			occ[start[b+1]] = ci
+	lo := int32(0)
+	for ci, h := range p.heads {
+		hi := p.ends[ci]
+		remaining[ci] = hi - lo
+		for _, b := range p.body[lo:hi] {
+			occ[start[b+1]] = int32(ci)
 			start[b+1]++
 		}
-		if len(c.Body) == 0 && !truth[c.Head] {
-			truth[c.Head] = true
-			queue = append(queue, c.Head)
+		if hi == lo && !truth[h] {
+			truth[h] = true
+			queue = append(queue, h)
 		}
+		lo = hi
 	}
 	// Account for body literals that may repeat: remaining counts
 	// occurrences, which is safe because each occurrence is decremented
@@ -103,7 +103,7 @@ func (p *Program) Solve() []bool {
 		for _, ci := range occ[start[v]:start[v+1]] {
 			remaining[ci]--
 			if remaining[ci] == 0 {
-				h := p.Clauses[ci].Head
+				h := p.heads[ci]
 				if !truth[h] {
 					truth[h] = true
 					queue = append(queue, h)
@@ -121,19 +121,20 @@ func (p *Program) SolveNaive() []bool {
 	truth := make([]bool, p.NumVars)
 	for changed := true; changed; {
 		changed = false
-		for _, c := range p.Clauses {
-			if truth[c.Head] {
+		for ci := 0; ci < p.Len(); ci++ {
+			h, body := p.Clause(ci)
+			if truth[h] {
 				continue
 			}
 			all := true
-			for _, b := range c.Body {
+			for _, b := range body {
 				if !truth[b] {
 					all = false
 					break
 				}
 			}
 			if all {
-				truth[c.Head] = true
+				truth[h] = true
 				changed = true
 			}
 		}

@@ -2,6 +2,7 @@ package horn
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,31 @@ func TestSimpleChain(t *testing.T) {
 	}
 	if p.Size() != 1+2+3+2 {
 		t.Fatalf("Size = %d", p.Size())
+	}
+}
+
+// TestClauseAccessors pins the flat clause storage: Len and Clause give
+// back every clause as added, bodies are copied, and Size counts heads
+// and body literals.
+func TestClauseAccessors(t *testing.T) {
+	var p Program
+	body := []int{4, 2}
+	p.AddClause(3)
+	p.AddClause(1, body...)
+	p.AddClause(0, 1, 1, 3)
+	body[0] = 9
+	want := []struct {
+		head int
+		body []int32
+	}{{3, []int32{}}, {1, []int32{4, 2}}, {0, []int32{1, 1, 3}}}
+	if p.Len() != len(want) || p.Size() != 3+5 || p.NumVars != 5 {
+		t.Fatalf("Len %d, Size %d, NumVars %d; want 3, 8, 5", p.Len(), p.Size(), p.NumVars)
+	}
+	for i, w := range want {
+		head, body := p.Clause(i)
+		if head != w.head || !reflect.DeepEqual(append([]int32{}, body...), w.body) {
+			t.Fatalf("clause %d = %d ← %v, want %d ← %v", i, head, body, w.head, w.body)
+		}
 	}
 }
 

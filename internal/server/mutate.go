@@ -44,7 +44,7 @@ type MutateResponse struct {
 	DeltaApplied      bool   `json:"delta_applied"`
 	RepairFallback    bool   `json:"repair_fallback"`
 	Invalidated       bool   `json:"invalidated"`
-	ResultsMaintained int    `json:"results_maintained"`
+	ResultsMaintained int    `json:"results_maintained"` // always 0: results are recomputed after an edit
 	ResultsDropped    int    `json:"results_dropped"`
 }
 

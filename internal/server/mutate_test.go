@@ -10,8 +10,8 @@ import (
 // TestMutateKeepsSessionWarm is the end-to-end incremental story: eval
 // warms a session, /mutate edits the structure through it, and
 // re-evaluating with the post-edit text the response returned hits the
-// same warm session — the maintained result answers without a new
-// decomposition or evaluation.
+// same warm session — the requery re-grounds over the rebuilt τ_td
+// without a new decomposition.
 func TestMutateKeepsSessionWarm(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -34,8 +34,8 @@ func TestMutateKeepsSessionWarm(t *testing.T) {
 	if !mut.DeltaApplied || mut.Invalidated || mut.RepairFallback {
 		t.Fatalf("covered insert: %+v, want a pure delta", mut)
 	}
-	if mut.ResultsMaintained != 1 {
-		t.Fatalf("ResultsMaintained = %d, want 1", mut.ResultsMaintained)
+	if mut.ResultsMaintained != 0 || mut.ResultsDropped != 1 {
+		t.Fatalf("ResultsMaintained = %d, ResultsDropped = %d, want 0 and 1", mut.ResultsMaintained, mut.ResultsDropped)
 	}
 
 	// Re-query with the canonical post-edit text from the response.
@@ -54,15 +54,12 @@ func TestMutateKeepsSessionWarm(t *testing.T) {
 	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	tot := decodeInto[StatszResponse](t, raw).SessionTotals
-	if tot.Decompositions != 1 || tot.Evals != 1 || tot.Invalidations != 0 {
-		t.Errorf("Decompositions=%d Evals=%d Invalidations=%d, want 1/1/0 (requery must reuse the warm session)",
+	if tot.Decompositions != 1 || tot.Evals != 2 || tot.Invalidations != 0 {
+		t.Errorf("Decompositions=%d Evals=%d Invalidations=%d, want 1/2/0 (requery must reuse the warm session)",
 			tot.Decompositions, tot.Evals, tot.Invalidations)
 	}
 	if tot.DeltasApplied != 1 || tot.RepairFallbacks != 0 {
 		t.Errorf("DeltasApplied=%d RepairFallbacks=%d, want 1/0", tot.DeltasApplied, tot.RepairFallbacks)
-	}
-	if tot.ResultCacheHits < 1 {
-		t.Errorf("ResultCacheHits=%d, want ≥1 (the maintained result must answer the requery)", tot.ResultCacheHits)
 	}
 }
 

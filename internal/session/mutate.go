@@ -3,21 +3,21 @@
 // structure and patches the cached artifacts in place instead of
 // discarding them. The structure's change-log (structure.ChangesSince)
 // keys the maintenance: a shape-preserving edit keeps the raw, tuple
-// and nice decompositions, rebuilds only the τ_td structure, and
-// maintains retained query results through datalog.ApplyDelta; an edit
+// and nice decompositions and rebuilds only the τ_td structure; an edit
 // absorbed by decompose.Repair keeps the (repaired) raw decomposition
 // and rebuilds downstream lazily; everything else — repair fallback,
 // lost change-log window, failed edit function — degrades to the
 // wholesale invalidation a fingerprint mismatch would have caused.
+// Cached query results are dropped on every edit: the next Eval
+// re-grounds the compiled program over the new τ_td (Theorem 4.4),
+// which costs less than maintaining the old fixpoint did.
 package session
 
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/datalog"
 	"repro/internal/decompose"
-	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/tree"
 )
@@ -34,8 +34,9 @@ type MutationStats struct {
 	RepairFallback bool
 	// Invalidated reports a wholesale artifact discard.
 	Invalidated bool
-	// ResultsMaintained and ResultsDropped count the cached query
-	// results carried through the edit incrementally versus evicted.
+	// ResultsMaintained is always 0: no cached query result is carried
+	// through an edit, and the next Eval recomputes it. ResultsDropped
+	// counts the cached results the edit evicted.
 	ResultsMaintained int
 	ResultsDropped    int
 }
@@ -90,10 +91,10 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 	}
 	// Shape-preserving edits (covered tuple inserts, any retraction)
 	// change no bag and add no node: the tuple and nice normal forms —
-	// functions of the raw tree alone — stay valid, and the τ_td
-	// structure keeps its node set, so results can be maintained by
-	// fact-level delta. Repairs that widened bags or added nodes keep
-	// the repaired raw tree but rebuild downstream lazily.
+	// functions of the raw tree alone — stay valid, and only the τ_td
+	// structure is rebuilt, over the same nodes. Repairs that widened
+	// bags or added nodes keep the repaired raw tree but rebuild
+	// downstream lazily.
 	same := rd.Len() == s.raw.Len()
 	if same {
 		for _, v := range dirty {
@@ -105,29 +106,23 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 	}
 	// Solver outcomes read the structure through their problem closures;
 	// conservatively re-solve after any mutation (solver.Repair keeps
-	// per-table maintenance available to direct solver users).
+	// per-table maintenance available to direct solver users). Query
+	// results are recomputed too: the next Eval re-grounds.
 	s.solverResults, s.solverSeq = nil, nil
+	ms.ResultsDropped += len(s.results)
+	s.results, s.resultSeq = nil, nil
 	if !same {
 		s.raw = rd
 		s.tuple, s.nice, s.td, s.edb = nil, nil, nil, nil
 		s.width, s.tdNodes = 0, 0
 		s.valid = false
-		ms.ResultsDropped += len(s.results)
-		s.results, s.resultSeq, s.dbSeq = nil, nil, nil
-		s.stats.DeltasApplied++
-		ms.DeltaApplied = true
-		return ms, nil
-	}
-	if s.td != nil {
+	} else if s.td != nil {
 		td, _, err := tree.BuildTDCtx(context.Background(), s.st, s.tuple, s.width)
 		if err != nil {
 			s.discardLocked(&ms)
 			return ms, nil
 		}
-		edb := datalog.FromStructure(td, "")
-		ins, del := diffFacts(s.edb, edb)
-		s.td, s.edb = td, edb
-		s.maintainResultsLocked(ins, del, &ms)
+		s.td, s.edb = td, datalog.FromStructure(td, "")
 	}
 	s.stats.DeltasApplied++
 	ms.DeltaApplied = true
@@ -140,96 +135,6 @@ func (s *Session) discardLocked(ms *MutationStats) {
 	s.invalidateLocked()
 	s.stats.Invalidations++
 	ms.Invalidated = true
-}
-
-// maintainResultsLocked carries the cached query results through a τ_td
-// EDB delta: entries that retained their fixpoint are re-derived by
-// datalog.ApplyDelta and re-finished; entries without one (or whose
-// delta fails — unsupported fragment, injected fault) are dropped and
-// recompute cold on their next request, so a failed delta can never
-// poison the cache.
-func (s *Session) maintainResultsLocked(ins, del []datalog.Fact, ms *MutationStats) {
-	if len(s.results) == 0 {
-		s.results, s.resultSeq, s.dbSeq = nil, nil, nil
-		return
-	}
-	if len(ins) == 0 && len(del) == 0 {
-		return // identical EDB: the fixpoints are already correct
-	}
-	keep := make([]progKey, 0, len(s.resultSeq))
-	var dbs []progKey
-	for _, key := range s.resultSeq {
-		e := s.results[key]
-		if e == nil {
-			continue
-		}
-		if e.out == nil || e.compiled == nil {
-			delete(s.results, key)
-			ms.ResultsDropped++
-			continue
-		}
-		if _, err := datalog.ApplyDelta(e.compiled.Program, e.out, ins, del); err != nil {
-			delete(s.results, key)
-			ms.ResultsDropped++
-			continue
-		}
-		res, err := core.FinishResult(s.st, e.compiled, e.opts, e.out, s.tdNodes, s.width, &stage.Trace{})
-		if err != nil {
-			delete(s.results, key)
-			ms.ResultsDropped++
-			continue
-		}
-		e.res, e.evalSize = res, e.out.NumFacts()
-		keep = append(keep, key)
-		dbs = append(dbs, key)
-		ms.ResultsMaintained++
-	}
-	s.resultSeq, s.dbSeq = keep, dbs
-}
-
-// diffFacts computes the fact-level edit turning old into new, per
-// predicate. The τ_td rebuild after a shape-preserving edit differs
-// only in the per-node atom encoding of the touched bags, so the delta
-// is proportional to the edit, not the structure.
-func diffFacts(old, new *datalog.DB) (ins, del []datalog.Fact) {
-	preds := map[string]bool{}
-	for _, p := range old.Preds() {
-		preds[p] = true
-	}
-	for _, p := range new.Preds() {
-		preds[p] = true
-	}
-	for p := range preds {
-		stale := map[string][]string{}
-		for _, t := range old.Tuples(p) {
-			stale[factArgsKey(t)] = t
-		}
-		for _, t := range new.Tuples(p) {
-			k := factArgsKey(t)
-			if _, present := stale[k]; present {
-				delete(stale, k)
-			} else {
-				ins = append(ins, datalog.Fact{Pred: p, Args: t})
-			}
-		}
-		for _, t := range stale {
-			del = append(del, datalog.Fact{Pred: p, Args: t})
-		}
-	}
-	return ins, del
-}
-
-func factArgsKey(args []string) string {
-	n := 0
-	for _, a := range args {
-		n += len(a) + 1
-	}
-	b := make([]byte, 0, n)
-	for _, a := range args {
-		b = append(b, a...)
-		b = append(b, 0)
-	}
-	return string(b)
 }
 
 // View runs fn with read access to the bound structure, serialized

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -153,8 +154,8 @@ func TestMutateDifferentialSequence(t *testing.T) {
 
 // TestMutateFastPathStats pins the shape-preserving fast path: a
 // covered single-tuple edit keeps every artifact (no new decomposition,
-// no invalidation), maintains the cached result incrementally, and the
-// requery is a pure cache hit with the updated answer.
+// no invalidation) but drops the cached result, and the requery
+// re-grounds over the rebuilt τ_td with the updated answer.
 func TestMutateFastPathStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	st := randMutable(rng, 10)
@@ -181,8 +182,8 @@ func TestMutateFastPathStats(t *testing.T) {
 	if !ms.DeltaApplied || ms.Invalidated || ms.RepairFallback {
 		t.Fatalf("covered edit: %+v, want a pure delta", ms)
 	}
-	if ms.ResultsMaintained != 1 || ms.ResultsDropped != 0 {
-		t.Fatalf("ResultsMaintained=%d ResultsDropped=%d, want 1 and 0", ms.ResultsMaintained, ms.ResultsDropped)
+	if ms.ResultsMaintained != 0 || ms.ResultsDropped != 1 {
+		t.Fatalf("ResultsMaintained=%d ResultsDropped=%d, want 0 and 1", ms.ResultsMaintained, ms.ResultsDropped)
 	}
 
 	res, err := s.Eval(ctx, phi, "x", core.Options{})
@@ -190,7 +191,7 @@ func TestMutateFastPathStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Selected.Has(0) == wasColored {
-		t.Fatal("maintained result did not absorb the edit")
+		t.Fatal("requery did not see the edit")
 	}
 	stats := s.Stats()
 	if stats.Decompositions != 1 || stats.TupleNormalizations != 1 || stats.TDBuilds != 1 {
@@ -201,8 +202,8 @@ func TestMutateFastPathStats(t *testing.T) {
 		t.Errorf("Invalidations=%d DeltasApplied=%d RepairFallbacks=%d, want 0/1/0",
 			stats.Invalidations, stats.DeltasApplied, stats.RepairFallbacks)
 	}
-	if stats.Evals != 1 || stats.ResultCacheHits != 1 {
-		t.Errorf("Evals=%d ResultCacheHits=%d, want 1 and 1 (requery must hit the maintained cache)",
+	if stats.Evals != 2 || stats.ResultCacheHits != 0 {
+		t.Errorf("Evals=%d ResultCacheHits=%d, want 2 and 0 (the requery re-grounds)",
 			stats.Evals, stats.ResultCacheHits)
 	}
 }
@@ -259,11 +260,11 @@ func TestMutateRepairFallbackStats(t *testing.T) {
 	}
 }
 
-// TestMutateChaosNoPoisoning proves the no-cache-poisoning property for
-// the two incremental injection points the session consumes: a faulted
-// decomposition repair degrades to wholesale invalidation, and a
-// faulted result delta drops the entry — in both cases the next queries
-// recompute cold and match the naive reference.
+// TestMutateChaosNoPoisoning proves the no-cache-poisoning property on
+// the two steps a warm edit takes: a faulted decomposition repair
+// degrades to wholesale invalidation, and a faulted re-grounding after
+// an absorbed edit fails that query alone — in both cases the next
+// queries recompute and match the naive reference.
 func TestMutateChaosNoPoisoning(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(29))
@@ -285,19 +286,98 @@ func TestMutateChaosNoPoisoning(t *testing.T) {
 	}
 	checkMutateAnswers(t, s, st, "post repair fault")
 
-	faultinject.FailAt("datalog.delta", 1)
 	ms, err = s.Mutate(func(st *structure.Structure) error {
 		st.RemoveTuple("c", 0)
 		return nil
 	})
-	faultinject.Reset()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ms.DeltaApplied || ms.ResultsDropped == 0 {
-		t.Fatalf("faulted result delta: %+v, want delta applied with dropped results", ms)
+		t.Fatalf("covered edit: %+v, want delta applied with dropped results", ms)
 	}
-	checkMutateAnswers(t, s, st, "post delta fault")
+	faultinject.FailAt("datalog.ground-rule", 1)
+	_, err = s.Eval(context.Background(), mso.MustParse(mutateQueries[0]), "x", core.Options{})
+	faultinject.Reset()
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("faulted re-grounding: err = %v, want the injected fault", err)
+	}
+	checkMutateAnswers(t, s, st, "post grounding fault")
+	if stats := s.Stats(); stats.Decompositions != 2 || stats.Invalidations != 1 {
+		t.Errorf("Decompositions=%d Invalidations=%d, want 2 and 1 (the faulted query must not invalidate)",
+			stats.Decompositions, stats.Invalidations)
+	}
+}
+
+// ctxDoneSignal is a context that closes waiting the first time a
+// caller selects on its Done channel.
+type ctxDoneSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *ctxDoneSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestMutateDuringEvalCachesNoStaleResult is the regression test for a
+// result cached across a concurrent edit. Eval reads the session's
+// artifacts, then waits for its compiled program; a Mutate landing in
+// that wait must not let the answer computed from the pre-edit
+// artifacts be cached for the edited structure, where every later Eval
+// of the formula would return it.
+func TestMutateDuringEvalCachesNoStaleResult(t *testing.T) {
+	st := randMutable(rand.New(rand.NewSource(37)), 10)
+	pc := NewProgramCache()
+	s := NewWithCache(st, pc)
+	ctx := context.Background()
+	w, err := s.Width(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the formula's compilation in flight, so that Eval, having
+	// read its artifacts, waits on the program cache.
+	phi := mso.MustParse("~c(x)")
+	opts := core.Options{Width: w}
+	key := keyFor(st.Sig(), phi, "x", opts)
+	flight := &compileFlight{done: make(chan struct{})}
+	pc.mu.Lock()
+	pc.flights = map[progKey]*compileFlight{key: flight}
+	pc.mu.Unlock()
+
+	waiting := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Eval(&ctxDoneSignal{Context: ctx, waiting: waiting}, phi, "x", core.Options{})
+		errc <- err
+	}()
+	<-waiting
+	if _, err := s.Mutate(func(st *structure.Structure) error {
+		if st.Has("c", 3) {
+			st.RemoveTuple("c", 3)
+		} else {
+			st.MustAddTuple("c", 3)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := core.Compile(st.Sig(), phi, "x", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.mu.Lock()
+	delete(pc.flights, key)
+	pc.put(key, compiled)
+	pc.mu.Unlock()
+	flight.c = compiled
+	close(flight.done)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	checkMutateAnswers(t, s, st, "after the edit")
 }
 
 // TestConcurrentMutateEval is the -race regression for the structure

@@ -32,12 +32,12 @@
 // Mutation: Session.Mutate edits the bound structure under the
 // session's write lock (serialized against every in-flight build and
 // evaluation) and re-synchronizes the caches incrementally — local
-// decomposition repair, τ_td rebuild and DRed-style result maintenance
-// — falling back to wholesale invalidation only when the edit cannot be
-// absorbed (see mutate.go). Editing a session-bound structure directly
-// still works but is detected by fingerprint and always pays the
-// wholesale invalidation, and racing such edits against concurrent
-// evaluations is the caller's responsibility.
+// decomposition repair and τ_td rebuild, after which query results are
+// recomputed — falling back to wholesale invalidation only when the
+// edit cannot be absorbed (see mutate.go). Editing a session-bound
+// structure directly still works but is detected by fingerprint and
+// always pays the wholesale invalidation, and racing such edits against
+// concurrent evaluations is the caller's responsibility.
 package session
 
 import (
@@ -188,12 +188,9 @@ type Session struct {
 
 	// results memoizes evaluated queries per program key; evaluation is
 	// deterministic, so an unchanged structure makes a repeat of the
-	// same (formula, options) a pure cache hit. Bounded FIFO. dbSeq
-	// tracks the entries still holding their evaluated fixpoint (at most
-	// deltaCap, FIFO), the ones Mutate can maintain incrementally.
+	// same (formula, options) a pure cache hit. Bounded FIFO.
 	results   map[progKey]*resultEntry
 	resultSeq []progKey
-	dbSeq     []progKey
 
 	// solverResults memoizes semiring-solver outcomes per (problem name,
 	// mode); see SolveDecide / SolveCount / SolveOptimize. Invalidated
@@ -202,25 +199,12 @@ type Session struct {
 	solverSeq     []solverKey
 }
 
-// resultCap bounds the per-session result cache; deltaCap bounds how
-// many entries keep their evaluated fixpoint database for incremental
-// maintenance under Mutate (the fixpoint dominates an entry's memory, so
-// only the most recent few retain it).
-const (
-	resultCap = 256
-	deltaCap  = 8
-)
+// resultCap bounds the per-session result cache.
+const resultCap = 256
 
 type resultEntry struct {
 	res      *core.Result
 	evalSize int // NumFacts of the evaluation output, for trace replay
-	// compiled, opts and out let Mutate maintain this entry through a
-	// structure edit (datalog.ApplyDelta on the retained fixpoint, then
-	// core.FinishResult); out is retained for the deltaCap most recent
-	// entries only — older entries are dropped on mutation instead.
-	compiled *core.Compiled
-	opts     core.Options
-	out      *datalog.DB
 }
 
 // artifactFlight is one in-flight front-end build, shared by every
@@ -241,6 +225,7 @@ type artifactFlight struct {
 type opFlight struct {
 	done chan struct{}
 	val  any
+	fp   uint64 // nice form: the fingerprint of the artifacts it was built from
 	err  error
 }
 
@@ -317,24 +302,23 @@ func (s *Session) invalidateLocked() {
 	s.raw, s.tuple, s.nice, s.td, s.edb = nil, nil, nil, nil, nil
 	s.rung = ""
 	s.tdNodes, s.width = 0, 0
-	s.results, s.resultSeq, s.dbSeq = nil, nil, nil
+	s.results, s.resultSeq = nil, nil
 	s.solverResults, s.solverSeq = nil, nil
 }
 
-// ShedResults drops the per-session result and solver caches —
-// the memory-dominant state: retained evaluation fixpoints, full
-// core.Results, solver outcomes — while keeping the structural
-// artifacts (decomposition, τ_td, EDB), which are cheap to hold and
-// expensive to rebuild. It returns how many cached entries were
-// released. The server's memory watchdog calls it as the first
-// shedding tier; subsequent evaluations recompute and re-populate.
+// ShedResults drops the per-session result and solver caches — the
+// memory-dominant state: full core.Results and solver outcomes — while
+// keeping the structural artifacts (decomposition, τ_td, EDB), which are
+// cheap to hold and expensive to rebuild. It returns how many cached
+// entries were released. The server's memory watchdog calls it as the
+// first shedding tier; subsequent evaluations recompute and re-populate.
 // In-flight evaluations are unaffected (their results re-enter the
 // cache when they complete).
 func (s *Session) ShedResults() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.results) + len(s.solverResults)
-	s.results, s.resultSeq, s.dbSeq = nil, nil, nil
+	s.results, s.resultSeq = nil, nil
 	s.solverResults, s.solverSeq = nil, nil
 	return n
 }
@@ -354,8 +338,14 @@ func (s *Session) revalidateLocked() {
 	s.fp = fp
 }
 
-// artifacts holds the per-structure products of the pipeline front end.
+// artifacts holds the per-structure products of the pipeline front end,
+// with the fingerprint of the structure they were built for (s.fp when
+// they were read from or stored in the session). Whatever is computed
+// from them is cached only while the structure still has that
+// fingerprint: an edit landing in between must not let an answer for
+// the old structure stand for the new one.
 type artifacts struct {
+	fp      uint64
 	raw     *tree.Decomposition
 	tuple   *tree.Decomposition
 	width   int
@@ -386,7 +376,7 @@ func (s *Session) frontEnd(ctx context.Context, trace *stage.Trace, full bool) (
 		s.mu.Lock()
 		s.revalidateLocked()
 		if s.raw != nil && (!full || (s.tuple != nil && s.td != nil)) {
-			art := artifacts{raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
+			art := artifacts{fp: s.fp, raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
 			rung := s.rung
 			s.mu.Unlock()
 			recordFrontEndHits(trace, art, rung, full)
@@ -412,7 +402,7 @@ func (s *Session) frontEnd(ctx context.Context, trace *stage.Trace, full bool) (
 		f := &artifactFlight{full: full, done: make(chan struct{})}
 		s.building = f
 		fp := s.fp
-		have := artifacts{raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
+		have := artifacts{fp: fp, raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
 		rung := s.rung
 		s.mu.Unlock()
 
@@ -581,36 +571,42 @@ func (s *Session) TupleForm(ctx context.Context) (*tree.Decomposition, int, erro
 // the raw decomposition on first use. Concurrent callers share one
 // in-flight normalization.
 func (s *Session) NiceForm(ctx context.Context) (*tree.Decomposition, error) {
+	nice, _, err := s.niceForm(ctx)
+	return nice, err
+}
+
+// niceForm is NiceForm, also returning the fingerprint of the structure
+// the nice form was built for.
+func (s *Session) niceForm(ctx context.Context) (*tree.Decomposition, uint64, error) {
 	trace := &stage.Trace{}
 	art, err := s.frontEnd(ctx, trace, false)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for {
 		s.mu.Lock()
 		if s.nice != nil {
-			nice := s.nice
+			nice, fp := s.nice, s.fp
 			s.mu.Unlock()
-			return nice, nil
+			return nice, fp, nil
 		}
 		if f := s.niceFlight; f != nil {
 			s.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, stage.Wrap(stage.NormalizeNice, ctx.Err())
+				return nil, 0, stage.Wrap(stage.NormalizeNice, ctx.Err())
 			}
 			if f.err == nil {
-				return f.val.(*tree.Decomposition), nil
+				return f.val.(*tree.Decomposition), f.fp, nil
 			}
 			if ctx.Err() != nil {
-				return nil, stage.Wrap(stage.NormalizeNice, ctx.Err())
+				return nil, 0, stage.Wrap(stage.NormalizeNice, ctx.Err())
 			}
 			continue
 		}
-		f := &opFlight{done: make(chan struct{})}
+		f := &opFlight{done: make(chan struct{}), fp: art.fp}
 		s.niceFlight = f
-		fp := s.fp
 		s.mu.Unlock()
 
 		nice, err := s.normalizeNice(ctx, art.raw)
@@ -619,14 +615,14 @@ func (s *Session) NiceForm(ctx context.Context) (*tree.Decomposition, error) {
 		s.niceFlight = nil
 		if err == nil {
 			s.stats.NiceNormalizations++
-			if Fingerprint(s.st) == fp {
+			if Fingerprint(s.st) == art.fp {
 				s.nice = nice
 			}
 		}
 		s.mu.Unlock()
 		f.val, f.err = nice, err
 		close(f.done)
-		return nice, err
+		return nice, art.fp, err
 	}
 }
 
@@ -699,11 +695,9 @@ func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		// (ensure has already revalidated the fingerprint).
 		if entry, ok := s.results[key]; ok {
 			s.stats.ResultCacheHits++
-			// Read the entry under s.mu: Mutate replaces its result in place.
-			res, evalSize := entry.res, entry.evalSize
 			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, evalSize, true)
-			return cachedResult(res, trace), nil
+			trace.Record(stage.Eval, 0, entry.evalSize, true)
+			return cachedResult(entry.res, trace), nil
 		}
 		if f := s.evalFlights[key]; f != nil {
 			s.mu.Unlock()
@@ -729,24 +723,19 @@ func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		}
 		f := &evalFlight{done: make(chan struct{})}
 		s.evalFlights[key] = f
-		fp := s.fp
 		s.mu.Unlock()
 
 		s.stMu.RLock()
-		res, out, err := s.runEval(ctx, compiled, art, opts, trace)
+		res, evalSize, err := s.runEval(ctx, compiled, art, opts, trace)
 		s.stMu.RUnlock()
-		var evalSize int
-		if out != nil {
-			evalSize = out.NumFacts()
-		}
 
 		s.mu.Lock()
 		delete(s.evalFlights, key)
 		if err == nil {
 			s.stats.Evals++
 			s.bumpBackendLocked(core.DefaultBackend)
-			if Fingerprint(s.st) == fp {
-				s.storeResultLocked(key, &resultEntry{res: res, evalSize: evalSize, compiled: compiled, opts: opts, out: out})
+			if Fingerprint(s.st) == art.fp {
+				s.storeResultLocked(key, &resultEntry{res: res, evalSize: evalSize})
 			}
 		}
 		s.mu.Unlock()
@@ -782,7 +771,7 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 	if !ok {
 		return nil, stage.Wrap(stage.Compile, fmt.Errorf("session: backend %q cannot evaluate on cached session artifacts", b.Name()))
 	}
-	nice, err := s.NiceForm(ctx)
+	nice, fp, err := s.niceForm(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -791,11 +780,9 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 		s.mu.Lock()
 		if entry, ok := s.results[key]; ok {
 			s.stats.ResultCacheHits++
-			// Read the entry under s.mu: Mutate replaces its result in place.
-			res, evalSize := entry.res, entry.evalSize
 			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, evalSize, true)
-			return cachedResult(res, trace), nil
+			trace.Record(stage.Eval, 0, entry.evalSize, true)
+			return cachedResult(entry.res, trace), nil
 		}
 		if f := s.evalFlights[key]; f != nil {
 			s.mu.Unlock()
@@ -821,7 +808,6 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 		}
 		f := &evalFlight{done: make(chan struct{})}
 		s.evalFlights[key] = f
-		fp := s.fp
 		s.mu.Unlock()
 
 		s.stMu.RLock()
@@ -838,10 +824,7 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 			s.stats.Evals++
 			s.bumpBackendLocked(nb.Name())
 			if Fingerprint(s.st) == fp {
-				// compiled and out stay nil: there is no datalog program
-				// or fixpoint to maintain, so Mutate drops the entry
-				// instead of patching it.
-				s.storeResultLocked(key, &resultEntry{res: res, evalSize: evalSize, opts: opts})
+				s.storeResultLocked(key, &resultEntry{res: res, evalSize: evalSize})
 			}
 		}
 		s.mu.Unlock()
@@ -883,31 +866,19 @@ func (s *Session) storeResultLocked(key progKey, entry *resultEntry) {
 	}
 	s.results[key] = entry
 	s.resultSeq = append(s.resultSeq, key)
-	if entry.out == nil {
-		return
-	}
-	// Only the deltaCap most recent entries keep their fixpoint; evicted
-	// keys may linger in dbSeq after a results eviction, hence the
-	// existence check.
-	for len(s.dbSeq) >= deltaCap {
-		if old, ok := s.results[s.dbSeq[0]]; ok {
-			old.out = nil
-		}
-		s.dbSeq = s.dbSeq[1:]
-	}
-	s.dbSeq = append(s.dbSeq, key)
 }
 
 // runEval performs the uncached evaluation stage outside the session
-// mutex. A panic is recovered into a stage-tagged error here so the
-// caller's flight bookkeeping always runs.
-func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art artifacts, opts core.Options, trace *stage.Trace) (res *core.Result, out *datalog.DB, err error) {
+// mutex and returns the result with the evaluation output's NumFacts. A
+// panic is recovered into a stage-tagged error here so the caller's
+// flight bookkeeping always runs.
+func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art artifacts, opts core.Options, trace *stage.Trace) (res *core.Result, evalSize int, err error) {
 	defer stage.RecoverTo(stage.Eval, &err)
 	if testHookEvalStart != nil {
 		testHookEvalStart()
 	}
 	if err := faultinject.Check("session.eval"); err != nil {
-		return nil, nil, stage.Wrap(stage.Eval, err)
+		return nil, 0, stage.Wrap(stage.Eval, err)
 	}
 	// Both paths intern program constants into the EDB, so the cached
 	// EDB is cloned per evaluation (DB.Clone is a flat copy). The
@@ -915,20 +886,22 @@ func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art arti
 	// engine's traffic lands in this session's stats.
 	ctx = datalog.WithStatsCollector(ctx, &s.engine)
 	start := timeNow()
+	var out *datalog.DB
 	if CurrentEvalPath() == EvalDirect {
 		out, err = datalog.EvalCtx(ctx, compiled.Program, art.edb.Clone())
 	} else {
 		out, err = compiled.Grounder.Eval(ctx, art.edb.Clone())
 	}
 	if err != nil {
-		return nil, nil, stage.Wrap(stage.Eval, err)
+		return nil, 0, stage.Wrap(stage.Eval, err)
 	}
-	trace.Record(stage.Eval, timeNow().Sub(start), out.NumFacts(), false)
+	evalSize = out.NumFacts()
+	trace.Record(stage.Eval, timeNow().Sub(start), evalSize, false)
 	res, err = core.FinishResult(s.st, compiled, opts, out, art.tdNodes, art.width, trace)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	return res, out, nil
+	return res, evalSize, nil
 }
 
 // cachedResult returns a caller-owned view of a cached Result: the
