@@ -48,19 +48,9 @@ func estimateCost(structLen int, weight int64) int64 {
 // breakerFor returns the breaker for one structure fingerprint,
 // creating it under a FIFO cap mirroring the session registry's.
 func (s *Server) breakerFor(fp uint64) *overload.Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.breakers[fp]; ok {
-		return b
-	}
-	if len(s.breakerOrder) >= maxBreakers {
-		delete(s.breakers, s.breakerOrder[0])
-		s.breakerOrder = s.breakerOrder[1:]
-	}
-	b := overload.NewBreaker(s.cfg.Breaker)
-	s.breakers[fp] = b
-	s.breakerOrder = append(s.breakerOrder, fp)
-	return b
+	return s.breakers.GetOrAdd(fp, func() *overload.Breaker {
+		return overload.NewBreaker(s.cfg.Breaker)
+	})
 }
 
 // breakerFailure classifies an evaluation outcome for the breaker:
@@ -142,12 +132,7 @@ type BreakerTotals struct {
 
 // breakerTotals snapshots the breaker registry.
 func (s *Server) breakerTotals() BreakerTotals {
-	s.mu.Lock()
-	breakers := make([]*overload.Breaker, 0, len(s.breakers))
-	for _, b := range s.breakers {
-		breakers = append(breakers, b)
-	}
-	s.mu.Unlock()
+	breakers := s.breakers.Values()
 	t := BreakerTotals{Tracked: len(breakers)}
 	for _, b := range breakers {
 		switch b.State() {
@@ -169,11 +154,10 @@ func (s *Server) breakerTotals() BreakerTotals {
 
 // residentSessions snapshots the deduplicated resident sessions.
 func (s *Server) residentSessions() []*session.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resident := make([]*session.Session, 0, len(s.sessions))
-	seen := make(map[*session.Session]bool, len(s.sessions))
-	for _, sess := range s.sessions {
+	all := s.sessions.Values()
+	resident := all[:0]
+	seen := make(map[*session.Session]bool, len(all))
+	for _, sess := range all {
 		if !seen[sess] {
 			seen[sess] = true
 			resident = append(resident, sess)
@@ -200,24 +184,6 @@ func (s *Server) watchdogTiers() []overload.Tier {
 			return n
 		}},
 		{Name: "program-cache", Shed: s.progs.Shed},
-		{Name: "session-evict", Shed: s.evictOldestHalf},
+		{Name: "session-evict", Shed: s.sessions.EvictOldestHalf},
 	}
-}
-
-// evictOldestHalf drops the older half of the session registry (at
-// least one session when any are resident), counting each drop as an
-// eviction.
-func (s *Server) evictOldestHalf() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.order) / 2
-	if n == 0 && len(s.order) > 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		delete(s.sessions, s.order[0])
-		s.order = s.order[1:]
-		s.evictions++
-	}
-	return n
 }

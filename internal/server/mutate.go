@@ -10,6 +10,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 
 	"repro/internal/cli"
 	"repro/internal/session"
@@ -151,33 +152,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // entry). A fingerprint already mapping to a different session is left
 // alone — first structure wins, exactly as sessionFor resolves it.
 func (s *Server) rekeySession(sess *session.Session, oldFP uint64, fps ...uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keep := false
-	for _, fp := range fps {
-		if fp == oldFP {
-			keep = true
-		}
-	}
-	if !keep && s.sessions[oldFP] == sess {
-		delete(s.sessions, oldFP)
-		for i, fp := range s.order {
-			if fp == oldFP {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
+	if !slices.Contains(fps, oldFP) {
+		s.sessions.Delete(oldFP, func(v *session.Session) bool { return v == sess })
 	}
 	for _, fp := range fps {
-		if _, ok := s.sessions[fp]; ok {
-			continue
-		}
-		if len(s.order) >= s.cfg.MaxSessions {
-			delete(s.sessions, s.order[0])
-			s.order = s.order[1:]
-			s.evictions++
-		}
-		s.sessions[fp] = sess
-		s.order = append(s.order, fp)
+		s.sessions.Add(fp, sess)
 	}
 }

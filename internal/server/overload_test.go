@@ -252,10 +252,7 @@ func TestWatchdogShedsTiers(t *testing.T) {
 	if n := s.progs.Len(); n != 0 {
 		t.Errorf("program cache len = %d after shed, want 0", n)
 	}
-	s.mu.Lock()
-	remaining := len(s.order)
-	evictions := s.evictions
-	s.mu.Unlock()
+	remaining, evictions := s.sessions.Len(), s.sessions.Stats().Evictions
 	if remaining != 1 || evictions != 1 {
 		t.Errorf("sessions remaining = %d (evictions %d), want 1 of 2 evicted", remaining, evictions)
 	}
@@ -453,12 +450,9 @@ func TestDrainRacesMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldFP := session.Fingerprint(pre)
-	s.mu.Lock()
-	_, hasNew := s.sessions[newFP]
-	_, hasOld := s.sessions[oldFP]
-	order := len(s.order)
-	registered := len(s.sessions)
-	s.mu.Unlock()
+	_, hasNew := s.sessions.Peek(newFP)
+	_, hasOld := s.sessions.Peek(oldFP)
+	order, registered := len(s.sessions.Values()), s.sessions.Len()
 	if !hasNew {
 		t.Error("post-edit fingerprint not in the registry")
 	}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/datalog"
@@ -136,15 +137,15 @@ type Server struct {
 	limiter  *overload.Limiter
 	watchdog *overload.Watchdog // nil when MemWatermark is 0
 
-	mu           sync.Mutex
-	sessions     map[uint64]*session.Session
-	order        []uint64 // insertion order, for FIFO eviction
-	evictions    int64
-	requests     int64
-	statuses     map[int]int64    // HTTP status → responses sent
-	backendReqs  map[string]int64 // backend name → admitted eval/batch requests
-	breakers     map[uint64]*overload.Breaker
-	breakerOrder []uint64 // insertion order, for FIFO eviction
+	// sessions and breakers are keyed by structure fingerprint, FIFO
+	// beyond MaxSessions and maxBreakers.
+	sessions *cache.Cache[uint64, *session.Session]
+	breakers *cache.Cache[uint64, *overload.Breaker]
+
+	mu          sync.Mutex
+	requests    int64
+	statuses    map[int]int64    // HTTP status → responses sent
+	backendReqs map[string]int64 // backend name → admitted eval/batch requests
 
 	// testGate, when set, is called by handlers after admission and
 	// before evaluating, with the request context — a seam for the
@@ -175,10 +176,10 @@ func New(cfg Config) *Server {
 		progs:       progs,
 		start:       time.Now(),
 		limiter:     overload.NewLimiter(cfg.Limiter),
-		sessions:    make(map[uint64]*session.Session),
+		sessions:    cache.New[uint64, *session.Session](cfg.MaxSessions),
+		breakers:    cache.New[uint64, *overload.Breaker](maxBreakers),
 		statuses:    make(map[int]int64),
 		backendReqs: make(map[string]int64),
-		breakers:    make(map[uint64]*overload.Breaker),
 	}
 	if cfg.MemWatermark > 0 {
 		s.watchdog = overload.NewWatchdog(overload.WatchdogConfig{
@@ -337,21 +338,9 @@ func (s *Server) countBackend(name string) {
 // the server's program cache, so an evicted-and-recreated session still
 // skips recompilation.
 func (s *Server) sessionFor(st *structure.Structure) *session.Session {
-	fp := session.Fingerprint(st)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.sessions[fp]; ok {
-		return sess
-	}
-	if len(s.order) >= s.cfg.MaxSessions {
-		delete(s.sessions, s.order[0])
-		s.order = s.order[1:]
-		s.evictions++
-	}
-	sess := session.NewWithCache(st, s.progs)
-	s.sessions[fp] = sess
-	s.order = append(s.order, fp)
-	return sess
+	return s.sessions.GetOrAdd(session.Fingerprint(st), func() *session.Session {
+		return session.NewWithCache(st, s.progs)
+	})
 }
 
 func (s *Server) decode(r *http.Request, into any) error {
@@ -765,18 +754,8 @@ type StatszResponse struct {
 // A session registered under several fingerprints — /mutate aliases the
 // pre- and post-edit keys to one session — counts once.
 func (s *Server) SessionTotals() session.Stats {
-	s.mu.Lock()
-	resident := make([]*session.Session, 0, len(s.sessions))
-	seen := make(map[*session.Session]bool, len(s.sessions))
-	for _, sess := range s.sessions {
-		if !seen[sess] {
-			seen[sess] = true
-			resident = append(resident, sess)
-		}
-	}
-	s.mu.Unlock()
 	var t session.Stats
-	for _, sess := range resident {
+	for _, sess := range s.residentSessions() {
 		st := sess.Stats()
 		t.Decompositions += st.Decompositions
 		t.TupleNormalizations += st.TupleNormalizations
@@ -812,9 +791,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Requests:         s.requests,
 		StatusCounts:     make(map[string]int64, len(s.statuses)),
-		Sessions:         len(s.sessions),
+		Sessions:         s.sessions.Len(),
 		SessionCap:       s.cfg.MaxSessions,
-		SessionEvictions: s.evictions,
+		SessionEvictions: int64(s.sessions.Stats().Evictions),
 		Backends:         make(map[string]int64, len(s.backendReqs)),
 	}
 	for code, n := range s.statuses {

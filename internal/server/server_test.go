@@ -321,10 +321,7 @@ func TestConcurrentSameStructure(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	s.mu.Lock()
-	nSessions := len(s.sessions)
-	s.mu.Unlock()
-	if nSessions != 1 {
+	if nSessions := s.sessions.Len(); nSessions != 1 {
 		t.Errorf("sessions = %d, want 1 (one fingerprint)", nSessions)
 	}
 	status, raw := postJSON(t, ts.URL+"/eval", EvalRequest{Structure: pathStructure, Formula: "c(x)", Var: "x"}, nil)
@@ -361,9 +358,7 @@ func TestSessionRegistryBounded(t *testing.T) {
 		}
 		s.sessionFor(st)
 	}
-	s.mu.Lock()
-	n, order, evicted := len(s.sessions), len(s.order), s.evictions
-	s.mu.Unlock()
+	n, order, evicted := s.sessions.Len(), len(s.sessions.Values()), s.sessions.Stats().Evictions
 	if n != 8 || order != 8 {
 		t.Errorf("registry holds %d sessions (%d in order), cap 8", n, order)
 	}

@@ -190,17 +190,12 @@ func TestProgramCacheSingleFlight(t *testing.T) {
 func TestProgramCacheFloodBounded(t *testing.T) {
 	pc := NewProgramCacheSize(64)
 	for i := 0; i < 10000; i++ {
-		pc.mu.Lock()
-		pc.put(progKey{formula: "f", width: i}, &core.Compiled{})
-		pc.mu.Unlock()
+		pc.c.Add(progKey{formula: "f", width: i}, &core.Compiled{})
 	}
 	if got := pc.Len(); got > 64 {
 		t.Fatalf("cache holds %d entries after 10k inserts, cap is 64", got)
 	}
-	pc.mu.Lock()
-	orderLen := len(pc.order)
-	pc.mu.Unlock()
-	if orderLen != pc.Len() {
+	if orderLen := len(pc.c.Values()); orderLen != pc.Len() {
 		t.Fatalf("order length %d != map length %d (leak)", orderLen, pc.Len())
 	}
 	// An evicted key is recompiled, not lost: Get still works end to end.
@@ -215,12 +210,10 @@ func TestProgramCacheFloodBounded(t *testing.T) {
 func TestSessionResultCacheBounded(t *testing.T) {
 	st := randColored(rand.New(rand.NewSource(76)), 4)
 	s := NewWithCache(st, NewProgramCache())
-	s.mu.Lock()
 	for i := 0; i < 10000; i++ {
-		s.storeResultLocked(progKey{formula: "f", width: i}, &resultEntry{})
+		s.results.Add(resultKey{progKey: progKey{formula: "f", width: i}}, &resultEntry{})
 	}
-	n, seq := len(s.results), len(s.resultSeq)
-	s.mu.Unlock()
+	n, seq := s.results.Len(), len(s.results.Values())
 	if n > resultCap || seq > resultCap {
 		t.Fatalf("result cache holds %d entries (seq %d) after 10k inserts, cap is %d", n, seq, resultCap)
 	}

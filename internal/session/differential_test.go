@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -135,4 +136,46 @@ func BenchmarkSessionReuse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWarmEvalAllocGate gates the allocations of one warm Eval: a
+// result-cache hit for the compiled c(x) over a 40-element colored
+// structure, the path every repeated query takes. Allocation counts are
+// deterministic, so the count may not exceed the 14 measured (go1.24,
+// linux/amd64) both before and after the session's caches moved onto
+// internal/cache; the bytes are gated at 1.10x the 1,048 measured.
+func TestWarmEvalAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race")
+	}
+	const measured, measuredBytes = 14, 1048
+	s := NewWithCache(randColored(rand.New(rand.NewSource(3)), 40), NewProgramCache())
+	ctx := context.Background()
+	phi := mso.MustParse("c(x)")
+	eval := func() {
+		if _, err := s.Eval(ctx, phi, "x", core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval() // the one evaluation; every later call is a result-cache hit
+	allocs := testing.AllocsPerRun(100, eval)
+	t.Logf("%.0f allocations per warm Eval (ceiling %d)", allocs, measured)
+	if allocs > measured {
+		t.Fatalf("%.0f allocations per warm Eval, ceiling %d", allocs, measured)
+	}
+	const runs = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("%.0f B per warm Eval (ceiling %.0f)", bytes, 1.10*measuredBytes)
+	if bytes > 1.10*measuredBytes {
+		t.Fatalf("%.0f B per warm Eval, ceiling %.0f", bytes, 1.10*measuredBytes)
+	}
+	if evals := s.Stats().Evals; evals != 1 {
+		t.Fatalf("Evals = %d, want 1: the gated calls must all hit the result cache", evals)
+	}
 }

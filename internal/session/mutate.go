@@ -58,11 +58,12 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 	// Absorb any earlier direct (non-Mutate) edit first, exactly as the
 	// next evaluation's revalidation would have.
 	s.revalidateLocked()
+	oldFP := s.fp
 	rev := s.st.Rev()
 	ferr := fn(s.st)
 	changes, ok := s.st.ChangesSince(rev)
 	ms := MutationStats{Changes: len(changes)}
-	defer func() { s.fp = Fingerprint(s.st) }()
+	s.fp = Fingerprint(s.st)
 	if ok && len(changes) == 0 {
 		return ms, ferr // no-op edit: every cache stays valid
 	}
@@ -73,9 +74,9 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 		return ms, ferr
 	}
 	if s.raw == nil {
-		// Cold session — nothing cached to maintain. (Artifacts and
-		// result caches are populated together and discarded together,
-		// so no raw decomposition means no downstream state either.)
+		// Cold session — nothing cached to maintain: every cache entry
+		// is filed under the fingerprint it was computed for, and none
+		// is for the edited structure.
 		return ms, nil
 	}
 	rd, dirty, rerr := decompose.Repair(s.raw, s.st, changes)
@@ -108,21 +109,29 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 	// conservatively re-solve after any mutation (solver.Repair keeps
 	// per-table maintenance available to direct solver users). Query
 	// results are recomputed too: the next Eval re-grounds.
-	s.solverResults, s.solverSeq = nil, nil
-	ms.ResultsDropped += len(s.results)
-	s.results, s.resultSeq = nil, nil
+	s.solved.Clear()
+	ms.ResultsDropped += s.results.Clear()
 	if !same {
 		s.raw = rd
-		s.tuple, s.nice, s.td, s.edb = nil, nil, nil, nil
+		s.tuple, s.td, s.edb = nil, nil, nil
 		s.width, s.tdNodes = 0, 0
-		s.valid = false
-	} else if s.td != nil {
-		td, _, err := tree.BuildTDCtx(context.Background(), s.st, s.tuple, s.width)
-		if err != nil {
-			s.discardLocked(&ms)
-			return ms, nil
+		s.nice.Clear()
+	} else {
+		// The nice form is a function of the raw tree alone: refile it
+		// under the edited structure's fingerprint.
+		nice, kept := s.nice.Peek(oldFP)
+		s.nice.Clear()
+		if kept {
+			s.nice.Add(s.fp, nice)
 		}
-		s.td, s.edb = td, datalog.FromStructure(td, "")
+		if s.td != nil {
+			td, _, err := tree.BuildTDCtx(context.Background(), s.st, s.tuple, s.width)
+			if err != nil {
+				s.discardLocked(&ms)
+				return ms, nil
+			}
+			s.td, s.edb = td, datalog.FromStructure(td, "")
+		}
 	}
 	s.stats.DeltasApplied++
 	ms.DeltaApplied = true
@@ -131,8 +140,7 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 
 // discardLocked is the wholesale path: drop everything, count it.
 func (s *Session) discardLocked(ms *MutationStats) {
-	ms.ResultsDropped += len(s.results)
-	s.invalidateLocked()
+	ms.ResultsDropped += s.invalidateLocked()
 	s.stats.Invalidations++
 	ms.Invalidated = true
 }

@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/mso"
+	"repro/internal/solver"
 	"repro/internal/structure"
 )
 
@@ -341,11 +345,21 @@ func TestMutateDuringEvalCachesNoStaleResult(t *testing.T) {
 	// read its artifacts, waits on the program cache.
 	phi := mso.MustParse("~c(x)")
 	opts := core.Options{Width: w}
-	key := keyFor(st.Sig(), phi, "x", opts)
-	flight := &compileFlight{done: make(chan struct{})}
-	pc.mu.Lock()
-	pc.flights = map[progKey]*compileFlight{key: flight}
-	pc.mu.Unlock()
+	compiled, err := core.Compile(st.Sig(), phi, "x", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	compileErr := make(chan error, 1)
+	go func() {
+		_, _, err := pc.c.Do(ctx, keyFor(st.Sig(), phi, "x", opts), func() (*core.Compiled, error) {
+			close(held)
+			<-release
+			return compiled, nil
+		})
+		compileErr <- err
+	}()
+	<-held
 
 	waiting := make(chan struct{})
 	errc := make(chan error, 1)
@@ -364,16 +378,10 @@ func TestMutateDuringEvalCachesNoStaleResult(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := core.Compile(st.Sig(), phi, "x", opts)
-	if err != nil {
+	close(release)
+	if err := <-compileErr; err != nil {
 		t.Fatal(err)
 	}
-	pc.mu.Lock()
-	delete(pc.flights, key)
-	pc.put(key, compiled)
-	pc.mu.Unlock()
-	flight.c = compiled
-	close(flight.done)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
@@ -430,4 +438,389 @@ func TestConcurrentMutateEval(t *testing.T) {
 	}()
 	wg.Wait()
 	checkMutateAnswers(t, s, st, "post-race")
+}
+
+// The tests below pin that the session files every in-flight and
+// cached computation under the fingerprint of the artifacts it reads,
+// and that this fingerprint names the structure the computation
+// actually read. Three hold a pre-edit computation in flight, edit, and
+// then issue a request with a context that reports when it starts
+// waiting on another request's computation; the held computation is
+// released only then, or once the request is done: a request issued
+// after Mutate returns must not share the pre-edit computation. Two
+// let a computation read its artifacts, then reach the structure only
+// after an edit, which a Mutate waiting for the structure lock behind a
+// reader arranges.
+
+// TestMutateEvalJoinsNoStaleFlight: an evaluation that read the
+// pre-edit artifacts and then waited for the structure lock behind a
+// pending Mutate must not answer an Eval issued after the edit.
+func TestMutateEvalJoinsNoStaleFlight(t *testing.T) {
+	st := randMutable(rand.New(rand.NewSource(37)), 10)
+	s := NewWithCache(st, NewProgramCache())
+	ctx := context.Background()
+	phi := mso.MustParse("~c(x)")
+	// Warm the artifacts and the compiled program; drop the result.
+	if _, err := s.Eval(ctx, phi, "x", core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s.ShedResults()
+
+	// Hold the first evaluation that gets to run, once its leader holds
+	// the structure read lock; later ones pass.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	testHookEvalStart = func() {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	defer func() { testHookEvalStart = nil }()
+
+	// A reader holds the structure lock, so Mutate waits for it, and so
+	// does every reader that arrives while Mutate waits.
+	endView := holdReadLock(s)
+	mutated := make(chan error, 1)
+	go func() {
+		_, err := s.Mutate(func(st *structure.Structure) error {
+			if st.Has("c", 3) {
+				st.RemoveTuple("c", 3)
+			} else {
+				st.MustAddTuple("c", 3)
+			}
+			return nil
+		})
+		mutated <- err
+	}()
+	waitForPendingMutate(s)
+
+	// Two pre-edit Evals: once one waits on the other, the leader's
+	// evaluation is in flight over the pre-edit artifacts.
+	waitA, waitB := make(chan struct{}), make(chan struct{})
+	pre := make(chan error, 2)
+	for _, w := range []chan struct{}{waitA, waitB} {
+		go func(w chan struct{}) {
+			_, err := s.Eval(&ctxDoneSignal{Context: ctx, waiting: w}, phi, "x", core.Options{})
+			pre <- err
+		}(w)
+	}
+	select {
+	case <-waitA:
+	case <-waitB:
+	}
+	close(endView)
+	if err := <-mutated; err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	var got *core.Result
+	var gotErr error
+	waiting, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		got, gotErr = s.Eval(&ctxDoneSignal{Context: ctx, waiting: waiting}, phi, "x", core.Options{})
+	}()
+	select {
+	case <-waiting:
+	case <-done:
+	}
+	close(release)
+	<-done
+	for i := 0; i < 2; i++ {
+		if err := <-pre; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gotErr != nil {
+		t.Fatal(gotErr)
+	}
+	want, err := mso.Query(st, phi, "x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Selected.Equal(want) {
+		t.Fatalf("Eval after the edit selected %v, want %v", got.Selected.Elems(), want.Elems())
+	}
+	checkMutateAnswers(t, s, st, "after the edit")
+}
+
+// TestMutateGameEvalRereadsEditedArtifacts: an evaluation that read
+// its artifacts before an edit but reaches the structure after it must
+// start over from the edited artifacts. The game backend reads the
+// structure as it evaluates, so evaluating on the pre-edit nice form
+// would fail on the element the edit added.
+func TestMutateGameEvalRereadsEditedArtifacts(t *testing.T) {
+	st := randMutable(rand.New(rand.NewSource(37)), 10)
+	s := NewWithCache(st, NewProgramCache())
+	ctx := context.Background()
+	phi := mso.MustParse("c(x)")
+	opts := core.Options{Backend: "game"}
+	// Warm the artifacts and the nice form; drop the result.
+	if _, err := s.Eval(ctx, phi, "x", opts); err != nil {
+		t.Fatal(err)
+	}
+	s.ShedResults()
+
+	endView := holdReadLock(s)
+	mutated := make(chan error, 1)
+	go func() {
+		_, err := s.Mutate(func(st *structure.Structure) error {
+			st.AddElem("v10")
+			return st.AddFact("c", "v10")
+		})
+		mutated <- err
+	}()
+	waitForPendingMutate(s)
+
+	// Two Evals over the pre-edit artifacts: once one waits on the
+	// other, the leader's evaluation is in flight and waits for the read
+	// lock behind the Mutate.
+	waitA, waitB := make(chan struct{}), make(chan struct{})
+	type outcome struct {
+		res *core.Result
+		err error
+	}
+	out := make(chan outcome, 2)
+	for _, w := range []chan struct{}{waitA, waitB} {
+		go func(w chan struct{}) {
+			res, err := s.Eval(&ctxDoneSignal{Context: ctx, waiting: w}, phi, "x", opts)
+			out <- outcome{res, err}
+		}(w)
+	}
+	select {
+	case <-waitA:
+	case <-waitB:
+	}
+	close(endView)
+	if err := <-mutated; err != nil {
+		t.Fatal(err)
+	}
+	want, err := mso.Query(st, phi, "x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		o := <-out
+		if o.err != nil {
+			t.Fatalf("game Eval across the edit: %v", o.err)
+		}
+		if !o.res.Selected.Equal(want) {
+			t.Fatalf("game Eval across the edit selected %v, want %v", o.res.Selected.Elems(), want.Elems())
+		}
+	}
+}
+
+// holdReadLock holds s's structure read lock, as a View does, until the
+// returned channel is closed.
+func holdReadLock(s *Session) chan<- struct{} {
+	viewing, end := make(chan struct{}), make(chan struct{})
+	go s.View(func(*structure.Structure) { close(viewing); <-end })
+	<-viewing
+	return end
+}
+
+// waitForPendingMutate returns once a Mutate waits for s's structure
+// lock: from then on, new readers queue behind it.
+func waitForPendingMutate(s *Session) {
+	for s.stMu.TryRLock() {
+		s.stMu.RUnlock()
+		runtime.Gosched()
+	}
+}
+
+// TestMutateFrontEndFilesWhatItRead: a front-end build that began
+// before an edit reads the edited structure, so what is computed from
+// it must be filed under the edited structure's fingerprint. Filed
+// under the pre-edit one, the nice form of the edited structure would
+// answer for the pre-edit structure once the edit is undone.
+func TestMutateFrontEndFilesWhatItRead(t *testing.T) {
+	st := randMutable(rand.New(rand.NewSource(37)), 10)
+	s := NewWithCache(st, NewProgramCache())
+	ctx := context.Background()
+
+	// The build registers on the cold session, then waits for the read
+	// lock behind a pending Mutate that retracts the last path edge. (The
+	// fingerprint hashes tuples in storage order, so only the last one
+	// comes back to the same place, and the same fingerprint, when the
+	// edit is undone.)
+	endView := holdReadLock(s)
+	mutated := make(chan error, 1)
+	go func() {
+		_, err := s.Mutate(func(st *structure.Structure) error {
+			st.RemoveTuple("e", 8, 9)
+			return nil
+		})
+		mutated <- err
+	}()
+	waitForPendingMutate(s)
+	hold := &nicePollHold{Context: ctx, entered: make(chan struct{}), release: make(chan struct{})}
+	built := make(chan error, 1)
+	go func() {
+		_, err := s.NiceForm(hold)
+		built <- err
+	}()
+	for building := false; !building; runtime.Gosched() {
+		s.mu.Lock()
+		building = s.building != nil
+		s.mu.Unlock()
+	}
+	close(endView)
+	if err := <-mutated; err != nil {
+		t.Fatal(err)
+	}
+
+	// The build read the retracted structure; hold its normalization
+	// while the edit is undone.
+	<-hold.entered
+	if _, err := s.Mutate(func(st *structure.Structure) error {
+		st.MustAddTuple("e", 8, 9)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(hold.release)
+	if err := <-built; err != nil {
+		t.Fatal(err)
+	}
+
+	nice, err := s.NiceForm(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nice.Validate(st); err != nil {
+		t.Fatalf("nice form after undoing the edit does not decompose the structure: %v", err)
+	}
+	checkMutateAnswers(t, s, st, "after undoing the edit")
+}
+
+// heldSelect is freeSelect whose first Leaf blocks until release is
+// closed, holding its solve in flight. It shares freeSelect's name, so
+// the two share solver-cache keys.
+type heldSelect struct {
+	freeSelect
+	once             *sync.Once
+	entered, release chan struct{}
+}
+
+func (h heldSelect) Leaf(node int, bag []int) []solver.Out[uint64] {
+	h.once.Do(func() { close(h.entered); <-h.release })
+	return h.freeSelect.Leaf(node, bag)
+}
+
+// TestMutateSolveJoinsNoStaleFlight: a solve running over the pre-edit
+// nice form must not answer a SolveCount issued after an edit added an
+// element.
+func TestMutateSolveJoinsNoStaleFlight(t *testing.T) {
+	st := randMutable(rand.New(rand.NewSource(37)), 10)
+	s := NewWithCache(st, NewProgramCache())
+	ctx := context.Background()
+	held := heldSelect{once: new(sync.Once), entered: make(chan struct{}), release: make(chan struct{})}
+	stale := make(chan error, 1)
+	go func() {
+		_, err := SolveCount(ctx, s, held)
+		stale <- err
+	}()
+	<-held.entered
+	if _, err := s.Mutate(func(st *structure.Structure) error {
+		st.AddElem("v10")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var got *big.Int
+	var gotErr error
+	waiting, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		got, gotErr = SolveCount(&ctxDoneSignal{Context: ctx, waiting: waiting}, s, freeSelect{})
+	}()
+	select {
+	case <-waiting:
+	case <-done:
+	}
+	close(held.release)
+	<-done
+	if err := <-stale; err != nil {
+		t.Fatal(err)
+	}
+	if gotErr != nil {
+		t.Fatal(gotErr)
+	}
+	if want := big.NewInt(1 << 11); got.Cmp(want) != 0 {
+		t.Fatalf("SolveCount after the edit = %v, want %v", got, want)
+	}
+}
+
+// nicePollHold is a context whose Err, called from the poll that
+// tree.NormalizeNiceCtx makes before normalizing, blocks the first time
+// until release is closed: it holds a nice normalization in flight.
+type nicePollHold struct {
+	context.Context
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (c *nicePollHold) Err() error {
+	var pc [1]uintptr
+	runtime.Callers(2, pc[:])
+	if f, _ := runtime.CallersFrames(pc[:]).Next(); f.Function == "repro/internal/tree.NormalizeNiceCtx" {
+		c.once.Do(func() { close(c.entered); <-c.release })
+	}
+	return c.Context.Err()
+}
+
+// TestMutateGameEvalJoinsNoStaleNiceForm: a nice normalization of the
+// pre-edit decomposition must not feed a game-backend Eval issued after
+// an edit added an element.
+func TestMutateGameEvalJoinsNoStaleNiceForm(t *testing.T) {
+	st := randMutable(rand.New(rand.NewSource(37)), 10)
+	s := NewWithCache(st, NewProgramCache())
+	ctx := context.Background()
+	if _, err := s.Width(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hold := &nicePollHold{Context: ctx, entered: make(chan struct{}), release: make(chan struct{})}
+	stale := make(chan error, 1)
+	go func() {
+		_, err := s.NiceForm(hold)
+		stale <- err
+	}()
+	<-hold.entered
+	if _, err := s.Mutate(func(st *structure.Structure) error {
+		st.AddElem("v10")
+		return st.AddFact("c", "v10")
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	phi := mso.MustParse("c(x)")
+	var got *core.Result
+	var gotErr error
+	waiting, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		got, gotErr = s.Eval(&ctxDoneSignal{Context: ctx, waiting: waiting}, phi, "x", core.Options{Backend: "game"})
+	}()
+	select {
+	case <-waiting:
+	case <-done:
+	}
+	close(hold.release)
+	<-done
+	if err := <-stale; err != nil {
+		t.Fatal(err)
+	}
+	if gotErr != nil {
+		t.Fatalf("game Eval after the edit: %v", gotErr)
+	}
+	want, err := mso.Query(st, phi, "x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Selected.Equal(want) {
+		t.Fatalf("game Eval after the edit selected %v, want %v", got.Selected.Elems(), want.Elems())
+	}
 }

@@ -3,9 +3,9 @@ package session
 import (
 	"context"
 	"strconv"
-	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mso"
 	"repro/internal/stage"
@@ -64,21 +64,7 @@ const progCacheCap = 512
 // compiled program is immutable and shared by every session that
 // evaluates the same query, regardless of structure.
 type ProgramCache struct {
-	mu      sync.Mutex
-	cap     int
-	m       map[progKey]*core.Compiled
-	order   []progKey
-	flights map[progKey]*compileFlight
-	hits    int
-	misses  int
-}
-
-// compileFlight is one in-flight compilation shared by every request
-// for the same key while it runs.
-type compileFlight struct {
-	done chan struct{}
-	c    *core.Compiled
-	err  error
+	c *cache.Cache[progKey, *core.Compiled]
 }
 
 // NewProgramCache returns an empty cache with the default capacity.
@@ -92,7 +78,7 @@ func NewProgramCacheSize(n int) *ProgramCache {
 	if n <= 0 {
 		n = progCacheCap
 	}
-	return &ProgramCache{cap: n, m: map[progKey]*core.Compiled{}}
+	return &ProgramCache{c: cache.New[progKey, *core.Compiled](n)}
 }
 
 // defaultProgramCache backs every session that is not given its own
@@ -105,71 +91,16 @@ var defaultProgramCache = NewProgramCache()
 // compilation). If an in-flight leader fails, waiters with live
 // contexts retry the compilation themselves.
 func (pc *ProgramCache) Get(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts core.Options) (*core.Compiled, bool, error) {
-	key := keyFor(sig, phi, xVar, opts)
-	for {
-		pc.mu.Lock()
-		if c, ok := pc.m[key]; ok {
-			pc.hits++
-			pc.mu.Unlock()
-			return c, true, nil
-		}
-		if f := pc.flights[key]; f != nil {
-			pc.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if f.err == nil {
-				pc.mu.Lock()
-				pc.hits++
-				pc.mu.Unlock()
-				return f.c, true, nil
-			}
-			if ctx.Err() != nil {
-				return nil, false, ctx.Err()
-			}
-			continue
-		}
-		if pc.flights == nil {
-			pc.flights = map[progKey]*compileFlight{}
-		}
-		f := &compileFlight{done: make(chan struct{})}
-		pc.flights[key] = f
-		pc.mu.Unlock()
-
-		c, err := compileSafe(ctx, sig, phi, xVar, opts)
-
-		pc.mu.Lock()
-		delete(pc.flights, key)
-		if err == nil {
-			pc.misses++
-			pc.put(key, c)
-		}
-		pc.mu.Unlock()
-		f.c, f.err = c, err
-		close(f.done)
-		return c, false, err
-	}
+	return pc.c.Do(ctx, keyFor(sig, phi, xVar, opts), func() (*core.Compiled, error) {
+		return compileSafe(ctx, sig, phi, xVar, opts)
+	})
 }
 
 // compileSafe compiles outside the cache lock, recovering a panic into
-// a stage-tagged error so the caller's flight bookkeeping always runs.
+// a stage-tagged error.
 func compileSafe(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts core.Options) (c *core.Compiled, err error) {
 	defer stage.RecoverTo(stage.Compile, &err)
 	return core.CompileCtx(ctx, sig, phi, xVar, opts)
-}
-
-// put inserts under pc.mu, evicting the oldest entry beyond the cap.
-func (pc *ProgramCache) put(key progKey, c *core.Compiled) {
-	if _, dup := pc.m[key]; !dup {
-		if len(pc.order) >= pc.cap {
-			delete(pc.m, pc.order[0])
-			pc.order = pc.order[1:]
-		}
-		pc.order = append(pc.order, key)
-	}
-	pc.m[key] = c
 }
 
 // Shed drops every cached program and returns how many were released,
@@ -177,35 +108,19 @@ func (pc *ProgramCache) put(key progKey, c *core.Compiled) {
 // server's memory watchdog calls it as the second shedding tier;
 // subsequent Gets recompile (or re-enter the cache from a flight
 // completing after the shed).
-func (pc *ProgramCache) Shed() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	n := len(pc.m)
-	pc.m = map[progKey]*core.Compiled{}
-	pc.order = nil
-	return n
-}
+func (pc *ProgramCache) Shed() int { return pc.c.Clear() }
 
 // Stats reports hit/miss counts.
 func (pc *ProgramCache) Stats() (hits, misses int) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.hits, pc.misses
+	st := pc.c.Stats()
+	return st.Hits, st.Misses
 }
 
 // Len returns the number of cached programs.
-func (pc *ProgramCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.m)
-}
+func (pc *ProgramCache) Len() int { return pc.c.Len() }
 
 // Cap returns the cache's FIFO capacity.
-func (pc *ProgramCache) Cap() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.cap
-}
+func (pc *ProgramCache) Cap() int { return pc.c.Cap() }
 
 // timeNow is a seam kept in one place so stage timing in this package
 // is easy to audit.

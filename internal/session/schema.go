@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/cache"
 	"repro/internal/primality"
 	"repro/internal/schema"
 	"repro/internal/structure"
@@ -120,49 +121,17 @@ func (ss *SchemaSession) IsPrime(ctx context.Context, attr string) (bool, error)
 const registryCap = 64
 
 var (
-	regMu        sync.Mutex
-	structReg    = map[*structure.Structure]*Session{}
-	structOrder  []*structure.Structure
-	schemaReg    = map[*schema.Schema]*SchemaSession{}
-	schemaOrder  []*schema.Schema
-	registryHits int
+	structReg = cache.New[*structure.Structure, *Session](registryCap)
+	schemaReg = cache.New[*schema.Schema, *SchemaSession](registryCap)
 )
 
 // For returns the registry session for st, creating it on first use.
 func For(st *structure.Structure) *Session {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if s, ok := structReg[st]; ok {
-		registryHits++
-		return s
-	}
-	s := New(st)
-	structReg[st] = s
-	structOrder = append(structOrder, st)
-	if len(structOrder) > registryCap {
-		evict := structOrder[0]
-		structOrder = structOrder[1:]
-		delete(structReg, evict)
-	}
-	return s
+	return structReg.GetOrAdd(st, func() *Session { return New(st) })
 }
 
 // ForSchema returns the registry session for s, creating it on first
 // use.
 func ForSchema(s *schema.Schema) *SchemaSession {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if ss, ok := schemaReg[s]; ok {
-		registryHits++
-		return ss
-	}
-	ss := NewSchemaSession(s)
-	schemaReg[s] = ss
-	schemaOrder = append(schemaOrder, s)
-	if len(schemaOrder) > registryCap {
-		evict := schemaOrder[0]
-		schemaOrder = schemaOrder[1:]
-		delete(schemaReg, evict)
-	}
-	return ss
+	return schemaReg.GetOrAdd(s, func() *SchemaSession { return NewSchemaSession(s) })
 }

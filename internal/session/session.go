@@ -42,6 +42,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,7 @@ import (
 	// Register the game backend so any session user (server, CLIs,
 	// tests) can select it by name without its own import.
 	_ "repro/internal/backend/game"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/datalog"
 	"repro/internal/decompose"
@@ -153,13 +155,13 @@ type Session struct {
 
 	// stMu serializes structure access: builds and evaluations read the
 	// bound structure under RLock, and Mutate edits it (and re-syncs the
-	// caches) under Lock. Lock order is stMu before mu; nothing acquires
-	// stMu while holding mu.
+	// caches) under Lock. Lock order is stMu, then mu, then a cache's
+	// lock: nothing acquires stMu while holding mu, nor mu while holding
+	// a cache's lock.
 	stMu sync.RWMutex
 
 	mu    sync.Mutex
 	fp    uint64
-	valid bool
 	stats Stats
 
 	// engine accumulates the datalog streaming engine's counters for
@@ -170,37 +172,44 @@ type Session struct {
 	raw     *tree.Decomposition  // ladder decomposition of st
 	rung    string               // degradation-ladder rung that produced raw
 	tuple   *tree.Decomposition  // tuple normal form
-	nice    *tree.Decomposition  // nice normal form (built on demand)
 	width   int                  // normalized width
 	td      *structure.Structure // τ_td structure
 	edb     *datalog.DB          // EDB of td (cloned per evaluation)
 	tdNodes int
 
-	// building is the in-flight front-end build, if any; niceFlight the
-	// in-flight nice normalization; evalFlights the in-flight
-	// evaluations per program key; solverFlights the in-flight solver
-	// runs per (problem, mode). Concurrent requests for the same
-	// missing entry wait on the flight instead of recomputing.
-	building      *artifactFlight
-	niceFlight    *opFlight
-	evalFlights   map[progKey]*evalFlight
-	solverFlights map[solverKey]*opFlight
+	// building is the in-flight front-end build, if any. Concurrent
+	// requests for missing artifacts wait on it instead of rebuilding.
+	building *artifactFlight
 
-	// results memoizes evaluated queries per program key; evaluation is
-	// deterministic, so an unchanged structure makes a repeat of the
-	// same (formula, options) a pure cache hit. Bounded FIFO.
-	results   map[progKey]*resultEntry
-	resultSeq []progKey
-
-	// solverResults memoizes semiring-solver outcomes per (problem name,
-	// mode); see SolveDecide / SolveCount / SolveOptimize. Invalidated
-	// with the other artifacts on fingerprint change. Bounded FIFO.
-	solverResults map[solverKey]any
-	solverSeq     []solverKey
+	// The caches below hold what is computed from the artifacts, each
+	// entry keyed by the fingerprint of the artifacts it was computed
+	// from, so a stored value is right for its key whenever it lands and
+	// a request never shares a computation begun before an edit.
+	// Evaluation is deterministic, so an unchanged structure makes a
+	// repeat of the same (formula, options) or (problem, mode) a pure
+	// cache hit. nice holds the nice normal form (built on demand),
+	// results the evaluated queries and solved the semiring-solver
+	// outcomes (see SolveDecide / SolveCount / SolveOptimize).
+	nice    *cache.Cache[uint64, *tree.Decomposition]
+	results *cache.Cache[resultKey, *resultEntry]
+	solved  *cache.Cache[solverKey, any]
 }
 
-// resultCap bounds the per-session result cache.
-const resultCap = 256
+// Per-session cache caps. The nice form has one current entry; the
+// second slot keeps a normalization that an edit overtook from
+// displacing it when it lands.
+const (
+	niceCap   = 2
+	resultCap = 256
+	solverCap = 64
+)
+
+// resultKey files a query result under the fingerprint of the
+// artifacts it was evaluated on.
+type resultKey struct {
+	fp uint64
+	progKey
+}
 
 type resultEntry struct {
 	res      *core.Result
@@ -218,23 +227,6 @@ type artifactFlight struct {
 	art  artifacts // stages built, valid once done is closed
 	rung string
 	err  error
-}
-
-// opFlight is one in-flight single-value computation (nice form,
-// solver run).
-type opFlight struct {
-	done chan struct{}
-	val  any
-	fp   uint64 // nice form: the fingerprint of the artifacts it was built from
-	err  error
-}
-
-// evalFlight is one in-flight evaluation of a program key.
-type evalFlight struct {
-	done     chan struct{}
-	res      *core.Result
-	evalSize int
-	err      error
 }
 
 // testHookEvalStart, when non-nil, runs at the start of every uncached
@@ -256,7 +248,13 @@ func NewWithCache(st *structure.Structure, pc *ProgramCache) *Session {
 	if pc == nil {
 		pc = defaultProgramCache
 	}
-	return &Session{st: st, progs: pc}
+	return &Session{
+		st:      st,
+		progs:   pc,
+		nice:    cache.New[uint64, *tree.Decomposition](niceCap),
+		results: cache.New[resultKey, *resultEntry](resultCap),
+		solved:  cache.New[solverKey, any](solverCap),
+	}
 }
 
 // Structure returns the bound structure.
@@ -274,6 +272,10 @@ func (s *Session) Stats() Stats {
 		}
 	}
 	s.mu.Unlock()
+	rs, ss := s.results.Stats(), s.solved.Stats()
+	st.Evals, st.ResultCacheHits = rs.Misses, rs.Hits
+	st.SolverSolves, st.SolverCacheHits = ss.Misses, ss.Hits
+	st.NiceNormalizations = s.nice.Stats().Misses
 	es := s.engine.Snapshot()
 	st.TuplesStreamed = es.TuplesStreamed
 	st.JoinsPushedDown = es.JoinsPushedDown
@@ -297,13 +299,15 @@ func (s *Session) Invalidate() {
 	s.invalidateLocked()
 }
 
-func (s *Session) invalidateLocked() {
-	s.valid = false
-	s.raw, s.tuple, s.nice, s.td, s.edb = nil, nil, nil, nil, nil
+// invalidateLocked drops every cached artifact and returns how many
+// query results went with them.
+func (s *Session) invalidateLocked() int {
+	s.raw, s.tuple, s.td, s.edb = nil, nil, nil, nil
 	s.rung = ""
 	s.tdNodes, s.width = 0, 0
-	s.results, s.resultSeq = nil, nil
-	s.solverResults, s.solverSeq = nil, nil
+	s.nice.Clear()
+	s.solved.Clear()
+	return s.results.Clear()
 }
 
 // ShedResults drops the per-session result and solver caches — the
@@ -315,23 +319,18 @@ func (s *Session) invalidateLocked() {
 // In-flight evaluations are unaffected (their results re-enter the
 // cache when they complete).
 func (s *Session) ShedResults() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.results) + len(s.solverResults)
-	s.results, s.resultSeq = nil, nil
-	s.solverResults, s.solverSeq = nil, nil
-	return n
+	return s.results.Clear() + s.solved.Clear()
 }
 
 // revalidateLocked discards the cached artifacts if the structure's
-// fingerprint changed since they were built. It deliberately does NOT
-// gate on s.valid: after a failed run (valid never set) the session may
-// still hold artifacts from the stages that succeeded, and a structure
-// mutation in between must not let them leak into the next run.
+// fingerprint changed since they were built. After a failed run the
+// session may still hold artifacts from the stages that succeeded, and
+// a structure mutation in between must not let them leak into the next
+// run.
 func (s *Session) revalidateLocked() {
 	fp := Fingerprint(s.st)
-	hasArtifacts := s.raw != nil || s.tuple != nil || s.nice != nil || s.td != nil || s.results != nil || s.solverResults != nil
-	if fp != s.fp && hasArtifacts {
+	if fp != s.fp && (s.raw != nil || s.tuple != nil || s.td != nil ||
+		s.nice.Len() > 0 || s.results.Len() > 0 || s.solved.Len() > 0) {
 		s.invalidateLocked()
 		s.stats.Invalidations++
 	}
@@ -339,11 +338,8 @@ func (s *Session) revalidateLocked() {
 }
 
 // artifacts holds the per-structure products of the pipeline front end,
-// with the fingerprint of the structure they were built for (s.fp when
-// they were read from or stored in the session). Whatever is computed
-// from them is cached only while the structure still has that
-// fingerprint: an edit landing in between must not let an answer for
-// the old structure stand for the new one.
+// with the fingerprint of the structure they were built for. Whatever
+// is computed from them is cached under that fingerprint.
 type artifacts struct {
 	fp      uint64
 	raw     *tree.Decomposition
@@ -401,12 +397,18 @@ func (s *Session) frontEnd(ctx context.Context, trace *stage.Trace, full bool) (
 		}
 		f := &artifactFlight{full: full, done: make(chan struct{})}
 		s.building = f
+		s.mu.Unlock()
+
+		// Read what the build starts from only once edits are held off,
+		// so that the artifacts, and the fingerprint they carry, are those
+		// of the structure the build reads: a Mutate landing before the
+		// read lock has already brought them up to date.
+		s.stMu.RLock()
+		s.mu.Lock()
 		fp := s.fp
 		have := artifacts{fp: fp, raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
 		rung := s.rung
 		s.mu.Unlock()
-
-		s.stMu.RLock()
 		art, rung, built, err := s.buildFrontEnd(ctx, trace, have, rung, full)
 		s.stMu.RUnlock()
 
@@ -433,9 +435,6 @@ func (s *Session) frontEnd(ctx context.Context, trace *stage.Trace, full bool) (
 			}
 			if art.td != nil {
 				s.td, s.edb, s.tdNodes = art.td, art.edb, art.tdNodes
-			}
-			if err == nil && full {
-				s.valid = true
 			}
 		}
 		f.art, f.rung, f.err = art, rung, err
@@ -583,47 +582,10 @@ func (s *Session) niceForm(ctx context.Context) (*tree.Decomposition, uint64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	for {
-		s.mu.Lock()
-		if s.nice != nil {
-			nice, fp := s.nice, s.fp
-			s.mu.Unlock()
-			return nice, fp, nil
-		}
-		if f := s.niceFlight; f != nil {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, 0, stage.Wrap(stage.NormalizeNice, ctx.Err())
-			}
-			if f.err == nil {
-				return f.val.(*tree.Decomposition), f.fp, nil
-			}
-			if ctx.Err() != nil {
-				return nil, 0, stage.Wrap(stage.NormalizeNice, ctx.Err())
-			}
-			continue
-		}
-		f := &opFlight{done: make(chan struct{}), fp: art.fp}
-		s.niceFlight = f
-		s.mu.Unlock()
-
-		nice, err := s.normalizeNice(ctx, art.raw)
-
-		s.mu.Lock()
-		s.niceFlight = nil
-		if err == nil {
-			s.stats.NiceNormalizations++
-			if Fingerprint(s.st) == art.fp {
-				s.nice = nice
-			}
-		}
-		s.mu.Unlock()
-		f.val, f.err = nice, err
-		close(f.done)
-		return nice, art.fp, err
-	}
+	nice, _, err := s.nice.Do(ctx, art.fp, func() (*tree.Decomposition, error) {
+		return s.normalizeNice(ctx, art.raw)
+	})
+	return nice, art.fp, waited(stage.NormalizeNice, err)
 }
 
 func (s *Session) normalizeNice(ctx context.Context, raw *tree.Decomposition) (nice *tree.Decomposition, err error) {
@@ -657,6 +619,22 @@ func (s *Session) Width(ctx context.Context) (int, error) {
 // any in-flight work.
 func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options) (res *core.Result, err error) {
 	defer stage.RecoverTo(stage.Compile, &err)
+	for {
+		res, err = s.eval(ctx, phi, xVar, opts)
+		if _, edited := err.(editedError); !edited {
+			return res, err
+		}
+	}
+}
+
+// editedError reports that an edit landed between reading the artifacts
+// and evaluating on them; Eval then starts over from the edited ones.
+type editedError struct{}
+
+func (editedError) Error() string { return "session: structure edited during evaluation" }
+
+// eval is one attempt at Eval.
+func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options) (*core.Result, error) {
 	trace := &stage.Trace{}
 	art, err := s.ensure(ctx, trace)
 	if err != nil {
@@ -680,88 +658,68 @@ func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		return nil, stage.Wrap(stage.Compile, err)
 	}
 	trace.Record(stage.Compile, timeNow().Sub(start), len(compiled.Program.Rules), hit)
-	key := keyFor(s.st.Sig(), phi, xVar, opts)
+	key := resultKey{fp: art.fp, progKey: keyFor(s.st.Sig(), phi, xVar, opts)}
 	s.mu.Lock()
 	s.stats.Compiles++
 	if hit {
 		s.stats.CompileCacheHits++
 	}
 	s.mu.Unlock()
-
-	for {
-		s.mu.Lock()
-		// Evaluation is deterministic, so a repeat of the same query on
-		// the unchanged structure is answered from the result cache
-		// (ensure has already revalidated the fingerprint).
-		if entry, ok := s.results[key]; ok {
-			s.stats.ResultCacheHits++
-			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, entry.evalSize, true)
-			return cachedResult(entry.res, trace), nil
-		}
-		if f := s.evalFlights[key]; f != nil {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, stage.Wrap(stage.Eval, ctx.Err())
-			}
-			if f.err == nil {
-				s.mu.Lock()
-				s.stats.ResultCacheHits++
-				s.mu.Unlock()
-				trace.Record(stage.Eval, 0, f.evalSize, true)
-				return cachedResult(f.res, trace), nil
-			}
-			if ctx.Err() != nil {
-				return nil, stage.Wrap(stage.Eval, ctx.Err())
-			}
-			continue
-		}
-		if s.evalFlights == nil {
-			s.evalFlights = map[progKey]*evalFlight{}
-		}
-		f := &evalFlight{done: make(chan struct{})}
-		s.evalFlights[key] = f
-		s.mu.Unlock()
-
-		s.stMu.RLock()
-		res, evalSize, err := s.runEval(ctx, compiled, art, opts, trace)
-		s.stMu.RUnlock()
-
-		s.mu.Lock()
-		delete(s.evalFlights, key)
-		if err == nil {
-			s.stats.Evals++
-			s.bumpBackendLocked(core.DefaultBackend)
-			if Fingerprint(s.st) == art.fp {
-				s.storeResultLocked(key, &resultEntry{res: res, evalSize: evalSize})
-			}
-		}
-		s.mu.Unlock()
-		f.res, f.evalSize, f.err = res, evalSize, err
-		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		return cachedResult(res, trace), nil
-	}
+	return s.evalShared(ctx, key, core.DefaultBackend, trace, func() (*resultEntry, error) {
+		return s.runEval(ctx, compiled, art, opts, trace)
+	})
 }
 
-// bumpBackendLocked increments the per-backend eval counter under s.mu.
-func (s *Session) bumpBackendLocked(name string) {
-	if s.stats.EvalsByBackend == nil {
-		s.stats.EvalsByBackend = map[string]int{}
+// evalShared answers key from the result cache, or runs eval under
+// single-flight and files its result under key. eval runs under the
+// structure read lock, and only if the structure still has the
+// fingerprint key was made with; otherwise evalShared returns editedError.
+// backend names the evaluator for Stats.EvalsByBackend.
+func (s *Session) evalShared(ctx context.Context, key resultKey, backend string, trace *stage.Trace, eval func() (*resultEntry, error)) (*core.Result, error) {
+	e, hit, err := s.results.Do(ctx, key, func() (*resultEntry, error) {
+		s.stMu.RLock()
+		defer s.stMu.RUnlock()
+		s.mu.Lock()
+		edited := s.fp != key.fp
+		s.mu.Unlock()
+		if edited {
+			return nil, editedError{}
+		}
+		return eval()
+	})
+	if err != nil {
+		return nil, waited(stage.Eval, err)
 	}
-	s.stats.EvalsByBackend[name]++
+	if hit {
+		trace.Record(stage.Eval, 0, e.evalSize, true)
+	} else {
+		s.mu.Lock()
+		if s.stats.EvalsByBackend == nil {
+			s.stats.EvalsByBackend = map[string]int{}
+		}
+		s.stats.EvalsByBackend[backend]++
+		s.mu.Unlock()
+	}
+	return cachedResult(e.res, trace), nil
+}
+
+// waited tags the bare context error Cache.Do returns to a caller that
+// stopped waiting on another request's computation with the stage it
+// waited in (stage.Wrap leaves an already tagged error alone). Other
+// errors pass through untouched.
+func waited(st stage.Stage, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return stage.Wrap(st, err)
+	}
+	return err
 }
 
 // evalBackend is Eval's path for non-default backends: it resolves the
-// named backend, feeds it the session's cached nice decomposition, and
-// mirrors the default path's result cache and single-flight discipline.
-// Result-cache keys include the backend name (see keyFor), so the same
-// formula evaluated under different backends occupies distinct entries
-// and a backend switch can never serve another backend's result.
+// named backend and feeds it the session's cached nice decomposition,
+// through the same result cache as the default path. Result-cache keys
+// include the backend name (see keyFor), so the same formula evaluated
+// under different backends occupies distinct entries and a backend
+// switch can never serve another backend's result.
 func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (*core.Result, error) {
 	b, err := core.BackendByName(opts.BackendName())
 	if err != nil {
@@ -775,71 +733,15 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 	if err != nil {
 		return nil, err
 	}
-	key := keyFor(s.st.Sig(), phi, xVar, opts)
-	for {
-		s.mu.Lock()
-		if entry, ok := s.results[key]; ok {
-			s.stats.ResultCacheHits++
-			s.mu.Unlock()
-			trace.Record(stage.Eval, 0, entry.evalSize, true)
-			return cachedResult(entry.res, trace), nil
-		}
-		if f := s.evalFlights[key]; f != nil {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, stage.Wrap(stage.Eval, ctx.Err())
-			}
-			if f.err == nil {
-				s.mu.Lock()
-				s.stats.ResultCacheHits++
-				s.mu.Unlock()
-				trace.Record(stage.Eval, 0, f.evalSize, true)
-				return cachedResult(f.res, trace), nil
-			}
-			if ctx.Err() != nil {
-				return nil, stage.Wrap(stage.Eval, ctx.Err())
-			}
-			continue
-		}
-		if s.evalFlights == nil {
-			s.evalFlights = map[progKey]*evalFlight{}
-		}
-		f := &evalFlight{done: make(chan struct{})}
-		s.evalFlights[key] = f
-		s.mu.Unlock()
-
-		s.stMu.RLock()
-		res, err := s.runEvalBackend(ctx, nb, nice, phi, xVar, opts, trace)
-		s.stMu.RUnlock()
-		evalSize := 0
-		if res != nil && res.Selected != nil {
-			evalSize = res.Selected.Len()
-		}
-
-		s.mu.Lock()
-		delete(s.evalFlights, key)
-		if err == nil {
-			s.stats.Evals++
-			s.bumpBackendLocked(nb.Name())
-			if Fingerprint(s.st) == fp {
-				s.storeResultLocked(key, &resultEntry{res: res, evalSize: evalSize})
-			}
-		}
-		s.mu.Unlock()
-		f.res, f.evalSize, f.err = res, evalSize, err
-		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		return cachedResult(res, trace), nil
-	}
+	key := resultKey{fp: fp, progKey: keyFor(s.st.Sig(), phi, xVar, opts)}
+	return s.evalShared(ctx, key, nb.Name(), trace, func() (*resultEntry, error) {
+		return s.runEvalBackend(ctx, nb, nice, phi, xVar, opts, trace)
+	})
 }
 
-// runEvalBackend performs one uncached alternate-backend evaluation
-// outside the session mutex, under the structure read lock.
-func (s *Session) runEvalBackend(ctx context.Context, nb core.NiceBackend, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (res *core.Result, err error) {
+// runEvalBackend performs one uncached alternate-backend evaluation. A
+// panic is recovered into a stage-tagged error here.
+func (s *Session) runEvalBackend(ctx context.Context, nb core.NiceBackend, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (e *resultEntry, err error) {
 	defer stage.RecoverTo(stage.Eval, &err)
 	if testHookEvalStart != nil {
 		testHookEvalStart()
@@ -847,38 +749,27 @@ func (s *Session) runEvalBackend(ctx context.Context, nb core.NiceBackend, nice 
 	if err := faultinject.Check("session.eval"); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
-	return nb.EvalNiceCtx(ctx, s.st, nice, phi, xVar, opts, trace)
+	res, err := nb.EvalNiceCtx(ctx, s.st, nice, phi, xVar, opts, trace)
+	if err != nil {
+		return nil, err
+	}
+	e = &resultEntry{res: res}
+	if res.Selected != nil {
+		e.evalSize = res.Selected.Len()
+	}
+	return e, nil
 }
 
-// storeResultLocked inserts a result entry under s.mu, evicting FIFO
-// beyond resultCap. A duplicate key keeps the existing entry
-// (evaluation is deterministic, so the values agree).
-func (s *Session) storeResultLocked(key progKey, entry *resultEntry) {
-	if s.results == nil {
-		s.results = map[progKey]*resultEntry{}
-	}
-	if _, dup := s.results[key]; dup {
-		return
-	}
-	if len(s.resultSeq) >= resultCap {
-		delete(s.results, s.resultSeq[0])
-		s.resultSeq = s.resultSeq[1:]
-	}
-	s.results[key] = entry
-	s.resultSeq = append(s.resultSeq, key)
-}
-
-// runEval performs the uncached evaluation stage outside the session
-// mutex and returns the result with the evaluation output's NumFacts. A
-// panic is recovered into a stage-tagged error here so the caller's
-// flight bookkeeping always runs.
-func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art artifacts, opts core.Options, trace *stage.Trace) (res *core.Result, evalSize int, err error) {
+// runEval performs the uncached evaluation stage and returns the result
+// with the evaluation output's NumFacts. A panic is recovered into a
+// stage-tagged error here.
+func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art artifacts, opts core.Options, trace *stage.Trace) (e *resultEntry, err error) {
 	defer stage.RecoverTo(stage.Eval, &err)
 	if testHookEvalStart != nil {
 		testHookEvalStart()
 	}
 	if err := faultinject.Check("session.eval"); err != nil {
-		return nil, 0, stage.Wrap(stage.Eval, err)
+		return nil, stage.Wrap(stage.Eval, err)
 	}
 	// Both paths intern program constants into the EDB, so the cached
 	// EDB is cloned per evaluation (DB.Clone is a flat copy). The
@@ -893,15 +784,15 @@ func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art arti
 		out, err = compiled.Grounder.Eval(ctx, art.edb.Clone())
 	}
 	if err != nil {
-		return nil, 0, stage.Wrap(stage.Eval, err)
+		return nil, stage.Wrap(stage.Eval, err)
 	}
-	evalSize = out.NumFacts()
+	evalSize := out.NumFacts()
 	trace.Record(stage.Eval, timeNow().Sub(start), evalSize, false)
-	res, err = core.FinishResult(s.st, compiled, opts, out, art.tdNodes, art.width, trace)
+	res, err := core.FinishResult(s.st, compiled, opts, out, art.tdNodes, art.width, trace)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return res, evalSize, nil
+	return &resultEntry{res: res, evalSize: evalSize}, nil
 }
 
 // cachedResult returns a caller-owned view of a cached Result: the

@@ -19,109 +19,44 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/solver"
 	"repro/internal/stage"
+	"repro/internal/tree"
 )
 
-// solverKey identifies a memoized solver outcome. The structure
-// fingerprint is not part of the key: a fingerprint change empties the
-// whole cache (invalidateLocked), so surviving entries are always for
-// the current structure.
+// solverKey identifies a memoized solver outcome: the problem and
+// mode, solved over the nice form of the structure with fingerprint fp.
 type solverKey struct {
+	fp      uint64
 	problem string
 	mode    solver.Mode
 }
 
-// solverCap bounds the per-session solver cache.
-const solverCap = 64
-
-// solveShared answers k from the solver cache, or runs compute under
-// per-key single-flight: the mutex is held only for lookup and insert,
-// concurrent calls for the same key share one computation, and a
-// successful outcome is stored unless the structure mutated mid-solve
-// (which must not poison the cache with tables for a structure that no
-// longer exists). If an in-flight leader fails, waiters with live
-// contexts retry instead of inheriting the error.
-func (s *Session) solveShared(ctx context.Context, k solverKey, compute func() (any, error)) (any, error) {
-	for {
-		s.mu.Lock()
-		s.revalidateLocked()
-		if v, ok := s.solverResults[k]; ok {
-			s.stats.SolverCacheHits++
-			s.mu.Unlock()
-			return v, nil
-		}
-		if f := s.solverFlights[k]; f != nil {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, stage.Wrap(stage.Solver, ctx.Err())
-			}
-			if f.err == nil {
-				s.mu.Lock()
-				s.stats.SolverCacheHits++
-				s.mu.Unlock()
-				return f.val, nil
-			}
-			if ctx.Err() != nil {
-				return nil, stage.Wrap(stage.Solver, ctx.Err())
-			}
-			continue
-		}
-		if s.solverFlights == nil {
-			s.solverFlights = map[solverKey]*opFlight{}
-		}
-		f := &opFlight{done: make(chan struct{})}
-		s.solverFlights[k] = f
-		fp := s.fp
-		s.mu.Unlock()
-
-		v, err := runSolve(compute)
-
-		s.mu.Lock()
-		delete(s.solverFlights, k)
-		if err == nil {
-			s.stats.SolverSolves++
-			if Fingerprint(s.st) == fp {
-				if s.solverResults == nil {
-					s.solverResults = map[solverKey]any{}
-				}
-				if _, dup := s.solverResults[k]; !dup {
-					if len(s.solverSeq) >= solverCap {
-						delete(s.solverResults, s.solverSeq[0])
-						s.solverSeq = s.solverSeq[1:]
-					}
-					s.solverSeq = append(s.solverSeq, k)
-				}
-				s.solverResults[k] = v
-			}
-		}
-		s.mu.Unlock()
-		f.val, f.err = v, err
-		close(f.done)
-		return v, err
+// solveShared answers (problem, mode) from the solver cache, or runs
+// solve on the session's nice form under per-key single-flight and
+// files the outcome under the nice form's fingerprint.
+func (s *Session) solveShared(ctx context.Context, problem string, mode solver.Mode, solve func(*tree.Decomposition) (any, error)) (any, error) {
+	nice, fp, err := s.niceForm(ctx)
+	if err != nil {
+		return nil, err
 	}
+	v, _, err := s.solved.Do(ctx, solverKey{fp: fp, problem: problem, mode: mode}, func() (any, error) {
+		return runSolve(nice, solve)
+	})
+	return v, waited(stage.Solver, err)
 }
 
-// runSolve runs compute outside the session mutex, recovering a panic
-// into a stage-tagged error so the caller's flight bookkeeping always
-// runs.
-func runSolve(compute func() (any, error)) (v any, err error) {
+// runSolve runs solve, recovering a panic into a stage-tagged error.
+func runSolve(nice *tree.Decomposition, solve func(*tree.Decomposition) (any, error)) (v any, err error) {
 	defer stage.RecoverTo(stage.Solver, &err)
-	return compute()
+	if err := faultinject.Check("session.solver"); err != nil {
+		return nil, stage.Wrap(stage.Solver, err)
+	}
+	return solve(nice)
 }
 
 // SolveDecide reports whether p has a solution over the session's nice
 // decomposition, memoized per (structure fingerprint, problem, mode).
 func SolveDecide[S comparable](ctx context.Context, s *Session, p solver.Problem[S]) (bool, error) {
-	k := solverKey{problem: p.Name(), mode: solver.ModeDecide}
-	v, err := s.solveShared(ctx, k, func() (any, error) {
-		if err := faultinject.Check("session.solver"); err != nil {
-			return nil, stage.Wrap(stage.Solver, err)
-		}
-		nice, err := s.NiceForm(ctx)
-		if err != nil {
-			return nil, err
-		}
+	v, err := s.solveShared(ctx, p.Name(), solver.ModeDecide, func(nice *tree.Decomposition) (any, error) {
 		ok, err := solver.Decide(ctx, nice, p)
 		if err != nil {
 			return nil, err
@@ -139,15 +74,7 @@ func SolveDecide[S comparable](ctx context.Context, s *Session, p solver.Problem
 // decomposition, memoized per (structure fingerprint, problem, mode).
 // The returned big.Int is caller-owned.
 func SolveCount[S comparable](ctx context.Context, s *Session, p solver.Problem[S]) (*big.Int, error) {
-	k := solverKey{problem: p.Name(), mode: solver.ModeCount}
-	v, err := s.solveShared(ctx, k, func() (any, error) {
-		if err := faultinject.Check("session.solver"); err != nil {
-			return nil, stage.Wrap(stage.Solver, err)
-		}
-		nice, err := s.NiceForm(ctx)
-		if err != nil {
-			return nil, err
-		}
+	v, err := s.solveShared(ctx, p.Name(), solver.ModeCount, func(nice *tree.Decomposition) (any, error) {
 		n, err := solver.Count(ctx, nice, p)
 		if err != nil {
 			return nil, err
@@ -169,15 +96,7 @@ func SolveCount[S comparable](ctx context.Context, s *Session, p solver.Problem[
 // fingerprint, problem, mode). The cached derivation is immutable
 // (Walk only reads), so hits share it.
 func SolveOptimize[S comparable](ctx context.Context, s *Session, p solver.Problem[S]) (*solver.Derivation[S, int], error) {
-	k := solverKey{problem: p.Name(), mode: solver.ModeOptimize}
-	v, err := s.solveShared(ctx, k, func() (any, error) {
-		if err := faultinject.Check("session.solver"); err != nil {
-			return nil, stage.Wrap(stage.Solver, err)
-		}
-		nice, err := s.NiceForm(ctx)
-		if err != nil {
-			return nil, err
-		}
+	v, err := s.solveShared(ctx, p.Name(), solver.ModeOptimize, func(nice *tree.Decomposition) (any, error) {
 		der, err := solver.Optimize(ctx, nice, p)
 		if err != nil {
 			return nil, err
