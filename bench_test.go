@@ -9,6 +9,7 @@ package monadic
 // hand-written programs stay flat.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -17,11 +18,11 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/datalog"
-	"repro/internal/dp"
 	"repro/internal/fta"
 	"repro/internal/graph"
 	"repro/internal/mso"
 	"repro/internal/primality"
+	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/threecol"
 	"repro/internal/vcover"
@@ -223,11 +224,10 @@ func BenchmarkThreeColDP(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prev := dp.SetMaxWorkers(workers)
-				defer dp.SetMaxWorkers(prev)
+				ctx := stage.WithWorkers(context.Background(), workers)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := in.Decide(); err != nil {
+					if _, err := in.DecideCtx(ctx); err != nil {
 						b.Fatal(err)
 					}
 				}

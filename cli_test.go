@@ -209,6 +209,21 @@ func TestCLIMalformedInput(t *testing.T) {
 	}
 }
 
+// TestCLIMonadicdRetiredFlags pins that monadicd rejects its removed
+// -engine and -eval flags as unknown, with the usage exit code 2. The
+// unusable -addr makes a server that accepted them exit at once.
+func TestCLIMonadicdRetiredFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for _, args := range [][]string{{"-eval", "direct"}, {"-engine", "materialized"}} {
+		code, _, stderr := runToolErr(t, nil, append([]string{"./cmd/monadicd", "-addr", "127.0.0.1:-1"}, args...)...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Fatalf("monadicd %v: exit code %d, want 2\nstderr: %s", args, code, stderr)
+		}
+	}
+}
+
 // TestCLIBudgetExceeded pins exit code 3 and the stage-tagged one-line
 // message when -budget is too small for the run.
 func TestCLIBudgetExceeded(t *testing.T) {

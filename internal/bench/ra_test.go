@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/stage"
 )
 
 // TestRACompareSmoke runs the full -ra comparison at a small size: all
@@ -40,13 +41,13 @@ func TestRACompareSmoke(t *testing.T) {
 // τ_td chain (BenchmarkTDGrounding's shape), and the Theorem 4.4
 // grounding on the same chain. The grounded pin was re-set when
 // grounding began sharing rule prefixes and storing the ground program
-// flat. The worker cap is fixed, since the
-// parallel rounds' merge buffers scale the τ_td leg's volume with it.
+// flat. The worker count is fixed on the context, since the parallel
+// rounds' merge buffers scale the τ_td leg's volume with it.
 func TestRAAllocGate(t *testing.T) {
 	if os.Getenv("BENCH_ALLOC_GATE") == "" {
 		t.Skip("set BENCH_ALLOC_GATE=1 to run the allocation gate")
 	}
-	defer datalog.SetMaxWorkers(datalog.SetMaxWorkers(2))
+	ctx := stage.WithWorkers(context.Background(), 2)
 	tcEDB := TCPathEDB(1000)
 	prog, edb := TDChainProgram(RATypes), TDChain(2000)
 	legs := []struct {
@@ -55,11 +56,11 @@ func TestRAAllocGate(t *testing.T) {
 		run    func() error
 	}{
 		{"streaming TC(1000)", 115_497_872, func() error {
-			_, err := datalog.Eval(TCProgram, tcEDB)
+			_, err := datalog.EvalCtx(ctx, TCProgram, tcEDB)
 			return err
 		}},
 		{"streaming TDChain(2000)", 11_284_104, func() error {
-			_, err := datalog.Eval(prog, edb)
+			_, err := datalog.EvalCtx(ctx, prog, edb)
 			return err
 		}},
 		{"grounded TDChain(2000)", 4_623_648, func() error {

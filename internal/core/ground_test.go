@@ -39,6 +39,14 @@ func coloredTreeTD(tb testing.TB, n int, seed int64) (*datalog.DB, int) {
 			st.MustAddTuple("c", v)
 		}
 	}
+	return tdOf(tb, st)
+}
+
+// tdOf returns the τ_td database of st, built as the session layer
+// builds it, together with the normalized width its programs are
+// compiled for.
+func tdOf(tb testing.TB, st *structure.Structure) (*datalog.DB, int) {
+	tb.Helper()
 	ctx := context.Background()
 	d, _, err := decompose.StructureLadderCtx(ctx, st)
 	if err != nil {

@@ -12,30 +12,15 @@ import (
 // parallel rounds' pending merge buffers — the quantity the streaming
 // rebuild minimizes).
 type EngineStats struct {
-	TuplesStreamed     int64 `json:"tuples_streamed"`
-	JoinsPushedDown    int64 `json:"joins_pushed_down"`
-	PeakBufferedTuples int64 `json:"peak_buffered_tuples"`
+	TuplesStreamed     int64
+	JoinsPushedDown    int64
+	PeakBufferedTuples int64
 }
 
-var (
-	gTuplesStreamed  atomic.Int64
-	gJoinsPushedDown atomic.Int64
-	gPeakBuffered    atomic.Int64
-)
-
-// ReadEngineStats returns the process-wide streaming-engine counters.
-func ReadEngineStats() EngineStats {
-	return EngineStats{
-		TuplesStreamed:     gTuplesStreamed.Load(),
-		JoinsPushedDown:    gJoinsPushedDown.Load(),
-		PeakBufferedTuples: gPeakBuffered.Load(),
-	}
-}
-
-// StatsCollector accumulates streaming-engine counters for one consumer
-// (a session, a server) on top of the process-wide totals. Attach one
-// to a context with WithStatsCollector; evaluations running under that
-// context add their traffic to it. Safe for concurrent use.
+// StatsCollector accumulates streaming-engine counters for one
+// consumer. Attach one to a context with WithStatsCollector;
+// evaluations running under that context add their traffic to it. Safe
+// for concurrent use.
 type StatsCollector struct {
 	tuples atomic.Int64
 	joins  atomic.Int64
@@ -73,40 +58,25 @@ func statsCollectorFrom(ctx context.Context) *StatsCollector {
 }
 
 func addTuplesStreamed(c *StatsCollector, n int64) {
-	if n == 0 {
-		return
-	}
-	gTuplesStreamed.Add(n)
-	if c != nil {
+	if c != nil && n != 0 {
 		c.tuples.Add(n)
 	}
 }
 
 func addJoinsPushedDown(c *StatsCollector, n int64) {
-	if n == 0 {
-		return
-	}
-	gJoinsPushedDown.Add(n)
-	if c != nil {
+	if c != nil && n != 0 {
 		c.joins.Add(n)
 	}
 }
 
-func maxInto(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 func notePeakBuffered(c *StatsCollector, peak int64) {
-	if peak == 0 {
+	if c == nil {
 		return
 	}
-	maxInto(&gPeakBuffered, peak)
-	if c != nil {
-		maxInto(&c.peak, peak)
+	for {
+		cur := c.peak.Load()
+		if peak <= cur || c.peak.CompareAndSwap(cur, peak) {
+			return
+		}
 	}
 }

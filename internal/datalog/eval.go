@@ -3,30 +3,12 @@ package datalog
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/stage"
 )
-
-// maxWorkers caps the goroutine fan-out of parallel stratum evaluation.
-// Results are deterministic at every setting (task buffers are merged in
-// task order); 1 forces fully serial evaluation.
-var maxWorkers atomic.Int32
-
-func init() { maxWorkers.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetMaxWorkers sets the worker cap for parallel stratum evaluation and
-// returns the previous value. Values below 1 are treated as 1 (serial).
-func SetMaxWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(maxWorkers.Swap(int32(n)))
-}
 
 // Eval computes the least fixpoint of the program over the extensional
 // database by stratified semi-naive bottom-up evaluation and returns a
@@ -39,10 +21,10 @@ func SetMaxWorkers(n int) int {
 // only τ-atoms) — is always stratified.
 //
 // Within each stratum the rule×delta-occurrence evaluations of a round
-// run on a worker pool; each task buffers its derivations, and buffers
-// are merged through the dedup sets in task order, so the result (and
-// even the tuple insertion order) is deterministic and independent of the
-// worker count.
+// run on a pool of stage.Workers(ctx) goroutines; each task buffers its
+// derivations, and buffers are merged through the dedup sets in task
+// order, so the result (and even the tuple insertion order) is
+// deterministic and independent of the worker count.
 func Eval(p *Program, edb *DB) (*DB, error) {
 	return EvalCtx(context.Background(), p, edb)
 }
@@ -88,15 +70,17 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	return db, nil
 }
 
-// evalConfig is the per-run evaluation setup read from the context: the
-// stream-tuples budget and the stats collector.
+// evalConfig is the per-run evaluation setup read once from the
+// context: the stream-tuples budget, the stats collector and the worker
+// count of the parallel rounds.
 type evalConfig struct {
 	budget    *stage.Budget
 	collector *StatsCollector
+	workers   int
 }
 
 func configFrom(ctx context.Context) evalConfig {
-	return evalConfig{budget: stage.BudgetFrom(ctx), collector: statsCollectorFrom(ctx)}
+	return evalConfig{budget: stage.BudgetFrom(ctx), collector: statsCollectorFrom(ctx), workers: stage.Workers(ctx)}
 }
 
 func internProgramConsts(p *Program, db *DB) {
@@ -296,7 +280,7 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 		}
 		tasks[i] = c
 	}
-	delta, err := runStratumRound(ctx, tasks, nil, db, db.NumFacts())
+	delta, err := runStratumRound(ctx, tasks, nil, db, db.NumFacts(), cfg.workers)
 	if err != nil {
 		return err
 	}
@@ -331,7 +315,7 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 		if len(tasks) == 0 {
 			return nil
 		}
-		delta, err = runStratumRound(ctx, tasks, delta, db, total)
+		delta, err = runStratumRound(ctx, tasks, delta, db, total, cfg.workers)
 		if err != nil {
 			return err
 		}
@@ -350,7 +334,7 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 // Each task evaluates one rule, so everything it emits belongs to the
 // rule's head predicate. New tuples are shared between the database and
 // the (dedup-free) delta relation rather than re-hashed into it.
-func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*relation, db *DB, workSize int) (map[string]*relation, error) {
+func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*relation, db *DB, workSize, workers int) (map[string]*relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
@@ -363,10 +347,7 @@ func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*rela
 		}
 		return db.rel(c.headPred, c.headArity), nd
 	}
-	workers := int(maxWorkers.Load())
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers = min(workers, len(tasks))
 	// evalTask wraps one rule evaluation with panic containment and the
 	// worker-loop fault-injection point: a handler or join panic becomes
 	// a stage-tagged *stage.PanicError instead of killing the worker

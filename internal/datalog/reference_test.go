@@ -1,11 +1,14 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
 	"testing"
+
+	"repro/internal/stage"
 )
 
 // naiveEval is a deliberately simple reference evaluator: stratified, but
@@ -346,20 +349,18 @@ func TestDifferentialKnownPrograms(t *testing.T) {
 // actually take the parallel path (where tasks pre-filter against the
 // frozen head relation and reused per-task buffers merge in task order).
 func TestParallelDeterminism(t *testing.T) {
+	t.Parallel()
 	p := MustParse("path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).")
 	db := NewDB()
 	for i := 0; i < 300; i++ {
 		db.AddFact("e", "v"+strconv.Itoa(i), "v"+strconv.Itoa(i+1))
 	}
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
-	serial, err := Eval(p, db)
+	serial, err := EvalCtx(stage.WithWorkers(context.Background(), 1), p, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 13} {
-		SetMaxWorkers(workers)
-		out, err := Eval(p, db)
+		out, err := EvalCtx(stage.WithWorkers(context.Background(), workers), p, db)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,18 +125,16 @@ func TestStreamTuplesBudgetExceeded(t *testing.T) {
 
 // TestEngineStatsCollector pins the stats plumbing: an evaluation run
 // under a context-attached collector reports its streamed-row volume,
-// pushdown-planned joins, and peak buffered tuples to that collector,
-// and the process-wide counters advance by at least as much.
+// pushdown-planned joins, and peak buffered tuples to that collector.
 func TestEngineStatsCollector(t *testing.T) {
-	defer SetMaxWorkers(SetMaxWorkers(4)) // force the parallel buffered path
+	t.Parallel()
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(200) // large enough to clear parallelThreshold
 	var c StatsCollector
-	before := ReadEngineStats()
-	if _, err := EvalCtx(WithStatsCollector(context.Background(), &c), p, db); err != nil {
+	ctx := stage.WithWorkers(context.Background(), 4) // force the parallel buffered path
+	if _, err := EvalCtx(WithStatsCollector(ctx, &c), p, db); err != nil {
 		t.Fatal(err)
 	}
-	after := ReadEngineStats()
 	snap := c.Snapshot()
 	if snap.TuplesStreamed == 0 {
 		t.Fatal("collector saw no streamed tuples")
@@ -146,12 +144,6 @@ func TestEngineStatsCollector(t *testing.T) {
 	}
 	if snap.PeakBufferedTuples == 0 {
 		t.Fatal("collector saw no peak buffered tuples from the parallel rounds")
-	}
-	if d := after.TuplesStreamed - before.TuplesStreamed; d < snap.TuplesStreamed {
-		t.Fatalf("global streamed delta %d < collector's %d", d, snap.TuplesStreamed)
-	}
-	if d := after.JoinsPushedDown - before.JoinsPushedDown; d < snap.JoinsPushedDown {
-		t.Fatalf("global pushdown delta %d < collector's %d", d, snap.JoinsPushedDown)
 	}
 
 	// A second evaluation without the collector must not leak into it.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/decompose"
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/solver"
 	"repro/internal/tree"
@@ -178,7 +177,7 @@ func DominatingSet(g *graph.Graph) ([]int, error) {
 	if der == nil {
 		return nil, fmt.Errorf("domset: no feasible state at the root")
 	}
-	bags, err := dp.Bags(nice)
+	bags, err := nice.SortedBags()
 	if err != nil {
 		return nil, fmt.Errorf("domset: %w", err)
 	}

@@ -20,7 +20,6 @@
 //	decompose.repair
 //	dp.node dp.chain datalog.ground-rule datalog.stratum-task ra.join
 //	solver.introduce solver.forget solver.join solver.witness
-//	solver.repair
 //	game.expand game.memo
 //
 // Determinism: FailAt plans are exact — the nth Check of a point fails,

@@ -62,7 +62,8 @@ func (in *Instance) Decide(a int) (bool, error) {
 }
 
 // DecideCtx is Decide with cancellation support: normalization and the
-// DP run poll ctx (see dp.Schedule for the cancellation contract).
+// DP run poll ctx (see tree.Decomposition.Schedule for the cancellation
+// contract).
 func (in *Instance) DecideCtx(cx context.Context, a int) (bool, error) {
 	c := in.ctx
 	if a < 0 || a >= c.s.NumAttrs() {
@@ -95,7 +96,7 @@ func (in *Instance) Enumerate() (*bitset.Set, error) {
 }
 
 // EnumerateCtx is Enumerate with cancellation support: normalization
-// and both DP passes poll ctx (see dp.Schedule).
+// and both DP passes poll ctx (see tree.Decomposition.Schedule).
 func (in *Instance) EnumerateCtx(cx context.Context) (*bitset.Set, error) {
 	c := in.ctx
 	attrElems := bitset.New(c.st.Size())

@@ -30,7 +30,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/datalog"
 	"repro/internal/domset"
 	"repro/internal/graph"
 	"repro/internal/mso"
@@ -725,10 +724,8 @@ type ProgCacheStats struct {
 
 // StatszResponse is the /statsz body: request/status counters, session
 // registry occupancy, the shared program cache, the session-layer
-// counters summed over resident sessions, the datalog streaming
-// engine's process-wide counters (which, unlike SessionTotals, also
-// cover evicted sessions and non-session evaluations), and the overload
-// layer: admission limiter, breaker registry, memory watchdog.
+// counters summed over resident sessions, and the overload layer:
+// admission limiter, breaker registry, memory watchdog.
 type StatszResponse struct {
 	UptimeSeconds    float64          `json:"uptime_seconds"`
 	Requests         int64            `json:"requests"`
@@ -743,7 +740,6 @@ type StatszResponse struct {
 	Backends      map[string]int64        `json:"backends"`
 	ProgramCache  ProgCacheStats          `json:"program_cache"`
 	SessionTotals session.Stats           `json:"session_totals"`
-	Engine        datalog.EngineStats     `json:"engine"`
 	Admission     overload.LimiterStats   `json:"admission"`
 	Breakers      BreakerTotals           `json:"breakers"`
 	Watchdog      *overload.WatchdogStats `json:"watchdog,omitempty"`
@@ -776,11 +772,6 @@ func (s *Server) SessionTotals() session.Stats {
 		t.Invalidations += st.Invalidations
 		t.DeltasApplied += st.DeltasApplied
 		t.RepairFallbacks += st.RepairFallbacks
-		t.TuplesStreamed += st.TuplesStreamed
-		t.JoinsPushedDown += st.JoinsPushedDown
-		if st.PeakBufferedTuples > t.PeakBufferedTuples {
-			t.PeakBufferedTuples = st.PeakBufferedTuples
-		}
 	}
 	return t
 }
@@ -804,7 +795,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	resp.SessionTotals = s.SessionTotals()
-	resp.Engine = datalog.ReadEngineStats()
 	hits, misses := s.progs.Stats()
 	resp.ProgramCache = ProgCacheStats{Hits: hits, Misses: misses, Len: s.progs.Len(), Cap: s.progs.Cap()}
 	resp.Admission = s.limiter.Stats()

@@ -106,9 +106,8 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 		}
 	}
 	// Solver outcomes read the structure through their problem closures;
-	// conservatively re-solve after any mutation (solver.Repair keeps
-	// per-table maintenance available to direct solver users). Query
-	// results are recomputed too: the next Eval re-grounds.
+	// conservatively re-solve after any mutation. Query results are
+	// recomputed too: the next Eval re-grounds.
 	s.solved.Clear()
 	ms.ResultsDropped += s.results.Clear()
 	if !same {

@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	// Register the game backend so any session user (server, CLIs,
 	// tests) can select it by name without its own import.
@@ -110,40 +109,7 @@ type Stats struct {
 	// repair declined (width excess, wide uncovered tuple, injected
 	// fault) and degraded to a wholesale invalidation.
 	RepairFallbacks int
-	// TuplesStreamed, JoinsPushedDown and PeakBufferedTuples mirror the
-	// datalog streaming engine's counters for this session's evaluations
-	// (see datalog.EngineStats). The grounded evaluation path (Theorem
-	// 4.4) bypasses the rule engine, so these advance only under the
-	// direct path (SetEvalPath / monadicd -eval direct).
-	TuplesStreamed, JoinsPushedDown, PeakBufferedTuples int64
 }
-
-// EvalPath selects how Session.Eval computes the datalog fixpoint.
-type EvalPath int32
-
-const (
-	// EvalGrounded (the default) is the paper-faithful Theorem 4.4
-	// pipeline: materialize the quasi-guarded ground program (|P|·|A|
-	// atoms, metered by Budget.MaxGroundAtoms) and solve it as a Horn
-	// theory.
-	EvalGrounded EvalPath = iota
-	// EvalDirect runs the compiled program straight through the datalog
-	// engine's semi-naive fixpoint — with the streaming backend, rule
-	// bodies evaluate in O(1) rows in flight instead of materializing
-	// the ground program, so structures whose grounding exceeds
-	// MaxGroundAtoms can still complete (metered by MaxStreamTuples).
-	EvalDirect
-)
-
-var evalPath atomic.Int32 // EvalPath, zero value = EvalGrounded
-
-// SetEvalPath selects the evaluation path for subsequent Session.Eval
-// calls and returns the previous setting. Both paths compute the same
-// least model, so cached results remain valid across a switch.
-func SetEvalPath(p EvalPath) EvalPath { return EvalPath(evalPath.Swap(int32(p))) }
-
-// CurrentEvalPath reports the selected evaluation path.
-func CurrentEvalPath() EvalPath { return EvalPath(evalPath.Load()) }
 
 // Session binds a structure and caches its pipeline artifacts. All
 // methods are safe for concurrent use; the mutex guards only cache
@@ -163,11 +129,6 @@ type Session struct {
 	mu    sync.Mutex
 	fp    uint64
 	stats Stats
-
-	// engine accumulates the datalog streaming engine's counters for
-	// this session's evaluations (attached to the evaluation context in
-	// runEval); it has its own atomics and is read outside s.mu.
-	engine datalog.StatsCollector
 
 	raw     *tree.Decomposition  // ladder decomposition of st
 	rung    string               // degradation-ladder rung that produced raw
@@ -260,8 +221,7 @@ func NewWithCache(st *structure.Structure, pc *ProgramCache) *Session {
 // Structure returns the bound structure.
 func (s *Session) Structure() *structure.Structure { return s.st }
 
-// Stats returns a snapshot of the session's operation counters,
-// including the engine counters of its evaluations.
+// Stats returns a snapshot of the session's operation counters.
 func (s *Session) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
@@ -276,16 +236,8 @@ func (s *Session) Stats() Stats {
 	st.Evals, st.ResultCacheHits = rs.Misses, rs.Hits
 	st.SolverSolves, st.SolverCacheHits = ss.Misses, ss.Hits
 	st.NiceNormalizations = s.nice.Stats().Misses
-	es := s.engine.Snapshot()
-	st.TuplesStreamed = es.TuplesStreamed
-	st.JoinsPushedDown = es.JoinsPushedDown
-	st.PeakBufferedTuples = es.PeakBufferedTuples
 	return st
 }
-
-// EngineStats returns the datalog streaming-engine counters accumulated
-// by this session's evaluations.
-func (s *Session) EngineStats() datalog.EngineStats { return s.engine.Snapshot() }
 
 // ProgramCacheStats reports the hit/miss counters of the session's
 // program cache (shared across sessions unless NewWithCache was used).
@@ -771,18 +723,10 @@ func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art arti
 	if err := faultinject.Check("session.eval"); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
-	// Both paths intern program constants into the EDB, so the cached
-	// EDB is cloned per evaluation (DB.Clone is a flat copy). The
-	// session's engine collector rides the context so the streaming
-	// engine's traffic lands in this session's stats.
-	ctx = datalog.WithStatsCollector(ctx, &s.engine)
+	// Grounding interns program constants into the EDB, so the cached
+	// EDB is cloned per evaluation (DB.Clone is a flat copy).
 	start := timeNow()
-	var out *datalog.DB
-	if CurrentEvalPath() == EvalDirect {
-		out, err = datalog.EvalCtx(ctx, compiled.Program, art.edb.Clone())
-	} else {
-		out, err = compiled.Grounder.Eval(ctx, art.edb.Clone())
-	}
+	out, err := compiled.Grounder.Eval(ctx, art.edb.Clone())
 	if err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dp"
 	"repro/internal/faultinject"
 	"repro/internal/stage"
 	"repro/internal/tree"
@@ -106,13 +105,13 @@ type Tables[S comparable, V any] []Table[S, V]
 const chargeEvery = 1024
 
 // Up evaluates the problem bottom-up over a nice decomposition in the
-// given semiring, producing one table per node. The run rides dp's
-// cached plan and chain-parallel worker pool: each node is computed
+// given semiring, producing one table per node. The run rides the nice
+// form's plan and chain-parallel scheduler: each node is computed
 // exactly once, from complete inputs, iterating child tables in their
 // deterministic Order — so tables (values, Order and provenance) are
-// byte-identical at every worker count. Errors are stage-tagged
-// stage.Solver; cancellation, budget and panic containment follow the
-// dp.Schedule contract.
+// byte-identical at every worker count (stage.Workers). Errors are
+// stage-tagged stage.Solver; cancellation, budget and panic containment
+// follow the tree.Decomposition.Schedule contract.
 func Up[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Problem[S], r Semiring[V]) (Tables[S, V], error) {
 	return upWith(ctx, d, p, r, true)
 }
@@ -121,13 +120,13 @@ func Up[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Probl
 // (Decide, Count) never read Provs, so they skip allocating and filling
 // one slice per node.
 func upWith[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Problem[S], r Semiring[V], trackProv bool) (Tables[S, V], error) {
-	bags, err := dp.Bags(d)
+	bags, err := d.SortedBags()
 	if err != nil {
 		return nil, stage.Wrap(stage.Solver, fmt.Errorf("solver: %w", err))
 	}
 	b := stage.BudgetFrom(ctx)
 	tables := make(Tables[S, V], d.Len())
-	err = dp.Schedule(ctx, d, false, func(v int) error {
+	err = d.Schedule(ctx, false, func(v int) error {
 		return upNode(d, bags, p, r, b, tables, trackProv, v)
 	})
 	if err != nil {
@@ -231,7 +230,7 @@ func upNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Problem[
 			}
 		}
 	default:
-		// Unreachable: dp.Bags admits only nice decompositions.
+		// Unreachable: SortedBags admits only nice decompositions.
 		panic(fmt.Sprintf("solver: node %d has kind %v", v, n.Kind))
 	}
 	if err := b.AddTableEntries(t.Len()); err != nil {
@@ -259,7 +258,7 @@ func checkUnary(k tree.Kind) error {
 // sibling's bottom-up states via Join. At the root, Leaf enumerates the
 // base states.
 func Down[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Problem[S], r Semiring[V], up Tables[S, V]) (Tables[S, V], error) {
-	bags, err := dp.Bags(d)
+	bags, err := d.SortedBags()
 	if err != nil {
 		return nil, stage.Wrap(stage.Solver, fmt.Errorf("solver: %w", err))
 	}
@@ -268,7 +267,7 @@ func Down[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Pro
 	}
 	b := stage.BudgetFrom(ctx)
 	tables := make(Tables[S, V], d.Len())
-	err = dp.Schedule(ctx, d, true, func(v int) error {
+	err = d.Schedule(ctx, true, func(v int) error {
 		return downNode(d, bags, p, r, b, up, tables, v)
 	})
 	if err != nil {

@@ -13,8 +13,9 @@ type Out[S comparable] struct {
 // mode. The hooks mirror the node kinds of the Section 5 modified
 // normal form; each receives the node ID and its sorted bag, and
 // returns the states the transition produces (empty kills the partial
-// solution). When the dp worker cap is above 1 the hooks are invoked
-// from multiple goroutines and must be safe for concurrent use.
+// solution). When the run's worker count (stage.Workers) is above 1 the
+// hooks are invoked from multiple goroutines and must be safe for
+// concurrent use.
 type Problem[S comparable] interface {
 	// Name identifies the problem, e.g. for session memoization keys.
 	Name() string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/dp"
 	"repro/internal/faultinject"
 	"repro/internal/stage"
 	"repro/internal/tree"
@@ -33,7 +32,7 @@ func Decide[S comparable](ctx context.Context, d *tree.Decomposition, p Problem[
 	if err != nil {
 		return false, err
 	}
-	bags, err := dp.Bags(d)
+	bags, err := d.SortedBags()
 	if err != nil {
 		return false, stage.Wrap(stage.Solver, err)
 	}
@@ -54,7 +53,7 @@ func Witness[S comparable](ctx context.Context, d *tree.Decomposition, p Problem
 	if err != nil {
 		return nil, err
 	}
-	bags, err := dp.Bags(d)
+	bags, err := d.SortedBags()
 	if err != nil {
 		return nil, stage.Wrap(stage.Solver, err)
 	}
@@ -75,7 +74,7 @@ func Count[S comparable](ctx context.Context, d *tree.Decomposition, p Problem[S
 	if err != nil {
 		return nil, err
 	}
-	bags, err := dp.Bags(d)
+	bags, err := d.SortedBags()
 	if err != nil {
 		return nil, stage.Wrap(stage.Solver, err)
 	}
@@ -101,7 +100,7 @@ func Optimize[S comparable](ctx context.Context, d *tree.Decomposition, p Proble
 	if err != nil {
 		return nil, err
 	}
-	bags, err := dp.Bags(d)
+	bags, err := d.SortedBags()
 	if err != nil {
 		return nil, stage.Wrap(stage.Solver, err)
 	}
@@ -135,14 +134,14 @@ type Derivation[S comparable, V any] struct {
 }
 
 // Nice returns the nice decomposition the derivation was computed
-// over, so callers can pair Walk's node IDs with bags (dp.Bags)
+// over, so callers can pair Walk's node IDs with bags (SortedBags)
 // without re-deriving the decomposition.
 func (dv *Derivation[S, V]) Nice() *tree.Decomposition { return dv.d }
 
 // Walk visits every (node, state) pair of the derivation, parents
 // before children, following each table's preferred provenance. The
-// visit callback receives the node ID (bags are available via dp.Bags)
-// and the state the derivation assigns there.
+// visit callback receives the node ID (bags are available via
+// SortedBags) and the state the derivation assigns there.
 func (dv *Derivation[S, V]) Walk(visit func(node int, s S) error) error {
 	return WalkProv(dv.d, dv.tables, dv.d.Root, dv.Root, visit)
 }

@@ -1,10 +1,8 @@
-// Differential tests pinning the generic semiring engine — the sole DP
-// evaluator riding this package's scheduler — against brute-force
-// oracles: 2-coloring expressed as a solver.Problem must decide, count
-// and optimize exactly like exhaustive enumeration, with witnesses that
-// check out. An external test package so it can import the solver,
-// which is built on top of dp.Schedule.
-package dp_test
+// Differential tests pinning the generic semiring engine against
+// brute-force oracles: 2-coloring expressed as a solver.Problem must
+// decide, count and optimize exactly like exhaustive enumeration, with
+// witnesses that check out.
+package solver_test
 
 import (
 	"context"
@@ -15,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/decompose"
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/solver"
 	"repro/internal/stage"
@@ -174,7 +171,7 @@ func TestSolverDifferentialBruteForce(t *testing.T) {
 
 		// Walk the argmin witness back to vertex colors: every visited
 		// (node, state) pair assigns the state's bits to the sorted bag.
-		bags, err := dp.Bags(nice)
+		bags, err := nice.SortedBags()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,13 +241,12 @@ func TestSolverDownLeafEnvelope(t *testing.T) {
 // periodic in-node check fires long before the tables blow past the
 // cap), and a sufficient budget must change nothing about the result.
 func TestBudgetTableEntries(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
 	g := graph.PartialKTree(120, 3, 0.3, rng)
 	nice := niceTC(t, g, true)
 	p := tcProblem{g}
-	prev := dp.SetMaxWorkers(8)
-	defer dp.SetMaxWorkers(prev)
-	ctx := context.Background()
+	ctx := stage.WithWorkers(context.Background(), 8)
 
 	// Establish the unconstrained total so the cap is genuinely binding.
 	full, err := solver.Up[uint64, bool](ctx, nice, p, solver.Decision{})

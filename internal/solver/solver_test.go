@@ -6,10 +6,11 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/decompose"
-	"repro/internal/dp"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/solver"
@@ -139,7 +140,7 @@ func TestModesOnKnownGraphs(t *testing.T) {
 		if der != nil {
 			// Walk the witness into a full coloring and check it is proper
 			// and uses der.Value ones.
-			bags, err := dp.Bags(nice)
+			bags, err := nice.SortedBags()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,6 +174,7 @@ func TestModesOnKnownGraphs(t *testing.T) {
 // identical at every worker count, on a decomposition large enough to
 // engage the parallel scheduler.
 func TestDeterministicAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(3))
 	g := graph.PartialKTree(120, 3, 0.3, rng)
 	nice := niceFor(t, g)
@@ -180,9 +182,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("decomposition too small (%d nodes) to engage the worker pool", nice.Len())
 	}
 	p := twoCol{g}
-	ctx := context.Background()
 
-	defer dp.SetMaxWorkers(dp.SetMaxWorkers(1))
+	ctx := stage.WithWorkers(context.Background(), 1)
 	base, err := solver.Up[uint64, int](ctx, nice, p, solver.MinCost{})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4, 8} {
-		dp.SetMaxWorkers(workers)
+		ctx := stage.WithWorkers(context.Background(), workers)
 		got, err := solver.Up[uint64, int](ctx, nice, p, solver.MinCost{})
 		if err != nil {
 			t.Fatal(err)
@@ -225,6 +226,30 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolvedNiceIsCollectable pins that a solve leaves nothing behind
+// that keeps its nice form alive: the DP plan rides the form itself, so
+// once the caller drops the form the garbage collector reclaims it.
+func TestSolvedNiceIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		g := graph.PartialKTree(60, 2, 0.3, rand.New(rand.NewSource(5)))
+		nice := niceFor(t, g)
+		runtime.SetFinalizer(nice, func(*tree.Decomposition) { close(collected) })
+		if _, err := solver.Decide(context.Background(), nice, twoCol{g}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("solved nice form still reachable after 50 GC cycles")
 }
 
 // TestDownMatchesUpAtLeaves cross-checks the two passes: for every
@@ -276,8 +301,9 @@ func TestChaosSolverPoints(t *testing.T) {
 	}
 
 	snap := leak.Before()
-	// dp.chain is exercised by dp's own chaos tests: it only fires on the
-	// parallel path, which this decomposition is too small to engage.
+	// dp.chain is exercised by the scheduler's own chaos tests in
+	// internal/tree: it only fires on the parallel path, which this
+	// decomposition is too small to engage.
 	for _, point := range []string{"solver.introduce", "solver.forget", "solver.join", "solver.witness", "dp.node"} {
 		faultinject.Reset()
 		faultinject.FailAt(point, 1)

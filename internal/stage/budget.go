@@ -40,7 +40,7 @@ type Budget struct {
 	// MaxStates caps interned MSO k-types during compilation.
 	MaxStates int64
 	// MaxTableEntries caps the total states across all DP tables of one
-	// RunUp/RunDown pass.
+	// solver.Up or solver.Down pass.
 	MaxTableEntries int64
 	// MaxStreamTuples caps the rows streamed through the datalog
 	// engine's relational-algebra operator pipelines during one

@@ -33,9 +33,6 @@ const (
 	// Eval covers datalog evaluation, both semi-naive stratified
 	// evaluation and the quasi-guarded grounding path of Theorem 4.4.
 	Eval Stage = "eval"
-	// DP covers the chain-parallel scheduling substrate (dp.Schedule)
-	// the Section 5/6 solvers run on.
-	DP Stage = "dp"
 	// Solver covers the semiring problem algebra of internal/solver:
 	// the generic evaluator that runs one Problem in decision, counting
 	// and optimization modes, including witness reconstruction.

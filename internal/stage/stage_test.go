@@ -34,9 +34,9 @@ func TestWrapKeepsInnermostStage(t *testing.T) {
 }
 
 func TestOfThroughFmtWrap(t *testing.T) {
-	err := fmt.Errorf("outer: %w", Wrap(DP, context.DeadlineExceeded))
-	if got := Of(err); got != DP {
-		t.Fatalf("Of through %%w = %q, want %q", got, DP)
+	err := fmt.Errorf("outer: %w", Wrap(Solver, context.DeadlineExceeded))
+	if got := Of(err); got != Solver {
+		t.Fatalf("Of through %%w = %q, want %q", got, Solver)
 	}
 	if Of(errors.New("plain")) != "" {
 		t.Fatal("Of(plain) should be empty")

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/solver"
 	"repro/internal/tree"
@@ -51,7 +50,7 @@ func (in *Instance) kColoring(ctx context.Context, k int) ([]int, bool, error) {
 	if err != nil || der == nil {
 		return nil, false, err
 	}
-	bags, err := dp.Bags(in.nice)
+	bags, err := in.nice.SortedBags()
 	if err != nil {
 		return nil, false, fmt.Errorf("threecol: %w", err)
 	}

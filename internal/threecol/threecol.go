@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/decompose"
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/horn"
 	"repro/internal/solver"
@@ -117,7 +116,7 @@ func (in *Instance) ColoringCtx(ctx context.Context) ([]int, bool, error) {
 	if err != nil || der == nil {
 		return nil, false, err
 	}
-	bags, err := dp.Bags(in.nice)
+	bags, err := in.nice.SortedBags()
 	if err != nil {
 		return nil, false, fmt.Errorf("threecol: %w", err)
 	}

@@ -1,4 +1,4 @@
-package dp
+package tree_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/decompose"
 	"repro/internal/graph"
+	"repro/internal/stage"
 	"repro/internal/testutil/leak"
 	"repro/internal/tree"
 )
@@ -27,7 +28,7 @@ func cancelNice(t testing.TB, seed int64, n int) (*graph.Graph, *tree.Decomposit
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nice.Len() < minParallelNodes {
+	if nice.Len() < tree.MinParallelNodes {
 		t.Fatalf("decomposition too small (%d nodes) to exercise the pool", nice.Len())
 	}
 	return g, nice
@@ -40,14 +41,12 @@ func cancelNice(t testing.TB, seed int64, n int) (*graph.Graph, *tree.Decomposit
 // -race in CI.
 func TestScheduleCancelMidRun(t *testing.T) {
 	_, nice := cancelNice(t, 13, 120)
-	prev := SetMaxWorkers(8)
-	defer SetMaxWorkers(prev)
-
+	eight := stage.WithWorkers(context.Background(), 8)
 	snap := leak.Before()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(eight)
 	defer cancel()
 	var calls atomic.Int64
-	err := Schedule(ctx, nice, false, func(v int) error {
+	err := nice.Schedule(ctx, false, func(v int) error {
 		if calls.Add(1) == 10 { // let the pool spin up, then pull the plug
 			cancel()
 		}
@@ -58,7 +57,7 @@ func TestScheduleCancelMidRun(t *testing.T) {
 	}
 	snap.Check(t)
 	// The pool is reusable after a cancelled run.
-	if err := Schedule(context.Background(), nice, false, func(int) error { return nil }); err != nil {
+	if err := nice.Schedule(eight, false, func(int) error { return nil }); err != nil {
 		t.Fatalf("pool poisoned after cancellation: %v", err)
 	}
 }
@@ -68,7 +67,7 @@ func TestScheduleDownCancelled(t *testing.T) {
 	_, nice := cancelNice(t, 17, 80)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Schedule(ctx, nice, true, func(int) error { return nil })
+	err := nice.Schedule(ctx, true, func(int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -89,7 +88,7 @@ func TestScheduleSerialCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	visited := 0
-	err = Schedule(ctx, nice, false, func(int) error { visited++; return nil })
+	err = nice.Schedule(ctx, false, func(int) error { visited++; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,4 +1,4 @@
-package dp
+package tree_test
 
 import (
 	"context"
@@ -16,19 +16,18 @@ import (
 func TestChaosScheduleNodeFault(t *testing.T) {
 	defer faultinject.Reset()
 	_, nice := cancelNice(t, 29, 120)
-	prev := SetMaxWorkers(8)
-	defer SetMaxWorkers(prev)
+	ctx := stage.WithWorkers(context.Background(), 8)
 
 	snap := leak.Before()
 	faultinject.FailAt("dp.node", 5)
-	err := Schedule(context.Background(), nice, false, func(int) error { return nil })
+	err := nice.Schedule(ctx, false, func(int) error { return nil })
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
 	snap.Check(t)
 
 	faultinject.Reset()
-	if err := Schedule(context.Background(), nice, false, func(int) error { return nil }); err != nil {
+	if err := nice.Schedule(ctx, false, func(int) error { return nil }); err != nil {
 		t.Fatalf("scheduler poisoned after injected fault: %v", err)
 	}
 }
@@ -39,12 +38,11 @@ func TestChaosScheduleNodeFault(t *testing.T) {
 func TestChaosScheduleChainFault(t *testing.T) {
 	defer faultinject.Reset()
 	_, nice := cancelNice(t, 31, 120)
-	prev := SetMaxWorkers(8)
-	defer SetMaxWorkers(prev)
+	ctx := stage.WithWorkers(context.Background(), 8)
 
 	snap := leak.Before()
 	faultinject.FailAt("dp.chain", 2)
-	err := Schedule(context.Background(), nice, false, func(int) error { return nil })
+	err := nice.Schedule(ctx, false, func(int) error { return nil })
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -58,12 +56,11 @@ func TestChaosScheduleChainFault(t *testing.T) {
 func TestChaosSchedulePanicContained(t *testing.T) {
 	_, nice := cancelNice(t, 37, 120)
 	// Serialize so exactly one deterministic call panics under -race.
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
+	ctx := stage.WithWorkers(context.Background(), 1)
 
 	snap := leak.Before()
 	calls := 0
-	err := Schedule(context.Background(), nice, false, func(int) error {
+	err := nice.Schedule(ctx, false, func(int) error {
 		if calls++; calls == 7 {
 			panic("evaluator bug")
 		}
@@ -79,7 +76,7 @@ func TestChaosSchedulePanicContained(t *testing.T) {
 	snap.Check(t)
 
 	// The panic poisoned nothing: the same decomposition runs clean.
-	if err := Schedule(context.Background(), nice, false, func(int) error { return nil }); err != nil {
+	if err := nice.Schedule(ctx, false, func(int) error { return nil }); err != nil {
 		t.Fatalf("scheduler poisoned after panic: %v", err)
 	}
 }

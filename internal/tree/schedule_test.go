@@ -1,10 +1,11 @@
-package dp
+package tree_test
 
 import (
 	"context"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/decompose"
 	"repro/internal/graph"
+	"repro/internal/stage"
 	"repro/internal/tree"
 )
 
@@ -34,11 +36,17 @@ func niceFor(t testing.TB, g *graph.Graph, opts tree.NiceOptions) *tree.Decompos
 // parent top-down). It is order-sensitive in exactly the way a real
 // evaluator is — any node computed before its dependencies, or twice,
 // changes the result — so equal outputs across worker counts pin both
-// the dependency order and the exactly-once contract.
-func hashDP(t *testing.T, d *tree.Decomposition, bags [][]int, down bool) []uint64 {
+// the dependency order and the exactly-once contract. It reports
+// failures with t.Error, so goroutines may call it.
+func hashDP(t *testing.T, ctx context.Context, d *tree.Decomposition, down bool) []uint64 {
 	t.Helper()
+	bags, err := d.SortedBags()
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
 	vals := make([]uint64, d.Len())
-	err := Schedule(context.Background(), d, down, func(v int) error {
+	err = d.Schedule(ctx, down, func(v int) error {
 		h := fnv.New64a()
 		buf := []byte{byte(v), byte(v >> 8)}
 		h.Write(buf)
@@ -65,7 +73,7 @@ func hashDP(t *testing.T, d *tree.Decomposition, bags [][]int, down bool) []uint
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	return vals
 }
@@ -75,31 +83,26 @@ func hashDP(t *testing.T, d *tree.Decomposition, bags [][]int, down bool) []uint
 // counts 1, 2 and 8, on randomized partial-k-tree decompositions large
 // enough to cross the parallel threshold. Run under -race in CI.
 func TestParallelMatchesSequential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
-	t.Cleanup(func() { SetMaxWorkers(SetMaxWorkers(1)) })
 	for trial := 0; trial < 4; trial++ {
 		g := graph.PartialKTree(40+trial*20, 3, 0.3, rng)
 		nice := niceFor(t, g, tree.NiceOptions{BranchGuard: trial%2 == 0})
-		if nice.Len() < minParallelNodes {
+		if nice.Len() < tree.MinParallelNodes {
 			t.Fatalf("trial %d: decomposition too small (%d nodes) to exercise the pool", trial, nice.Len())
 		}
-		bags, err := Bags(nice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := SetMaxWorkers(1)
-		upSeq := hashDP(t, nice, bags, false)
-		downSeq := hashDP(t, nice, bags, true)
+		serial := stage.WithWorkers(context.Background(), 1)
+		upSeq := hashDP(t, serial, nice, false)
+		downSeq := hashDP(t, serial, nice, true)
 		for _, w := range []int{2, 8} {
-			SetMaxWorkers(w)
-			if up := hashDP(t, nice, bags, false); !reflect.DeepEqual(up, upSeq) {
+			ctx := stage.WithWorkers(context.Background(), w)
+			if up := hashDP(t, ctx, nice, false); !reflect.DeepEqual(up, upSeq) {
 				t.Fatalf("trial %d: bottom-up values differ at %d workers", trial, w)
 			}
-			if down := hashDP(t, nice, bags, true); !reflect.DeepEqual(down, downSeq) {
+			if down := hashDP(t, ctx, nice, true); !reflect.DeepEqual(down, downSeq) {
 				t.Fatalf("trial %d: top-down values differ at %d workers", trial, w)
 			}
 		}
-		SetMaxWorkers(prev)
 	}
 }
 
@@ -107,14 +110,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 // bottom-up, every node runs strictly after all of its children;
 // top-down, strictly after its parent — at full parallelism.
 func TestScheduleDependencyOrder(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	g := graph.PartialKTree(90, 3, 0.3, rng)
 	nice := niceFor(t, g, tree.NiceOptions{BranchGuard: true})
-	prev := SetMaxWorkers(8)
-	defer SetMaxWorkers(prev)
+	ctx := stage.WithWorkers(context.Background(), 8)
 	for _, down := range []bool{false, true} {
 		done := make([]atomic.Bool, nice.Len())
-		err := Schedule(context.Background(), nice, down, func(v int) error {
+		err := nice.Schedule(ctx, down, func(v int) error {
 			if down {
 				if p := nice.Nodes[v].Parent; p >= 0 && !done[p].Load() {
 					t.Errorf("down: node %d ran before parent %d", v, p)
@@ -142,12 +145,12 @@ func TestScheduleDependencyOrder(t *testing.T) {
 	}
 }
 
-// TestBagsSortedAndChecked pins the Bags contract: sorted copies for a
-// nice decomposition, the CheckNice verdict for a raw one.
+// TestBagsSortedAndChecked pins the SortedBags contract: sorted copies
+// for a nice decomposition, the CheckNice verdict for a raw one.
 func TestBagsSortedAndChecked(t *testing.T) {
 	g := graph.Cycle(6)
 	nice := niceFor(t, g, tree.NiceOptions{})
-	bags, err := Bags(nice)
+	bags, err := nice.SortedBags()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,42 +169,95 @@ func TestBagsSortedAndChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Bags(raw); err == nil {
+	if _, err := raw.SortedBags(); err == nil {
 		t.Fatal("raw decomposition accepted")
 	}
-	if err := Schedule(context.Background(), raw, false, func(int) error { return nil }); err == nil {
+	if err := raw.Schedule(context.Background(), false, func(int) error { return nil }); err == nil {
 		t.Fatal("Schedule accepted a raw decomposition")
 	}
 }
 
-// TestConcurrentScheduleSharedPlan drives several concurrent Schedule
-// calls over one shared decomposition and cached plan — the scenario
-// the plan cache and worker pool must survive; run under -race in CI.
+// TestConcurrentScheduleSharedPlan starts several Schedule calls at once
+// on one nice decomposition that has no plan yet, as concurrent solves
+// on a session's nice form do: every first user must get the same plan,
+// and every run the same values. Run under -race in CI.
 func TestConcurrentScheduleSharedPlan(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
 	g := graph.PartialKTree(80, 3, 0.3, rng)
 	nice := niceFor(t, g, tree.NiceOptions{BranchGuard: true})
-	bags, err := Bags(nice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetMaxWorkers(4)
-	defer SetMaxWorkers(prev)
-	want := hashDP(t, nice, bags, false)
+	ctx := stage.WithWorkers(context.Background(), 4)
+	want := hashDP(t, ctx, nice.Clone(), false) // the clone leaves nice unplanned
+
+	const users = 8
+	start := make(chan struct{})
+	bags := make([][][]int, users)
+	mismatch := make([]bool, users)
 	var wg sync.WaitGroup
-	mismatch := make([]bool, 8)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < users; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got := hashDP(t, nice, bags, false)
-			mismatch[i] = !reflect.DeepEqual(got, want)
+			<-start
+			bags[i], _ = nice.SortedBags()
+			mismatch[i] = !reflect.DeepEqual(hashDP(t, ctx, nice, false), want)
 		}(i)
 	}
+	close(start)
 	wg.Wait()
-	for i, bad := range mismatch {
-		if bad {
+	for i := 0; i < users; i++ {
+		if mismatch[i] {
 			t.Fatalf("goroutine %d: concurrent Schedule produced different values", i)
 		}
+		if len(bags[i]) == 0 || &bags[i][0] != &bags[0][0] {
+			t.Fatalf("goroutine %d got a different plan than goroutine 0", i)
+		}
+	}
+}
+
+// TestWorkersPerCall runs a serial and an 8-worker schedule at the same
+// time on one decomposition. Each reads its worker count from its own
+// context: the serial run never has two computes in flight, while the
+// parallel one does.
+func TestWorkersPerCall(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(19))
+	nice := niceFor(t, graph.PartialKTree(120, 3, 0.3, rng), tree.NiceOptions{BranchGuard: true})
+	if nice.Len() < tree.MinParallelNodes {
+		t.Fatalf("decomposition too small (%d nodes) to exercise the pool", nice.Len())
+	}
+	run := func(workers int, peak *atomic.Int32) error {
+		var inFlight atomic.Int32
+		ctx := stage.WithWorkers(context.Background(), workers)
+		return nice.Schedule(ctx, false, func(int) error {
+			n := inFlight.Add(1)
+			for {
+				cur := peak.Load()
+				if n <= cur || peak.CompareAndSwap(cur, n) {
+					break
+				}
+			}
+			runtime.Gosched() // let another worker start a compute meanwhile
+			inFlight.Add(-1)
+			return nil
+		})
+	}
+	var serialPeak, parallelPeak atomic.Int32
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	wg.Add(2)
+	go func() { defer wg.Done(); errs[0] = run(1, &serialPeak) }()
+	go func() { defer wg.Done(); errs[1] = run(8, &parallelPeak) }()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := serialPeak.Load(); p != 1 {
+		t.Fatalf("serial run had %d computes in flight at once", p)
+	}
+	if p := parallelPeak.Load(); p < 2 {
+		t.Fatalf("8-worker run never had two computes in flight (peak %d)", p)
 	}
 }

@@ -8,6 +8,7 @@ package tree
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -70,10 +71,15 @@ type Node struct {
 }
 
 // Decomposition is a rooted tree decomposition: a tree of bags over the
-// element IDs of some structure or graph.
+// element IDs of some structure or graph. A nice decomposition carries
+// its DP plan (see SortedBags and Schedule), built on first use; the
+// mutators below drop it, and editing Nodes or Root directly after the
+// plan is built is a caller error.
 type Decomposition struct {
 	Nodes []Node
 	Root  int
+
+	plan atomic.Pointer[plan]
 }
 
 // New returns an empty decomposition with no nodes and an unset root.
@@ -96,11 +102,13 @@ func (d *Decomposition) AddNode(bag []int, children ...int) int {
 	for _, c := range children {
 		d.Nodes[c].Parent = id
 	}
+	d.dropPlan()
 	return id
 }
 
 // SetRoot marks the given node as root.
 func (d *Decomposition) SetRoot(id int) {
+	d.dropPlan()
 	d.Root = id
 	d.Nodes[id].Parent = -1
 }
@@ -347,7 +355,7 @@ func (d *Decomposition) ValidateGraph(g *graph.Graph) error {
 	return d.checkConnectedness(d.bagSets())
 }
 
-// Clone returns a deep copy of the decomposition.
+// Clone returns a deep copy of the decomposition, without its plan.
 func (d *Decomposition) Clone() *Decomposition {
 	c := &Decomposition{Root: d.Root, Nodes: make([]Node, len(d.Nodes))}
 	for i, n := range d.Nodes {
@@ -368,6 +376,7 @@ func (d *Decomposition) ReRoot(newRoot int) {
 	if newRoot == d.Root {
 		return
 	}
+	d.dropPlan()
 	// Build undirected adjacency, then redo parent/children from newRoot.
 	adj := make([][]int, len(d.Nodes))
 	for i, n := range d.Nodes {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/decompose"
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/solver"
 	"repro/internal/tree"
@@ -142,7 +141,7 @@ func CoverSet(g *graph.Graph) ([]int, error) {
 	if der == nil {
 		return nil, fmt.Errorf("vcover: no feasible state at the root")
 	}
-	bags, err := dp.Bags(nice)
+	bags, err := nice.SortedBags()
 	if err != nil {
 		return nil, fmt.Errorf("vcover: %w", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"math/big"
 
 	"repro/internal/decompose"
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/solver"
 	"repro/internal/tree"
@@ -159,7 +158,7 @@ func MaxWeightSet(g *graph.Graph, weights []int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	bags, err := dp.Bags(der.Nice())
+	bags, err := der.Nice().SortedBags()
 	if err != nil {
 		return nil, fmt.Errorf("wis: %w", err)
 	}

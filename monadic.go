@@ -35,13 +35,13 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/decompose"
 	"repro/internal/domset"
-	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/mso"
 	"repro/internal/normalform"
 	"repro/internal/primality"
 	"repro/internal/schema"
 	"repro/internal/session"
+	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/threecol"
 	"repro/internal/tree"
@@ -214,14 +214,11 @@ func TDFuncDeps(w int) []FuncDep { return datalog.TDFuncDeps(w) }
 // DBFromStructure loads a structure as a datalog EDB.
 func DBFromStructure(st *Structure) *DB { return datalog.FromStructure(st, "") }
 
-// SetDatalogMaxWorkers caps the engine's parallel stratum rounds and
-// returns the previous cap (1 = serial; the default is GOMAXPROCS).
-func SetDatalogMaxWorkers(n int) int { return datalog.SetMaxWorkers(n) }
-
-// SetDPMaxWorkers caps the decomposition DP runners' worker pool and
-// returns the previous cap (1 = serial; the default is GOMAXPROCS).
-// Results are identical at every setting.
-func SetDPMaxWorkers(n int) int { return dp.SetMaxWorkers(n) }
+// WithWorkers returns a context whose evaluations use at most n
+// goroutines each: the datalog engine's parallel stratum rounds and the
+// decomposition DP scheduler (1 = serial; without it, GOMAXPROCS).
+// Results are identical at every count.
+func WithWorkers(ctx context.Context, n int) context.Context { return stage.WithWorkers(ctx, n) }
 
 // MSO and the generic compiler.
 
