@@ -68,9 +68,8 @@ type RAResult struct {
 	// GroundedAllocRatio is grounded bytes over streaming bytes.
 	GroundedAllocRatio float64 `json:"grounded_alloc_ratio"`
 
-	TuplesStreamed  int64 `json:"tuples_streamed"`
-	JoinsPushedDown int64 `json:"joins_pushed_down"`
-	PeakBuffered    int64 `json:"peak_buffered_tuples"`
+	TuplesStreamed int64 `json:"tuples_streamed"` // join steps
+	PeakBuffered   int64 `json:"peak_buffered_tuples"`
 
 	// Budget demo: the grounded path dies on MaxGroundAtoms = BudgetCap
 	// while the streaming direct path completes under the same cap.
@@ -150,7 +149,6 @@ func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 	res.StreamNS, res.StreamBytes = median(sNS), median(sBy)
 	es := collector.Snapshot()
 	res.TuplesStreamed = es.TuplesStreamed / int64(reps)
-	res.JoinsPushedDown = es.JoinsPushedDown
 	res.PeakBuffered = es.PeakBufferedTuples
 
 	// Grounded leg (Theorem 4.4): size the ground program, then time the

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/datalog/ra"
 	"repro/internal/structure"
 )
 
@@ -142,8 +141,8 @@ func (r *relation) insertOwned(tuple []int) bool {
 	return r.add(tuple, false)
 }
 
-// insertRow is insert for a row the caller keeps reusing (a streaming
-// operator's output buffer): only a genuinely new tuple is copied, and
+// insertRow is insert for a row the caller keeps reusing (a join's
+// ground-arguments buffer): only a genuinely new tuple is copied, and
 // the stored copy is returned so the delta relation can share it.
 func (r *relation) insertRow(row []int) ([]int, bool) {
 	return r.addRow(row, true)
@@ -206,51 +205,81 @@ func ofArity(r *relation, arity int) *relation {
 	return r
 }
 
-func (r *relation) has(tuple []int) bool {
-	_, ok := r.lookup(tuple)
-	return ok
+// checkArity returns an error when r, the stored relation of an
+// intensional predicate, has another arity than the program gives the
+// predicate: an evaluator would write derived tuples into a relation of
+// another width. Both evaluators refuse such a database.
+func checkArity(pred string, r *relation, arity int) error {
+	if r == nil || r.arity == arity {
+		return nil
+	}
+	return fmt.Errorf("datalog: the database stores %s with arity %d, but the program derives it with arity %d", pred, r.arity, arity)
 }
 
-// lookup returns the stored tuple equal to the argument. The boolean
-// carries presence: a stored zero-arity tuple may be a nil slice.
-func (r *relation) lookup(tuple []int) ([]int, bool) {
+func (r *relation) has(tuple []int) bool {
+	return r.find(tuple) >= 0
+}
+
+// find returns the index of the stored tuple equal to the argument, or
+// -1 if there is none.
+func (r *relation) find(tuple []int) int {
 	if len(r.slots) == 0 {
-		return nil, false
+		return -1
 	}
 	mask := uint64(len(r.slots) - 1)
 	i := hashTuple(tuple) & mask
 	for {
 		s := r.slots[i]
 		if s == 0 {
-			return nil, false
+			return -1
 		}
-		if t := r.tuples[s-1]; equalTuple(t, tuple) {
-			return t, true
+		if equalTuple(r.tuples[s-1], tuple) {
+			return int(s - 1)
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// probe answers a streaming-layer Probe for pattern, where pattern[i] < 0
-// means "unbound". It is zero-copy: the candidates reference the
-// relation's own storage — an exact-match lookup hit, an incrementally
-// maintained index bucket on the bound positions (or on a sufficiently
-// selective subset of them), or the full tuple array — in insertion
-// order, and the caller re-checks each candidate against the pattern.
-func (r *relation) probe(pattern []int, c *ra.Candidates) {
+// candidates is a probe's answer, zero-copy: rows of the relation's own
+// storage, either all of them or, when bucket is set, the ones an index
+// bucket's row numbers pick, in insertion order. The zero value is empty.
+type candidates struct {
+	rows   [][]int
+	idx    []int32
+	bucket bool
+}
+
+// Len reports the number of candidate rows.
+func (c *candidates) Len() int {
+	if c.bucket {
+		return len(c.idx)
+	}
+	return len(c.rows)
+}
+
+// At returns candidate i.
+func (c *candidates) At(i int) []int {
+	if c.bucket {
+		return c.rows[c.idx[i]]
+	}
+	return c.rows[i]
+}
+
+// probe fills c with the candidates for pattern, where pattern[i] < 0
+// means "unbound": an exact-match lookup hit, an incrementally maintained
+// index bucket on the bound positions (or on a sufficiently selective
+// subset of them), or every tuple. The candidates may be a superset of
+// the matches, so the caller re-checks each against the pattern.
+func (r *relation) probe(pattern []int, c *candidates) {
 	if r.dedup && len(pattern) > 0 && len(pattern) < 64 && isGround(pattern) {
-		if t, ok := r.lookup(pattern); ok {
-			c.SetOne(t)
-		} else {
-			c.SetEmpty()
+		*c = candidates{}
+		if i := r.find(pattern); i >= 0 {
+			c.rows = r.tuples[i : i+1]
 		}
 		return
 	}
-	if rows, all := r.bucket(pattern); all {
-		c.SetRows(r.tuples)
-	} else {
-		c.SetBucket(rows, r.tuples)
-	}
+	idx, all := r.bucket(pattern)
+	*c = candidates{rows: r.tuples, idx: idx, bucket: !all}
 }
 
 func isGround(pattern []int) bool {

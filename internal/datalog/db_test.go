@@ -3,14 +3,12 @@ package datalog
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/datalog/ra"
 )
 
 // probeMatches returns the candidates of r.probe(pattern) that agree
 // with the pattern, the re-check every probe caller makes.
 func probeMatches(r *relation, pattern []int) [][]int {
-	var c ra.Candidates
+	var c candidates
 	r.probe(pattern, &c)
 	var out [][]int
 	for i := 0; i < c.Len(); i++ {
@@ -42,7 +40,7 @@ func TestProbeResultNoAliasing(t *testing.T) {
 	a, b := db.Intern("a"), db.Intern("b")
 
 	for _, pattern := range [][]int{{a, b}, {a, -1}, {-1, -1}} {
-		var c ra.Candidates
+		var c candidates
 		r.probe(pattern, &c)
 		if c.Len() == 0 {
 			t.Fatalf("probe %v found no candidates", pattern)

@@ -5,25 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// EngineStats are the streaming engine's cumulative counters: the row
-// volume moved through operator pipelines, the number of joins planned
-// with probe constraints pushed into relation indexes, and the
-// high-water mark of tuples buffered at once (symmetric hash joins plus the
-// parallel rounds' pending merge buffers — the quantity the streaming
-// rebuild minimizes).
+// EngineStats are the semi-naive engine's cumulative counters: the join
+// steps its rule joins took (one per partial binding extended or
+// completed binding handed off; see ruleJoin.run), and the high-water
+// mark of derivations the parallel rounds buffered at once for their
+// merge. Serial rounds buffer nothing.
 type EngineStats struct {
 	TuplesStreamed     int64
-	JoinsPushedDown    int64
 	PeakBufferedTuples int64
 }
 
-// StatsCollector accumulates streaming-engine counters for one
+// StatsCollector accumulates semi-naive engine counters for one
 // consumer. Attach one to a context with WithStatsCollector;
 // evaluations running under that context add their traffic to it. Safe
 // for concurrent use.
 type StatsCollector struct {
 	tuples atomic.Int64
-	joins  atomic.Int64
 	peak   atomic.Int64
 }
 
@@ -34,7 +31,6 @@ func (c *StatsCollector) Snapshot() EngineStats {
 	}
 	return EngineStats{
 		TuplesStreamed:     c.tuples.Load(),
-		JoinsPushedDown:    c.joins.Load(),
 		PeakBufferedTuples: c.peak.Load(),
 	}
 }
@@ -43,7 +39,7 @@ func (c *StatsCollector) Snapshot() EngineStats {
 type collectorKey struct{}
 
 // WithStatsCollector attaches a collector to the context so evaluations
-// under it report their streaming-engine traffic. A nil c returns ctx
+// under it report their semi-naive engine traffic. A nil c returns ctx
 // unchanged.
 func WithStatsCollector(ctx context.Context, c *StatsCollector) context.Context {
 	if c == nil {
@@ -60,12 +56,6 @@ func statsCollectorFrom(ctx context.Context) *StatsCollector {
 func addTuplesStreamed(c *StatsCollector, n int64) {
 	if c != nil && n != 0 {
 		c.tuples.Add(n)
-	}
-}
-
-func addJoinsPushedDown(c *StatsCollector, n int64) {
-	if c != nil && n != 0 {
-		c.joins.Add(n)
 	}
 }
 

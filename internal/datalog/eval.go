@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/stage"
@@ -30,10 +31,11 @@ func Eval(p *Program, edb *DB) (*DB, error) {
 }
 
 // EvalCtx is Eval with cancellation support: the stratum loop, each
-// semi-naive round and the rule pipelines themselves (every 1024
-// operator steps) check ctx, so evaluation of a large program stops
-// promptly after cancellation or a deadline. A context error is returned
-// wrapped in a *stage.Error tagged stage.Eval.
+// semi-naive round and the rule joins themselves (every 1024 join steps)
+// check ctx, so evaluation of a large program stops promptly after
+// cancellation or a deadline. A context error is returned wrapped in a
+// *stage.Error tagged stage.Eval. The join steps are charged to the
+// context's MaxStreamTuples budget at the same polls.
 func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -50,11 +52,14 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	}
 	cfg := configFrom(ctx)
 	db := edb.Clone()
-	// Intern every constant of the program up front: rule compilation then
-	// only reads the interning table, which keeps parallel tasks free of
+	// Intern every constant of the program up front: planning then only
+	// reads the interning table, which keeps parallel tasks free of
 	// writes to shared DB state.
 	internProgramConsts(p, db)
 	byHead := headIndex(p)
+	// The planner's ruleJoin holds what every task copies: the context,
+	// the database and the configuration.
+	planner := &grounding{ruleJoin: ruleJoin{ctx: ctx, db: db, cfg: &cfg}}
 	for _, stratum := range strata {
 		if err := ctx.Err(); err != nil {
 			return nil, stage.Wrap(stage.Eval, err)
@@ -62,8 +67,11 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 		inStratum := map[string]bool{}
 		for _, pred := range stratum {
 			inStratum[pred] = true
+			if err := checkArity(pred, db.rels[pred], len(p.Rules[byHead[pred][0]].Head.Args)); err != nil {
+				return nil, err
+			}
 		}
-		if err := evalStratum(ctx, stratumRules(p, byHead, stratum), inStratum, db, cfg); err != nil {
+		if err := evalStratum(ctx, stratumRules(p, byHead, stratum), inStratum, planner); err != nil {
 			return nil, err
 		}
 	}
@@ -244,43 +252,173 @@ func stratify(p *Program) ([][]string, error) {
 // overhead outweighs the work.
 const parallelThreshold = 128
 
-// evalStratum runs semi-naive iteration for one stratum's rules.
-func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, db *DB, cfg evalConfig) error {
-	// Planned instances per rule, indexed by occ+1 (slot 0 is the full
-	// first-pass evaluation); each (rule, occ) pair keeps its own
-	// instance across rounds, so the plan and its scratch buffers warm up
-	// once and tasks never share mutable state. Filled lazily;
-	// compilation is serial, so the parallel phase only ever reads the
-	// cache.
-	compiled := make([]*cRule, len(rules))
-	planned := make([][]*cRule, len(rules))
-	instance := func(ri, occ int) (*cRule, error) {
+// planBuilds counts semi-naive task plans built process-wide; the
+// regression test pins that evaluation plans each (rule, delta
+// occurrence) instance once, never once per round.
+var planBuilds atomic.Int64
+
+// PlanBuilds reports the total number of semi-naive rule plans built
+// since process start; tests diff it around an evaluation.
+func PlanBuilds() int64 { return planBuilds.Load() }
+
+// ruleTask is one (rule, delta occurrence) instance of semi-naive
+// evaluation: the rule's slot plan, with the delta occurrence in the
+// quasi-guard's place so it is joined first, and the state of running
+// it. A task is planned once and runs in every round with a delta for
+// it, on one goroutine at a time.
+type ruleTask struct {
+	ruleJoin
+	pred      string // the head predicate
+	deltaStep int    // the step reading the delta; -1 in the first pass
+}
+
+// planTask plans rule r into a task whose body atom occ reads the delta
+// (occ = -1: the full first pass). It plans as the grounder does, except
+// that every relational atom, intensional ones included, is joined or
+// tested against its current relation. The task keeps only its plan and
+// binding; the planning scratch is s's, shared by every task.
+func (s *grounding) planTask(r Rule, occ int) (*ruleTask, error) {
+	planBuilds.Add(1)
+	s.kinds = s.kinds[:0]
+	for _, a := range r.Body {
+		s.kinds = append(s.kinds, atomKind(a.Pred, nil))
+	}
+	s.layout(r)
+	if err := s.plan(r, occ, s.kinds); err != nil {
+		return nil, err
+	}
+	// The steps' argument lists lie back to back in s.args, the head's
+	// last: copy them once and re-slice.
+	args := append([]gArg(nil), s.args...)
+	steps := append([]groundStep(nil), s.steps...)
+	for k := range steps {
+		n := len(steps[k].args)
+		steps[k].args, args = args[:n:n], args[n:]
+	}
+	t := &ruleTask{
+		ruleJoin: ruleJoin{
+			ctx: s.ctx, db: s.db, steps: steps, head: args, cfg: s.cfg,
+			binding: make([]int, s.nslots), cands: make([]candidates, len(steps)),
+		},
+		pred:      r.Head.Pred,
+		deltaStep: -1,
+	}
+	if occ >= 0 {
+		t.deltaStep = s.guardStep
+		// A delta occurrence without variables is planned as a test, but
+		// a delta relation keeps no dedup table to test against: probe it.
+		if st := &steps[t.deltaStep]; st.kind == stepTest {
+			st.kind = stepJoin
+		}
+	}
+	return t, nil
+}
+
+// eval runs the task once: every relational step re-pointed at its
+// current relation, the delta step at its predicate's relation in delta.
+// The join steps left over since the last poll are charged at the end.
+func (t *ruleTask) eval(db *DB, delta map[string]*relation) error {
+	for k := range t.steps {
+		st := &t.steps[k]
+		if st.kind != stepJoin && st.kind != stepTest {
+			continue
+		}
+		r := db.rels[st.pred]
+		if k == t.deltaStep {
+			r = delta[st.pred]
+		}
+		st.rel = ofArity(r, len(st.args))
+	}
+	err := t.run(0)
+	if cerr := t.charge(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// derive is semi-naive evaluation's hand-off of a completed binding: the
+// head tuple goes into the head relation and the round's delta or, in a
+// parallel round, into the task's buffer if the head relation lacks it.
+// The datalog.join fault point is checked once per derived row.
+func (s *ruleJoin) derive() error {
+	if err := faultinject.Check("datalog.join"); err != nil {
+		return stage.Wrap(stage.Eval, err)
+	}
+	row := s.ground(s.head)
+	if s.outDelta != nil {
+		if stored, added := s.out.insertRow(row); added {
+			s.outDelta.appendShared(stored)
+		}
+	} else if !s.out.has(row) {
+		s.buf = append(s.buf, s.arenaCopy(row))
+	}
+	return nil
+}
+
+// charge reports the join steps since the last charge to the stats
+// collector and the stream-tuples budget. A grounding charges nothing.
+func (s *ruleJoin) charge() error {
+	if s.cfg == nil {
+		return nil
+	}
+	n := int64(s.tick - s.charged)
+	s.charged = s.tick
+	addTuplesStreamed(s.cfg.collector, n)
+	if err := s.cfg.budget.AddStreamTuples(n); err != nil {
+		return stage.Wrap(stage.Eval, err)
+	}
+	return nil
+}
+
+// arenaCopy copies a row into an arena-carved tuple the caller may
+// retain. Rows a parallel round buffers are ultimately adopted by the
+// database, so allocating them one slice at a time would dominate GC
+// work on derivation-heavy programs.
+func (s *ruleJoin) arenaCopy(row []int) []int {
+	n := len(row)
+	if len(s.arena) < n {
+		s.arena = make([]int, 4096+n)
+	}
+	tuple := s.arena[:n:n]
+	s.arena = s.arena[n:]
+	copy(tuple, row)
+	return tuple
+}
+
+// evalStratum runs semi-naive iteration for one stratum's rules, planning
+// their tasks with planner.
+func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, planner *grounding) error {
+	db, cfg := planner.db, planner.cfg
+	// Tasks per rule, indexed by occ+1 (slot 0 is the full first pass),
+	// planned lazily and kept across rounds, so a plan and its buffers
+	// warm up once and parallel tasks share no mutable state. Planning
+	// is serial; the parallel phase only runs tasks.
+	planned := make([][]*ruleTask, len(rules))
+	task := func(ri, occ int) (*ruleTask, error) {
 		if planned[ri] == nil {
-			compiled[ri] = compileRule(rules[ri], db)
-			planned[ri] = make([]*cRule, len(rules[ri].Body)+1)
+			planned[ri] = make([]*ruleTask, len(rules[ri].Body)+1)
 		}
-		if c := planned[ri][occ+1]; c != nil {
-			return c, nil
+		if t := planned[ri][occ+1]; t != nil {
+			return t, nil
 		}
-		c, err := compiled[ri].instance(occ, cfg)
+		t, err := planner.planTask(rules[ri], occ)
 		if err != nil {
 			return nil, err
 		}
-		c.ctx = ctx
-		planned[ri][occ+1] = c
-		return c, nil
+		planned[ri][occ+1] = t
+		return t, nil
 	}
 
 	// First pass: evaluate every rule in full.
-	tasks := make([]*cRule, len(rules))
+	tasks := make([]*ruleTask, len(rules))
 	for i := range rules {
-		c, err := instance(i, -1)
+		t, err := task(i, -1)
 		if err != nil {
 			return err
 		}
-		tasks[i] = c
+		tasks[i] = t
 	}
-	delta, err := runStratumRound(ctx, tasks, nil, db, db.NumFacts(), cfg.workers)
+	delta, err := runStratumRound(ctx, tasks, nil, db, db.NumFacts(), cfg)
 	if err != nil {
 		return err
 	}
@@ -305,54 +443,54 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, d
 				if d := delta[a.Pred]; d == nil || len(d.tuples) == 0 {
 					continue
 				}
-				c, err := instance(ri, occ)
+				t, err := task(ri, occ)
 				if err != nil {
 					return err
 				}
-				tasks = append(tasks, c)
+				tasks = append(tasks, t)
 			}
 		}
 		if len(tasks) == 0 {
 			return nil
 		}
-		delta, err = runStratumRound(ctx, tasks, delta, db, total, cfg.workers)
+		delta, err = runStratumRound(ctx, tasks, delta, db, total, cfg)
 		if err != nil {
 			return err
 		}
 	}
 }
 
-// runStratumRound evaluates one round's tasks — each a compiled rule
-// whose delta occurrence, if it has one, reads that predicate's relation
-// in delta — and returns the delta of genuinely new facts. Small rounds
-// run serially with derivations inserted as they are found; large rounds
-// fan the tasks out to a worker pool, with each task buffering its
-// derivations and the buffers merged through the dedup tables in task
-// order afterwards — so the derived fact set is identical, and for a
-// fixed worker setting even the tuple insertion order is deterministic.
+// runStratumRound runs one round's tasks, each reading its delta
+// occurrence, if it has one, from delta, and returns the delta of
+// genuinely new facts. Small rounds run serially with derivations
+// inserted as they are found; large rounds fan the tasks out to a
+// worker pool, with each task buffering its derivations and the buffers
+// merged through the dedup tables in task order afterwards — so the
+// derived fact set is identical, and for a fixed worker setting even the
+// tuple insertion order is deterministic.
 //
-// Each task evaluates one rule, so everything it emits belongs to the
+// Each task evaluates one rule, so everything it derives belongs to the
 // rule's head predicate. New tuples are shared between the database and
 // the (dedup-free) delta relation rather than re-hashed into it.
-func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*relation, db *DB, workSize, workers int) (map[string]*relation, error) {
+func runStratumRound(ctx context.Context, tasks []*ruleTask, delta map[string]*relation, db *DB, workSize int, cfg *evalConfig) (map[string]*relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
 	newDelta := map[string]*relation{}
-	sink := func(c *cRule) (*relation, *relation) {
-		nd, ok := newDelta[c.headPred]
+	sink := func(t *ruleTask) (*relation, *relation) {
+		nd, ok := newDelta[t.pred]
 		if !ok {
-			nd = newDeltaRelation(c.headArity)
-			newDelta[c.headPred] = nd
+			nd = newDeltaRelation(len(t.head))
+			newDelta[t.pred] = nd
 		}
-		return db.rel(c.headPred, c.headArity), nd
+		return db.rel(t.pred, len(t.head)), nd
 	}
-	workers = min(workers, len(tasks))
-	// evalTask wraps one rule evaluation with panic containment and the
-	// worker-loop fault-injection point: a handler or join panic becomes
-	// a stage-tagged *stage.PanicError instead of killing the worker
+	workers := min(cfg.workers, len(tasks))
+	// evalTask wraps one task with panic containment and the worker-loop
+	// fault-injection point: a builtin or join panic becomes a
+	// stage-tagged *stage.PanicError instead of killing the worker
 	// goroutine (and with it the process).
-	evalTask := func(c *cRule, emit func([]int)) (err error) {
+	evalTask := func(t *ruleTask) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = stage.Wrap(stage.Eval, stage.NewPanicError(r))
@@ -361,24 +499,14 @@ func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*rela
 		if err := faultinject.Check("datalog.stratum-task"); err != nil {
 			return stage.Wrap(stage.Eval, err)
 		}
-		var d *relation
-		if c.occ >= 0 {
-			d = delta[c.body[c.occ].pred]
-		}
-		return c.eval(d, emit)
+		return t.eval(db, delta)
 	}
 	if workers <= 1 || workSize < parallelThreshold {
-		for _, c := range tasks {
-			rel, nd := sink(c)
-			// Streamed rows are reused operator buffers: the relation
-			// copies only genuinely new tuples, so the serial path holds
-			// O(1) rows in flight per rule.
-			err := evalTask(c, func(row []int) {
-				if stored, added := rel.insertRow(row); added {
-					nd.appendShared(stored)
-				}
-			})
-			if err != nil {
+		for _, t := range tasks {
+			// Derivations go straight into the head relation, which copies
+			// only genuinely new tuples, so a serial round buffers nothing.
+			t.out, t.outDelta = sink(t)
+			if err := evalTask(t); err != nil {
 				return nil, err
 			}
 		}
@@ -388,11 +516,8 @@ func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*rela
 	// buffers merge in task order. Tasks pre-filter against the (frozen,
 	// read-only) head relation so already-known facts are never buffered,
 	// and the buffers themselves are reused across rounds.
-	headRels := make([]*relation, len(tasks))
-	bufs := make([][][]int, len(tasks))
-	for i, c := range tasks {
-		headRels[i] = db.rel(c.headPred, c.headArity)
-		bufs[i] = c.outBuf[:0]
+	for _, t := range tasks {
+		t.out, t.outDelta = db.rel(t.pred, len(t.head)), nil
 	}
 	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup
@@ -401,13 +526,7 @@ func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*rela
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(tasks); i += workers {
-				i := i
-				c, rel := tasks[i], headRels[i]
-				errs[i] = evalTask(c, func(row []int) {
-					if !rel.has(row) {
-						bufs[i] = append(bufs[i], c.arenaCopy(row))
-					}
-				})
+				errs[i] = evalTask(tasks[i])
 			}
 		}(w)
 	}
@@ -418,148 +537,18 @@ func runStratumRound(ctx context.Context, tasks []*cRule, delta map[string]*rela
 		}
 	}
 	pending := int64(0)
-	for _, buf := range bufs {
-		pending += int64(len(buf))
+	for _, t := range tasks {
+		pending += int64(len(t.buf))
 	}
-	notePeakBuffered(tasks[0].cfg.collector, pending)
-	for i, buf := range bufs {
-		rel, nd := sink(tasks[i])
-		for _, tuple := range buf {
+	notePeakBuffered(cfg.collector, pending)
+	for _, t := range tasks {
+		rel, nd := sink(t)
+		for _, tuple := range t.buf {
 			if rel.insertOwned(tuple) {
 				nd.appendShared(tuple)
 			}
 		}
-		tasks[i].outBuf = buf[:0]
+		t.buf = t.buf[:0]
 	}
 	return newDelta, nil
-}
-
-// cArg is a compiled atom argument: a variable slot (slot ≥ 0) or an
-// interned constant (slot < 0, constant ID in c).
-type cArg struct {
-	slot int
-	c    int
-}
-
-// cAtom is a compiled body atom: predicate classification resolved once
-// and arguments mapped to slots/IDs. It is read-only once compiled.
-type cAtom struct {
-	pred    string
-	negated bool
-	builtin bool
-	args    []cArg
-}
-
-// cRule is a rule compiled for repeated evaluation: variables mapped to
-// integer slots and atoms to cAtoms. compileRule yields a template;
-// instance plans it for one delta occurrence. A planned instance is
-// single-threaded — evalStratum keeps one per (rule, delta-occurrence)
-// task so buffers warm up across rounds without any sharing between
-// parallel tasks — and shares only the read-only head and body with the
-// template and its other instances.
-type cRule struct {
-	src       Rule
-	db        *DB
-	headPred  string
-	headArity int
-	head      []cArg
-	body      []cAtom
-	nslots    int
-	occ       int         // the delta occurrence the plan starts from; -1 for none
-	plan      *rulePlan   // nil in a template
-	rels      []*relation // per body atom, bound by start (nil: empty relation)
-	// Per-run plumbing, set by the owner before each use: the plan's
-	// cancellation poll reads ctx (nil: never cancelled), and streamed
-	// rows are charged to cfg's budget and collector.
-	ctx context.Context
-	cfg evalConfig
-	// Rows a parallel round buffers are carved from arena chunks into
-	// outBuf, which is reused across rounds: they are ultimately adopted
-	// by the database, so allocating them one slice at a time would
-	// dominate GC work on derivation-heavy programs.
-	arena  []int
-	outBuf [][]int
-}
-
-// compileRule maps the rule's variables to integer slots and its atom
-// arguments to slot/constant descriptors, so the per-row work of its
-// plans touches no maps. All program constants must already be interned
-// when compilation can race with other DB readers (Eval guarantees this
-// by interning up front and compiling serially).
-func compileRule(r Rule, db *DB) *cRule {
-	slots := map[string]int{}
-	compileArgs := func(args []Term) []cArg {
-		out := make([]cArg, len(args))
-		for i, t := range args {
-			if t.IsVar() {
-				s, ok := slots[t.Var]
-				if !ok {
-					s = len(slots)
-					slots[t.Var] = s
-				}
-				out[i] = cArg{slot: s}
-			} else {
-				out[i] = cArg{slot: -1, c: db.Intern(t.Const)}
-			}
-		}
-		return out
-	}
-	body := make([]cAtom, len(r.Body))
-	for i, a := range r.Body {
-		body[i] = cAtom{
-			pred:    a.Pred,
-			negated: a.Negated,
-			builtin: IsBuiltin(a.Pred),
-			args:    compileArgs(a.Args),
-		}
-	}
-	head := compileArgs(r.Head.Args)
-	return &cRule{
-		src:       r,
-		db:        db,
-		headPred:  r.Head.Pred,
-		headArity: len(r.Head.Args),
-		head:      head,
-		body:      body,
-		nslots:    len(slots),
-		occ:       -1,
-	}
-}
-
-// instance returns a copy of the compiled rule planned with body
-// occurrence occ as the delta (-1: the full first pass). cfg's collector
-// counts the plan's pushed-down joins. The copy shares the template's
-// head and body, so a rule's instances cost only their plans.
-func (t *cRule) instance(occ int, cfg evalConfig) (*cRule, error) {
-	c := &cRule{
-		src:       t.src,
-		db:        t.db,
-		headPred:  t.headPred,
-		headArity: t.headArity,
-		head:      t.head,
-		body:      t.body,
-		nslots:    t.nslots,
-		occ:       occ,
-		rels:      make([]*relation, len(t.body)),
-		cfg:       cfg,
-	}
-	plan, err := buildPlan(c)
-	if err != nil {
-		return nil, err
-	}
-	c.plan = plan
-	return c, nil
-}
-
-// arenaCopy copies a borrowed row into an arena-carved tuple the caller
-// may retain (parallel tasks buffering new derivations).
-func (c *cRule) arenaCopy(row []int) []int {
-	n := len(row)
-	if len(c.arena) < n {
-		c.arena = make([]int, 4096+n)
-	}
-	tuple := c.arena[:n:n]
-	c.arena = c.arena[n:]
-	copy(tuple, row)
-	return tuple
 }

@@ -243,6 +243,43 @@ func TestArityMismatchedAtoms(t *testing.T) {
 	}
 }
 
+// TestStoredIntensionalTuples pins how both engines treat tuples the
+// EDB already stores under a derived predicate's name. Stored tuples of
+// the program's arity hold: EvalQuasiGuarded used to ground without
+// them and miss q, where Eval and the naive reference derive it. Stored
+// tuples of another arity are an error under both: both used to write
+// the derived e() into the binary relation e, and Eval then missed q.
+func TestStoredIntensionalTuples(t *testing.T) {
+	edb := NewDB()
+	edb.AddFact("e", "a", "b")
+	edb.AddFact("p", "a")
+	p := MustParse("p(b) :- e(a, b).\nq :- p(a).")
+	want, err := naiveEval(p, edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Has("q") || !want.Has("p", "b") {
+		t.Fatal("reference: q or p(b) not derived")
+	}
+	got, err := Eval(p, edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFacts(t, got, want, "Eval")
+	if got, err = EvalQuasiGuarded(p, edb.Clone(), TDFuncDeps(1)); err != nil {
+		t.Fatal(err)
+	}
+	sameFacts(t, got, want, "EvalQuasiGuarded")
+
+	other := MustParse("e.\nq :- e.")
+	if _, err := Eval(other, edb); err == nil {
+		t.Error("Eval accepted an EDB storing e at another arity")
+	}
+	if _, err := EvalQuasiGuarded(other, edb.Clone(), TDFuncDeps(1)); err == nil {
+		t.Error("EvalQuasiGuarded accepted an EDB storing e at another arity")
+	}
+}
+
 func TestConstantsInRules(t *testing.T) {
 	p := MustParse(`
 hit(X) :- edge(a, X).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/datalog/ra"
 	"repro/internal/faultinject"
 	"repro/internal/horn"
 	"repro/internal/stage"
@@ -369,7 +368,7 @@ func NewGrounder(p *Program, fds []FuncDep) (*Grounder, error) {
 	// Planning interns the program's constants into a scratch database,
 	// which numbers them in the order Ground is to intern them.
 	consts := NewDB()
-	s := &grounding{edb: consts, gr: gr}
+	s := &grounding{ruleJoin: ruleJoin{db: consts}, gr: gr}
 	byPred := fdIndex(fds)
 	children := map[string]int32{}
 	var key []byte
@@ -414,6 +413,16 @@ func NewGrounder(p *Program, fds []FuncDep) (*Grounder, error) {
 	return gr, nil
 }
 
+// arity returns the arity of the program's intensional predicate pred.
+func (gr *Grounder) arity(pred string) int {
+	for _, r := range gr.prog.Rules {
+		if r.Head.Pred == pred {
+			return len(r.Head.Args)
+		}
+	}
+	return -1
+}
+
 // appendStepKey appends the trie key of step st under node parent: the
 // parent, the step's kind, polarity and predicate, and its arguments.
 func appendStepKey(b []byte, parent int32, st *groundStep) []byte {
@@ -444,6 +453,10 @@ func appendUint32(b []byte, v uint32) []byte {
 // propositional variables. The result has size O(|P|·|A|). Program
 // constants are interned into edb.
 //
+// Tuples edb already stores for an intensional predicate hold, as in
+// semi-naive evaluation: each is a unit clause, ahead of the rules'.
+// Stored tuples of another arity than the program's are an error.
+//
 // Rules are ground in program order and each rule's instances in guard
 // tuple order, so sharing prefixes leaves the clause list and the atom
 // numbering as if every rule were joined on its own.
@@ -453,9 +466,24 @@ func appendUint32(b []byte, v uint32) []byte {
 // does a violation of the MaxGroundAtoms budget attached to ctx.
 func (gr *Grounder) Ground(ctx context.Context, edb *DB) (*GroundProgram, error) {
 	g := &GroundProgram{Horn: &horn.Program{}, preds: gr.preds, db: edb, budget: stage.BudgetFrom(ctx)}
-	s := &grounding{ctx: ctx, g: g, edb: edb, gr: gr, consts: make([]int, len(gr.consts)), spans: make([]span, len(gr.nodes))}
+	s := &grounding{ruleJoin: ruleJoin{ctx: ctx, g: g, db: edb}, gr: gr, consts: make([]int, len(gr.consts)), spans: make([]span, len(gr.nodes))}
 	for i, c := range gr.consts {
 		s.consts[i] = edb.Intern(c)
+	}
+	for id, pred := range gr.preds {
+		r := edb.rels[pred]
+		if r == nil {
+			continue
+		}
+		if err := checkArity(pred, r, gr.arity(pred)); err != nil {
+			return nil, err
+		}
+		for _, t := range r.tuples {
+			g.Horn.AddClause(g.atomID(int32(id), t))
+		}
+		if g.budgetErr != nil {
+			return nil, g.budgetErr
+		}
 	}
 	kinds := gr.kinds
 	for ri, r := range gr.prog.Rules {
@@ -482,6 +510,7 @@ func (gr *Grounder) Ground(ctx context.Context, edb *DB) (*GroundProgram, error)
 		if err := s.plan(r, int(gi.guard), rk); err != nil {
 			return nil, err
 		}
+		s.headID = gr.predID[r.Head.Pred]
 		if gi.node == 0 {
 			if err := s.run(0); err != nil {
 				return nil, err
@@ -571,10 +600,10 @@ func EvalQuasiGuardedCtx(ctx context.Context, p *Program, edb *DB, fds []FuncDep
 type stepKind uint8
 
 const (
-	stepJoin    stepKind = iota // enumerate a positive extensional atom
-	stepTest                    // decide a bound extensional atom
+	stepJoin    stepKind = iota // enumerate a positive relational atom
+	stepTest                    // decide a bound relational atom
 	stepBuiltin                 // decide a bound builtin
-	stepLit                     // a bound intensional atom: a body literal
+	stepLit                     // a bound intensional atom: a body literal (grounding only)
 )
 
 type groundStep struct {
@@ -604,16 +633,49 @@ const (
 	argRepeat
 )
 
+// ruleJoin is a rule's slot plan and the state of one run over it: the
+// one join both evaluators enumerate candidates through. run extends the
+// binding step by step and hands every completed binding to its caller.
+// A grounding (g set) adds the instance's Horn clause; semi-naive
+// evaluation derives the head tuple (see derive).
+type ruleJoin struct {
+	ctx  context.Context
+	tick uint
+	db   *DB // interns the plan's constants and names builtin arguments
+
+	steps   []groundStep
+	head    []gArg
+	binding []int        // slot → constant ID; a step reads only slots bound before it
+	cands   []candidates // step → its current probe's candidates (joins)
+	tuple   []int        // probe pattern / ground arguments
+	names   []string     // builtin arguments
+
+	// A grounding's hand-off: the ground program, the head's predicate
+	// ID and the current instance's intensional body literals.
+	g      *GroundProgram
+	headID int32
+	lits   []int
+
+	// Semi-naive evaluation's hand-off (g nil): the head relation and,
+	// in a serial round, the round's delta, which shares every new tuple.
+	// In a parallel round (outDelta nil) buf collects the derivations the
+	// frozen head relation lacks, carved from arena. cfg holds the
+	// stream-tuples budget and the stats collector the join steps are
+	// charged to; charged is the tick count already charged.
+	out, outDelta *relation
+	buf           [][]int
+	arena         []int
+	cfg           *evalConfig
+	charged       uint
+}
+
 // grounding is the state of one Grounder.Ground call — the ground
 // program being built, the prefix nodes' guard tuples, and the current
 // rule's plan and binding, whose buffers are reused from rule to rule —
-// or NewGrounder's scratch for planning each rule once.
+// or the planning scratch of NewGrounder and of semi-naive evaluation.
 type grounding struct {
-	ctx  context.Context
-	g    *GroundProgram
-	edb  *DB
-	gr   *Grounder
-	tick uint
+	ruleJoin
+	gr *Grounder
 
 	// The layout's view of the rule: variables numbered by first
 	// occurrence, each argument's variable number (-1 for a constant),
@@ -625,20 +687,15 @@ type grounding struct {
 	varSlot   []int
 	nslots    int
 	processed []bool
-	known     []bool   // quasiGuard: variables the candidate determines
-	fdAtoms   []atomFD // quasiGuard: the rule's usable dependencies
+	known     []bool     // quasiGuard: variables the candidate determines
+	fdAtoms   []atomFD   // quasiGuard: the rule's usable dependencies
+	kinds     []stepKind // planTask: the rule's body atoms' kinds
 
-	steps    []groundStep
-	cands    []ra.Candidates // step → its current probe's candidates (joins)
-	args     []gArg          // backing store of the plan's argument lists
-	head     []gArg
-	headID   int32
-	binding  []int    // slot → constant ID; a step reads only slots bound before it
-	lits     []int    // the current instance's intensional body literals
-	tuple    []int    // probe pattern / ground arguments
-	names    []string // builtin arguments
-	consts   []int    // Grounder.consts index → constant ID in edb
-	spans    []span   // per prefix node: its guard tuples in rowBuf
+	args      []gArg // backing store of the plan's argument lists, in step order, the head's last
+	guardStep int    // the step plan gave the guard, if the rule has one
+
+	consts   []int  // Grounder.consts index → constant ID in edb
+	spans    []span // per prefix node: its guard tuples in rowBuf
 	rowBuf   []int32
 	node     groundStep // a prefix node's step with its constants interned
 	nodeArgs []gArg
@@ -669,12 +726,14 @@ func (s *grounding) layout(r Rule) {
 
 // plan lays rule r out, over the variable numbering s.layout(r)
 // computed, as steps: a fully bound atom first, in body order;
-// otherwise a join on a positive extensional atom — the quasi-guard
-// while it is pending, else the first one sharing a bound variable,
-// else the first one. Starting at the guard bounds each rule's
-// instances by the guard's tuples, where a join from an earlier body
-// atom could enumerate a cross product first. The order fixes the
-// clause order and atom numbering of the ground program, which tests
+// otherwise a join on a positive relational atom (kind stepTest) — the
+// guard while it is pending, else the first one sharing a bound
+// variable, else the first one. The grounder's guard is the rule's
+// quasi-guard: starting there bounds each rule's instances by the
+// guard's tuples, where a join from an earlier body atom could enumerate
+// a cross product first. Semi-naive evaluation passes its delta
+// occurrence as the guard, so the delta drives the join. The order fixes
+// the clause order and atom numbering of the ground program, which tests
 // pin.
 func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 	s.varSlot = s.varSlot[:0]
@@ -718,6 +777,9 @@ func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 				return fmt.Errorf("datalog: cannot ground rule %s: intensional atom with unbound variables", r)
 			}
 		}
+		if next == guard {
+			s.guardStep = len(s.steps)
+		}
 		s.processed[next] = true
 		a := r.Body[next]
 		st := groundStep{kind: kinds[next], negated: a.Negated, pred: a.Pred, args: s.planArgs(a.Args, next)}
@@ -728,14 +790,13 @@ func (s *grounding) plan(r Rule, guard int, kinds []stepKind) error {
 			st.id = s.gr.predID[a.Pred]
 		}
 		if st.kind == stepJoin || st.kind == stepTest {
-			st.rel = ofArity(s.edb.rels[a.Pred], len(a.Args))
+			st.rel = ofArity(s.db.rels[a.Pred], len(a.Args))
 		}
 		s.steps = append(s.steps, st)
 	}
-	s.headID = s.gr.predID[r.Head.Pred]
 	s.head = s.planArgs(r.Head.Args, len(r.Body))
 	if len(s.cands) < len(s.steps) {
-		s.cands = make([]ra.Candidates, len(s.steps))
+		s.cands = make([]candidates, len(s.steps))
 	}
 	s.reserve(s.nslots)
 	return nil
@@ -795,7 +856,7 @@ func (s *grounding) planArgs(terms []Term, i int) []gArg {
 	start, bound := len(s.args), s.nslots
 	for j, v := range s.atomArgs(i) {
 		if v < 0 {
-			s.args = append(s.args, gArg{kind: argConst, v: s.edb.Intern(terms[j].Const)})
+			s.args = append(s.args, gArg{kind: argConst, v: s.db.Intern(terms[j].Const)})
 			continue
 		}
 		a := gArg{kind: argBound, v: s.varSlot[v]}
@@ -812,12 +873,14 @@ func (s *grounding) planArgs(terms []Term, i int) []gArg {
 	return s.args[start:len(s.args):len(s.args)]
 }
 
-// poll counts one instantiation step and checks the context every 1024.
-func (s *grounding) poll() error {
+// poll counts one join step and, every 1024, checks the context and
+// charges the steps (see charge).
+func (s *ruleJoin) poll() error {
 	if s.tick++; s.tick&1023 == 0 {
 		if err := s.ctx.Err(); err != nil {
 			return stage.Wrap(stage.Eval, err)
 		}
+		return s.charge()
 	}
 	return nil
 }
@@ -848,7 +911,7 @@ func (s *grounding) rows(n int32) ([]int32, error) {
 			return nil, err
 		}
 	case len(parent) > 0:
-		rel := ofArity(s.edb.rels[join.pred], len(join.args))
+		rel := ofArity(s.db.rels[join.pred], len(join.args))
 		for _, i := range parent {
 			if err := s.poll(); err != nil {
 				return nil, err
@@ -880,7 +943,7 @@ func (s *grounding) resolve(st *groundStep) *groundStep {
 	}
 	s.node.args = s.nodeArgs
 	if st.kind != stepBuiltin {
-		s.node.rel = ofArity(s.edb.rels[st.pred], len(st.args))
+		s.node.rel = ofArity(s.db.rels[st.pred], len(st.args))
 	}
 	return &s.node
 }
@@ -928,13 +991,17 @@ func (s *grounding) scan(st *groundStep) error {
 }
 
 // run extends the current instance by plan step k and recurses; past
-// the last step it emits the instance's clause. It polls the context
-// every 1024 calls.
-func (s *grounding) run(k int) error {
+// the last step it hands the completed binding to the caller: a
+// grounding emits the instance's clause, semi-naive evaluation derives
+// the head tuple. Every call is one join step (see poll).
+func (s *ruleJoin) run(k int) error {
 	if err := s.poll(); err != nil {
 		return err
 	}
 	if k == len(s.steps) {
+		if s.g == nil {
+			return s.derive()
+		}
 		head := s.g.atomID(s.headID, s.ground(s.head))
 		if s.g.budgetErr != nil {
 			return s.g.budgetErr
@@ -964,11 +1031,11 @@ func (s *grounding) run(k int) error {
 }
 
 // holds decides a bound test or builtin step under the current binding.
-func (s *grounding) holds(st *groundStep) (bool, error) {
+func (s *ruleJoin) holds(st *groundStep) (bool, error) {
 	if st.kind == stepBuiltin {
 		s.names = s.names[:0]
 		for _, id := range s.ground(st.args) {
-			s.names = append(s.names, s.edb.ConstName(id))
+			s.names = append(s.names, s.db.ConstName(id))
 		}
 		holds, err := callBuiltin(st.pred, s.names)
 		return holds != st.negated, err
@@ -982,7 +1049,7 @@ func (s *grounding) holds(st *groundStep) (bool, error) {
 // positions; as a probe may answer from an index on a subset of them,
 // each candidate is re-checked on every constant, bound and repeated
 // position while its fresh positions are bound.
-func (s *grounding) join(k int, st *groundStep) error {
+func (s *ruleJoin) join(k int, st *groundStep) error {
 	if st.rel == nil {
 		return nil
 	}
@@ -1013,7 +1080,7 @@ func (s *grounding) join(k int, st *groundStep) error {
 
 // unify binds the fresh positions of args to t's values and reports
 // whether t agrees with args everywhere else.
-func (s *grounding) unify(args []gArg, t []int) bool {
+func (s *ruleJoin) unify(args []gArg, t []int) bool {
 	for j, a := range args {
 		switch a.kind {
 		case argConst:
@@ -1033,7 +1100,7 @@ func (s *grounding) unify(args []gArg, t []int) bool {
 
 // bind binds the fresh positions of a guard join's args to a tuple
 // already known to match it.
-func (s *grounding) bind(args []gArg, t []int) {
+func (s *ruleJoin) bind(args []gArg, t []int) {
 	for j, a := range args {
 		if a.kind == argFresh {
 			s.binding[a.v] = t[j]
@@ -1043,7 +1110,7 @@ func (s *grounding) bind(args []gArg, t []int) {
 
 // ground writes the atom's ground arguments under the current binding
 // into the shared tuple buffer.
-func (s *grounding) ground(args []gArg) []int {
+func (s *ruleJoin) ground(args []gArg) []int {
 	t := s.tuple[:0]
 	for _, a := range args {
 		if a.kind == argConst {

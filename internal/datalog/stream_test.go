@@ -11,9 +11,9 @@ import (
 	"repro/internal/stage"
 )
 
-// tcProgram is the transitive-closure workload the streaming tests
-// share: rule 2 joins the recursive predicate against the edge index,
-// so it exercises the planner's delta ordering and lookup-join pushdown.
+// tcProgram is the transitive-closure workload the semi-naive engine
+// tests share: rule 2 joins the recursive predicate against the edge
+// index, so it exercises the delta-first join order and index probes.
 const tcProgramSrc = "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z)."
 
 func chainEDB(n int) *DB {
@@ -25,7 +25,7 @@ func chainEDB(n int) *DB {
 }
 
 // TestStreamPlanBuiltOncePerRule pins the plan-once contract: the
-// number of streaming plans built during an evaluation depends only on
+// number of slot plans built during an evaluation depends only on
 // the program's (rule, delta-occurrence) instances, never on how many
 // semi-naive rounds run. A 10-edge and a 60-edge chain take very
 // different round counts but must build exactly the same three plans
@@ -44,15 +44,15 @@ func TestStreamPlanBuiltOncePerRule(t *testing.T) {
 		t.Fatalf("plan builds scale with round count: %d at n=10 vs %d at n=60", small, large)
 	}
 	if small != 3 {
-		t.Fatalf("plan builds = %d, want 3 (one per compiled rule instance)", small)
+		t.Fatalf("plan builds = %d, want 3 (one per (rule, delta occurrence) instance)", small)
 	}
 }
 
-// TestStreamingCancelMidJoin pins mid-stream cancellation: the operator
-// pipeline's control block polls the context between pulls, so a
-// deadline expiring inside one huge stratum stops the streaming engine
-// promptly with a stage-tagged context error — without waiting for the
-// round, stratum, or fixpoint to finish.
+// TestStreamingCancelMidJoin pins mid-join cancellation: a rule's join
+// polls the context every 1024 join steps, so a deadline expiring inside
+// one huge stratum stops the semi-naive engine promptly with a
+// stage-tagged context error — without waiting for the round, stratum,
+// or fixpoint to finish.
 func TestStreamingCancelMidJoin(t *testing.T) {
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(3000)
@@ -67,15 +67,16 @@ func TestStreamingCancelMidJoin(t *testing.T) {
 	}
 }
 
-// TestChaosStreamingJoinFault injects at the streaming join iterator's
-// per-row fault point: the evaluation must stop with a stage-tagged
-// injected error, and a clean rerun over the same inputs must still
-// reach the full fixpoint (no partial state cached across runs).
+// TestChaosStreamingJoinFault injects at the semi-naive join's
+// per-derived-row fault point: the evaluation must stop with a
+// stage-tagged injected error, and a clean rerun over the same inputs
+// must still reach the full fixpoint (no partial state cached across
+// runs).
 func TestChaosStreamingJoinFault(t *testing.T) {
 	defer faultinject.Reset()
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(8)
-	faultinject.FailAt("ra.join", 2)
+	faultinject.FailAt("datalog.join", 2)
 	_, err := Eval(p, db)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
@@ -94,10 +95,10 @@ func TestChaosStreamingJoinFault(t *testing.T) {
 	}
 }
 
-// TestStreamTuplesBudgetExceeded pins the streaming engine's work
-// meter: rows pulled through the pipeline are charged against
-// Budget.MaxStreamTuples, and blowing the cap surfaces as a
-// stage-tagged *stage.BudgetError naming the stream-tuples dimension.
+// TestStreamTuplesBudgetExceeded pins the semi-naive engine's work
+// meter: join steps are charged against Budget.MaxStreamTuples, and
+// blowing the cap surfaces as a stage-tagged *stage.BudgetError naming
+// the stream-tuples dimension.
 func TestStreamTuplesBudgetExceeded(t *testing.T) {
 	p := MustParse(tcProgramSrc)
 	db := chainEDB(150)
@@ -124,8 +125,8 @@ func TestStreamTuplesBudgetExceeded(t *testing.T) {
 }
 
 // TestEngineStatsCollector pins the stats plumbing: an evaluation run
-// under a context-attached collector reports its streamed-row volume,
-// pushdown-planned joins, and peak buffered tuples to that collector.
+// under a context-attached collector reports its join steps and peak
+// buffered tuples to that collector.
 func TestEngineStatsCollector(t *testing.T) {
 	t.Parallel()
 	p := MustParse(tcProgramSrc)
@@ -137,10 +138,7 @@ func TestEngineStatsCollector(t *testing.T) {
 	}
 	snap := c.Snapshot()
 	if snap.TuplesStreamed == 0 {
-		t.Fatal("collector saw no streamed tuples")
-	}
-	if snap.JoinsPushedDown == 0 {
-		t.Fatal("collector saw no pushed-down joins")
+		t.Fatal("collector saw no join steps")
 	}
 	if snap.PeakBufferedTuples == 0 {
 		t.Fatal("collector saw no peak buffered tuples from the parallel rounds")

@@ -42,12 +42,11 @@ type Budget struct {
 	// MaxTableEntries caps the total states across all DP tables of one
 	// solver.Up or solver.Down pass.
 	MaxTableEntries int64
-	// MaxStreamTuples caps the rows streamed through the datalog
-	// engine's relational-algebra operator pipelines during one
-	// evaluation — the streaming engine's work meter, replacing the
-	// buffered-tuple counts it no longer accumulates. Charged in
-	// batches, so a violation may be detected up to one poll interval
-	// (~1024 rows) past the cap.
+	// MaxStreamTuples caps the join steps the datalog engine's
+	// semi-naive evaluation takes during one evaluation (one step per
+	// candidate bound, test passed or derivation handed off): its work
+	// meter. Charged in batches, so a violation may be detected up to
+	// one poll interval (1024 steps per rule task) past the cap.
 	MaxStreamTuples int64
 	// MaxGamePositions caps interned game positions (behavior-tree
 	// nodes) explored by the game-theoretic backend — that backend's
@@ -119,7 +118,7 @@ func (b *Budget) AddTableEntries(n int) error {
 	return charge(&b.tableEntries, b.MaxTableEntries, n, "table-entries")
 }
 
-// AddStreamTuples charges n streamed rows against the budget.
+// AddStreamTuples charges n join steps against the budget.
 func (b *Budget) AddStreamTuples(n int64) error {
 	if b == nil {
 		return nil
@@ -153,7 +152,7 @@ func (b *Budget) GamePositionsUsed() int64 {
 	return b.gamePositions.Load()
 }
 
-// StreamTuplesUsed reports the streamed rows tallied so far.
+// StreamTuplesUsed reports the join steps tallied so far.
 func (b *Budget) StreamTuplesUsed() int64 {
 	if b == nil {
 		return 0
