@@ -161,8 +161,8 @@ func main() {
 		}
 		fmt.Printf("mutate (n=%d, %d edits): warm %v/edit, cold %v/edit, speedup %.2fx\n",
 			res.Elems, res.Edits, time.Duration(res.WarmPerEditNS), time.Duration(res.ColdPerEditNS), res.Speedup)
-		fmt.Printf("warm session: %d delta(s) applied, %d repair fallback(s), %d invalidation(s), %d decomposition(s); answers matched %v\n",
-			res.DeltasApplied, res.RepairFallbacks, res.Invalidations, res.WarmDecompositions, res.Matched)
+		fmt.Printf("warm session: %d delta(s) applied, %d invalidation(s), %d decomposition(s); answers matched %v\n",
+			res.DeltasApplied, res.Invalidations, res.WarmDecompositions, res.Matched)
 		writeJSON(*jsonOut, *jsonDir, "mutate", res)
 		return
 	}

@@ -16,9 +16,10 @@ import (
 // the pre-incremental behavior — the same edit invalidating the session
 // wholesale and recomputing cold. Every edit's answer set is compared
 // across the two sessions; Matched is false (and the run errors) on any
-// divergence. What Mutate saves is the front end: the warm side repairs
-// its decomposition and rebuilds τ_td where the cold side decomposes
-// and normalizes again; both re-ground the query.
+// divergence. What Mutate saves is the front end: the warm side keeps
+// its decomposition and normal forms, which still cover the edited
+// structure, and rebuilds τ_td, where the cold side decomposes and
+// normalizes again; both re-ground the query.
 type MutateResult struct {
 	Elems int `json:"elems"`
 	Edits int `json:"edits"`
@@ -31,7 +32,6 @@ type MutateResult struct {
 	// Warm-session receipts: every edit must be absorbed incrementally,
 	// so the warm session decomposes once, before the first edit.
 	DeltasApplied      int  `json:"deltas_applied"`
-	RepairFallbacks    int  `json:"repair_fallbacks"`
 	Invalidations      int  `json:"invalidations"`
 	WarmDecompositions int  `json:"warm_decompositions"`
 	Matched            bool `json:"matched"`
@@ -60,12 +60,12 @@ func mutateWorkload(n int) *structure.Structure {
 
 // Mutate measures edits single-tuple color toggles over an n-element
 // path, each followed by a re-query of c(x). The warm side goes through
-// Session.Mutate (decomposition repair and τ_td rebuild); the cold side
+// Session.Mutate (decomposition kept, τ_td rebuilt); the cold side
 // applies the identical edit directly to its structure, which the
 // session's fingerprint revalidation treats as a wholesale invalidation
 // — the pre-incremental cost of any edit. Both sides share one program
 // cache, so compilation is warm everywhere and the comparison isolates
-// repair+rebuild+eval against decompose+normalize+build+eval.
+// validate+build+eval against decompose+normalize+build+eval.
 func Mutate(ctx context.Context, n, edits int) (MutateResult, error) {
 	res := MutateResult{Elems: n, Edits: edits}
 	if n < 2 || edits <= 0 {
@@ -123,7 +123,6 @@ func Mutate(ctx context.Context, n, edits int) (MutateResult, error) {
 	}
 	stats := warm.Stats()
 	res.DeltasApplied = stats.DeltasApplied
-	res.RepairFallbacks = stats.RepairFallbacks
 	res.Invalidations = stats.Invalidations
 	res.WarmDecompositions = stats.Decompositions
 	res.WarmPerEditNS = res.WarmNS / int64(edits)

@@ -17,7 +17,6 @@
 //	session.decompose session.normalize-tuple session.build-td
 //	session.compile session.eval session.solver
 //	decompose.min-fill decompose.min-degree decompose.greedy-bfs
-//	decompose.repair
 //	dp.node dp.chain datalog.ground-rule datalog.stratum-task datalog.join
 //	solver.introduce solver.forget solver.join solver.witness
 //	game.expand game.memo

@@ -5,7 +5,11 @@ package primality
 // states) as solver.Problem instances, evaluated by the generic
 // semiring engine in place of the seed's direct DP-handler wiring.
 
-import "repro/internal/solver"
+import (
+	"fmt"
+
+	"repro/internal/solver"
+)
 
 // figure6 is the PRIMALITY algebra of Figure 6. aElem parameterizes the
 // "result" rule: Accept fires on states certifying primality of that
@@ -16,7 +20,7 @@ type figure6 struct {
 	aElem int
 }
 
-func (p figure6) Name() string { return "primality" }
+func (p figure6) Name() string { return fmt.Sprintf("primality(a=%d)", p.aElem) }
 
 func (p figure6) Leaf(_ int, bag []int) []solver.Out[int32] {
 	return p.c.leafStates(bag)
@@ -55,7 +59,7 @@ func wrapR(keys []string) []solver.Out[string] {
 	return out
 }
 
-func (p relevance) Name() string { return "relevance" }
+func (p relevance) Name() string { return fmt.Sprintf("relevance(a=%d)", p.aElem) }
 
 func (p relevance) Leaf(_ int, bag []int) []solver.Out[string] {
 	return wrapR(p.c.rLeafStates(bag))

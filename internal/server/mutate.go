@@ -1,8 +1,8 @@
 // POST /mutate: edit a resident structure in place. The request names
 // the structure by its current fact-list text; the server routes it to
 // the same session /eval and /solve would use, applies the edit batch
-// through Session.Mutate (retaining warm artifacts whenever the
-// incremental machinery absorbs the edit), and re-keys the session
+// through Session.Mutate (keeping the warm decompositions whenever they
+// still cover the edited structure), and re-keys the session
 // registry so follow-up requests carrying the response's post-edit
 // text keep hitting the warm session.
 package server
@@ -43,7 +43,6 @@ type MutateResponse struct {
 	Fingerprint       string `json:"fingerprint"`
 	Changes           int    `json:"changes"`
 	DeltaApplied      bool   `json:"delta_applied"`
-	RepairFallback    bool   `json:"repair_fallback"`
 	Invalidated       bool   `json:"invalidated"`
 	ResultsMaintained int    `json:"results_maintained"` // always 0: results are recomputed after an edit
 	ResultsDropped    int    `json:"results_dropped"`
@@ -140,7 +139,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Fingerprint:       fmt.Sprintf("%016x", canonFP),
 		Changes:           ms.Changes,
 		DeltaApplied:      ms.DeltaApplied,
-		RepairFallback:    ms.RepairFallback,
 		Invalidated:       ms.Invalidated,
 		ResultsMaintained: ms.ResultsMaintained,
 		ResultsDropped:    ms.ResultsDropped,

@@ -10,7 +10,7 @@ import (
 // TestMutateKeepsSessionWarm is the end-to-end incremental story: eval
 // warms a session, /mutate edits the structure through it, and
 // re-evaluating with the post-edit text the response returned hits the
-// same warm session — the requery re-grounds over the rebuilt τ_td
+// same warm session — the requery rebuilds τ_td and re-grounds over it
 // without a new decomposition.
 func TestMutateKeepsSessionWarm(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -31,7 +31,7 @@ func TestMutateKeepsSessionWarm(t *testing.T) {
 		t.Fatalf("mutate: status %d: %s", status, raw)
 	}
 	mut := decodeInto[MutateResponse](t, raw)
-	if !mut.DeltaApplied || mut.Invalidated || mut.RepairFallback {
+	if !mut.DeltaApplied || mut.Invalidated {
 		t.Fatalf("covered insert: %+v, want a pure delta", mut)
 	}
 	if mut.ResultsMaintained != 0 || mut.ResultsDropped != 1 {
@@ -58,8 +58,8 @@ func TestMutateKeepsSessionWarm(t *testing.T) {
 		t.Errorf("Decompositions=%d Evals=%d Invalidations=%d, want 1/2/0 (requery must reuse the warm session)",
 			tot.Decompositions, tot.Evals, tot.Invalidations)
 	}
-	if tot.DeltasApplied != 1 || tot.RepairFallbacks != 0 {
-		t.Errorf("DeltasApplied=%d RepairFallbacks=%d, want 1/0", tot.DeltasApplied, tot.RepairFallbacks)
+	if tot.DeltasApplied != 1 || tot.TDBuilds != 2 {
+		t.Errorf("DeltasApplied=%d TDBuilds=%d, want 1/2 (the requery rebuilds τ_td only)", tot.DeltasApplied, tot.TDBuilds)
 	}
 }
 

@@ -771,7 +771,6 @@ func (s *Server) SessionTotals() session.Stats {
 		t.SolverCacheHits += st.SolverCacheHits
 		t.Invalidations += st.Invalidations
 		t.DeltasApplied += st.DeltasApplied
-		t.RepairFallbacks += st.RepairFallbacks
 	}
 	return t
 }

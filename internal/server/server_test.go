@@ -244,6 +244,43 @@ func TestSolveModes(t *testing.T) {
 	}
 }
 
+// TestSolveWISWeightsKeyTheCache: wis requests over one structure
+// that differ only in their weights must not share a memoized outcome,
+// while a repeat of the same weights does.
+func TestSolveWISWeightsKeyTheCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		weights []int
+		want    int
+	}{
+		{[]int{1, 1, 1, 1}, 2},
+		{[]int{9, 1, 1, 1}, 10},
+		{[]int{1, 1, 1, 1}, 2},
+	} {
+		req := SolveRequest{Structure: pathStructure, Problem: "wis", Mode: "optimize", Weights: tc.weights}
+		status, raw := postJSON(t, ts.URL+"/solve", req, nil)
+		if status != http.StatusOK {
+			t.Fatalf("weights %v: status %d, body %s", tc.weights, status, raw)
+		}
+		got := decodeInto[SolveResponse](t, raw).Value
+		if got == nil {
+			t.Fatalf("weights %v: no value in %s", tc.weights, raw)
+		}
+		if *got != tc.want {
+			t.Fatalf("weights %v: max weight %d, want %d", tc.weights, *got, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if tot := decodeInto[StatszResponse](t, raw).SessionTotals; tot.SolverSolves != 2 || tot.SolverCacheHits != 1 {
+		t.Errorf("SolverSolves=%d SolverCacheHits=%d, want 2 and 1", tot.SolverSolves, tot.SolverCacheHits)
+	}
+}
+
 // TestBatchSharesArtifacts pins the cache-hit accounting: k queries
 // against one structure in a batch cost exactly one decomposition.
 func TestBatchSharesArtifacts(t *testing.T) {

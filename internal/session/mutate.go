@@ -1,37 +1,30 @@
 // Incremental evaluation under mutation (see DESIGN.md "Incremental
 // evaluation"): Session.Mutate applies an edit batch to the bound
-// structure and patches the cached artifacts in place instead of
-// discarding them. The structure's change-log (structure.ChangesSince)
-// keys the maintenance: a shape-preserving edit keeps the raw, tuple
-// and nice decompositions and rebuilds only the τ_td structure; an edit
-// absorbed by decompose.Repair keeps the (repaired) raw decomposition
-// and rebuilds downstream lazily; everything else — repair fallback,
-// lost change-log window, failed edit function — degrades to the
-// wholesale invalidation a fingerprint mismatch would have caused.
-// Cached query results are dropped on every edit: the next Eval
-// re-grounds the compiled program over the new τ_td (Theorem 4.4),
-// which costs less than maintaining the old fixpoint did.
+// structure and keeps the cached decomposition when it still
+// decomposes the edited structure. A raw decomposition whose bags cover
+// every element and every tuple of the edited structure is a tree
+// decomposition of it (Sec. 2), which tree.Decomposition.Validate
+// checks: a covered edit keeps the raw, tuple and nice decompositions
+// and drops only the τ_td structure, which the next query rebuilds.
+// Everything else — a new element, a tuple no bag covers, a failed edit
+// function — degrades to the wholesale invalidation a fingerprint
+// mismatch would have caused. Cached query results are dropped on every
+// edit: the next Eval re-grounds the compiled program over the new τ_td
+// (Theorem 4.4).
 package session
 
 import (
-	"context"
-
-	"repro/internal/datalog"
-	"repro/internal/decompose"
 	"repro/internal/structure"
-	"repro/internal/tree"
 )
 
 // MutationStats reports how one Mutate call was absorbed.
 type MutationStats struct {
-	// Changes is the number of change-log entries the edit produced.
+	// Changes is the number of successful structure mutations the edit
+	// made (the advance of Structure.Rev).
 	Changes int
-	// DeltaApplied reports that the cached artifacts were retained (and
-	// patched) rather than discarded.
+	// DeltaApplied reports that the cached decompositions were retained
+	// rather than discarded.
 	DeltaApplied bool
-	// RepairFallback reports that the local decomposition repair
-	// declined the edit and the session invalidated wholesale.
-	RepairFallback bool
 	// Invalidated reports a wholesale artifact discard.
 	Invalidated bool
 	// ResultsMaintained is always 0: no cached query result is carried
@@ -61,15 +54,13 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 	oldFP := s.fp
 	rev := s.st.Rev()
 	ferr := fn(s.st)
-	changes, ok := s.st.ChangesSince(rev)
-	ms := MutationStats{Changes: len(changes)}
+	ms := MutationStats{Changes: int(s.st.Rev() - rev)}
 	s.fp = Fingerprint(s.st)
-	if ok && len(changes) == 0 {
+	if ms.Changes == 0 {
 		return ms, ferr // no-op edit: every cache stays valid
 	}
-	if ferr != nil || !ok {
-		// A partially-applied edit function, or an edit burst larger
-		// than the change-log window: no delta to trust.
+	if ferr != nil {
+		// A partially-applied edit function: invalidate wholesale.
 		s.discardLocked(&ms)
 		return ms, ferr
 	}
@@ -79,59 +70,27 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 		// is for the edited structure.
 		return ms, nil
 	}
-	rd, dirty, rerr := decompose.Repair(s.raw, s.st, changes)
-	if rerr != nil {
-		// Fallback (width excess, wide tuple) and injected faults alike:
-		// the repair did not happen, so invalidate wholesale. The edit
-		// itself succeeded — callers see the degradation in the stats,
-		// not as an error.
-		s.stats.RepairFallbacks++
-		ms.RepairFallback = true
+	if s.raw.Validate(s.st) != nil {
+		// A new element or an uncovered tuple: the edit itself
+		// succeeded, and callers see the rebuild in the stats, not as an
+		// error.
 		s.discardLocked(&ms)
 		return ms, nil
 	}
-	// Shape-preserving edits (covered tuple inserts, any retraction)
-	// change no bag and add no node: the tuple and nice normal forms —
-	// functions of the raw tree alone — stay valid, and only the τ_td
-	// structure is rebuilt, over the same nodes. Repairs that widened
-	// bags or added nodes keep the repaired raw tree but rebuild
-	// downstream lazily.
-	same := rd.Len() == s.raw.Len()
-	if same {
-		for _, v := range dirty {
-			if len(rd.Nodes[v].Bag) != len(s.raw.Nodes[v].Bag) {
-				same = false
-				break
-			}
-		}
+	// The raw tree still decomposes the structure, and the tuple and
+	// nice normal forms are functions of it alone: keep them, refiling
+	// the nice form under the edited structure's fingerprint. τ_td
+	// encodes the facts, so the next query rebuilds it. Solver outcomes
+	// read the structure through their problem closures and query
+	// results through τ_td: both are recomputed.
+	nice, kept := s.nice.Peek(oldFP)
+	s.nice.Clear()
+	if kept {
+		s.nice.Add(s.fp, nice)
 	}
-	// Solver outcomes read the structure through their problem closures;
-	// conservatively re-solve after any mutation. Query results are
-	// recomputed too: the next Eval re-grounds.
+	s.td, s.edb, s.tdNodes = nil, nil, 0
 	s.solved.Clear()
 	ms.ResultsDropped += s.results.Clear()
-	if !same {
-		s.raw = rd
-		s.tuple, s.td, s.edb = nil, nil, nil
-		s.width, s.tdNodes = 0, 0
-		s.nice.Clear()
-	} else {
-		// The nice form is a function of the raw tree alone: refile it
-		// under the edited structure's fingerprint.
-		nice, kept := s.nice.Peek(oldFP)
-		s.nice.Clear()
-		if kept {
-			s.nice.Add(s.fp, nice)
-		}
-		if s.td != nil {
-			td, _, err := tree.BuildTDCtx(context.Background(), s.st, s.tuple, s.width)
-			if err != nil {
-				s.discardLocked(&ms)
-				return ms, nil
-			}
-			s.td, s.edb = td, datalog.FromStructure(td, "")
-		}
-	}
 	s.stats.DeltasApplied++
 	ms.DeltaApplied = true
 	return ms, nil

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mso"
 	"repro/internal/solver"
+	"repro/internal/stage"
 	"repro/internal/structure"
 )
 
@@ -152,14 +153,15 @@ func TestMutateDifferentialSequence(t *testing.T) {
 	if stats.DeltasApplied == 0 {
 		t.Error("50 edits applied no deltas — the incremental path never ran")
 	}
-	t.Logf("deltas applied %d, repair fallbacks %d, invalidations %d, decompositions %d",
-		stats.DeltasApplied, stats.RepairFallbacks, stats.Invalidations, stats.Decompositions)
+	t.Logf("deltas applied %d, invalidations %d, decompositions %d",
+		stats.DeltasApplied, stats.Invalidations, stats.Decompositions)
 }
 
-// TestMutateFastPathStats pins the shape-preserving fast path: a
-// covered single-tuple edit keeps every artifact (no new decomposition,
-// no invalidation) but drops the cached result, and the requery
-// re-grounds over the rebuilt τ_td with the updated answer.
+// TestMutateFastPathStats pins the covered fast path: a covered
+// single-tuple edit keeps the decompositions (no new decomposition or
+// normalization, no invalidation) but drops τ_td and the cached result,
+// and the requery rebuilds τ_td in the front end and re-grounds over it
+// with the updated answer.
 func TestMutateFastPathStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	st := randMutable(rng, 10)
@@ -183,8 +185,8 @@ func TestMutateFastPathStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ms.DeltaApplied || ms.Invalidated || ms.RepairFallback {
-		t.Fatalf("covered edit: %+v, want a pure delta", ms)
+	if !ms.DeltaApplied || ms.Invalidated || ms.Changes != 1 {
+		t.Fatalf("covered edit: %+v, want a pure delta of one change", ms)
 	}
 	if ms.ResultsMaintained != 0 || ms.ResultsDropped != 1 {
 		t.Fatalf("ResultsMaintained=%d ResultsDropped=%d, want 0 and 1", ms.ResultsMaintained, ms.ResultsDropped)
@@ -197,14 +199,28 @@ func TestMutateFastPathStats(t *testing.T) {
 	if res.Selected.Has(0) == wasColored {
 		t.Fatal("requery did not see the edit")
 	}
+	// The requery reads the kept decompositions from cache and builds
+	// τ_td itself.
+	wantHit := map[stage.Stage]bool{stage.Decompose: true, stage.NormalizeTuple: true, stage.BuildTD: false}
+	for _, st := range res.Trace.Stats {
+		if want, ok := wantHit[st.Stage]; ok {
+			if st.CacheHit != want {
+				t.Errorf("requery trace: %s CacheHit=%v, want %v", st.Stage, st.CacheHit, want)
+			}
+			delete(wantHit, st.Stage)
+		}
+	}
+	if len(wantHit) != 0 {
+		t.Errorf("requery trace lacks %v", wantHit)
+	}
 	stats := s.Stats()
-	if stats.Decompositions != 1 || stats.TupleNormalizations != 1 || stats.TDBuilds != 1 {
-		t.Errorf("front end rebuilt: decompositions=%d normalizations=%d tdbuilds=%d, want 1 each",
+	if stats.Decompositions != 1 || stats.TupleNormalizations != 1 || stats.TDBuilds != 2 {
+		t.Errorf("front end: decompositions=%d normalizations=%d tdbuilds=%d, want 1/1/2 (only τ_td is rebuilt)",
 			stats.Decompositions, stats.TupleNormalizations, stats.TDBuilds)
 	}
-	if stats.Invalidations != 0 || stats.DeltasApplied != 1 || stats.RepairFallbacks != 0 {
-		t.Errorf("Invalidations=%d DeltasApplied=%d RepairFallbacks=%d, want 0/1/0",
-			stats.Invalidations, stats.DeltasApplied, stats.RepairFallbacks)
+	if stats.Invalidations != 0 || stats.DeltasApplied != 1 {
+		t.Errorf("Invalidations=%d DeltasApplied=%d, want 0/1",
+			stats.Invalidations, stats.DeltasApplied)
 	}
 	if stats.Evals != 2 || stats.ResultCacheHits != 0 {
 		t.Errorf("Evals=%d ResultCacheHits=%d, want 2 and 0 (the requery re-grounds)",
@@ -212,14 +228,12 @@ func TestMutateFastPathStats(t *testing.T) {
 	}
 }
 
-// TestMutateRepairFallbackStats pins the degradation path: an edit the
-// local repair cannot absorb invalidates wholesale, counts as a repair
-// fallback, and the next query rebuilds and still answers correctly.
-// The fallback edit bridges two path components — uncovered (its
-// endpoints share no bag, and connecting them within width 1 is
-// impossible) yet the structure stays a forest, so the post-fallback
-// rebuild is still feasible.
-func TestMutateRepairFallbackStats(t *testing.T) {
+// TestMutateUncoveredEditInvalidates pins the degradation path: an
+// edit the cached decomposition does not cover invalidates wholesale,
+// and the next query rebuilds and still answers correctly. The edit
+// bridges two path components — uncovered (its endpoints share no bag)
+// yet the structure stays a forest, so the rebuild stays at width 1.
+func TestMutateUncoveredEditInvalidates(t *testing.T) {
 	st := structure.New(sigMutate)
 	for i := 0; i < 12; i++ {
 		st.AddElem(fmt.Sprintf("v%d", i))
@@ -231,7 +245,7 @@ func TestMutateRepairFallbackStats(t *testing.T) {
 	s := NewWithCache(st, NewProgramCache())
 	checkMutateAnswers(t, s, st, "initial")
 
-	// Split the path in the middle — a retraction is always absorbed.
+	// Split the path in the middle — a retraction is always covered.
 	ms, err := s.Mutate(func(st *structure.Structure) error {
 		st.RemoveTuple("e", 5, 6)
 		return nil
@@ -243,7 +257,7 @@ func TestMutateRepairFallbackStats(t *testing.T) {
 		t.Fatalf("retraction: %+v, want a pure delta", ms)
 	}
 
-	// Bridging the far ends cannot be absorbed within width 1.
+	// No bag of the path's decomposition holds both far ends.
 	ms, err = s.Mutate(func(st *structure.Structure) error {
 		st.MustAddTuple("e", 0, 11)
 		return nil
@@ -251,24 +265,108 @@ func TestMutateRepairFallbackStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ms.RepairFallback || !ms.Invalidated || ms.DeltaApplied {
-		t.Fatalf("bridge edit: %+v, want repair fallback + invalidation", ms)
+	if !ms.Invalidated || ms.DeltaApplied {
+		t.Fatalf("bridge edit: %+v, want an invalidation", ms)
 	}
-	checkMutateAnswers(t, s, st, "post-fallback")
+	checkMutateAnswers(t, s, st, "post-invalidation")
 	stats := s.Stats()
-	if stats.RepairFallbacks != 1 || stats.Invalidations != 1 {
-		t.Errorf("RepairFallbacks=%d Invalidations=%d, want 1 and 1", stats.RepairFallbacks, stats.Invalidations)
+	if stats.DeltasApplied != 1 || stats.Invalidations != 1 {
+		t.Errorf("DeltasApplied=%d Invalidations=%d, want 1 and 1", stats.DeltasApplied, stats.Invalidations)
 	}
 	if stats.Decompositions != 2 {
-		t.Errorf("Decompositions=%d, want 2 (fallback forces a rebuild)", stats.Decompositions)
+		t.Errorf("Decompositions=%d, want 2 (the uncovered edit forces a rebuild)", stats.Decompositions)
+	}
+}
+
+// TestMutateKeepsCoveredDecomposition pins the rule that decides an
+// edit's outcome: the session keeps its decomposition exactly when the
+// decomposition still covers the edited structure. On a path, a colour
+// toggle, an edge retraction and the edge's restoration are covered and
+// keep the one decomposition; a new element and a chord between the
+// path's ends are not, and each forces a new one. After every edit the
+// warm session's answers must match a cold session's on a copy of the
+// edited structure. The chord closes a cycle (width 2), where only the
+// game backend's compile-free evaluation is feasible over a binary
+// signature.
+func TestMutateKeepsCoveredDecomposition(t *testing.T) {
+	const n = 12
+	st := structure.New(sigMutate)
+	for i := 0; i < n; i++ {
+		st.AddElem(fmt.Sprintf("v%d", i))
+	}
+	for i := 0; i+1 < n; i++ {
+		st.MustAddTuple("e", i, i+1)
+	}
+	st.MustAddTuple("c", 0)
+	pc := NewProgramCache()
+	s := NewWithCache(st, pc)
+	automaton, game := core.Options{}, core.Options{Backend: "game"}
+	matchesCold(t, s, pc, automaton, "initial")
+
+	steps := []struct {
+		name     string
+		edit     func(*structure.Structure) error
+		covered  bool
+		backends []core.Options
+	}{
+		{"colour toggle", func(st *structure.Structure) error { return st.AddTuple("c", 5) }, true, []core.Options{automaton}},
+		{"edge retract", func(st *structure.Structure) error { st.RemoveTuple("e", 5, 6); return nil }, true, []core.Options{automaton}},
+		{"edge restore", func(st *structure.Structure) error { return st.AddTuple("e", 5, 6) }, true, []core.Options{automaton, game}},
+		{"new element", func(st *structure.Structure) error { st.AddElem("w"); return nil }, false, []core.Options{automaton, game}},
+		{"chord", func(st *structure.Structure) error { return st.AddTuple("e", 0, n-1) }, false, []core.Options{game}},
+	}
+	decompositions, invalidations := 1, 0
+	for _, step := range steps {
+		ms, err := s.Mutate(step.edit)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if ms.Changes != 1 || ms.DeltaApplied != step.covered || ms.Invalidated == step.covered {
+			t.Fatalf("%s: %+v, want one change with DeltaApplied=%v", step.name, ms, step.covered)
+		}
+		if !step.covered {
+			decompositions++
+			invalidations++
+		}
+		for _, opts := range step.backends {
+			matchesCold(t, s, pc, opts, step.name)
+		}
+		if stats := s.Stats(); stats.Decompositions != decompositions || stats.Invalidations != invalidations {
+			t.Fatalf("%s: Decompositions=%d Invalidations=%d, want %d and %d",
+				step.name, stats.Decompositions, stats.Invalidations, decompositions, invalidations)
+		}
+	}
+}
+
+// matchesCold evaluates every query under opts on s and on a cold
+// session over a copy of s's structure, failing on any disagreement.
+func matchesCold(t *testing.T, s *Session, pc *ProgramCache, opts core.Options, label string) {
+	t.Helper()
+	ctx := context.Background()
+	var st *structure.Structure
+	s.View(func(cur *structure.Structure) { st = cur.Clone() })
+	cold := NewWithCache(st, pc)
+	for _, q := range mutateQueries {
+		phi := mso.MustParse(q)
+		got, err := s.Eval(ctx, phi, "x", opts)
+		if err != nil {
+			t.Fatalf("%s: warm %q: %v", label, q, err)
+		}
+		want, err := cold.Eval(ctx, phi, "x", opts)
+		if err != nil {
+			t.Fatalf("%s: cold %q: %v", label, q, err)
+		}
+		if !got.Selected.Equal(want.Selected) {
+			t.Fatalf("%s: %q selected %v, cold session %v", label, q, got.Selected.Elems(), want.Selected.Elems())
+		}
 	}
 }
 
 // TestMutateChaosNoPoisoning proves the no-cache-poisoning property on
-// the two steps a warm edit takes: a faulted decomposition repair
-// degrades to wholesale invalidation, and a faulted re-grounding after
-// an absorbed edit fails that query alone — in both cases the next
-// queries recompute and match the naive reference.
+// the two steps a requery after a covered edit takes: a faulted τ_td
+// rebuild and a faulted re-grounding each fail that query alone — the
+// session keeps its decomposition, and the next queries recompute and
+// match the naive reference.
 func TestMutateChaosNoPoisoning(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(29))
@@ -276,19 +374,23 @@ func TestMutateChaosNoPoisoning(t *testing.T) {
 	s := NewWithCache(st, NewProgramCache())
 	checkMutateAnswers(t, s, st, "initial")
 
-	faultinject.FailAt("decompose.repair", 1)
 	ms, err := s.Mutate(func(st *structure.Structure) error {
 		st.MustAddTuple("c", 0)
 		return nil
 	})
-	faultinject.Reset()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ms.RepairFallback || !ms.Invalidated {
-		t.Fatalf("faulted repair: %+v, want fallback + invalidation", ms)
+	if !ms.DeltaApplied || ms.Invalidated {
+		t.Fatalf("covered edit: %+v, want a pure delta", ms)
 	}
-	checkMutateAnswers(t, s, st, "post repair fault")
+	faultinject.FailAt("session.build-td", 1)
+	_, err = s.Eval(context.Background(), mso.MustParse(mutateQueries[0]), "x", core.Options{})
+	faultinject.Reset()
+	if !errors.Is(err, faultinject.ErrInjected) || stage.Of(err) != stage.BuildTD {
+		t.Fatalf("faulted τ_td rebuild: err = %v, want the injected fault at %s", err, stage.BuildTD)
+	}
+	checkMutateAnswers(t, s, st, "post build-td fault")
 
 	ms, err = s.Mutate(func(st *structure.Structure) error {
 		st.RemoveTuple("c", 0)
@@ -307,9 +409,9 @@ func TestMutateChaosNoPoisoning(t *testing.T) {
 		t.Fatalf("faulted re-grounding: err = %v, want the injected fault", err)
 	}
 	checkMutateAnswers(t, s, st, "post grounding fault")
-	if stats := s.Stats(); stats.Decompositions != 2 || stats.Invalidations != 1 {
-		t.Errorf("Decompositions=%d Invalidations=%d, want 2 and 1 (the faulted query must not invalidate)",
-			stats.Decompositions, stats.Invalidations)
+	if stats := s.Stats(); stats.Decompositions != 1 || stats.Invalidations != 0 || stats.TDBuilds != 3 {
+		t.Errorf("Decompositions=%d Invalidations=%d TDBuilds=%d, want 1, 0 and 3 (a faulted query must not invalidate)",
+			stats.Decompositions, stats.Invalidations, stats.TDBuilds)
 	}
 }
 

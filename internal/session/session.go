@@ -31,10 +31,10 @@
 //
 // Mutation: Session.Mutate edits the bound structure under the
 // session's write lock (serialized against every in-flight build and
-// evaluation) and re-synchronizes the caches incrementally — local
-// decomposition repair and τ_td rebuild, after which query results are
-// recomputed — falling back to wholesale invalidation only when the
-// edit cannot be absorbed (see mutate.go). Editing a session-bound
+// evaluation) and keeps the cached decompositions while they still
+// decompose the edited structure, after which τ_td and the query
+// results are recomputed; an edit they no longer cover invalidates
+// wholesale (see mutate.go). Editing a session-bound
 // structure directly still works but is detected by fingerprint and
 // always pays the wholesale invalidation, and racing such edits against
 // concurrent evaluations is the caller's responsibility.
@@ -102,13 +102,10 @@ type Stats struct {
 	// mismatches from direct (non-Mutate) structure edits, and Mutate
 	// calls that could not be absorbed incrementally.
 	Invalidations int
-	// DeltasApplied counts Mutate calls absorbed incrementally — cached
-	// artifacts retained and patched instead of discarded.
+	// DeltasApplied counts Mutate calls absorbed incrementally: the
+	// cached decompositions still covered the edited structure and were
+	// kept.
 	DeltasApplied int
-	// RepairFallbacks counts Mutate calls whose local decomposition
-	// repair declined (width excess, wide uncovered tuple, injected
-	// fault) and degraded to a wholesale invalidation.
-	RepairFallbacks int
 }
 
 // Session binds a structure and caches its pipeline artifacts. All

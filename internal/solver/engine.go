@@ -188,17 +188,8 @@ func upNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Problem[
 	case tree.KindCopy:
 		child := &tables[n.Children[0]]
 		t.init(len(child.Order), trackProv)
-		copier, _ := p.(Copier[S])
 		for i := range child.Order {
-			cs := &child.Order[i]
-			cv := child.Vals[i]
-			if copier == nil {
-				t.add(r, *cs, r.Extend(cv, 0), Prov{First: int32(i), Second: -1})
-				continue
-			}
-			for _, o := range copier.Copy(v, bag, *cs) {
-				t.add(r, o.State, r.Extend(cv, o.Cost), Prov{First: int32(i), Second: -1})
-			}
+			t.add(r, child.Order[i], r.Extend(child.Vals[i], 0), Prov{First: int32(i), Second: -1})
 		}
 	case tree.KindBranch:
 		if err := faultinject.Check("solver.join"); err != nil {
@@ -336,17 +327,8 @@ func downNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Proble
 			}
 		}
 	case tree.KindCopy:
-		copier, _ := p.(Copier[S])
 		for i := range parent.Order {
-			ps := &parent.Order[i]
-			pv := parent.Vals[i]
-			if copier == nil {
-				t.add(r, *ps, r.Extend(pv, 0), Prov{First: int32(i), Second: -1})
-				continue
-			}
-			for _, o := range copier.Copy(v, bag, *ps) {
-				t.add(r, o.State, r.Extend(pv, o.Cost), Prov{First: int32(i), Second: -1})
-			}
+			t.add(r, parent.Order[i], r.Extend(parent.Vals[i], 0), Prov{First: int32(i), Second: -1})
 		}
 	case tree.KindBranch:
 		if err := faultinject.Check("solver.join"); err != nil {

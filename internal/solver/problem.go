@@ -17,7 +17,10 @@ type Out[S comparable] struct {
 // hooks are invoked from multiple goroutines and must be safe for
 // concurrent use.
 type Problem[S comparable] interface {
-	// Name identifies the problem, e.g. for session memoization keys.
+	// Name identifies the problem for session memoization: an outcome is
+	// cached per (structure fingerprint, Name, mode), so the name must
+	// tell apart every parameter other than the structure that changes
+	// the answer (a colouring's k, a weight vector).
 	Name() string
 	// Leaf enumerates the base states of a leaf node with their costs.
 	Leaf(node int, bag []int) []Out[S]
@@ -35,13 +38,6 @@ type Problem[S comparable] interface {
 	// The mode front-ends (Decide, Count, Optimize) quantify over
 	// accepting root states only.
 	Accept(node int, bag []int, s S) bool
-}
-
-// Copier is an optional extension for problems that transform states at
-// equal-bag copy edges. Problems that do not implement it get zero-cost
-// pass-through, which is what every current workload wants.
-type Copier[S comparable] interface {
-	Copy(node int, bag []int, child S) []Out[S]
 }
 
 // Appender is an optional fast path: problems that implement it receive

@@ -86,43 +86,6 @@ func (s *Signature) Extend(preds ...Predicate) (*Signature, error) {
 	return NewSignature(all...)
 }
 
-// ChangeOp classifies one entry of a structure's change-log.
-type ChangeOp int
-
-const (
-	// ElemAdded records a new domain element; Tuple holds its ID.
-	ElemAdded ChangeOp = iota
-	// TupleAdded records an inserted fact.
-	TupleAdded
-	// TupleRemoved records a retracted fact.
-	TupleRemoved
-)
-
-func (op ChangeOp) String() string {
-	switch op {
-	case ElemAdded:
-		return "elem+"
-	case TupleAdded:
-		return "tuple+"
-	case TupleRemoved:
-		return "tuple-"
-	}
-	return fmt.Sprintf("ChangeOp(%d)", int(op))
-}
-
-// Change is one entry of the change-log: an element addition or a fact
-// insert/retract. Tuple must not be modified by consumers.
-type Change struct {
-	Op    ChangeOp
-	Pred  string // empty for ElemAdded
-	Tuple []int  // element IDs; for ElemAdded, Tuple[0] is the new ID
-}
-
-// maxLog bounds the in-memory change-log; when exceeded the oldest half
-// is trimmed and ChangesSince for pre-trim revisions reports !ok,
-// forcing consumers to fall back to wholesale re-derivation.
-const maxLog = 1 << 16
-
 // Structure is a finite τ-structure: a domain of named elements plus one
 // relation per predicate of the signature.
 //
@@ -132,19 +95,15 @@ const maxLog = 1 << 16
 // after binding to go through their serialized entry point
 // (Session.Mutate); direct AddElem/AddTuple/RemoveTuple calls on a bound
 // structure race with in-flight builds. Every successful mutation
-// advances Rev() and appends to the change-log so downstream layers can
-// maintain artifacts by delta instead of rebuilding from the new
-// fingerprint.
+// advances Rev(); the session keeps its cached decomposition across an
+// edit only if the decomposition still covers the edited structure.
 type Structure struct {
 	sig    *Signature
 	names  []string
 	byName map[string]int
 	rels   [][][]int        // rels[p] = list of tuples (element IDs)
 	relSet []map[string]int // relSet[p] = tupleKey → index into rels[p]
-
-	rev     uint64   // count of successful mutations since creation
-	log     []Change // suffix of the change history; log[i] produced rev logBase+i+1
-	logBase uint64   // revision preceding log[0]
+	rev    uint64           // count of successful mutations since creation
 }
 
 // New returns an empty structure over the given signature.
@@ -167,29 +126,6 @@ func New(sig *Signature) *Structure {
 // the revision.
 func (st *Structure) Rev() uint64 { return st.rev }
 
-// ChangesSince returns the changes that advanced the structure from
-// revision rev to the current revision, oldest first. ok is false when
-// rev is in the future or predates the retained log window (the log is
-// bounded; see maxLog) — consumers must then treat the structure as
-// wholly changed. The returned slice and its tuples must not be
-// modified.
-func (st *Structure) ChangesSince(rev uint64) (changes []Change, ok bool) {
-	if rev > st.rev || rev < st.logBase {
-		return nil, false
-	}
-	return st.log[rev-st.logBase:], true
-}
-
-func (st *Structure) record(c Change) {
-	st.rev++
-	if len(st.log) >= maxLog {
-		half := len(st.log) / 2
-		st.logBase += uint64(half)
-		st.log = append(st.log[:0], st.log[half:]...)
-	}
-	st.log = append(st.log, c)
-}
-
 // Sig returns the structure's signature.
 func (st *Structure) Sig() *Signature { return st.sig }
 
@@ -205,7 +141,7 @@ func (st *Structure) AddElem(name string) int {
 	id := len(st.names)
 	st.names = append(st.names, name)
 	st.byName[name] = id
-	st.record(Change{Op: ElemAdded, Tuple: []int{id}})
+	st.rev++
 	return id
 }
 
@@ -284,7 +220,7 @@ func (st *Structure) AddTuple(pred string, tuple ...int) error {
 	copy(cp, tuple)
 	st.relSet[pi][key] = len(st.rels[pi])
 	st.rels[pi] = append(st.rels[pi], cp)
-	st.record(Change{Op: TupleAdded, Pred: pred, Tuple: cp})
+	st.rev++
 	return nil
 }
 
@@ -304,7 +240,6 @@ func (st *Structure) RemoveTuple(pred string, tuple ...int) bool {
 	if !present {
 		return false
 	}
-	removed := st.rels[pi][idx]
 	last := len(st.rels[pi]) - 1
 	if idx != last {
 		moved := st.rels[pi][last]
@@ -314,7 +249,7 @@ func (st *Structure) RemoveTuple(pred string, tuple ...int) bool {
 	st.rels[pi][last] = nil
 	st.rels[pi] = st.rels[pi][:last]
 	delete(st.relSet[pi], key)
-	st.record(Change{Op: TupleRemoved, Pred: pred, Tuple: removed})
+	st.rev++
 	return true
 }
 
@@ -426,7 +361,7 @@ func (st *Structure) Induced(elems *bitset.Set) (*Structure, map[int]int) {
 }
 
 // Clone returns a deep copy of the structure, including its revision
-// counter and retained change-log window.
+// counter.
 func (st *Structure) Clone() *Structure {
 	c := New(st.sig)
 	c.names = append([]string(nil), st.names...)
@@ -442,8 +377,6 @@ func (st *Structure) Clone() *Structure {
 		}
 	}
 	c.rev = st.rev
-	c.logBase = st.logBase
-	c.log = append([]Change(nil), st.log...)
 	return c
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/decompose"
 	"repro/internal/graph"
@@ -218,7 +219,9 @@ func TestConcurrentScheduleSharedPlan(t *testing.T) {
 // TestWorkersPerCall runs a serial and an 8-worker schedule at the same
 // time on one decomposition. Each reads its worker count from its own
 // context: the serial run never has two computes in flight, while the
-// parallel one does.
+// parallel one does. The parallel run's computes wait, up to a few
+// seconds, until a second compute is in flight, so the overlap does
+// not depend on how the goroutines happen to be scheduled.
 func TestWorkersPerCall(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(19))
@@ -226,8 +229,12 @@ func TestWorkersPerCall(t *testing.T) {
 	if nice.Len() < tree.MinParallelNodes {
 		t.Fatalf("decomposition too small (%d nodes) to exercise the pool", nice.Len())
 	}
-	run := func(workers int, peak *atomic.Int32) error {
+	run := func(workers int, peak *atomic.Int32, rendezvous bool) error {
 		var inFlight atomic.Int32
+		var once sync.Once
+		second := make(chan struct{})
+		wait, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
 		ctx := stage.WithWorkers(context.Background(), workers)
 		return nice.Schedule(ctx, false, func(int) error {
 			n := inFlight.Add(1)
@@ -237,7 +244,17 @@ func TestWorkersPerCall(t *testing.T) {
 					break
 				}
 			}
-			runtime.Gosched() // let another worker start a compute meanwhile
+			if rendezvous {
+				if n >= 2 {
+					once.Do(func() { close(second) })
+				}
+				select {
+				case <-second:
+				case <-wait.Done():
+				}
+			} else {
+				runtime.Gosched() // let another worker start a compute meanwhile
+			}
 			inFlight.Add(-1)
 			return nil
 		})
@@ -246,8 +263,8 @@ func TestWorkersPerCall(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = run(1, &serialPeak) }()
-	go func() { defer wg.Done(); errs[1] = run(8, &parallelPeak) }()
+	go func() { defer wg.Done(); errs[0] = run(1, &serialPeak, false) }()
+	go func() { defer wg.Done(); errs[1] = run(8, &parallelPeak, true) }()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

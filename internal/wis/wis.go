@@ -10,8 +10,10 @@ package wis
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/big"
 
 	"repro/internal/decompose"
@@ -34,7 +36,18 @@ type wisProblem struct {
 	w []int // per-vertex weight; len == g.N()
 }
 
-func (ip wisProblem) Name() string { return "weighted-independent-set" }
+// Name carries an FNV-64 hash of the weights: two weight vectors over
+// one graph have different optima, so they must not share a session's
+// memoized outcome.
+func (ip wisProblem) Name() string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range ip.w {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("weighted-independent-set(w=%016x)", h.Sum64())
+}
 
 // independent reports whether no bag-internal edge has both endpoints
 // selected.
