@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,30 @@ func TestBinarySignatureBlowUp(t *testing.T) {
 	_, err := Compile(sigE, phi, "x", Options{Width: 1, MaxTypes: 300})
 	if err == nil {
 		t.Fatal("expected the type limit to be exceeded")
+	}
+}
+
+func TestReductSignature(t *testing.T) {
+	sig := structure.MustSignature(
+		structure.Predicate{Name: "edge", Arity: 2},
+		structure.Predicate{Name: "c", Arity: 1},
+		structure.Predicate{Name: "root", Arity: 1},
+	)
+	for _, tc := range []struct {
+		formula string
+		want    []structure.Predicate
+	}{
+		{"c(x)", []structure.Predicate{{Name: "c", Arity: 1}}},
+		{"root(x) & exists y edge(y, x)", []structure.Predicate{{Name: "edge", Arity: 2}, {Name: "root", Arity: 1}}},
+		{"x = x", nil},
+		{"d(x)", nil},
+	} {
+		if got := ReductSignature(sig, mso.MustParse(tc.formula)).Predicates(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("reduct for %q = %v, want %v", tc.formula, got, tc.want)
+		}
+	}
+	if ReductSignature(sig, mso.MustParse("edge(x, x) | c(x) | root(x)")) != sig {
+		t.Error("a formula mentioning every predicate must compile over the signature itself")
 	}
 }
 

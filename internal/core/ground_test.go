@@ -84,16 +84,20 @@ func clauseHash(p *horn.Program) uint64 {
 	return h
 }
 
-// groundPins are the Theorem 4.4 ground programs of the compiled c(x),
-// ~c(x) and c(x) | ~c(x) programs over coloredTreeTD(n, n), as the
-// original map-binding grounder produced them: atom count, size |P'|
-// and clauseHash.
-var groundPins = []struct {
+// groundPin pins the Theorem 4.4 ground program of one compiled
+// formula over coloredTreeTD(n, n): atom count, size |P'| and
+// clauseHash.
+type groundPin struct {
 	formula     string
 	n, w        int
 	atoms, size int
 	hash        uint64
-}{
+}
+
+// groundPins are the ground programs of c(x), ~c(x) and c(x) | ~c(x)
+// compiled over the tree's whole signature {edge/2, c/1}, as the
+// original map-binding grounder produced them.
+var groundPins = []groundPin{
 	{"c(x)", 8, 1, 2696, 8132, 0x863203aa568ea2a5},
 	{"c(x)", 13, 1, 3981, 11717, 0x13570a0b71b7ed89},
 	{"c(x)", 18, 1, 6674, 20425, 0x88c0e5286c04bea7},
@@ -114,36 +118,71 @@ var groundPins = []struct {
 	{"c(x) | ~c(x)", 28, 1, 10012, 45259, 0x26bc2ecc82e1102a},
 }
 
+// reductPins are the same formulas compiled over {c/1}, the reduct
+// signature Run and the session layer compile them over
+// (ReductSignature), on the same trees, recorded when evaluation moved
+// onto reducts.
+var reductPins = []groundPin{
+	{"c(x)", 8, 1, 176, 536, 0x59394be64a44985d},
+	{"c(x)", 13, 1, 261, 781, 0xa83a944ff815d31f},
+	{"c(x)", 18, 1, 434, 1349, 0x1d1d35365654ea88},
+	{"c(x)", 20, 1, 492, 1534, 0x8795266b165e82a9},
+	{"c(x)", 23, 1, 607, 1912, 0x5fc3633bef7df87c},
+	{"c(x)", 28, 1, 652, 2007, 0xda03b4690d3f9964},
+	{"~c(x)", 8, 1, 176, 536, 0x2e83ce9731b3f745},
+	{"~c(x)", 13, 1, 261, 781, 0x3237b1cac516e2df},
+	{"~c(x)", 18, 1, 434, 1349, 0xcdf4373591237eac},
+	{"~c(x)", 20, 1, 492, 1534, 0x48aee91d097f07ed},
+	{"~c(x)", 23, 1, 607, 1912, 0x1b27d0dacb156350},
+	{"~c(x)", 28, 1, 652, 2007, 0xd1041ef943c45a68},
+	{"c(x) | ~c(x)", 8, 1, 176, 788, 0x762dc8d39d840f7f},
+	{"c(x) | ~c(x)", 13, 1, 261, 1153, 0x5c13c63e5b2d6542},
+	{"c(x) | ~c(x)", 18, 1, 434, 1973, 0x96f7c685f664f1f},
+	{"c(x) | ~c(x)", 20, 1, 492, 2242, 0x91fc0c19b5fd667b},
+	{"c(x) | ~c(x)", 23, 1, 607, 2788, 0xcb3f2a96a791875f},
+	{"c(x) | ~c(x)", 28, 1, 652, 2943, 0xe766a486b15fdf0d},
+}
+
 // TestGroundCompiledMSOPinned checks that the slot-plan grounder
 // reproduces the pinned ground programs exactly, through both the
 // one-shot datalog.Ground and the Grounder carried by Compiled.
 func TestGroundCompiledMSOPinned(t *testing.T) {
-	compiled := map[string]*Compiled{}
-	for _, pin := range groundPins {
-		edb, w := coloredTreeTD(t, pin.n, int64(pin.n))
-		if w != pin.w {
-			t.Fatalf("%s n=%d: width %d, pinned %d", pin.formula, pin.n, w, pin.w)
-		}
-		c := compiled[pin.formula]
-		if c == nil {
-			var err error
-			if c, err = Compile(sigColoredTree, mso.MustParse(pin.formula), "x", Options{Width: w}); err != nil {
+	type key struct {
+		sig     *structure.Signature
+		formula string
+	}
+	compiled := map[key]*Compiled{}
+	for _, set := range []struct {
+		sig  *structure.Signature
+		pins []groundPin
+	}{{sigColoredTree, groundPins}, {sigColor, reductPins}} {
+		for _, pin := range set.pins {
+			edb, w := coloredTreeTD(t, pin.n, int64(pin.n))
+			if w != pin.w {
+				t.Fatalf("%s n=%d: width %d, pinned %d", pin.formula, pin.n, w, pin.w)
+			}
+			k := key{set.sig, pin.formula}
+			c := compiled[k]
+			if c == nil {
+				var err error
+				if c, err = Compile(set.sig, mso.MustParse(pin.formula), "x", Options{Width: w}); err != nil {
+					t.Fatal(err)
+				}
+				compiled[k] = c
+			}
+			oneShot, err := datalog.Ground(c.Program, edb.Clone(), datalog.TDFuncDeps(w))
+			if err != nil {
 				t.Fatal(err)
 			}
-			compiled[pin.formula] = c
-		}
-		oneShot, err := datalog.Ground(c.Program, edb.Clone(), datalog.TDFuncDeps(w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		carried, err := c.Grounder.Ground(context.Background(), edb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range []*datalog.GroundProgram{oneShot, carried} {
-			if g.NumAtoms() != pin.atoms || g.Size() != pin.size || clauseHash(g.Horn) != pin.hash {
-				t.Fatalf("%s n=%d: %d atoms, size %d, hash %#x; pinned %d, %d, %#x",
-					pin.formula, pin.n, g.NumAtoms(), g.Size(), clauseHash(g.Horn), pin.atoms, pin.size, pin.hash)
+			carried, err := c.Grounder.Ground(context.Background(), edb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []*datalog.GroundProgram{oneShot, carried} {
+				if g.NumAtoms() != pin.atoms || g.Size() != pin.size || clauseHash(g.Horn) != pin.hash {
+					t.Fatalf("%s over %d predicates, n=%d: %d atoms, size %d, hash %#x; pinned %d, %d, %#x",
+						pin.formula, len(set.sig.Predicates()), pin.n, g.NumAtoms(), g.Size(), clauseHash(g.Horn), pin.atoms, pin.size, pin.hash)
+				}
 			}
 		}
 	}
@@ -193,29 +232,50 @@ func compiledColoredTree(tb testing.TB, formula string) (*Compiled, *datalog.DB)
 	return c, edb
 }
 
-// BenchmarkGroundCompiledMSO times the evaluation of the compiled c(x)
-// program over a 20-element colored tree's τ_td, the shape of a cold
-// /eval, on both eval paths: grounded is Theorem 4.4 (ground, solve,
-// copy out the fixpoint), direct the semi-naive engine. Each iteration
-// evaluates a fresh copy of the database, as the session does.
+// BenchmarkGroundCompiledMSO times the compiled c(x) program over a
+// 20-element colored tree's τ_td, the shape of a cold /eval: its
+// compilation, and its evaluation on both eval paths — grounded is
+// Theorem 4.4 (ground, solve, copy out the fixpoint), direct the
+// semi-naive engine. Each evaluation runs on a fresh copy of the
+// database, as the session does. The unprefixed runs compile over the
+// tree's whole signature {edge/2, c/1}, as Compile does; the reduct-
+// runs over {c/1}, as Run and the session layer do (ReductSignature).
 func BenchmarkGroundCompiledMSO(b *testing.B) {
-	c, edb := compiledColoredTree(b, "c(x)")
+	edb, w := coloredTreeTD(b, 20, 20)
+	phi := mso.MustParse("c(x)")
 	ctx := context.Background()
-	for _, path := range []struct {
-		name string
-		eval func(*datalog.DB) (*datalog.DB, error)
-	}{
-		{"grounded", func(db *datalog.DB) (*datalog.DB, error) { return c.Grounder.Eval(ctx, db) }},
-		{"direct", func(db *datalog.DB) (*datalog.DB, error) { return datalog.EvalCtx(ctx, c.Program, db) }},
-	} {
-		b.Run(path.name, func(b *testing.B) {
+	for _, sig := range []struct {
+		prefix string
+		sig    *structure.Signature
+	}{{"", sigColoredTree}, {"reduct-", sigColor}} {
+		c, err := Compile(sig.sig, phi, "x", Options{Width: w})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sig.prefix+"compile", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := path.eval(edb.Clone()); err != nil {
+				if _, err := Compile(sig.sig, phi, "x", Options{Width: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		for _, path := range []struct {
+			name string
+			eval func(*datalog.DB) (*datalog.DB, error)
+		}{
+			{"grounded", func(db *datalog.DB) (*datalog.DB, error) { return c.Grounder.Eval(ctx, db) }},
+			{"direct", func(db *datalog.DB) (*datalog.DB, error) { return datalog.EvalCtx(ctx, c.Program, db) }},
+		} {
+			b.Run(sig.prefix+path.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := path.eval(edb.Clone()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -43,12 +43,43 @@ func (o Options) RequestWidth(w int) Options {
 	return o
 }
 
+// ReductSignature returns the predicates of sig that phi mentions, in
+// signature order: the signature Run and the session layer compile phi
+// over. phi is a formula over that reduct τ', a tree decomposition of a
+// τ-structure A also decomposes its τ'-reduct, and the τ'_td relations
+// of A_td are exactly those of the reduct's τ_td structure, so the
+// Theorem 4.5 program over τ' answers phi on A_td while reading none of
+// the other relations. Each predicate of τ multiplies the k-types the
+// program has one predicate for, so the reduct's program is the smaller
+// one; a formula that mentions every predicate gets sig itself.
+func ReductSignature(sig *structure.Signature, phi *mso.Formula) *structure.Signature {
+	var kept []structure.Predicate
+	for _, p := range sig.Predicates() {
+		if InReduct(phi, p) {
+			kept = append(kept, p)
+		}
+	}
+	if len(kept) == len(sig.Predicates()) {
+		return sig
+	}
+	return structure.MustSignature(kept...)
+}
+
+// InReduct reports whether p belongs to phi's reduct signature (see
+// ReductSignature). It allocates nothing, so a cache key naming the
+// reduct can test each predicate per lookup instead of building the
+// Signature.
+func InReduct(phi *mso.Formula, p structure.Predicate) bool {
+	return phi.Mentions(p.Name)
+}
+
 // Run evaluates the MSO query phi (free element variable xVar, or a
 // sentence when opts.Decision is set) over the structure by the full
 // pipeline of the paper: compute a tree decomposition, normalize it to
 // tuple normal form (Def. 2.3), build the τ_td structure (Section 4),
-// compile φ to a quasi-guarded monadic datalog program (Theorem 4.5), and
-// evaluate it in time O(|P|·|A_td|) (Theorem 4.4). It dispatches on
+// compile φ over its reduct signature (see ReductSignature) to a
+// quasi-guarded monadic datalog program (Theorem 4.5), and evaluate it
+// in time O(|P|·|A_td|) (Theorem 4.4). It dispatches on
 // opts.Backend — "game" replaces the compile/evaluate stages with lazy
 // model-checking-game exploration — so call sites select a strategy
 // without changing shape.
@@ -147,7 +178,7 @@ func runWithDecomposition(ctx context.Context, st *structure.Structure, d *tree.
 		return nil, stage.Wrap(stage.Compile, err)
 	}
 	start = time.Now()
-	compiled, err := compileAutomatonCtx(ctx, st.Sig(), phi, xVar, opts)
+	compiled, err := compileAutomatonCtx(ctx, ReductSignature(st.Sig(), phi), phi, xVar, opts)
 	if err != nil {
 		return nil, stage.Wrap(stage.Compile, err)
 	}

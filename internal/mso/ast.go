@@ -152,6 +152,22 @@ func (f *Formula) QuantifierDepth() int {
 	}
 }
 
+// Mentions reports whether pred occurs in an atom of the formula. A
+// formula mentioning only the predicates of τ' ⊆ τ is a τ'-formula:
+// its truth in a τ-structure is its truth in the τ'-reduct. Mentions
+// allocates nothing, so cache-key paths may call it per lookup.
+func (f *Formula) Mentions(pred string) bool {
+	if f.Kind == KAtom {
+		return f.Pred == pred
+	}
+	for _, s := range f.Sub {
+		if s.Mentions(pred) {
+			return true
+		}
+	}
+	return false
+}
+
 // FreeVars returns the free element and set variables, sorted.
 func (f *Formula) FreeVars() (elems, sets []string) {
 	em, sm := map[string]bool{}, map[string]bool{}

@@ -94,6 +94,21 @@ func TestQuantifierDepth(t *testing.T) {
 	}
 }
 
+func TestMentions(t *testing.T) {
+	f := MustParse("c(x) & exists Y forall y (y in Y -> ~edge(x, y))")
+	for pred, want := range map[string]bool{"c": true, "edge": true, "e": false, "x": false, "Y": false} {
+		if got := f.Mentions(pred); got != want {
+			t.Errorf("Mentions(%q) = %v, want %v", pred, got, want)
+		}
+	}
+	if MustParse("x = x").Mentions("c") {
+		t.Error("an equality mentions no predicate")
+	}
+	if n := testing.AllocsPerRun(10, func() { f.Mentions("e") }); n != 0 {
+		t.Errorf("Mentions allocates %.0f times, want 0", n)
+	}
+}
+
 func TestFreeVars(t *testing.T) {
 	f := MustParse("exists Y (x in Y & y in Z)")
 	elems, sets := f.FreeVars()

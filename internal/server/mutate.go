@@ -95,7 +95,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	sess := s.sessionFor(st)
+	sess := s.sessionFor(oldFP, st)
 	if s.testGate != nil {
 		s.testGate(ctx, "mutate")
 	}
@@ -113,8 +113,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
-	finish(sameOutcome(err))
 	if err != nil {
+		finish(sameOutcome(err))
 		s.fail(w, fmt.Errorf("%w: %v", cli.ErrUsage, err))
 		return
 	}
@@ -122,7 +122,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// and the fingerprint of the canonical text we return: String()
 	// orders tuples canonically while retraction reorders them in
 	// memory, so a client re-sending the response text must still reach
-	// this session rather than decompose a fresh one.
+	// this session rather than decompose a fresh one. The slot is released
+	// only after the re-key, so a request admitted after this edit never
+	// finds the edited session under the pre-edit fingerprint.
 	var text string
 	var memFP uint64
 	sess.View(func(st *structure.Structure) {
@@ -134,6 +136,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		canonFP = session.Fingerprint(canon)
 	}
 	s.rekeySession(sess, oldFP, memFP, canonFP)
+	finish(sameOutcome(nil))
 	s.reply(w, http.StatusOK, MutateResponse{
 		Structure:         text,
 		Fingerprint:       fmt.Sprintf("%016x", canonFP),

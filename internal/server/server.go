@@ -17,6 +17,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,6 +141,11 @@ type Server struct {
 	// beyond MaxSessions and maxBreakers.
 	sessions *cache.Cache[uint64, *session.Session]
 	breakers *cache.Cache[uint64, *overload.Breaker]
+	// texts maps a structure text that parsed, by its SHA-256 so that
+	// request bodies are not retained, to the fingerprint of its parse,
+	// FIFO beyond MaxSessions: a request naming a resident structure by
+	// a text seen before skips the parse (see resolve).
+	texts *cache.Cache[[sha256.Size]byte, uint64]
 
 	mu          sync.Mutex
 	requests    int64
@@ -176,6 +182,7 @@ func New(cfg Config) *Server {
 		start:       time.Now(),
 		limiter:     overload.NewLimiter(cfg.Limiter),
 		sessions:    cache.New[uint64, *session.Session](cfg.MaxSessions),
+		texts:       cache.New[[sha256.Size]byte, uint64](cfg.MaxSessions),
 		breakers:    cache.New[uint64, *overload.Breaker](maxBreakers),
 		statuses:    make(map[int]int64),
 		backendReqs: make(map[string]int64),
@@ -332,14 +339,63 @@ func (s *Server) countBackend(name string) {
 	s.mu.Unlock()
 }
 
-// sessionFor returns the resident session for st's content fingerprint,
-// creating (and FIFO-evicting) under the registry cap. Sessions share
-// the server's program cache, so an evicted-and-recreated session still
-// skips recompilation.
-func (s *Server) sessionFor(st *structure.Structure) *session.Session {
-	return s.sessions.GetOrAdd(session.Fingerprint(st), func() *session.Session {
+// sessionFor returns the resident session under fingerprint fp, which
+// must be st's, creating (and FIFO-evicting) under the registry cap.
+// Sessions share the server's program cache, so an evicted-and-recreated
+// session still skips recompilation.
+func (s *Server) sessionFor(fp uint64, st *structure.Structure) *session.Session {
+	return s.sessions.GetOrAdd(fp, func() *session.Session {
 		return session.NewWithCache(st, s.progs)
 	})
+}
+
+// structureRef is a request's structure text resolved to its content
+// fingerprint, with the parsed structure when resolving parsed it.
+type structureRef struct {
+	text string
+	fp   uint64
+	st   *structure.Structure
+}
+
+// resolve fingerprints a structure text before admission. The
+// fingerprint of a parse depends on the text alone, so it is memoized
+// per text: a text seen before whose session is resident resolves
+// without parsing, and any other text parses as it always did. Parse
+// errors are not memoized.
+func (s *Server) resolve(text string) (structureRef, error) {
+	sum := sha256.Sum256([]byte(text))
+	if fp, ok := s.texts.Peek(sum); ok {
+		if _, ok := s.sessions.Peek(fp); ok {
+			return structureRef{text: text, fp: fp}, nil
+		}
+	}
+	st, err := parseStructure(text)
+	if err != nil {
+		return structureRef{}, err
+	}
+	fp := session.Fingerprint(st)
+	s.texts.Add(sum, fp)
+	return structureRef{text: text, fp: fp, st: st}, nil
+}
+
+// sessionOf returns the session for an admitted request's resolved
+// text. It reads the registry only now: while the request waited for
+// admission, a /mutate may have edited the session its text resolved
+// to and moved it to the post-edit fingerprint. The text then parses
+// again (it parsed before, so it cannot fail) and binds a session of
+// the structure it describes.
+func (s *Server) sessionOf(ref structureRef) (*session.Session, error) {
+	if ref.st == nil {
+		if sess, ok := s.sessions.Peek(ref.fp); ok {
+			return sess, nil
+		}
+		st, err := parseStructure(ref.text)
+		if err != nil {
+			return nil, err
+		}
+		ref.st = st
+	}
+	return s.sessionFor(ref.fp, ref.st), nil
 }
 
 func (s *Server) decode(r *http.Request, into any) error {
@@ -428,7 +484,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	st, err := parseStructure(req.Structure)
+	ref, err := s.resolve(req.Structure)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -437,23 +493,32 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if req.Var == "" {
 		weight = costDecision
 	}
-	finish, err := s.admitOverload(ctx, []uint64{session.Fingerprint(st)}, estimateCost(len(req.Structure), weight))
+	finish, err := s.admitOverload(ctx, []uint64{ref.fp}, estimateCost(len(req.Structure), weight))
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.countBackend(backend)
-	sess := s.sessionFor(st)
-	if s.testGate != nil {
-		s.testGate(ctx, "eval")
-	}
-	resp, err := evalOne(ctx, sess, req.Formula, req.Var, backend)
+	resp, err := s.evalAdmitted(ctx, req, ref, backend)
 	finish(sameOutcome(err))
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.reply(w, http.StatusOK, resp)
+}
+
+// evalAdmitted is handleEval past admission, factored out so the
+// finish callback sees every outcome on one path.
+func (s *Server) evalAdmitted(ctx context.Context, req EvalRequest, ref structureRef, backend string) (EvalResponse, error) {
+	sess, err := s.sessionOf(ref)
+	if err != nil {
+		return EvalResponse{}, err
+	}
+	if s.testGate != nil {
+		s.testGate(ctx, "eval")
+	}
+	return evalOne(ctx, sess, req.Formula, req.Var, backend)
 }
 
 // SolveRequest runs a named FPT problem over the primal graph of the
@@ -518,17 +583,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	st, err := parseStructure(req.Structure)
+	ref, err := s.resolve(req.Structure)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	finish, err := s.admitOverload(ctx, []uint64{session.Fingerprint(st)}, estimateCost(len(req.Structure), costSolve))
+	finish, err := s.admitOverload(ctx, []uint64{ref.fp}, estimateCost(len(req.Structure), costSolve))
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	resp, err := s.solveAdmitted(ctx, req, st)
+	resp, err := s.solveAdmitted(ctx, req, ref)
 	finish(sameOutcome(err))
 	if err != nil {
 		s.fail(w, err)
@@ -539,8 +604,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // solveAdmitted is handleSolve past admission, factored out so the
 // finish callback sees every outcome on one path.
-func (s *Server) solveAdmitted(ctx context.Context, req SolveRequest, st *structure.Structure) (SolveResponse, error) {
-	sess := s.sessionFor(st)
+func (s *Server) solveAdmitted(ctx context.Context, req SolveRequest, ref structureRef) (SolveResponse, error) {
+	sess, err := s.sessionOf(ref)
+	if err != nil {
+		return SolveResponse{}, err
+	}
 	if s.testGate != nil {
 		s.testGate(ctx, "solve")
 	}
@@ -647,17 +715,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	structures := make([]*structure.Structure, len(req.Structures))
+	refs := make([]structureRef, len(req.Structures))
 	fps := make([]uint64, len(req.Structures))
 	cost := int64(0)
 	for i, src := range req.Structures {
-		st, err := parseStructure(src)
+		ref, err := s.resolve(src)
 		if err != nil {
 			s.fail(w, fmt.Errorf("structure %d: %w", i, err))
 			return
 		}
-		structures[i] = st
-		fps[i] = session.Fingerprint(st)
+		refs[i] = ref
+		fps[i] = ref.fp
 		cost += estimateCost(len(src), costDecision)
 	}
 	// One admission covers the whole batch (it holds one concurrency
@@ -671,8 +739,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.countBackend(backend)
 	sessions := make([]*session.Session, len(req.Structures))
 	before := make([]session.Stats, len(req.Structures))
-	for i, st := range structures {
-		sessions[i] = s.sessionFor(st)
+	for i, ref := range refs {
+		if sessions[i], err = s.sessionOf(ref); err != nil {
+			finish(sameOutcome(err))
+			s.fail(w, fmt.Errorf("structure %d: %w", i, err))
+			return
+		}
 		before[i] = sessions[i].Stats()
 	}
 	if s.testGate != nil {

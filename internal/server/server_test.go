@@ -15,13 +15,16 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/session"
 	"repro/internal/structure"
 )
 
-// cycleStructure is a colored 4-cycle: treewidth 2. Fine for /solve
-// (the solver runs on the decomposition directly) but beyond the MSO
-// compiler's default type limit — /eval tests use the width-1 path or
-// the width-0 flat structure instead.
+// cycleStructure is a colored 4-cycle: treewidth 2. The /solve tests
+// use it (the solver runs on the decomposition directly); /eval tests
+// use the width-1 path or the width-0 flat structure, whose programs
+// compile fastest. A query mentioning only c would compile over the
+// reduct {c/1} here too; one quantifying over edge meets the compiler's
+// type limit at any width.
 const cycleStructure = `
 dom v0 v1 v2 v3.
 edge(v0, v1). edge(v1, v2). edge(v2, v3). edge(v3, v0).
@@ -393,7 +396,7 @@ func TestSessionRegistryBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.sessionFor(st)
+		s.sessionFor(session.Fingerprint(st), st)
 	}
 	n, order, evicted := s.sessions.Len(), len(s.sessions.Values()), s.sessions.Stats().Evictions
 	if n != 8 || order != 8 {
@@ -407,8 +410,9 @@ func TestSessionRegistryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.sessionFor(st)
-	if again := s.sessionFor(st); again != before {
+	fp := session.Fingerprint(st)
+	before := s.sessionFor(fp, st)
+	if again := s.sessionFor(fp, st); again != before {
 		t.Error("resident fingerprint re-created its session")
 	}
 }

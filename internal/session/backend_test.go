@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -143,6 +144,46 @@ func TestBackendCacheIsolation(t *testing.T) {
 	}
 	if hits := sess.Stats().ResultCacheHits; hits != 3 {
 		t.Fatalf("explicit %q backend missed the default entry (hits = %d, want 3)", core.DefaultBackend, hits)
+	}
+}
+
+// TestGameEvalSkipsTauTD pins the game path's front end: a cold game
+// Eval builds the raw decomposition and its nice form but neither the
+// tuple form nor τ_td, which only the automaton program reads; its
+// answer matches the automaton's, and the width assertion still holds,
+// for a cached (formula, options) as for a new one.
+func TestGameEvalSkipsTauTD(t *testing.T) {
+	ctx := context.Background()
+	st := backendColoredPath(10, 47)
+	phi := mso.MustParse("c(x)")
+	sess := NewWithCache(st, NewProgramCache())
+	gres, err := sess.Eval(ctx, phi, "x", core.Options{Backend: "game"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := sess.Stats()
+	if stats.Decompositions != 1 || stats.NiceNormalizations != 1 || stats.TupleNormalizations != 0 || stats.TDBuilds != 0 {
+		t.Fatalf("cold game Eval: %+v, want 1 decomposition and 1 nice form, no tuple form or τ_td", stats)
+	}
+	ares, err := core.RunCtx(ctx, st, phi, "x", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gres.Selected.Equal(ares.Selected) || gres.Width != ares.Width {
+		t.Fatalf("game %v (width %d), automaton %v (width %d)", gres.Selected, gres.Width, ares.Selected, ares.Width)
+	}
+	wrong := core.Options{Backend: "game"}.RequestWidth(gres.Width + 1)
+	for _, f := range []string{"~c(x)", "c(x)"} { // c(x)'s result is cached
+		if _, err := sess.Eval(ctx, mso.MustParse(f), "x", wrong); err == nil || !strings.Contains(err.Error(), "does not match requested width") {
+			t.Fatalf("game Eval of %s at the wrong requested width: err = %v", f, err)
+		}
+	}
+	right := core.Options{Backend: "game"}.RequestWidth(gres.Width)
+	if _, err := sess.Eval(ctx, mso.MustParse("~c(x)"), "x", right); err != nil {
+		t.Fatalf("game Eval at the right requested width: %v", err)
+	}
+	if stats := sess.Stats(); stats.TupleNormalizations != 0 || stats.TDBuilds != 0 {
+		t.Fatalf("after width-checked game Evals: %+v, want no tuple form or τ_td", stats)
 	}
 }
 

@@ -2,17 +2,22 @@ package session
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/mso"
+	"repro/internal/structure"
 )
 
 // diffFormulas is the randomized-differential pool: unary queries of
-// rank ≤ 1 over {c/1} (binary signatures blow up the generic rank-1
-// compilation; see core.TestBinarySignatureBlowUp).
+// rank ≤ 1 that mention only c/1. They compile over the reduct {c/1} on
+// any structure, binary relations included; a rank-1 formula that
+// mentions a binary predicate still blows up the generic compilation
+// (see core.TestBinarySignatureBlowUp).
 var diffFormulas = []string{
 	"c(x)",
 	"~c(x)",
@@ -89,6 +94,94 @@ func TestSessionDifferentialAgainstColdRun(t *testing.T) {
 		}
 		if stats.ResultCacheHits != len(diffFormulas) {
 			t.Fatalf("trial %d: ResultCacheHits = %d, want %d", trial, stats.ResultCacheHits, len(diffFormulas))
+		}
+	}
+}
+
+// coloredPartialKTree returns a random partial k-tree on n elements
+// over {edge/2, c/1}, each element colored with probability ½.
+func coloredPartialKTree(rng *rand.Rand, n, k int) *structure.Structure {
+	st := structure.New(structure.MustSignature(
+		structure.Predicate{Name: "edge", Arity: 2},
+		structure.Predicate{Name: "c", Arity: 1},
+	))
+	for i := 0; i < n; i++ {
+		st.AddElem(fmt.Sprintf("v%d", i))
+	}
+	for _, e := range graph.PartialKTree(n, k, 0.2, rng).Edges() {
+		st.MustAddTuple("edge", e[0], e[1])
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			st.MustAddTuple("c", i)
+		}
+	}
+	return st
+}
+
+// TestReductDifferentialPartialKTrees runs the differential pool over
+// colored partial k-trees (k ≤ 2) whose edge relation no formula
+// mentions, so every automaton evaluation compiles over the reduct
+// {c/1} while τ_td carries the edges. On every structure, a session
+// Eval and the game backend must agree with the naive checker on every
+// formula and sentence. Each core.Run compiles afresh, so the cold
+// pipeline checks one formula and one sentence per structure, in
+// rotation: every pool member meets it on at least eight structures.
+func TestReductDifferentialPartialKTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	ctx := context.Background()
+	pc := NewProgramCache()
+	const structures = 50
+	for i := 0; i < structures; i++ {
+		st := coloredPartialKTree(rng, 5+rng.Intn(6), 1+rng.Intn(2))
+		s := NewWithCache(st, pc)
+		check := func(q string, cold bool, xVar string, opts core.Options, agree func(*core.Result) error) {
+			t.Helper()
+			phi := mso.MustParse(q)
+			evals := map[string]func() (*core.Result, error){
+				"session": func() (*core.Result, error) { return s.Eval(ctx, phi, xVar, opts) },
+				"game": func() (*core.Result, error) {
+					game := opts
+					game.Backend = "game"
+					return s.Eval(ctx, phi, xVar, game)
+				},
+			}
+			if cold {
+				evals["core.Run"] = func() (*core.Result, error) { return core.Run(st, phi, xVar, opts) }
+			}
+			for name, eval := range evals {
+				res, err := eval()
+				if err != nil {
+					t.Fatalf("structure %d, %s %q: %v", i, name, q, err)
+				}
+				if err := agree(res); err != nil {
+					t.Fatalf("structure %d, %s %q: %v\n(structure:\n%s)", i, name, q, err, st)
+				}
+			}
+		}
+		for j, q := range diffFormulas {
+			want, err := mso.Query(st, mso.MustParse(q), "x", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(q, j == i%len(diffFormulas), "x", core.Options{}, func(res *core.Result) error {
+				if !res.Selected.Equal(want) {
+					return fmt.Errorf("selected %v, naive %v", res.Selected.Elems(), want.Elems())
+				}
+				return nil
+			})
+		}
+		for j, q := range diffSentences {
+			want, err := mso.Sentence(st, mso.MustParse(q), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(q, j == i%len(diffSentences), "", core.Options{Decision: true}, func(res *core.Result) error {
+				if res.Holds != want {
+					return fmt.Errorf("holds %v, naive %v", res.Holds, want)
+				}
+				return nil
+			})
 		}
 	}
 }

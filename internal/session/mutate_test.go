@@ -25,10 +25,10 @@ var sigMutate = structure.MustSignature(
 )
 
 // randMutable builds a random {e/2, c/1} path structure with random
-// colors. The e-graph must stay a forest throughout the tests: over a
-// binary signature the compiler is only feasible at width 1 (see
-// core.TestBinarySignatureBlowUp), so edits may never raise the
-// treewidth.
+// colors. The e-graph stays a forest throughout the tests, so edits
+// never raise the treewidth: the queries below mention only c and
+// compile over the reduct {c/1} at any width, but the tests compare
+// warm and cold answers at the width the path fixes.
 func randMutable(rng *rand.Rand, n int) *structure.Structure {
 	st := structure.New(sigMutate)
 	for i := 0; i < n; i++ {
@@ -45,8 +45,9 @@ func randMutable(rng *rand.Rand, n int) *structure.Structure {
 	return st
 }
 
-// Quantifier-free unary queries: rank-1 quantification over a binary
-// signature exceeds the compiler's type space by design.
+// Quantifier-free unary queries over c. They compile over the reduct
+// {c/1}; rank-1 queries that mention only c would too, while rank-1
+// quantification over e exceeds the compiler's type space by design.
 var mutateQueries = []string{
 	"c(x)",
 	"~c(x)",
@@ -285,9 +286,9 @@ func TestMutateUncoveredEditInvalidates(t *testing.T) {
 // keep the one decomposition; a new element and a chord between the
 // path's ends are not, and each forces a new one. After every edit the
 // warm session's answers must match a cold session's on a copy of the
-// edited structure. The chord closes a cycle (width 2), where only the
-// game backend's compile-free evaluation is feasible over a binary
-// signature.
+// edited structure. The chord closes a cycle (width 2); the queries
+// mention only c, so both backends answer there too, the automaton
+// compiling over the reduct {c/1}.
 func TestMutateKeepsCoveredDecomposition(t *testing.T) {
 	const n = 12
 	st := structure.New(sigMutate)
@@ -313,7 +314,7 @@ func TestMutateKeepsCoveredDecomposition(t *testing.T) {
 		{"edge retract", func(st *structure.Structure) error { st.RemoveTuple("e", 5, 6); return nil }, true, []core.Options{automaton}},
 		{"edge restore", func(st *structure.Structure) error { return st.AddTuple("e", 5, 6) }, true, []core.Options{automaton, game}},
 		{"new element", func(st *structure.Structure) error { st.AddElem("w"); return nil }, false, []core.Options{automaton, game}},
-		{"chord", func(st *structure.Structure) error { return st.AddTuple("e", 0, n-1) }, false, []core.Options{game}},
+		{"chord", func(st *structure.Structure) error { return st.AddTuple("e", 0, n-1) }, false, []core.Options{automaton, game}},
 	}
 	decompositions, invalidations := 1, 0
 	for _, step := range steps {

@@ -12,10 +12,11 @@ import (
 	"repro/internal/structure"
 )
 
-// progKey identifies a compiled program: the formula's canonical
-// rendering plus every Options field that influences compilation. Two
-// structurally identical formulas hash to the same key even when built
-// as distinct ASTs.
+// progKey identifies a compiled program: the reduct signature it is
+// compiled over, the formula's canonical rendering and every Options
+// field that influences compilation. Two structurally identical
+// formulas hash to the same key even when built as distinct ASTs, and
+// one formula keys alike over every signature with the same reduct.
 type progKey struct {
 	sig      string
 	formula  string
@@ -30,10 +31,15 @@ type progKey struct {
 	budget   int64
 }
 
+// keyFor renders the reduct signature compileSafe compiles phi over,
+// predicate by predicate (core.InReduct) rather than by building it,
+// since every warm Eval computes its keys.
 func keyFor(sig *structure.Signature, phi *mso.Formula, xVar string, opts core.Options) progKey {
 	sigKey := ""
 	for _, p := range sig.Predicates() {
-		sigKey += p.Name + "/" + strconv.Itoa(p.Arity) + ";"
+		if core.InReduct(phi, p) {
+			sigKey += p.Name + "/" + strconv.Itoa(p.Arity) + ";"
+		}
 	}
 	return progKey{
 		sig:      sigKey,
@@ -56,13 +62,13 @@ func keyFor(sig *structure.Signature, phi *mso.Formula, xVar string, opts core.O
 // bound while comfortably covering any realistic working set.
 const progCacheCap = 512
 
-// ProgramCache memoizes MSO-to-datalog compilations per (formula,
-// width, options), bounded FIFO. It is safe for concurrent use; the
-// lock is held for lookups and inserts only, compilation runs outside
-// it, and concurrent requests for the same key share one in-flight
-// compilation while requests for cached keys are served immediately. A
-// compiled program is immutable and shared by every session that
-// evaluates the same query, regardless of structure.
+// ProgramCache memoizes MSO-to-datalog compilations per (reduct
+// signature, formula, width, options), bounded FIFO. It is safe for
+// concurrent use; the lock is held for lookups and inserts only,
+// compilation runs outside it, and concurrent requests for the same key
+// share one in-flight compilation while requests for cached keys are
+// served immediately. A compiled program is immutable and shared by
+// every session that evaluates the same query, regardless of structure.
 type ProgramCache struct {
 	c *cache.Cache[progKey, *core.Compiled]
 }
@@ -96,11 +102,11 @@ func (pc *ProgramCache) Get(ctx context.Context, sig *structure.Signature, phi *
 	})
 }
 
-// compileSafe compiles outside the cache lock, recovering a panic into
-// a stage-tagged error.
+// compileSafe compiles phi over its reduct of sig outside the cache
+// lock, recovering a panic into a stage-tagged error.
 func compileSafe(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts core.Options) (c *core.Compiled, err error) {
 	defer stage.RecoverTo(stage.Compile, &err)
-	return core.CompileCtx(ctx, sig, phi, xVar, opts)
+	return core.CompileCtx(ctx, core.ReductSignature(sig, phi), phi, xVar, opts)
 }
 
 // Shed drops every cached program and returns how many were released,

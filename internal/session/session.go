@@ -4,7 +4,8 @@
 // decomposition, tuple normal form (Def. 2.3), nice normal form, τ_td
 // structure (Section 4) and its datalog EDB — keyed by a content
 // fingerprint, while compiled MSO programs are cached per (formula,
-// width, options) in a ProgramCache shared across sessions. Evaluating
+// width, options) in a ProgramCache shared across sessions, each
+// compiled over the predicates its formula mentions. Evaluating
 // k queries over one structure therefore pays for decomposition,
 // normalization and τ_td construction once, and one query over k
 // structures compiles once. Evaluation is deterministic, so each
@@ -72,7 +73,8 @@ type Trace = stage.Trace
 // Stats counts the expensive operations a session has performed. The
 // cache guarantees are expressed in these counters: evaluating any
 // number of queries over an unchanged structure keeps Decompositions,
-// TupleNormalizations and TDBuilds at 1.
+// TupleNormalizations and TDBuilds at 1 (the latter two at 0 while only
+// non-default backends evaluate, as they read neither).
 type Stats struct {
 	// Decompositions counts min-fill tree decompositions computed.
 	Decompositions int
@@ -585,6 +587,12 @@ func (editedError) Error() string { return "session: structure edited during eva
 // eval is one attempt at Eval.
 func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options) (*core.Result, error) {
 	trace := &stage.Trace{}
+	if opts.BackendName() != core.DefaultBackend {
+		// Alternate backends evaluate lazily on the cached nice
+		// decomposition: no tuple form, τ_td, datalog compilation or
+		// program cache.
+		return s.evalBackend(ctx, phi, xVar, opts, trace)
+	}
 	art, err := s.ensure(ctx, trace)
 	if err != nil {
 		return nil, err
@@ -593,11 +601,6 @@ func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		return nil, fmt.Errorf("session: decomposition width %d does not match requested width %d", art.width, *opts.RequestedWidth)
 	}
 	opts.Width = art.width
-	if opts.BackendName() != core.DefaultBackend {
-		// Alternate backends evaluate lazily on the cached nice
-		// decomposition: no datalog compilation, no program cache.
-		return s.evalBackend(ctx, phi, xVar, opts, trace)
-	}
 	if err := faultinject.Check("session.compile"); err != nil {
 		return nil, stage.Wrap(stage.Compile, err)
 	}
@@ -665,10 +668,13 @@ func waited(st stage.Stage, err error) error {
 
 // evalBackend is Eval's path for non-default backends: it resolves the
 // named backend and feeds it the session's cached nice decomposition,
-// through the same result cache as the default path. Result-cache keys
-// include the backend name (see keyFor), so the same formula evaluated
-// under different backends occupies distinct entries and a backend
-// switch can never serve another backend's result.
+// built from the raw decomposition alone, through the same result cache
+// as the default path. opts.RequestedWidth is checked against the nice
+// form's width before the result cache is consulted, since result-cache
+// keys do not include it. They do include the backend name (see
+// keyFor), so the same formula evaluated under different backends
+// occupies distinct entries and a backend switch can never serve
+// another backend's result.
 func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (*core.Result, error) {
 	b, err := core.BackendByName(opts.BackendName())
 	if err != nil {
@@ -681,6 +687,9 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 	nice, fp, err := s.niceForm(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if opts.RequestedWidth != nil && *opts.RequestedWidth != nice.Width() {
+		return nil, fmt.Errorf("session: decomposition width %d does not match requested width %d", nice.Width(), *opts.RequestedWidth)
 	}
 	key := resultKey{fp: fp, progKey: keyFor(s.st.Sig(), phi, xVar, opts)}
 	return s.evalShared(ctx, key, nb.Name(), trace, func() (*resultEntry, error) {

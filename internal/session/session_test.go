@@ -129,6 +129,60 @@ func TestSessionProgramCacheHit(t *testing.T) {
 	}
 }
 
+// TestProgramCacheKeysByReduct pins the program-cache key: a program is
+// compiled over, and keyed by, the predicates its formula mentions. So
+// c(x) compiles once for {c/1} and {edge/2, c/1}; a formula that
+// mentions edge, and a signature whose c is binary, get keys of their
+// own; and an unknown predicate or a wrong arity fails exactly as a
+// compilation over the whole signature does.
+func TestProgramCacheKeysByReduct(t *testing.T) {
+	ctx := context.Background()
+	sigEC := structure.MustSignature(
+		structure.Predicate{Name: "edge", Arity: 2},
+		structure.Predicate{Name: "c", Arity: 1},
+	)
+	sigC2 := structure.MustSignature(structure.Predicate{Name: "c", Arity: 2})
+	opts := core.Options{Width: 1}
+	pc := NewProgramCache()
+	phi := mso.MustParse("c(x)")
+	first, hit, err := pc.Get(ctx, sigColor, phi, "x", opts)
+	if err != nil || hit {
+		t.Fatalf("c(x) over {c/1}: hit %v, err %v", hit, err)
+	}
+	if first.UpTypes != 4 || first.DownTypes != 4 {
+		t.Fatalf("c(x) at width 1: %d+%d types, want the reduct's 4+4", first.UpTypes, first.DownTypes)
+	}
+	again, hit, err := pc.Get(ctx, sigEC, phi, "x", opts)
+	if err != nil || !hit || again != first {
+		t.Fatalf("c(x) over {edge/2, c/1}: hit %v, err %v, same program %v; want the {c/1} program", hit, err, again == first)
+	}
+	edge := mso.MustParse("c(x) & ~edge(x, x)")
+	if keyFor(sigEC, edge, "x", opts) == keyFor(sigEC, phi, "x", opts) {
+		t.Fatal("a formula mentioning edge shares c(x)'s key")
+	}
+	if keyFor(sigC2, phi, "x", opts) == keyFor(sigColor, phi, "x", opts) {
+		t.Fatal("c/2 shares c/1's key")
+	}
+	if _, misses := pc.Stats(); misses != 1 {
+		t.Fatalf("program cache misses = %d, want 1", misses)
+	}
+	for _, tc := range []struct {
+		sig     *structure.Signature
+		formula string
+	}{
+		{sigEC, "d(x)"},
+		{sigEC, "c(x) & d(x)"},
+		{sigC2, "c(x)"},
+	} {
+		phi := mso.MustParse(tc.formula)
+		_, _, got := pc.Get(ctx, tc.sig, phi, "x", opts)
+		_, want := core.Compile(tc.sig, phi, "x", opts)
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Fatalf("%q over %v: error %v, want %v", tc.formula, tc.sig.Predicates(), got, want)
+		}
+	}
+}
+
 // TestSessionInvalidation pins fingerprint-based invalidation: mutating
 // the structure forces a fresh decomposition.
 func TestSessionInvalidation(t *testing.T) {
