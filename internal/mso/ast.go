@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/structure"
 )
 
 // Kind discriminates formula nodes.
@@ -114,23 +116,18 @@ func ForallS(v string, f *Formula) *Formula {
 	return &Formula{Kind: KForallS, Var: v, Sub: []*Formula{f}}
 }
 
-// Subset returns the formula X ⊆ Y, desugared to ∀z (z∈X → z∈Y) with a
-// fresh variable, so that quantifier depth accounting stays exact.
+// Subset returns the formula X ⊆ Y, desugared to ∀z (z∈X → z∈Y) so
+// that quantifier depth accounting stays exact. z is named "z_" then X
+// and Y lower-cased (z_xy): longer than either, it captures neither,
+// and one text always parses to one formula.
 func Subset(x, y string) *Formula {
-	v := freshVar(x + y)
+	v := "z_" + strings.ToLower(x+y)
 	return ForallE(v, Impl(In(v, x), In(v, y)))
 }
 
 // ProperSubset returns X ⊂ Y as X ⊆ Y ∧ ¬(Y ⊆ X).
 func ProperSubset(x, y string) *Formula {
 	return And(Subset(x, y), Not(Subset(y, x)))
-}
-
-var freshCounter int
-
-func freshVar(hint string) string {
-	freshCounter++
-	return fmt.Sprintf("z%d_%s", freshCounter, strings.ToLower(hint))
 }
 
 // QuantifierDepth returns the maximum nesting of quantifiers (element and
@@ -166,6 +163,29 @@ func (f *Formula) Mentions(pred string) bool {
 		}
 	}
 	return false
+}
+
+// CheckSignature reports the first atom whose predicate sig lacks or
+// declares at another arity: such a formula is not a formula over sig.
+// It allocates nothing unless it fails, so request paths may call it
+// per query.
+func (f *Formula) CheckSignature(sig *structure.Signature) error {
+	if f.Kind == KAtom {
+		_, p, ok := sig.Lookup(f.Pred)
+		if !ok {
+			return fmt.Errorf("mso: unknown predicate %s", f.Pred)
+		}
+		if p.Arity != len(f.Args) {
+			return fmt.Errorf("mso: predicate %s expects %d arguments, got %d", f.Pred, p.Arity, len(f.Args))
+		}
+		return nil
+	}
+	for _, s := range f.Sub {
+		if err := s.CheckSignature(sig); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FreeVars returns the free element and set variables, sorted.

@@ -2,8 +2,10 @@ package mso
 
 import "testing"
 
-// FuzzParse checks that the formula parser never panics and that accepted
-// formulas survive a print/reparse round trip.
+// FuzzParse checks that the formula parser never panics, that accepted
+// formulas survive a print/reparse round trip, and that parsing one
+// source twice renders alike (the variable "X sub Y" introduces is named
+// after its operands, not numbered per parse).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"exists x e(x, y)",
@@ -26,6 +28,9 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		printed := g.String()
+		if again := MustParse(src).String(); again != printed {
+			t.Fatalf("%q parsed twice renders as %q and %q", src, printed, again)
+		}
 		g2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("reparse of %q failed: %v", printed, err)

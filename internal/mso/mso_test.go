@@ -3,6 +3,7 @@ package mso
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,48 @@ func TestMentions(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { f.Mentions("e") }); n != 0 {
 		t.Errorf("Mentions allocates %.0f times, want 0", n)
+	}
+}
+
+func TestCheckSignature(t *testing.T) {
+	sig := structure.MustSignature(structure.Predicate{Name: "edge", Arity: 2}, structure.Predicate{Name: "c", Arity: 1})
+	for src, ok := range map[string]bool{
+		"c(x) & exists y edge(x, y)":    true,
+		"x = x":                         true,
+		"edge(x)":                       false, // arity
+		"d(x)":                          false, // unknown predicate
+		"c(x) | exists y edge(x, y, y)": false,
+	} {
+		if err := MustParse(src).CheckSignature(sig); (err == nil) != ok {
+			t.Errorf("CheckSignature(%q) = %v, want ok %v", src, err, ok)
+		}
+	}
+	f := MustParse("c(x) & exists y edge(x, y)")
+	if n := testing.AllocsPerRun(10, func() { f.CheckSignature(sig) }); n != 0 {
+		t.Errorf("CheckSignature allocates %.0f times, want 0", n)
+	}
+}
+
+// TestParseConcurrentSub parses one text using sub and psub from many
+// goroutines at once: under -race this pins that Parse shares no state
+// between calls, and every parse must render alike.
+func TestParseConcurrentSub(t *testing.T) {
+	const src = "exists X exists Y (X sub Y & Y psub X | x in X)"
+	want := MustParse(src).String()
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = MustParse(src).String()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("parse %d renders %q, want %q", i, g, want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // Implication is right-associative; quantifiers scope as far right as
 // possible. "X sub Y" and "X psub Y" desugar to quantified formulas, so
 // they contribute to the quantifier depth exactly as in the paper's
-// definitions.
+// definitions; "X sub Y" becomes "forall z_xy (z_xy in X -> z_xy in Y)".
 // Errors carry 1-based line:column positions. A bug in the parser (or
 // in the Formula constructors it calls) is recovered and returned as an
 // error rather than escaping as a panic, so untrusted input can never

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/overload"
-	"repro/internal/session"
 	"repro/internal/stage"
 )
 
@@ -152,20 +151,6 @@ func (s *Server) breakerTotals() BreakerTotals {
 	return t
 }
 
-// residentSessions snapshots the deduplicated resident sessions.
-func (s *Server) residentSessions() []*session.Session {
-	all := s.sessions.Values()
-	resident := all[:0]
-	seen := make(map[*session.Session]bool, len(all))
-	for _, sess := range all {
-		if !seen[sess] {
-			seen[sess] = true
-			resident = append(resident, sess)
-		}
-	}
-	return resident
-}
-
 // watchdogTiers builds the memory watchdog's shedding ladder, cheapest
 // first:
 //
@@ -178,7 +163,7 @@ func (s *Server) watchdogTiers() []overload.Tier {
 	return []overload.Tier{
 		{Name: "session-results", Shed: func() int {
 			n := 0
-			for _, sess := range s.residentSessions() {
+			for _, sess := range s.sessions.Values() {
 				n += sess.ShedResults()
 			}
 			return n

@@ -10,7 +10,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"slices"
 
 	"repro/internal/cli"
 	"repro/internal/session"
@@ -38,6 +37,8 @@ type MutateRequest struct {
 // MutateResponse returns the post-edit structure (canonical fact-list
 // text — the key for follow-up requests against the warm session) and
 // the session.MutationStats receipt saying how the edit was absorbed.
+// Fingerprint is the session's; it is Structure's too unless the edit
+// emptied a predicate, which a text cannot declare.
 type MutateResponse struct {
 	Structure         string `json:"structure"`
 	Fingerprint       string `json:"fingerprint"`
@@ -99,7 +100,17 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.testGate != nil {
 		s.testGate(ctx, "mutate")
 	}
+	// Re-key under the edit lock, on every return path, from the
+	// session's own pre-edit fingerprint: a concurrent /mutate may have
+	// moved it off oldFP first.
+	var text string
+	var fp uint64
 	ms, err := sess.Mutate(func(st *structure.Structure) error {
+		pre := session.Fingerprint(st)
+		defer func() {
+			fp = session.Fingerprint(st)
+			s.rekeySession(sess, pre, fp)
+		}()
 		for _, n := range req.AddElems {
 			st.AddElem(n)
 		}
@@ -111,6 +122,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
+		text = st.String()
 		return nil
 	})
 	if err != nil {
@@ -118,28 +130,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, fmt.Errorf("%w: %v", cli.ErrUsage, err))
 		return
 	}
-	// Re-key the registry under both the session's in-memory fingerprint
-	// and the fingerprint of the canonical text we return: String()
-	// orders tuples canonically while retraction reorders them in
-	// memory, so a client re-sending the response text must still reach
-	// this session rather than decompose a fresh one. The slot is released
-	// only after the re-key, so a request admitted after this edit never
-	// finds the edited session under the pre-edit fingerprint.
-	var text string
-	var memFP uint64
-	sess.View(func(st *structure.Structure) {
-		text = st.String()
-		memFP = session.Fingerprint(st)
-	})
-	canonFP := memFP
-	if canon, err := structure.Parse(text, nil); err == nil {
-		canonFP = session.Fingerprint(canon)
-	}
-	s.rekeySession(sess, oldFP, memFP, canonFP)
 	finish(sameOutcome(nil))
 	s.reply(w, http.StatusOK, MutateResponse{
 		Structure:         text,
-		Fingerprint:       fmt.Sprintf("%016x", canonFP),
+		Fingerprint:       fmt.Sprintf("%016x", fp),
 		Changes:           ms.Changes,
 		DeltaApplied:      ms.DeltaApplied,
 		Invalidated:       ms.Invalidated,
@@ -148,15 +142,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// rekeySession moves sess from oldFP to the given fingerprints
-// (deduplicated; aliases count against the registry cap like any other
-// entry). A fingerprint already mapping to a different session is left
-// alone — first structure wins, exactly as sessionFor resolves it.
-func (s *Server) rekeySession(sess *session.Session, oldFP uint64, fps ...uint64) {
-	if !slices.Contains(fps, oldFP) {
-		s.sessions.Delete(oldFP, func(v *session.Session) bool { return v == sess })
+// rekeySession moves sess from the registry key oldFP to fp. A key
+// already mapping to a different session is left alone — first
+// structure wins, exactly as sessionFor resolves it.
+func (s *Server) rekeySession(sess *session.Session, oldFP, fp uint64) {
+	if fp == oldFP {
+		return
 	}
-	for _, fp := range fps {
-		s.sessions.Add(fp, sess)
-	}
+	s.sessions.Delete(oldFP, func(v *session.Session) bool { return v == sess })
+	s.sessions.Add(fp, sess)
 }

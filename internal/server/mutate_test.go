@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -10,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/overload"
+	"repro/internal/session"
+	"repro/internal/structure"
 )
 
 // TestMutateKeepsSessionWarm is the end-to-end incremental story: eval
@@ -229,5 +234,196 @@ func TestMutateRejectsMalformed(t *testing.T) {
 		if status != http.StatusBadRequest {
 			t.Errorf("%+v: status %d (%s), want 400", req, status, raw)
 		}
+	}
+}
+
+// mutateOK posts req to /mutate and decodes its 200 answer.
+func mutateOK(t *testing.T, url string, req MutateRequest) MutateResponse {
+	t.Helper()
+	status, raw := postJSON(t, url+"/mutate", req, nil)
+	if status != http.StatusOK {
+		t.Fatalf("mutate: status %d: %s", status, raw)
+	}
+	return decodeInto[MutateResponse](t, raw)
+}
+
+// answer is what /eval of c(x) on one text returns: the status, and
+// the selection when the status is 200.
+type answer struct {
+	Status   int
+	Selected []string
+}
+
+func colorAnswer(t *testing.T, url, text string) answer {
+	t.Helper()
+	status, raw := postJSON(t, url+"/eval", EvalRequest{Structure: text, Formula: "c(x)", Var: "x"}, nil)
+	a := answer{Status: status}
+	if status == http.StatusOK {
+		a.Selected = decodeInto[EvalResponse](t, raw).Selected
+	}
+	return a
+}
+
+// answersAsFresh asserts that each text answers c(x) on the server at
+// url as it does on a server that has seen no request before.
+func answersAsFresh(t *testing.T, url string, texts ...string) {
+	t.Helper()
+	for _, text := range texts {
+		_, fresh := newTestServer(t, Config{})
+		got, want := colorAnswer(t, url, text), colorAnswer(t, fresh.URL, text)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("text %q answers %+v, a fresh server %+v", text, got, want)
+		}
+	}
+}
+
+// checkOneKeyPerSession asserts the registry invariant /mutate keeps:
+// every key maps to a session whose current fingerprint is that key.
+// The registry lists one value per key, so the invariant holds exactly
+// when the values are distinct and each is filed under its fingerprint.
+func checkOneKeyPerSession(t *testing.T, s *Server) {
+	t.Helper()
+	seen := map[*session.Session]bool{}
+	for _, sess := range s.sessions.Values() {
+		if seen[sess] {
+			t.Fatal("a session is filed under two keys")
+		}
+		seen[sess] = true
+		var fp uint64
+		sess.View(func(st *structure.Structure) { fp = session.Fingerprint(st) })
+		if got, ok := s.sessions.Peek(fp); !ok || got != sess {
+			t.Fatalf("the session with fingerprint %016x is filed under another key", fp)
+		}
+	}
+}
+
+// textFingerprint is the fingerprint a request carrying text resolves to.
+func textFingerprint(t *testing.T, text string) string {
+	t.Helper()
+	return fmt.Sprintf("%016x", session.Fingerprint(structure.MustParse(text, nil)))
+}
+
+// TestMutateTwoEditsLeaveNoAlias is the two-edit reproduction on the
+// 4-path: /mutate adds c(v1); the original text with c(v1) appended
+// describes the edited structure; a second /mutate, on the returned
+// text, adds c(v3). The appended text must then answer for the structure
+// it describes, [v0 v1 v2], not for the twice-edited session.
+func TestMutateTwoEditsLeaveNoAlias(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	appended := pathStructure + "c(v1).\n"
+	first := mutateOK(t, ts.URL, MutateRequest{Structure: pathStructure, Insert: []MutateFact{{Pred: "c", Args: []string{"v1"}}}})
+	if got := colorAnswer(t, ts.URL, appended).Selected; !reflect.DeepEqual(got, []string{"v0", "v1", "v2"}) {
+		t.Fatalf("appended text after the first edit: selected %v, want [v0 v1 v2]", got)
+	}
+	second := mutateOK(t, ts.URL, MutateRequest{Structure: first.Structure, Insert: []MutateFact{{Pred: "c", Args: []string{"v3"}}}})
+	if got := colorAnswer(t, ts.URL, appended).Selected; !reflect.DeepEqual(got, []string{"v0", "v1", "v2"}) {
+		t.Fatalf("appended text after the second edit: selected %v, want [v0 v1 v2]", got)
+	}
+	answersAsFresh(t, ts.URL, pathStructure, first.Structure, second.Structure)
+	checkOneKeyPerSession(t, s)
+	for _, text := range []string{first.Structure, appended} {
+		if got, want := first.Fingerprint, textFingerprint(t, text); got != want {
+			t.Errorf("first response fingerprint %s, text %q fingerprints %s", got, text, want)
+		}
+	}
+}
+
+// TestMutateConcurrentOnOnePreEditText sends two /mutates on one
+// pre-edit text and holds both at the gate until both have taken the
+// session, then lets them edit one after the other. The second edits
+// the structure the first left, so the first response's text must
+// answer for the first edit alone, as a fresh server does.
+func TestMutateConcurrentOnOnePreEditText(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if a := colorAnswer(t, ts.URL, pathStructure); a.Status != http.StatusOK {
+		t.Fatalf("warm-up eval: %+v", a)
+	}
+	var mu sync.Mutex
+	arrivals := 0
+	both := make(chan struct{})     // closed once both mutates hold the session
+	goSecond := make(chan struct{}) // closed once the first mutate answered
+	closeBoth := sync.OnceFunc(func() { close(both) })
+	releaseSecond := sync.OnceFunc(func() { close(goSecond) })
+	t.Cleanup(func() { closeBoth(); releaseSecond() }) // a failed test must not hold them
+	s.testGate = func(_ context.Context, op string) {
+		if op != "mutate" {
+			return
+		}
+		mu.Lock()
+		arrivals++
+		k := arrivals
+		mu.Unlock()
+		if k == 2 {
+			closeBoth()
+		}
+		<-both
+		if k == 2 {
+			<-goSecond
+		}
+	}
+	type reply struct {
+		status int
+		raw    []byte
+		err    error
+	}
+	replies := make(chan reply, 2)
+	for _, v := range []string{"v1", "v3"} {
+		body, err := json.Marshal(MutateRequest{Structure: pathStructure, Insert: []MutateFact{{Pred: "c", Args: []string{v}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			resp, err := http.Post(ts.URL+"/mutate", "application/json", bytes.NewReader(body))
+			if err != nil {
+				replies <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			replies <- reply{resp.StatusCode, raw, err}
+		}()
+	}
+	var got [2]MutateResponse
+	for i := range got {
+		r := <-replies
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("mutate: status %d, error %v: %s", r.status, r.err, r.raw)
+		}
+		got[i] = decodeInto[MutateResponse](t, r.raw)
+		releaseSecond()
+	}
+	first, second := got[0], got[1]
+	if got, want := colorAnswer(t, ts.URL, second.Structure).Selected, []string{"v0", "v1", "v2", "v3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("second response text: selected %v, want %v", got, want)
+	}
+	answersAsFresh(t, ts.URL, first.Structure, second.Structure, pathStructure)
+	checkOneKeyPerSession(t, s)
+}
+
+// TestMutateEmptiedPredicate removes every c fact. The text format
+// cannot declare an empty predicate, so the response text names a
+// structure over {edge} alone, with another fingerprint than the edited
+// session's: it must answer c(x) as a fresh server does, not from the
+// session whose signature still holds c.
+func TestMutateEmptiedPredicate(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if a := colorAnswer(t, ts.URL, pathStructure); a.Status != http.StatusOK {
+		t.Fatalf("warm-up eval: %+v", a)
+	}
+	mut := mutateOK(t, ts.URL, MutateRequest{Structure: pathStructure, Remove: []MutateFact{
+		{Pred: "c", Args: []string{"v0"}},
+		{Pred: "c", Args: []string{"v2"}},
+	}})
+	answersAsFresh(t, ts.URL, mut.Structure, pathStructure)
+	checkOneKeyPerSession(t, s)
+	if mut.Fingerprint == textFingerprint(t, mut.Structure) {
+		t.Error("the response fingerprint is its text's, although the text lacks the emptied predicate")
+	}
+	var fp uint64
+	if _, err := fmt.Sscanf(mut.Fingerprint, "%016x", &fp); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.sessions.Peek(fp); !ok {
+		t.Errorf("no session is filed under the response fingerprint %s", mut.Fingerprint)
 	}
 }

@@ -433,9 +433,10 @@ func TestDrainRacesMutate(t *testing.T) {
 		t.Fatal("Run did not return after drain")
 	}
 
-	// The registry must be keyed by the post-edit canonical fingerprint
-	// (what a follow-up client would send), and the pre-edit key must be
-	// gone — a half-applied re-key would strand either side.
+	// The registry must be keyed by the post-edit fingerprint, which is
+	// the response text's (what a follow-up client would send), and the
+	// pre-edit key must be gone — a half-applied re-key would strand
+	// either side.
 	resp := decodeInto[MutateResponse](t, raw)
 	post, err := structure.Parse(resp.Structure, nil)
 	if err != nil {

@@ -444,6 +444,11 @@ func evalOne(ctx context.Context, sess *session.Session, formula, xVar, backend 
 	if err != nil {
 		return EvalResponse{}, fmt.Errorf("%w: formula: %v", cli.ErrUsage, err)
 	}
+	// The signature of a session's structure never changes, so it is
+	// read without View.
+	if err := phi.CheckSignature(sess.Structure().Sig()); err != nil {
+		return EvalResponse{}, fmt.Errorf("%w: formula: %v", cli.ErrUsage, err)
+	}
 	opts := core.Options{Decision: xVar == "", Backend: backend}
 	res, err := sess.Eval(ctx, phi, xVar, opts)
 	if err != nil {
@@ -819,11 +824,11 @@ type StatszResponse struct {
 
 // SessionTotals returns the session-layer counters summed over the
 // resident sessions (evicted sessions' counters are gone with them).
-// A session registered under several fingerprints — /mutate aliases the
-// pre- and post-edit keys to one session — counts once.
+// Each session is filed under exactly one fingerprint, so each counts
+// once.
 func (s *Server) SessionTotals() session.Stats {
 	var t session.Stats
-	for _, sess := range s.residentSessions() {
+	for _, sess := range s.sessions.Values() {
 		st := sess.Stats()
 		t.Decompositions += st.Decompositions
 		t.TupleNormalizations += st.TupleNormalizations

@@ -38,10 +38,12 @@ type MutationStats struct {
 // lock — serialized against every in-flight build and evaluation, which
 // is the supported way to edit a session-bound structure (see the
 // Structure mutation contract) — then re-synchronizes the cached
-// artifacts with the edit. fn must confine itself to structure edits
-// (AddElem / AddTuple / AddFact / RemoveTuple / RemoveFact) and must
-// not call back into the session. fn's error is returned verbatim; the
-// structure keeps whatever edits fn made before failing, and the
+// artifacts with the edit. fn may read the structure; it must confine
+// its writes to structure edits (AddElem / AddTuple / AddFact /
+// RemoveTuple / RemoveFact), must not call back into the session, and
+// may take only locks whose holders never wait for this session (the
+// server re-keys its registry there). fn's error is returned verbatim;
+// the structure keeps whatever edits fn made before failing, and the
 // session stays coherent (a partial edit invalidates wholesale).
 func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, error) {
 	s.stMu.Lock()

@@ -744,10 +744,8 @@ func TestMutateFrontEndFilesWhatItRead(t *testing.T) {
 	ctx := context.Background()
 
 	// The build registers on the cold session, then waits for the read
-	// lock behind a pending Mutate that retracts the last path edge. (The
-	// fingerprint hashes tuples in storage order, so only the last one
-	// comes back to the same place, and the same fingerprint, when the
-	// edit is undone.)
+	// lock behind a pending Mutate that retracts the last path edge.
+	// Undoing the edit gives back the pre-edit fingerprint.
 	endView := holdReadLock(s)
 	mutated := make(chan error, 1)
 	go func() {

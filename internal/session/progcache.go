@@ -97,7 +97,12 @@ var defaultProgramCache = NewProgramCache()
 // compilation). If an in-flight leader fails, waiters with live
 // contexts retry the compilation themselves.
 func (pc *ProgramCache) Get(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts core.Options) (*core.Compiled, bool, error) {
-	return pc.c.Do(ctx, keyFor(sig, phi, xVar, opts), func() (*core.Compiled, error) {
+	return pc.get(ctx, keyFor(sig, phi, xVar, opts), sig, phi, xVar, opts)
+}
+
+// get is Get for a caller that has built the key already.
+func (pc *ProgramCache) get(ctx context.Context, key progKey, sig *structure.Signature, phi *mso.Formula, xVar string, opts core.Options) (*core.Compiled, bool, error) {
+	return pc.c.Do(ctx, key, func() (*core.Compiled, error) {
 		return compileSafe(ctx, sig, phi, xVar, opts)
 	})
 }

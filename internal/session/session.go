@@ -605,12 +605,12 @@ func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		return nil, stage.Wrap(stage.Compile, err)
 	}
 	start := timeNow()
-	compiled, hit, err := s.progs.Get(ctx, s.st.Sig(), phi, xVar, opts)
+	key := resultKey{fp: art.fp, progKey: keyFor(s.st.Sig(), phi, xVar, opts)}
+	compiled, hit, err := s.progs.get(ctx, key.progKey, s.st.Sig(), phi, xVar, opts)
 	if err != nil {
 		return nil, stage.Wrap(stage.Compile, err)
 	}
 	trace.Record(stage.Compile, timeNow().Sub(start), len(compiled.Program.Rules), hit)
-	key := resultKey{fp: art.fp, progKey: keyFor(s.st.Sig(), phi, xVar, opts)}
 	s.mu.Lock()
 	s.stats.Compiles++
 	if hit {

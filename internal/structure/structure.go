@@ -227,9 +227,7 @@ func (st *Structure) AddTuple(pred string, tuple ...int) error {
 // RemoveTuple retracts a tuple from the relation of the named predicate,
 // reporting whether it was present. Removing an absent tuple (or one
 // over an unknown predicate) is a no-op and does not advance Rev. The
-// relation's stored tuple order is not preserved (swap-remove), so the
-// content fingerprint after remove+re-add generally differs from the
-// original even though the structures are equal as sets of facts.
+// relation's stored tuple order is not preserved (swap-remove).
 func (st *Structure) RemoveTuple(pred string, tuple ...int) bool {
 	pi, _, ok := st.sig.Lookup(pred)
 	if !ok {
