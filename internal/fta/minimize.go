@@ -47,20 +47,16 @@ func Minimize(a *Automaton) *Automaton {
 
 	for {
 		// Signature of a state: its block plus the blocks reached in
-		// every (label, co-state-block, position) context. Using block
-		// representatives keeps the signature size manageable.
-		reps := make([]int, numBlocks)
-		for i := range reps {
-			reps[i] = -1
-		}
-		for s := n - 1; s >= 0; s-- {
-			reps[block[s]] = s
-		}
+		// every (label, co-state, position) context. The co-state ranges
+		// over every state, not one representative per block: while
+		// blocks still split, two states of one block may lead to
+		// different blocks, and comparing against one of them only would
+		// merge states that some context distinguishes.
 		sigOf := func(s int) string {
 			var b strings.Builder
 			fmt.Fprintf(&b, "%d", block[s])
 			for label := 0; label < d.NumLabels; label++ {
-				for _, r := range reps {
+				for r := 0; r < n; r++ {
 					left := step(label, s, r)
 					right := step(label, r, s)
 					lb, rb := -1, -1

@@ -86,3 +86,56 @@ func TestQuickMinimizeCompiled(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// randDFTA returns a random complete deterministic automaton with n
+// states over k labels, each state final with probability ½.
+func randDFTA(rng *rand.Rand, n, k int) *Automaton {
+	a := NewAutomaton(k, n)
+	for label := 0; label < k; label++ {
+		a.AddLeaf(label, rng.Intn(n))
+		for s1 := 0; s1 < n; s1++ {
+			for s2 := 0; s2 < n; s2++ {
+				a.AddBin(label, s1, s2, rng.Intn(n))
+			}
+		}
+	}
+	for s := 0; s < n; s++ {
+		if rng.Intn(2) == 0 {
+			a.SetFinal(s)
+		}
+	}
+	return a
+}
+
+// randLabeledTree is randTree over k labels.
+func randLabeledTree(rng *rand.Rand, k, depth int) *Tree {
+	if depth == 0 || rng.Intn(3) == 0 {
+		return Leaf(rng.Intn(k))
+	}
+	return Node(rng.Intn(k), randLabeledTree(rng, k, depth-1), randLabeledTree(rng, k, depth-1))
+}
+
+// TestMinimizeRandomDFTAs: on 400 random complete DFTAs with 2–6 states
+// over 1–2 labels, every quotient must be deterministic and accept
+// exactly the trees its input accepts.
+func TestMinimizeRandomDFTAs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const automata = 400
+	nondet, changed := 0, 0
+	for i := 0; i < automata; i++ {
+		a := randDFTA(rng, 2+rng.Intn(5), 1+rng.Intn(2))
+		m := Minimize(a)
+		if !isDeterministic(m) {
+			nondet++
+		}
+		for j := 0; j < 60; j++ {
+			if tr := randLabeledTree(rng, a.NumLabels, 6); m.Accepts(tr) != a.Accepts(tr) {
+				changed++
+				break
+			}
+		}
+	}
+	if nondet > 0 || changed > 0 {
+		t.Fatalf("of %d quotients, %d are nondeterministic and %d accept another language", automata, nondet, changed)
+	}
+}

@@ -427,3 +427,89 @@ func TestMutateEmptiedPredicate(t *testing.T) {
 		t.Errorf("no session is filed under the response fingerprint %s", mut.Fingerprint)
 	}
 }
+
+// heldAcrossMutate posts body to path and holds the request at the test
+// gate for op, right after it has bound its session, while a /mutate
+// applies edit to the same structure. It then releases the request and
+// returns its 200 reply.
+func heldAcrossMutate(t *testing.T, op, path string, body any, edit MutateRequest) []byte {
+	t.Helper()
+	s, ts := newTestServer(t, Config{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	enter, leave := sync.OnceFunc(func() { close(entered) }), sync.OnceFunc(func() { close(release) })
+	t.Cleanup(leave) // a failed test must not hold the request
+	s.testGate = func(_ context.Context, got string) {
+		if got == op {
+			enter()
+			<-release
+		}
+	}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		raw    []byte
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		done <- reply{resp.StatusCode, out, err}
+	}()
+	select {
+	case <-entered:
+	case r := <-done:
+		t.Fatalf("%s answered before it reached the gate: status %d, error %v: %s", path, r.status, r.err, r.raw)
+	}
+	mutateOK(t, ts.URL, edit)
+	leave()
+	r := <-done
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("%s: status %d, error %v: %s", path, r.status, r.err, r.raw)
+	}
+	return r.raw
+}
+
+// addC1 colours v1 of the 4-path.
+var addC1 = MutateRequest{Structure: pathStructure, Insert: []MutateFact{{Pred: "c", Args: []string{"v1"}}}}
+
+// TestMutateAfterEvalBinds: an /eval that bound its session before a
+// /mutate of its structure edited that session must answer for its own
+// text, [v0 v2], not for the edited structure.
+func TestMutateAfterEvalBinds(t *testing.T) {
+	raw := heldAcrossMutate(t, "eval", "/eval", EvalRequest{Structure: pathStructure, Formula: "c(x)", Var: "x"}, addC1)
+	if got, want := decodeInto[EvalResponse](t, raw).Selected, []string{"v0", "v2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("eval bound before the edit: selected %v, want %v", got, want)
+	}
+}
+
+// TestMutateAfterBatchBinds is TestMutateAfterEvalBinds for /batch.
+func TestMutateAfterBatchBinds(t *testing.T) {
+	raw := heldAcrossMutate(t, "batch", "/batch", BatchRequest{
+		Structures: []string{pathStructure},
+		Queries:    []BatchQuery{{Structure: 0, Formula: "c(x)", Var: "x"}},
+	}, addC1)
+	r := decodeInto[BatchResponse](t, raw).Results[0]
+	if got, want := r.Selected, []string{"v0", "v2"}; r.Status != http.StatusOK || !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch bound before the edit: status %d, selected %v, want 200 and %v", r.Status, got, want)
+	}
+}
+
+// TestMutateAfterSolveBinds: a /solve that bound its session before a
+// /mutate closed a triangle must count the 24 3-colourings of its own
+// text, the 4-path, not the 12 of the edited structure.
+func TestMutateAfterSolveBinds(t *testing.T) {
+	raw := heldAcrossMutate(t, "solve", "/solve", SolveRequest{Structure: pathStructure, Problem: "threecol", Mode: "count"},
+		MutateRequest{Structure: pathStructure, Insert: []MutateFact{{Pred: "edge", Args: []string{"v0", "v2"}}}})
+	if got := decodeInto[SolveResponse](t, raw).Count; got != "24" {
+		t.Fatalf("solve bound before the edit: count %s, want 24", got)
+	}
+}

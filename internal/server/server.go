@@ -515,15 +515,35 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 
 // evalAdmitted is handleEval past admission, factored out so the
 // finish callback sees every outcome on one path.
-func (s *Server) evalAdmitted(ctx context.Context, req EvalRequest, ref structureRef, backend string) (EvalResponse, error) {
-	sess, err := s.sessionOf(ref)
-	if err != nil {
-		return EvalResponse{}, err
+func (s *Server) evalAdmitted(ctx context.Context, req EvalRequest, ref structureRef, backend string) (resp EvalResponse, err error) {
+	err = s.onText(ctx, ref, "eval", func(ctx context.Context, sess *session.Session) error {
+		resp, err = evalOne(ctx, sess, req.Formula, req.Var, backend)
+		return err
+	})
+	return resp, err
+}
+
+// onText runs fn on the session of an admitted request's resolved text,
+// under a context pinned to the text's fingerprint (session.Pin). A
+// /mutate may edit that session after it is bound, and fn then fails
+// with session.ErrMoved: the text is bound again, parsing it again if
+// its session is not resident, since ref's own parse may be the
+// structure that was edited, and fn runs again.
+func (s *Server) onText(ctx context.Context, ref structureRef, op string, fn func(context.Context, *session.Session) error) error {
+	ctx = session.Pin(ctx, ref.fp)
+	for {
+		sess, err := s.sessionOf(ref)
+		if err != nil {
+			return err
+		}
+		if s.testGate != nil {
+			s.testGate(ctx, op)
+		}
+		if err := fn(ctx, sess); !errors.Is(err, session.ErrMoved) {
+			return err
+		}
+		ref.st = nil
 	}
-	if s.testGate != nil {
-		s.testGate(ctx, "eval")
-	}
-	return evalOne(ctx, sess, req.Formula, req.Var, backend)
 }
 
 // SolveRequest runs a named FPT problem over the primal graph of the
@@ -609,14 +629,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // solveAdmitted is handleSolve past admission, factored out so the
 // finish callback sees every outcome on one path.
-func (s *Server) solveAdmitted(ctx context.Context, req SolveRequest, ref structureRef) (SolveResponse, error) {
-	sess, err := s.sessionOf(ref)
-	if err != nil {
-		return SolveResponse{}, err
-	}
-	if s.testGate != nil {
-		s.testGate(ctx, "solve")
-	}
+func (s *Server) solveAdmitted(ctx context.Context, req SolveRequest, ref structureRef) (resp SolveResponse, err error) {
+	err = s.onText(ctx, ref, "solve", func(ctx context.Context, sess *session.Session) error {
+		resp, err = solveOne(ctx, sess, req)
+		return err
+	})
+	return resp, err
+}
+
+func solveOne(ctx context.Context, sess *session.Session, req SolveRequest) (SolveResponse, error) {
 	// Primal vertex IDs are structure element IDs, matching the bags of
 	// the session's decomposition. The snapshot is taken under View to
 	// serialize against /mutate edits.
@@ -763,10 +784,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = BatchResult{Status: cli.HTTPStatus(err), Error: err.Error()}
 			continue
 		}
-		one, err := evalOne(ctx, sessions[q.Structure], q.Formula, q.Var, backend)
+		j := q.Structure
+		one, err := evalOne(session.Pin(ctx, fps[j]), sessions[j], q.Formula, q.Var, backend)
+		for errors.Is(err, session.ErrMoved) {
+			// A /mutate edited the session after it was bound: bind the
+			// text again, as onText does. The structure's receipt then
+			// counts the new session alone.
+			var sess *session.Session
+			refs[j].st = nil
+			if sess, err = s.sessionOf(refs[j]); err == nil {
+				sessions[j], before[j] = sess, sess.Stats()
+				one, err = evalOne(session.Pin(ctx, fps[j]), sess, q.Formula, q.Var, backend)
+			}
+		}
 		if err != nil {
-			if breakerFailure(err) && worst[fps[q.Structure]] == nil {
-				worst[fps[q.Structure]] = err
+			if breakerFailure(err) && worst[fps[j]] == nil {
+				worst[fps[j]] = err
 			}
 			resp.Results[i] = BatchResult{Status: cli.HTTPStatus(err), Error: err.Error()}
 			continue

@@ -9,6 +9,7 @@ package session
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -246,5 +247,52 @@ func TestConcurrentSolveShares(t *testing.T) {
 	}
 	if stats.SolverCacheHits != n-1 {
 		t.Errorf("SolverCacheHits = %d, want %d", stats.SolverCacheHits, n-1)
+	}
+}
+
+// tdPollHold is a context whose Err, called from the poll that
+// tree.BuildTDCtx makes before building, blocks the first time until
+// release is closed: it holds a τ_td build in flight.
+type tdPollHold struct {
+	context.Context
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (c *tdPollHold) Err() error {
+	var pc [1]uintptr
+	runtime.Callers(2, pc[:])
+	if f, _ := runtime.CallersFrames(pc[:]).Next(); f.Function == "repro/internal/tree.BuildTDCtx" {
+		c.once.Do(func() { close(c.entered); <-c.release })
+	}
+	return c.Context.Err()
+}
+
+// TestConcurrentNiceFormDuringTauTDBuild pins per-stage single-flight: a
+// request that needs only the raw decomposition does not wait for a
+// concurrent build's τ_td stage. With Warm's τ_td build held in flight,
+// NiceForm must answer from the decomposition Warm already filed.
+func TestConcurrentNiceFormDuringTauTDBuild(t *testing.T) {
+	st := randColored(rand.New(rand.NewSource(78)), 8)
+	s := NewWithCache(st, NewProgramCache())
+	hold := &tdPollHold{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	warmed := make(chan error, 1)
+	go func() {
+		_, err := s.Warm(hold)
+		warmed <- err
+	}()
+	<-hold.entered
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := s.NiceForm(ctx)
+	close(hold.release)
+	if err := <-warmed; err != nil {
+		t.Fatalf("Warm: %v", err)
+	}
+	if err != nil {
+		t.Fatalf("NiceForm during a held τ_td build: %v", err)
+	}
+	if got := s.Stats().Decompositions; got != 1 {
+		t.Fatalf("Decompositions = %d, want 1", got)
 	}
 }

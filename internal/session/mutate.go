@@ -14,6 +14,7 @@
 package session
 
 import (
+	"repro/internal/cache"
 	"repro/internal/structure"
 )
 
@@ -66,13 +67,14 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 		s.discardLocked(&ms)
 		return ms, ferr
 	}
-	if s.raw == nil {
+	raw, warm := s.raw.Peek(oldFP)
+	if !warm {
 		// Cold session — nothing cached to maintain: every cache entry
 		// is filed under the fingerprint it was computed for, and none
 		// is for the edited structure.
 		return ms, nil
 	}
-	if s.raw.Validate(s.st) != nil {
+	if raw.d.Validate(s.st) != nil {
 		// A new element or an uncovered tuple: the edit itself
 		// succeeded, and callers see the rebuild in the stats, not as an
 		// error.
@@ -80,22 +82,30 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 		return ms, nil
 	}
 	// The raw tree still decomposes the structure, and the tuple and
-	// nice normal forms are functions of it alone: keep them, refiling
-	// the nice form under the edited structure's fingerprint. τ_td
-	// encodes the facts, so the next query rebuilds it. Solver outcomes
-	// read the structure through their problem closures and query
-	// results through τ_td: both are recomputed.
-	nice, kept := s.nice.Peek(oldFP)
-	s.nice.Clear()
-	if kept {
-		s.nice.Add(s.fp, nice)
-	}
-	s.td, s.edb, s.tdNodes = nil, nil, 0
+	// nice normal forms are functions of it alone: refile all three
+	// under the edited structure's fingerprint. τ_td encodes the facts,
+	// so the next query rebuilds it. Solver outcomes read the structure
+	// through their problem closures and query results through τ_td:
+	// both are recomputed.
+	refile(s.raw, oldFP, s.fp)
+	refile(s.tuple, oldFP, s.fp)
+	refile(s.nice, oldFP, s.fp)
+	s.td.Clear()
 	s.solved.Clear()
 	ms.ResultsDropped += s.results.Clear()
 	s.stats.DeltasApplied++
 	ms.DeltaApplied = true
 	return ms, nil
+}
+
+// refile moves c's entry under from to the key to, dropping every other
+// entry.
+func refile[V any](c *cache.Cache[uint64, V], from, to uint64) {
+	v, ok := c.Peek(from)
+	c.Clear()
+	if ok {
+		c.Add(to, v)
+	}
 }
 
 // discardLocked is the wholesale path: drop everything, count it.

@@ -743,9 +743,12 @@ func TestMutateFrontEndFilesWhatItRead(t *testing.T) {
 	s := NewWithCache(st, NewProgramCache())
 	ctx := context.Background()
 
-	// The build registers on the cold session, then waits for the read
-	// lock behind a pending Mutate that retracts the last path edge.
-	// Undoing the edit gives back the pre-edit fingerprint.
+	// The build starts on the cold session while a Mutate that retracts
+	// the last path edge waits for the structure lock. Each stage reads
+	// the structure under the read lock, which queues behind the pending
+	// Mutate, so however the two interleave the build reads the
+	// retracted structure. Undoing the edit gives back the pre-edit
+	// fingerprint.
 	endView := holdReadLock(s)
 	mutated := make(chan error, 1)
 	go func() {
@@ -762,11 +765,6 @@ func TestMutateFrontEndFilesWhatItRead(t *testing.T) {
 		_, err := s.NiceForm(hold)
 		built <- err
 	}()
-	for building := false; !building; runtime.Gosched() {
-		s.mu.Lock()
-		building = s.building != nil
-		s.mu.Unlock()
-	}
 	close(endView)
 	if err := <-mutated; err != nil {
 		t.Fatal(err)

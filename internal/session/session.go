@@ -13,16 +13,17 @@
 // repeating a query on an unchanged structure is a pure cache hit,
 // invalidated by the same fingerprint mechanism as the artifacts.
 //
-// Concurrency: all methods are safe for concurrent use, and the session
-// mutex is held only for cache lookups and inserts — never across
-// artifact construction, compilation or evaluation. Expensive work runs
-// under per-key single-flight: concurrent requests for the same missing
-// artifact, compiled program or evaluation result share one in-flight
-// computation, while requests answerable from cache complete
-// immediately even when a cold computation is running on the same
-// session. If an in-flight leader fails, waiting requests with live
-// contexts retry (resuming after any stages the failed run completed)
-// rather than inheriting the leader's error.
+// Concurrency: all methods are safe for concurrent use, and every memo
+// table is an internal/cache.Cache, whose lock is held only for lookups
+// and inserts — never across artifact construction, compilation or
+// evaluation. Expensive work runs under per-key single-flight:
+// concurrent requests for the same missing artifact, compiled program
+// or evaluation result share one in-flight computation, while requests
+// answerable from cache complete immediately even when a cold
+// computation is running on the same session. If an in-flight leader
+// fails, waiting requests with live contexts retry (resuming after any
+// stages the failed run completed) rather than inheriting the leader's
+// error.
 //
 // Every stage accepts a context.Context; cancellation and deadline
 // errors come back wrapped in a *stage.Error (aliased here as
@@ -46,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	// Register the game backend so any session user (server, CLIs,
 	// tests) can select it by name without its own import.
@@ -111,9 +113,9 @@ type Stats struct {
 }
 
 // Session binds a structure and caches its pipeline artifacts. All
-// methods are safe for concurrent use; the mutex guards only cache
-// state, and construction/evaluation run outside it under per-key
-// single-flight (see the package comment).
+// methods are safe for concurrent use; the mutex guards only the
+// fingerprint and counters, and construction/evaluation run outside it
+// under per-key single-flight (see the package comment).
 type Session struct {
 	st    *structure.Structure
 	progs *ProgramCache
@@ -129,40 +131,45 @@ type Session struct {
 	fp    uint64
 	stats Stats
 
-	raw     *tree.Decomposition  // ladder decomposition of st
-	rung    string               // degradation-ladder rung that produced raw
-	tuple   *tree.Decomposition  // tuple normal form
-	width   int                  // normalized width
-	td      *structure.Structure // τ_td structure
-	edb     *datalog.DB          // EDB of td (cloned per evaluation)
-	tdNodes int
-
-	// building is the in-flight front-end build, if any. Concurrent
-	// requests for missing artifacts wait on it instead of rebuilding.
-	building *artifactFlight
-
-	// The caches below hold what is computed from the artifacts, each
-	// entry keyed by the fingerprint of the artifacts it was computed
-	// from, so a stored value is right for its key whenever it lands and
-	// a request never shares a computation begun before an edit.
-	// Evaluation is deterministic, so an unchanged structure makes a
-	// repeat of the same (formula, options) or (problem, mode) a pure
-	// cache hit. nice holds the nice normal form (built on demand),
-	// results the evaluated queries and solved the semiring-solver
+	// Every cache below files an entry under the fingerprint of the
+	// structure it was computed from, so a stored value is right for its
+	// key whenever it lands and a request never shares a computation
+	// begun before an edit. raw holds the ladder decomposition, tuple
+	// its tuple normal form, td the τ_td structure with its EDB, and nice
+	// the nice normal form (built on demand). Evaluation is
+	// deterministic, so an unchanged structure makes a repeat of the
+	// same (formula, options) or (problem, mode) a pure cache hit:
+	// results holds the evaluated queries and solved the semiring-solver
 	// outcomes (see SolveDecide / SolveCount / SolveOptimize).
+	raw     *cache.Cache[uint64, decomposition]
+	tuple   *cache.Cache[uint64, *tree.Decomposition]
+	td      *cache.Cache[uint64, tauTD]
 	nice    *cache.Cache[uint64, *tree.Decomposition]
 	results *cache.Cache[resultKey, *resultEntry]
 	solved  *cache.Cache[solverKey, any]
 }
 
-// Per-session cache caps. The nice form has one current entry; the
-// second slot keeps a normalization that an edit overtook from
+// Per-session cache caps. Each per-structure stage has one current
+// entry; the second slot keeps a build that an edit overtook from
 // displacing it when it lands.
 const (
-	niceCap   = 2
+	stageCap  = 2
 	resultCap = 256
 	solverCap = 64
 )
+
+// decomposition is a raw decomposition with the degradation-ladder rung
+// that produced it.
+type decomposition struct {
+	d    *tree.Decomposition
+	rung string
+}
+
+// tauTD is the τ_td structure of Section 4 with its datalog EDB.
+type tauTD struct {
+	td  *structure.Structure
+	edb *datalog.DB
+}
 
 // resultKey files a query result under the fingerprint of the
 // artifacts it was evaluated on.
@@ -174,19 +181,6 @@ type resultKey struct {
 type resultEntry struct {
 	res      *core.Result
 	evalSize int // NumFacts of the evaluation output, for trace replay
-}
-
-// artifactFlight is one in-flight front-end build, shared by every
-// request that arrives while it runs. full distinguishes a
-// decomposition-only build from the full decompose → normalize-tuple →
-// build-td chain; a waiter that needs more than the flight is building
-// loops and leads its own (resumed) build when the flight completes.
-type artifactFlight struct {
-	full bool
-	done chan struct{}
-	art  artifacts // stages built, valid once done is closed
-	rung string
-	err  error
 }
 
 // testHookEvalStart, when non-nil, runs at the start of every uncached
@@ -211,7 +205,10 @@ func NewWithCache(st *structure.Structure, pc *ProgramCache) *Session {
 	return &Session{
 		st:      st,
 		progs:   pc,
-		nice:    cache.New[uint64, *tree.Decomposition](niceCap),
+		raw:     cache.New[uint64, decomposition](stageCap),
+		tuple:   cache.New[uint64, *tree.Decomposition](stageCap),
+		td:      cache.New[uint64, tauTD](stageCap),
+		nice:    cache.New[uint64, *tree.Decomposition](stageCap),
 		results: cache.New[resultKey, *resultEntry](resultCap),
 		solved:  cache.New[solverKey, any](solverCap),
 	}
@@ -234,6 +231,9 @@ func (s *Session) Stats() Stats {
 	rs, ss := s.results.Stats(), s.solved.Stats()
 	st.Evals, st.ResultCacheHits = rs.Misses, rs.Hits
 	st.SolverSolves, st.SolverCacheHits = ss.Misses, ss.Hits
+	st.Decompositions = s.raw.Stats().Misses
+	st.TupleNormalizations = s.tuple.Stats().Misses
+	st.TDBuilds = s.td.Stats().Misses
 	st.NiceNormalizations = s.nice.Stats().Misses
 	return st
 }
@@ -242,20 +242,12 @@ func (s *Session) Stats() Stats {
 // program cache (shared across sessions unless NewWithCache was used).
 func (s *Session) ProgramCacheStats() (hits, misses int) { return s.progs.Stats() }
 
-// Invalidate drops all cached artifacts; the next evaluation rebuilds
-// them. Called automatically when the structure's fingerprint changes.
-func (s *Session) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.invalidateLocked()
-}
-
-// invalidateLocked drops every cached artifact and returns how many
-// query results went with them.
+// invalidateLocked drops every cached entry and returns how many query
+// results went with them.
 func (s *Session) invalidateLocked() int {
-	s.raw, s.tuple, s.td, s.edb = nil, nil, nil, nil
-	s.rung = ""
-	s.tdNodes, s.width = 0, 0
+	s.raw.Clear()
+	s.tuple.Clear()
+	s.td.Clear()
 	s.nice.Clear()
 	s.solved.Clear()
 	return s.results.Clear()
@@ -273,14 +265,13 @@ func (s *Session) ShedResults() int {
 	return s.results.Clear() + s.solved.Clear()
 }
 
-// revalidateLocked discards the cached artifacts if the structure's
-// fingerprint changed since they were built. After a failed run the
-// session may still hold artifacts from the stages that succeeded, and
-// a structure mutation in between must not let them leak into the next
-// run.
+// revalidateLocked brings s.fp up to date with the structure. A direct
+// (non-Mutate) edit found while anything is cached counts as an
+// invalidation and drops the caches: their entries stay right for
+// their keys, but for a structure that is gone.
 func (s *Session) revalidateLocked() {
 	fp := Fingerprint(s.st)
-	if fp != s.fp && (s.raw != nil || s.tuple != nil || s.td != nil ||
+	if fp != s.fp && (s.raw.Len() > 0 || s.tuple.Len() > 0 || s.td.Len() > 0 ||
 		s.nice.Len() > 0 || s.results.Len() > 0 || s.solved.Len() > 0) {
 		s.invalidateLocked()
 		s.stats.Invalidations++
@@ -288,199 +279,133 @@ func (s *Session) revalidateLocked() {
 	s.fp = fp
 }
 
-// artifacts holds the per-structure products of the pipeline front end,
-// with the fingerprint of the structure they were built for. Whatever
-// is computed from them is cached under that fingerprint.
+// ErrMoved reports that the bound structure no longer has the
+// fingerprint a context was pinned to (see Pin).
+var ErrMoved = errors.New("session: structure edited away from the pinned fingerprint")
+
+type pinKey struct{}
+
+// Pin returns a context under which a session answers only for the
+// structure with fingerprint fp: once the bound structure no longer has
+// it, Eval and the Solve* helpers fail with ErrMoved instead of
+// answering for the edited structure. A caller that chose the session
+// by fingerprint pins it, so that a concurrent Mutate cannot make it
+// answer for another structure.
+func Pin(ctx context.Context, fp uint64) context.Context {
+	return context.WithValue(ctx, pinKey{}, fp)
+}
+
+// artifacts holds the front-end products for the structure with
+// fingerprint fp. Whatever is computed from them is cached under fp.
 type artifacts struct {
-	fp      uint64
-	raw     *tree.Decomposition
-	tuple   *tree.Decomposition
-	width   int
-	td      *structure.Structure
-	edb     *datalog.DB
-	tdNodes int
+	fp    uint64
+	raw   *tree.Decomposition
+	tuple *tree.Decomposition
+	width int
+	tauTD
 }
 
-// ensure builds (or revalidates) the cached decomposition, tuple form,
-// τ_td structure and EDB, recording stage stats into trace. Cached
-// stages are recorded with CacheHit set and zero wall time.
-func (s *Session) ensure(ctx context.Context, trace *stage.Trace) (artifacts, error) {
-	return s.frontEnd(ctx, trace, true)
-}
-
-// frontEnd returns the front-end artifacts, building missing stages
-// under single-flight. With full unset only the raw decomposition is
-// guaranteed. The mutex is held for lookups and inserts only; at most
-// one build runs at a time, every stage stores its artifact on success
-// (so a failed build leaves exactly the completed stages behind and a
-// retry resumes after them), and concurrent callers share the in-flight
-// build instead of queueing behind the lock.
+// frontEnd returns the front-end artifacts of the bound structure:
+// with full set the decomposition, tuple form and τ_td, otherwise the
+// decomposition alone. Each stage is answered from its cache or built
+// under the cache's single-flight, so a failed build leaves the
+// completed stages behind and a retry resumes after them. A stage
+// builds from the structure only while it still has the fingerprint
+// read at the start (see readAt); an edit landing in between makes
+// frontEnd start over from the edited structure, dropping the trace
+// entries of the abandoned attempt.
 func (s *Session) frontEnd(ctx context.Context, trace *stage.Trace, full bool) (artifacts, error) {
-	for {
+	for n := len(trace.Stats); ; trace.Stats = trace.Stats[:n] {
 		if err := ctx.Err(); err != nil {
 			return artifacts{}, stage.Wrap(stage.Decompose, err)
 		}
 		s.mu.Lock()
 		s.revalidateLocked()
-		if s.raw != nil && (!full || (s.tuple != nil && s.td != nil)) {
-			art := artifacts{fp: s.fp, raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
-			rung := s.rung
-			s.mu.Unlock()
-			recordFrontEndHits(trace, art, rung, full)
-			return art, nil
-		}
-		if f := s.building; f != nil {
-			covers := f.full || !full
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return artifacts{}, stage.Wrap(stage.Decompose, ctx.Err())
-			}
-			if covers && f.err == nil {
-				recordFrontEndHits(trace, f.art, f.rung, full)
-				return f.art, nil
-			}
-			// The flight was narrower than we need, or its leader
-			// failed: loop and either hit the now-populated cache, join
-			// a newer flight, or lead a (resumed) build ourselves.
-			continue
-		}
-		f := &artifactFlight{full: full, done: make(chan struct{})}
-		s.building = f
-		s.mu.Unlock()
-
-		// Read what the build starts from only once edits are held off,
-		// so that the artifacts, and the fingerprint they carry, are those
-		// of the structure the build reads: a Mutate landing before the
-		// read lock has already brought them up to date.
-		s.stMu.RLock()
-		s.mu.Lock()
 		fp := s.fp
-		have := artifacts{fp: fp, raw: s.raw, tuple: s.tuple, width: s.width, td: s.td, edb: s.edb, tdNodes: s.tdNodes}
-		rung := s.rung
 		s.mu.Unlock()
-		art, rung, built, err := s.buildFrontEnd(ctx, trace, have, rung, full)
-		s.stMu.RUnlock()
-
-		s.mu.Lock()
-		s.building = nil
-		if built.decompose {
-			s.stats.Decompositions++
+		if pin, ok := ctx.Value(pinKey{}).(uint64); ok && pin != fp {
+			return artifacts{}, ErrMoved
 		}
-		if built.tuple {
-			s.stats.TupleNormalizations++
+		art, err := s.buildFrontEnd(ctx, trace, fp, full)
+		if _, edited := err.(editedError); !edited {
+			return art, err
 		}
-		if built.td {
-			s.stats.TDBuilds++
-		}
-		// Store only if the structure still matches the fingerprint the
-		// build started from: a mutation mid-build must not poison the
-		// cache with artifacts for a structure that no longer exists.
-		if Fingerprint(s.st) == fp {
-			if art.raw != nil {
-				s.raw, s.rung = art.raw, rung
-			}
-			if art.tuple != nil {
-				s.tuple, s.width = art.tuple, art.width
-			}
-			if art.td != nil {
-				s.td, s.edb, s.tdNodes = art.td, art.edb, art.tdNodes
-			}
-		}
-		f.art, f.rung, f.err = art, rung, err
-		s.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return artifacts{}, err
-		}
-		return art, nil
 	}
 }
 
-// recordFrontEndHits records cache-hit trace entries for artifacts this
-// request did not build itself (served from cache or from another
-// request's in-flight build).
-func recordFrontEndHits(trace *stage.Trace, art artifacts, rung string, full bool) {
-	trace.RecordDetail(stage.Decompose, 0, art.raw.Len(), true, rung)
-	if !full {
-		return
+// buildFrontEnd is one attempt at frontEnd, for the structure with
+// fingerprint fp.
+func (s *Session) buildFrontEnd(ctx context.Context, trace *stage.Trace, fp uint64, full bool) (artifacts, error) {
+	raw, err := buildStage(ctx, s, s.raw, fp, stage.Decompose, "session.decompose", trace, func() (decomposition, error) {
+		d, rung, err := decompose.StructureLadderCtx(ctx, s.st)
+		return decomposition{d, rung}, err
+	}, func(raw decomposition) (int, string) { return raw.d.Len(), raw.rung })
+	art := artifacts{fp: fp, raw: raw.d}
+	if err != nil || !full {
+		return art, err
 	}
-	trace.Record(stage.NormalizeTuple, 0, art.tuple.Len(), true)
-	trace.Record(stage.BuildTD, 0, art.td.Size(), true)
-}
-
-// builtStages reports which stages a build actually performed, for
-// stats accounting.
-type builtStages struct {
-	decompose, tuple, td bool
-}
-
-// buildFrontEnd runs the missing front-end stages starting from the
-// artifacts in have. It runs outside the session mutex; a stage panic
-// is recovered into a stage-tagged error here so the caller's flight
-// bookkeeping always runs.
-func (s *Session) buildFrontEnd(ctx context.Context, trace *stage.Trace, have artifacts, rung string, full bool) (art artifacts, outRung string, built builtStages, err error) {
-	cur := stage.Decompose
-	defer stage.RecoverAt(&cur, &err)
-	art, outRung = have, rung
-	if art.raw == nil {
-		if err := faultinject.Check("session.decompose"); err != nil {
-			return art, outRung, built, stage.Wrap(stage.Decompose, err)
+	art.tuple, err = buildStage(ctx, s, s.tuple, fp, stage.NormalizeTuple, "session.normalize-tuple", trace, func() (*tree.Decomposition, error) {
+		if err := raw.d.Validate(s.st); err != nil {
+			return nil, fmt.Errorf("session: invalid decomposition: %w", err)
 		}
-		start := timeNow()
-		d, r, err := decompose.StructureLadderCtx(ctx, s.st)
-		if err != nil {
-			return art, outRung, built, stage.Wrap(stage.Decompose, err)
-		}
-		art.raw, outRung = d, r
-		built.decompose = true
-		trace.RecordDetail(stage.Decompose, timeNow().Sub(start), d.Len(), false, r)
-	} else {
-		trace.RecordDetail(stage.Decompose, 0, art.raw.Len(), true, outRung)
+		return tree.NormalizeTupleCtx(ctx, raw.d)
+	}, func(d *tree.Decomposition) (int, string) { return d.Len(), "" })
+	if err != nil {
+		return art, err
 	}
-	if !full {
-		return art, outRung, built, nil
-	}
-	cur = stage.NormalizeTuple
-	if art.tuple == nil {
-		if err := faultinject.Check("session.normalize-tuple"); err != nil {
-			return art, outRung, built, stage.Wrap(stage.NormalizeTuple, err)
-		}
-		if err := art.raw.Validate(s.st); err != nil {
-			return art, outRung, built, fmt.Errorf("session: invalid decomposition: %w", err)
-		}
-		start := timeNow()
-		norm, err := tree.NormalizeTupleCtx(ctx, art.raw)
-		if err != nil {
-			return art, outRung, built, stage.Wrap(stage.NormalizeTuple, err)
-		}
-		art.tuple = norm
-		art.width = norm.Width()
-		built.tuple = true
-		trace.Record(stage.NormalizeTuple, timeNow().Sub(start), norm.Len(), false)
-	} else {
-		trace.Record(stage.NormalizeTuple, 0, art.tuple.Len(), true)
-	}
-	cur = stage.BuildTD
-	if art.td == nil {
-		if err := faultinject.Check("session.build-td"); err != nil {
-			return art, outRung, built, stage.Wrap(stage.BuildTD, err)
-		}
-		start := timeNow()
+	art.width = art.tuple.Width()
+	art.tauTD, err = buildStage(ctx, s, s.td, fp, stage.BuildTD, "session.build-td", trace, func() (tauTD, error) {
 		td, _, err := tree.BuildTDCtx(ctx, s.st, art.tuple, art.width)
 		if err != nil {
-			return art, outRung, built, stage.Wrap(stage.BuildTD, err)
+			return tauTD{}, err
 		}
-		art.td = td
-		art.edb = datalog.FromStructure(td, "")
-		art.tdNodes = art.tuple.Len()
-		built.td = true
-		trace.Record(stage.BuildTD, timeNow().Sub(start), td.Size(), false)
-	} else {
-		trace.Record(stage.BuildTD, 0, art.td.Size(), true)
+		return tauTD{td, datalog.FromStructure(td, "")}, nil
+	}, func(t tauTD) (int, string) { return t.td.Size(), "" })
+	return art, err
+}
+
+// buildStage returns c's entry under fp, running build on a miss under
+// c's single-flight and under readAt, after the fault point named point.
+// An error, panic or injected fault of the build, and the context error
+// of a request that stopped waiting on another's build, come back
+// tagged with st. The stage is recorded in trace, a hit with zero wall
+// time; describe gives an entry's size and detail.
+func buildStage[V any](ctx context.Context, s *Session, c *cache.Cache[uint64, V], fp uint64, st stage.Stage, point string, trace *stage.Trace, build func() (V, error), describe func(V) (int, string)) (V, error) {
+	var wall time.Duration
+	v, hit, err := c.Do(ctx, fp, func() (V, error) {
+		return readAt(s, fp, func() (v V, err error) {
+			defer stage.RecoverTo(st, &err)
+			if err := faultinject.Check(point); err != nil {
+				return v, stage.Wrap(st, err)
+			}
+			start := timeNow()
+			v, err = build()
+			wall = timeNow().Sub(start)
+			return v, stage.Wrap(st, err)
+		})
+	})
+	if err != nil {
+		return v, waited(st, err)
 	}
-	return art, outRung, built, nil
+	size, detail := describe(v)
+	trace.RecordDetail(st, wall, size, hit, detail)
+	return v, nil
+}
+
+// readAt runs read under the structure read lock if the structure still
+// has fingerprint fp, and returns editedError otherwise: whatever read
+// computes from the structure is then for the one fp names.
+func readAt[V any](s *Session, fp uint64, read func() (V, error)) (V, error) {
+	s.stMu.RLock()
+	defer s.stMu.RUnlock()
+	s.mu.Lock()
+	edited := s.fp != fp
+	s.mu.Unlock()
+	if edited {
+		var zero V
+		return zero, editedError{}
+	}
+	return read()
 }
 
 // Warm builds (or revalidates) every front-end artifact and returns the
@@ -488,29 +413,22 @@ func (s *Session) buildFrontEnd(ctx context.Context, trace *stage.Trace, have ar
 // CLIs use it to surface per-stage timings without running a query.
 func (s *Session) Warm(ctx context.Context) (*Trace, error) {
 	trace := &stage.Trace{}
-	if _, err := s.ensure(ctx, trace); err != nil {
-		return trace, err
-	}
-	return trace, nil
+	_, err := s.frontEnd(ctx, trace, true)
+	return trace, err
 }
 
 // Decomposition returns the session's cached raw tree decomposition
 // (computed on first use by the degradation ladder; see
 // decompose.GraphLadderCtx).
 func (s *Session) Decomposition(ctx context.Context) (*tree.Decomposition, error) {
-	trace := &stage.Trace{}
-	art, err := s.frontEnd(ctx, trace, false)
-	if err != nil {
-		return nil, err
-	}
-	return art.raw, nil
+	art, err := s.frontEnd(ctx, &stage.Trace{}, false)
+	return art.raw, err
 }
 
 // TupleForm returns the cached tuple normal form (Def. 2.3) and its
 // width, normalizing on first use.
 func (s *Session) TupleForm(ctx context.Context) (*tree.Decomposition, int, error) {
-	trace := &stage.Trace{}
-	art, err := s.ensure(ctx, trace)
+	art, err := s.frontEnd(ctx, &stage.Trace{}, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -528,8 +446,7 @@ func (s *Session) NiceForm(ctx context.Context) (*tree.Decomposition, error) {
 // niceForm is NiceForm, also returning the fingerprint of the structure
 // the nice form was built for.
 func (s *Session) niceForm(ctx context.Context) (*tree.Decomposition, uint64, error) {
-	trace := &stage.Trace{}
-	art, err := s.frontEnd(ctx, trace, false)
+	art, err := s.frontEnd(ctx, &stage.Trace{}, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -542,16 +459,6 @@ func (s *Session) niceForm(ctx context.Context) (*tree.Decomposition, uint64, er
 func (s *Session) normalizeNice(ctx context.Context, raw *tree.Decomposition) (nice *tree.Decomposition, err error) {
 	defer stage.RecoverTo(stage.NormalizeNice, &err)
 	return tree.NormalizeNiceCtx(ctx, raw, tree.NiceOptions{})
-}
-
-// TauTD returns the cached τ_td structure of Section 4.
-func (s *Session) TauTD(ctx context.Context) (*structure.Structure, error) {
-	trace := &stage.Trace{}
-	art, err := s.ensure(ctx, trace)
-	if err != nil {
-		return nil, err
-	}
-	return art.td, nil
 }
 
 // Width returns the normalized decomposition width.
@@ -593,7 +500,7 @@ func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 		// program cache.
 		return s.evalBackend(ctx, phi, xVar, opts, trace)
 	}
-	art, err := s.ensure(ctx, trace)
+	art, err := s.frontEnd(ctx, trace, true)
 	if err != nil {
 		return nil, err
 	}
@@ -629,15 +536,7 @@ func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts 
 // backend names the evaluator for Stats.EvalsByBackend.
 func (s *Session) evalShared(ctx context.Context, key resultKey, backend string, trace *stage.Trace, eval func() (*resultEntry, error)) (*core.Result, error) {
 	e, hit, err := s.results.Do(ctx, key, func() (*resultEntry, error) {
-		s.stMu.RLock()
-		defer s.stMu.RUnlock()
-		s.mu.Lock()
-		edited := s.fp != key.fp
-		s.mu.Unlock()
-		if edited {
-			return nil, editedError{}
-		}
-		return eval()
+		return readAt(s, key.fp, eval)
 	})
 	if err != nil {
 		return nil, waited(stage.Eval, err)
@@ -738,7 +637,7 @@ func (s *Session) runEval(ctx context.Context, compiled *core.Compiled, art arti
 	}
 	evalSize := out.NumFacts()
 	trace.Record(stage.Eval, timeNow().Sub(start), evalSize, false)
-	res, err := core.FinishResult(s.st, compiled, opts, out, art.tdNodes, art.width, trace)
+	res, err := core.FinishResult(s.st, compiled, opts, out, art.tuple.Len(), art.width, trace)
 	if err != nil {
 		return nil, err
 	}

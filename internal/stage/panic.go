@@ -53,10 +53,3 @@ func RecoverAt(sp *Stage, errp *error) {
 		*errp = Wrap(*sp, NewPanicError(r))
 	}
 }
-
-// Guard runs f, converting a panic into a stage-tagged *PanicError and
-// tagging f's ordinary error with s (innermost tag wins, as in Wrap).
-func Guard(s Stage, f func() error) (err error) {
-	defer RecoverTo(s, &err)
-	return Wrap(s, f())
-}
