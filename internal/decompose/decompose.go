@@ -359,6 +359,17 @@ func GraphCtx(ctx context.Context, g *graph.Graph, h Heuristic) (*tree.Decomposi
 	return FromOrderCtx(ctx, g, order)
 }
 
+// NiceGraph decomposes g with the min-fill heuristic and normalizes the
+// result to the nice form of Section 5, the input of the semiring
+// solver's graph problems.
+func NiceGraph(g *graph.Graph) (*tree.Decomposition, error) {
+	d, err := Graph(g, MinFill)
+	if err != nil {
+		return nil, err
+	}
+	return tree.NormalizeNice(d, tree.NiceOptions{})
+}
+
 // Structure decomposes a τ-structure via its primal graph; the result is
 // a valid tree decomposition of the structure (same bags cover all
 // tuples, since every tuple induces a clique in the primal graph).

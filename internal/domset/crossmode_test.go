@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/decompose"
 	"repro/internal/graph"
 	"repro/internal/solver"
 )
@@ -22,7 +23,7 @@ func TestCrossModeDominatingSet(t *testing.T) {
 		n := 4 + rng.Intn(10)
 		k := 1 + rng.Intn(3)
 		g := graph.PartialKTree(n, k, 0.3, rng)
-		nice, err := niceFor(g)
+		nice, err := decompose.NiceGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}

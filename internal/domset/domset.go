@@ -15,7 +15,6 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/graph"
 	"repro/internal/solver"
-	"repro/internal/tree"
 )
 
 // Vertex statuses, two bits per sorted-bag position.
@@ -62,8 +61,7 @@ func (dpb domProblem) propagate(bag []int, s uint64) uint64 {
 	return s
 }
 
-func (dpb domProblem) Leaf(_ int, bag []int) []solver.Out[uint64] {
-	var out []solver.Out[uint64]
+func (dpb domProblem) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
 	n := len(bag)
 	for combo := 0; combo < 1<<uint(n); combo++ {
 		var s uint64
@@ -76,39 +74,38 @@ func (dpb domProblem) Leaf(_ int, bag []int) []solver.Out[uint64] {
 				s = width.Set(s, p, undominated)
 			}
 		}
-		out = append(out, solver.Out[uint64]{State: dpb.propagate(bag, s), Cost: cost})
+		dst = append(dst, solver.Out[uint64]{State: dpb.propagate(bag, s), Cost: cost})
 	}
-	return out
+	return dst
 }
 
-func (dpb domProblem) Introduce(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (dpb domProblem) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	p := solver.Position(bag, elem)
 	// Selected: dominates its bag neighbors. Not selected: dominated iff
 	// some bag neighbor is in the set.
-	return []solver.Out[uint64]{
-		{State: dpb.propagate(bag, width.Insert(child, p, inSet)), Cost: 1},
-		{State: dpb.propagate(bag, width.Insert(child, p, undominated))},
-	}
+	return append(dst,
+		solver.Out[uint64]{State: dpb.propagate(bag, width.Insert(child, p, inSet)), Cost: 1},
+		solver.Out[uint64]{State: dpb.propagate(bag, width.Insert(child, p, undominated))},
+	)
 }
 
-func (dpb domProblem) Forget(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
-	p := solver.Position(childBag, elem)
+func (dpb domProblem) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+	p := solver.Rank(bag, elem)
 	// A vertex may only leave once it is settled.
 	if width.At(child, p) == undominated {
-		return nil
+		return dst
 	}
-	return []solver.Out[uint64]{{State: width.Drop(child, p)}}
+	return append(dst, solver.Out[uint64]{State: width.Drop(child, p)})
 }
 
-func (dpb domProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
+func (dpb domProblem) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
 	// Selection must agree; domination merges by OR.
 	var merged uint64
 	dup := 0
 	for p := range bag {
 		a, b := width.At(s1, p), width.At(s2, p)
 		if (a == inSet) != (b == inSet) {
-			return nil
+			return dst
 		}
 		switch {
 		case a == inSet:
@@ -120,7 +117,7 @@ func (dpb domProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64]
 			merged = width.Set(merged, p, undominated)
 		}
 	}
-	return []solver.Out[uint64]{{State: merged, Cost: -dup}}
+	return append(dst, solver.Out[uint64]{State: merged, Cost: -dup})
 }
 
 // Accept admits root states with no vertex still awaiting domination.
@@ -133,29 +130,14 @@ func (dpb domProblem) Accept(_ int, bag []int, s uint64) bool {
 	return true
 }
 
-func niceFor(g *graph.Graph) (*tree.Decomposition, error) {
-	d, err := decompose.Graph(g, decompose.MinFill)
-	if err != nil {
-		return nil, err
-	}
-	return tree.NormalizeNice(d, tree.NiceOptions{})
-}
-
 // MinDominatingSet returns the size of a minimum dominating set of g.
 func MinDominatingSet(g *graph.Graph) (int, error) {
 	if g.N() == 0 {
 		return 0, nil
 	}
-	nice, err := niceFor(g)
+	der, err := optimize(g)
 	if err != nil {
 		return 0, err
-	}
-	der, err := solver.Optimize(context.Background(), nice, domProblem{g})
-	if err != nil {
-		return 0, err
-	}
-	if der == nil {
-		return 0, fmt.Errorf("domset: no feasible state at the root")
 	}
 	return der.Value, nil
 }
@@ -166,40 +148,25 @@ func DominatingSet(g *graph.Graph) ([]int, error) {
 	if g.N() == 0 {
 		return nil, nil
 	}
-	nice, err := niceFor(g)
+	der, err := optimize(g)
+	if err != nil {
+		return nil, err
+	}
+	return der.Members(g.N(), func(s uint64, p int) bool { return width.At(s, p) == inSet })
+}
+
+// optimize runs the tropical semiring over a min-fill nice
+// decomposition of g.
+func optimize(g *graph.Graph) (*solver.Derivation[uint64, int], error) {
+	nice, err := decompose.NiceGraph(g)
 	if err != nil {
 		return nil, err
 	}
 	der, err := solver.Optimize(context.Background(), nice, domProblem{g})
-	if err != nil {
-		return nil, err
+	if err == nil && der == nil {
+		err = fmt.Errorf("domset: no feasible state at the root")
 	}
-	if der == nil {
-		return nil, fmt.Errorf("domset: no feasible state at the root")
-	}
-	bags, err := nice.SortedBags()
-	if err != nil {
-		return nil, fmt.Errorf("domset: %w", err)
-	}
-	in := make([]bool, g.N())
-	err = der.Walk(func(v int, s uint64) error {
-		for p, e := range bags[v] {
-			if width.At(s, p) == inSet {
-				in[e] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var set []int
-	for v, ok := range in {
-		if ok {
-			set = append(set, v)
-		}
-	}
-	return set, nil
+	return der, err
 }
 
 // ErrTooLarge reports that the exponential oracle was asked about a

@@ -239,9 +239,8 @@ func (c *ctx) splitBag(bag []int) (attrs, fds []int) {
 // for the top-down pass): every partition of the bag attributes into
 // Y/ordered Co, every consistent choice of used FDs FC, with FY and ΔC
 // determined (the leaf rule of Figure 6).
-func (c *ctx) leafStates(bag []int) []solver.Out[int32] {
+func (c *ctx) leafStates(dst []solver.Out[int32], bag []int) []solver.Out[int32] {
 	attrs, fds := c.splitBag(bag)
-	var out []solver.Out[int32]
 	subsets(attrs, func(y, rest []int) {
 		permute(rest, func(co []int) {
 			// FY is determined by Y and the bag: all FDs with rhs outside
@@ -275,11 +274,11 @@ func (c *ctx) leafStates(bag []int) []solver.Out[int32] {
 					dc: dc,
 					fc: append([]int(nil), fc...),
 				}
-				out = append(out, solver.Out[int32]{State: c.pool.intern(st)})
+				dst = append(dst, solver.Out[int32]{State: c.pool.intern(st)})
 			})
 		})
 	})
-	return out
+	return dst
 }
 
 func insertDedupSorted(xs []int, e int) []int {
@@ -327,14 +326,13 @@ func permute(xs []int, f func([]int)) {
 }
 
 // introduce implements the attribute/FD introduction rules of Figure 6.
-func (c *ctx) introduce(bag []int, elem int, childID int32) []solver.Out[int32] {
+func (c *ctx) introduce(dst []solver.Out[int32], bag []int, elem int, childID int32) []solver.Out[int32] {
 	child := c.pool.get(childID)
 	if c.isAttr[elem] {
-		var out []solver.Out[int32]
 		// Case Y: all other arguments unchanged.
 		sy := child
 		sy.y = insertSorted(child.y, elem)
-		out = append(out, solver.Out[int32]{State: c.pool.intern(sy)})
+		dst = append(dst, solver.Out[int32]{State: c.pool.intern(sy)})
 		// Case Co: insert at every position; re-check order consistency
 		// and discharge newly witnessed FDs.
 		_, fds := c.splitBag(bag)
@@ -354,24 +352,24 @@ func (c *ctx) introduce(bag []int, elem int, childID int32) []solver.Out[int32] 
 				}
 			}
 			sc := state{y: child.y, co: co, fy: fy, dc: child.dc, fc: child.fc}
-			out = append(out, solver.Out[int32]{State: c.pool.intern(sc)})
+			dst = append(dst, solver.Out[int32]{State: c.pool.intern(sc)})
 		}
-		return out
+		return dst
 	}
 	// FD introduction.
 	fi, ok := c.fdOf[elem]
 	if !ok {
-		return nil
+		return dst
 	}
 	rhs := c.rhs[fi]
 	if contains(child.y, rhs) {
 		// Rule 1: rhs ∈ Y — unchanged.
-		return []solver.Out[int32]{{State: childID}}
+		return append(dst, solver.Out[int32]{State: childID})
 	}
 	if !contains(child.co, rhs) {
 		// The bag discipline (rhs present whenever the FD is) is violated;
 		// prepareDecomposition prevents this.
-		return nil
+		return dst
 	}
 	discharge := func() []int {
 		if witnessed(c, fi, child.co) {
@@ -379,10 +377,9 @@ func (c *ctx) introduce(bag []int, elem int, childID int32) []solver.Out[int32] 
 		}
 		return child.fy
 	}
-	var out []solver.Out[int32]
 	// Rule 3: f not used in the derivation.
 	s3 := state{y: child.y, co: child.co, fy: discharge(), dc: child.dc, fc: child.fc}
-	out = append(out, solver.Out[int32]{State: c.pool.intern(s3)})
+	dst = append(dst, solver.Out[int32]{State: c.pool.intern(s3)})
 	// Rule 2: f used — rhs newly derived (disjoint union with ΔC) and the
 	// ordering must be consistent.
 	if !contains(child.dc, rhs) && c.consistent([]int{elem}, child.co) {
@@ -393,40 +390,40 @@ func (c *ctx) introduce(bag []int, elem int, childID int32) []solver.Out[int32] 
 			dc: insertSorted(child.dc, rhs),
 			fc: insertSorted(child.fc, elem),
 		}
-		out = append(out, solver.Out[int32]{State: c.pool.intern(s2)})
+		dst = append(dst, solver.Out[int32]{State: c.pool.intern(s2)})
 	}
-	return out
+	return dst
 }
 
 // forget implements the attribute/FD removal rules of Figure 6.
-func (c *ctx) forget(elem int, childID int32) []solver.Out[int32] {
+func (c *ctx) forget(dst []solver.Out[int32], elem int, childID int32) []solver.Out[int32] {
 	child := c.pool.get(childID)
 	if c.isAttr[elem] {
 		if contains(child.y, elem) {
 			s := state{y: removeVal(child.y, elem), co: child.co, fy: child.fy, dc: child.dc, fc: child.fc}
-			return []solver.Out[int32]{{State: c.pool.intern(s)}}
+			return append(dst, solver.Out[int32]{State: c.pool.intern(s)})
 		}
 		// elem ∈ Co: its derivation must have been established.
 		if !contains(child.dc, elem) {
-			return nil
+			return dst
 		}
 		s := state{y: child.y, co: removeVal(child.co, elem), fy: child.fy, dc: removeVal(child.dc, elem), fc: child.fc}
-		return []solver.Out[int32]{{State: c.pool.intern(s)}}
+		return append(dst, solver.Out[int32]{State: c.pool.intern(s)})
 	}
 	fi, ok := c.fdOf[elem]
 	if !ok {
-		return nil
+		return dst
 	}
 	if contains(child.y, c.rhs[fi]) {
 		// Rule 1: rhs ∈ Y — f was never a threat.
-		return []solver.Out[int32]{{State: childID}}
+		return append(dst, solver.Out[int32]{State: childID})
 	}
 	// Rules 2/3: f must have been verified (f ∈ FY) before leaving.
 	if !contains(child.fy, elem) {
-		return nil
+		return dst
 	}
 	s := state{y: child.y, co: child.co, fy: removeVal(child.fy, elem), dc: child.dc, fc: removeVal(child.fc, elem)}
-	return []solver.Out[int32]{{State: c.pool.intern(s)}}
+	return append(dst, solver.Out[int32]{State: c.pool.intern(s)})
 }
 
 // branch implements the branch rule of Figure 6: identical Y, Co and FC,
@@ -434,9 +431,9 @@ func (c *ctx) forget(elem int, childID int32) []solver.Out[int32] {
 // derived in both subtrees only via a shared bag FD). The signature check
 // replaces the three slice comparisons of the equality precondition with
 // one integer comparison.
-func (c *ctx) branch(k1, k2 int32) []solver.Out[int32] {
+func (c *ctx) branch(dst []solver.Out[int32], k1, k2 int32) []solver.Out[int32] {
 	if c.pool.sig(k1) != c.pool.sig(k2) {
-		return nil
+		return dst
 	}
 	s1, s2 := c.pool.get(k1), c.pool.get(k2)
 	// unique(ΔC1, ΔC2, FC).
@@ -451,11 +448,11 @@ func (c *ctx) branch(k1, k2 int32) []solver.Out[int32] {
 		fromFC[c.rhs[c.fdOf[fe]]] = true
 	}
 	if len(inter) != len(fromFC) {
-		return nil
+		return dst
 	}
 	for e := range inter {
 		if !fromFC[e] {
-			return nil
+			return dst
 		}
 	}
 	fy := append([]int(nil), s1.fy...)
@@ -467,7 +464,7 @@ func (c *ctx) branch(k1, k2 int32) []solver.Out[int32] {
 		dc = insertDedupSorted(dc, e)
 	}
 	s := state{y: s1.y, co: s1.co, fy: fy, dc: dc, fc: s1.fc}
-	return []solver.Out[int32]{{State: c.pool.intern(s)}}
+	return append(dst, solver.Out[int32]{State: c.pool.intern(s)})
 }
 
 func equalInts(a, b []int) bool {

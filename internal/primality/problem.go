@@ -22,20 +22,20 @@ type figure6 struct {
 
 func (p figure6) Name() string { return fmt.Sprintf("primality(a=%d)", p.aElem) }
 
-func (p figure6) Leaf(_ int, bag []int) []solver.Out[int32] {
-	return p.c.leafStates(bag)
+func (p figure6) Leaf(dst []solver.Out[int32], _ int, bag []int) []solver.Out[int32] {
+	return p.c.leafStates(dst, bag)
 }
 
-func (p figure6) Introduce(_ int, bag []int, elem int, child int32) []solver.Out[int32] {
-	return p.c.introduce(bag, elem, child)
+func (p figure6) Introduce(dst []solver.Out[int32], _ int, bag []int, elem int, child int32) []solver.Out[int32] {
+	return p.c.introduce(dst, bag, elem, child)
 }
 
-func (p figure6) Forget(_ int, _ []int, elem int, child int32) []solver.Out[int32] {
-	return p.c.forget(elem, child)
+func (p figure6) Forget(dst []solver.Out[int32], _ int, _ []int, elem int, child int32) []solver.Out[int32] {
+	return p.c.forget(dst, elem, child)
 }
 
-func (p figure6) Join(_ int, _ []int, s1, s2 int32) []solver.Out[int32] {
-	return p.c.branch(s1, s2)
+func (p figure6) Join(dst []solver.Out[int32], _ int, _ []int, s1, s2 int32) []solver.Out[int32] {
+	return p.c.branch(dst, s1, s2)
 }
 
 func (p figure6) Accept(_ int, bag []int, s int32) bool {
@@ -43,38 +43,28 @@ func (p figure6) Accept(_ int, bag []int, s int32) bool {
 }
 
 // relevance is the Section 7 abduction algebra (is a hypothesis part of
-// some minimal explanation?). Its states are the encoded rstate strings;
-// the transitions are not perf-critical, so the []string returns of the
-// rctx methods are wrapped rather than rewritten.
+// some minimal explanation?). Its states are the encoded rstate strings.
 type relevance struct {
 	c     *rctx
 	aElem int
 }
 
-func wrapR(keys []string) []solver.Out[string] {
-	out := make([]solver.Out[string], len(keys))
-	for i, k := range keys {
-		out[i].State = k
-	}
-	return out
-}
-
 func (p relevance) Name() string { return fmt.Sprintf("relevance(a=%d)", p.aElem) }
 
-func (p relevance) Leaf(_ int, bag []int) []solver.Out[string] {
-	return wrapR(p.c.rLeafStates(bag))
+func (p relevance) Leaf(dst []solver.Out[string], _ int, bag []int) []solver.Out[string] {
+	return p.c.rLeafStates(dst, bag)
 }
 
-func (p relevance) Introduce(_ int, bag []int, elem int, child string) []solver.Out[string] {
-	return wrapR(p.c.rIntroduce(bag, elem, child))
+func (p relevance) Introduce(dst []solver.Out[string], _ int, bag []int, elem int, child string) []solver.Out[string] {
+	return p.c.rIntroduce(dst, bag, elem, child)
 }
 
-func (p relevance) Forget(_ int, _ []int, elem int, child string) []solver.Out[string] {
-	return wrapR(p.c.rForget(elem, child))
+func (p relevance) Forget(dst []solver.Out[string], _ int, _ []int, elem int, child string) []solver.Out[string] {
+	return p.c.rForget(dst, elem, child)
 }
 
-func (p relevance) Join(_ int, _ []int, s1, s2 string) []solver.Out[string] {
-	return wrapR(p.c.rBranch(s1, s2))
+func (p relevance) Join(dst []solver.Out[string], _ int, _ []int, s1, s2 string) []solver.Out[string] {
+	return p.c.rBranch(dst, s1, s2)
 }
 
 func (p relevance) Accept(_ int, bag []int, s string) bool {

@@ -82,6 +82,9 @@ func (s rstate) encode() string {
 	return b.String()
 }
 
+// out is the transition output of s: its encoded key.
+func (s rstate) out() solver.Out[string] { return solver.Out[string]{State: s.encode()} }
+
 func decodeR(key string) rstate {
 	parts := strings.Split(key, "|")
 	read := func(p string) []int {
@@ -133,9 +136,8 @@ func (c *rctx) consistentY(fcy, yGen, yDer []int) bool {
 }
 
 // rLeafStates enumerates all relevance states of a bag.
-func (c *rctx) rLeafStates(bag []int) []string {
+func (c *rctx) rLeafStates(dst []solver.Out[string], bag []int) []solver.Out[string] {
 	attrs, fds := c.splitBag(bag)
-	var out []string
 	// Assign each attribute one of the four roles.
 	roles := make([]int, len(attrs)) // 0 generator, 1 y-derived, 2 co, 3 ignored
 	var assign func(i int)
@@ -177,17 +179,17 @@ func (c *rctx) rLeafStates(bag []int) []string {
 			yDerCopy := append([]int(nil), yDer...)
 			permute(coSet, func(co []int) {
 				coCopy := append([]int(nil), co...)
-				c.enumerateFDs(bag, fds, yGen, yDerCopy, coCopy, ign, mOut, &out)
+				c.enumerateFDs(bag, fds, yGen, yDerCopy, coCopy, ign, mOut, &dst)
 			})
 		})
 	}
 	assign(0)
-	return out
+	return dst
 }
 
 // enumerateFDs completes a leaf state by choosing the role of every bag
 // FD and deriving FY, dcy and dc.
-func (c *rctx) enumerateFDs(bag, fds, yGen, yDer, co, ign []int, mOut bool, out *[]string) {
+func (c *rctx) enumerateFDs(bag, fds, yGen, yDer, co, ign []int, mOut bool, out *[]solver.Out[string]) {
 	y := append(append([]int(nil), yGen...), yDer...)
 	sort.Ints(y)
 	// FY is determined: FDs with rhs outside Y witnessed by a bag
@@ -248,7 +250,7 @@ func (c *rctx) enumerateFDs(bag, fds, yGen, yDer, co, ign []int, mOut bool, out 
 				fy:   append([]int(nil), fy...),
 				mOut: mOut,
 			}
-			*out = append(*out, st.encode())
+			*out = append(*out, st.out())
 		})
 	})
 }
@@ -278,19 +280,18 @@ func (c *rctx) lhsAvoidsIgnored(fc []int, ign []int) bool {
 }
 
 // rIntroduce handles attribute and FD introduction.
-func (c *rctx) rIntroduce(bag []int, elem int, childKey string) []string {
+func (c *rctx) rIntroduce(dst []solver.Out[string], bag []int, elem int, childKey string) []solver.Out[string] {
 	child := decodeR(childKey)
 	if c.isAttr[elem] {
-		return c.rIntroduceAttr(bag, elem, child)
+		return c.rIntroduceAttr(dst, bag, elem, child)
 	}
-	return c.rIntroduceFD(elem, child)
+	return c.rIntroduceFD(dst, elem, child)
 }
 
-func (c *rctx) rIntroduceAttr(bag []int, elem int, child rstate) []string {
+func (c *rctx) rIntroduceAttr(dst []solver.Out[string], bag []int, elem int, child rstate) []solver.Out[string] {
 	_, fds := c.splitBag(bag)
 	y := append(append([]int(nil), child.yGen...), child.yDer...)
 	sort.Ints(y)
-	var out []string
 
 	// dischargeFY recomputes FY for a new non-Y attribute elem.
 	dischargeFY := func(fy []int) []int {
@@ -328,7 +329,7 @@ func (c *rctx) rIntroduceAttr(bag []int, elem int, child rstate) []string {
 	if c.hyp.Has(elem) {
 		s := child
 		s.yGen = insertSorted(child.yGen, elem)
-		out = append(out, s.encode())
+		dst = append(dst, s.out())
 	}
 	// Role: y-derived — insert at every order position.
 	for p := 0; p <= len(child.yDer); p++ {
@@ -341,7 +342,7 @@ func (c *rctx) rIntroduceAttr(bag []int, elem int, child rstate) []string {
 		}
 		s := child
 		s.yDer = yDer
-		out = append(out, s.encode())
+		dst = append(dst, s.out())
 	}
 	// Role: co — insert at every order position.
 	if !violatesYUse() {
@@ -357,7 +358,7 @@ func (c *rctx) rIntroduceAttr(bag []int, elem int, child rstate) []string {
 			s.co = co
 			s.fy = dischargeFY(child.fy)
 			s.mOut = child.mOut || c.man.Has(elem)
-			out = append(out, s.encode())
+			dst = append(dst, s.out())
 		}
 	}
 	// Role: ignored.
@@ -365,29 +366,28 @@ func (c *rctx) rIntroduceAttr(bag []int, elem int, child rstate) []string {
 		s := child
 		s.ign = insertSorted(child.ign, elem)
 		s.fy = dischargeFY(child.fy)
-		out = append(out, s.encode())
+		dst = append(dst, s.out())
 	}
-	return out
+	return dst
 }
 
-func (c *rctx) rIntroduceFD(elem int, child rstate) []string {
+func (c *rctx) rIntroduceFD(dst []solver.Out[string], elem int, child rstate) []solver.Out[string] {
 	fi, ok := c.fdOf[elem]
 	if !ok {
-		return nil
+		return dst
 	}
 	rhs := c.rhs[fi]
-	var out []string
 	switch {
 	case contains(child.yGen, rhs) || contains(child.yDer, rhs):
 		// Unused.
-		out = append(out, child.encode())
+		dst = append(dst, child.out())
 		// Used for the Y-derivation.
 		if contains(child.yDer, rhs) && !contains(child.dcy, rhs) &&
 			c.lhsInY(fi, child) && c.consistentY([]int{elem}, child.yGen, child.yDer) {
 			s := child
 			s.fcy = insertSorted(child.fcy, elem)
 			s.dcy = insertSorted(child.dcy, rhs)
-			out = append(out, s.encode())
+			dst = append(dst, s.out())
 		}
 	case contains(child.co, rhs) || contains(child.ign, rhs):
 		discharge := func() []int {
@@ -401,7 +401,7 @@ func (c *rctx) rIntroduceFD(elem int, child rstate) []string {
 		// Unused.
 		s3 := child
 		s3.fy = discharge()
-		out = append(out, s3.encode())
+		dst = append(dst, s3.out())
 		// Used for the Co-derivation (only onto scheduled attributes).
 		if contains(child.co, rhs) && !contains(child.dc, rhs) &&
 			c.ctx.consistent([]int{elem}, child.co) && c.lhsAvoidsIgnored([]int{elem}, child.ign) {
@@ -409,13 +409,13 @@ func (c *rctx) rIntroduceFD(elem int, child rstate) []string {
 			s2.fy = discharge()
 			s2.fc = insertSorted(child.fc, elem)
 			s2.dc = insertSorted(child.dc, rhs)
-			out = append(out, s2.encode())
+			dst = append(dst, s2.out())
 		}
 	default:
 		// The bag discipline guarantees rhs is present; unreachable.
-		return nil
+		return dst
 	}
-	return out
+	return dst
 }
 
 // lhsInY reports that no bag-external knowledge is needed: all bag-local
@@ -430,44 +430,44 @@ func (c *rctx) lhsInY(fi int, s rstate) bool {
 }
 
 // rForget handles attribute and FD removal.
-func (c *rctx) rForget(elem int, childKey string) []string {
+func (c *rctx) rForget(dst []solver.Out[string], elem int, childKey string) []solver.Out[string] {
 	child := decodeR(childKey)
 	if c.isAttr[elem] {
 		switch {
 		case contains(child.yGen, elem):
 			s := child
 			s.yGen = removeVal(child.yGen, elem)
-			return []string{s.encode()}
+			return append(dst, s.out())
 		case contains(child.yDer, elem):
 			if !contains(child.dcy, elem) {
-				return nil
+				return dst
 			}
 			s := child
 			s.yDer = removeVal(child.yDer, elem)
 			s.dcy = removeVal(child.dcy, elem)
-			return []string{s.encode()}
+			return append(dst, s.out())
 		case contains(child.co, elem):
 			if !contains(child.dc, elem) {
-				return nil
+				return dst
 			}
 			s := child
 			s.co = removeVal(child.co, elem)
 			s.dc = removeVal(child.dc, elem)
-			return []string{s.encode()}
+			return append(dst, s.out())
 		default:
 			s := child
 			s.ign = removeVal(child.ign, elem)
-			return []string{s.encode()}
+			return append(dst, s.out())
 		}
 	}
 	fi, ok := c.fdOf[elem]
 	if !ok {
-		return nil
+		return dst
 	}
 	if c.inY(child, c.rhs[fi]) {
 		s := child
 		s.fcy = removeVal(child.fcy, elem)
-		return []string{s.encode()}
+		return append(dst, s.out())
 	}
 	if !contains(child.fy, elem) {
 		return nil // closedness of Y never verified for this FD
@@ -475,27 +475,27 @@ func (c *rctx) rForget(elem int, childKey string) []string {
 	s := child
 	s.fy = removeVal(child.fy, elem)
 	s.fc = removeVal(child.fc, elem)
-	return []string{s.encode()}
+	return append(dst, s.out())
 }
 
 // rBranch merges two child states with identical partitions and used-FD
 // sets (the Figure 6 branch rule plus its Y-side mirror).
-func (c *rctx) rBranch(k1, k2 string) []string {
+func (c *rctx) rBranch(dst []solver.Out[string], k1, k2 string) []solver.Out[string] {
 	s1, s2 := decodeR(k1), decodeR(k2)
 	if !equalInts(s1.yGen, s2.yGen) || !equalInts(s1.yDer, s2.yDer) ||
 		!equalInts(s1.co, s2.co) || !equalInts(s1.ign, s2.ign) ||
 		!equalInts(s1.fcy, s2.fcy) || !equalInts(s1.fc, s2.fc) {
-		return nil
+		return dst
 	}
 	if !uniqueMerge(s1.dc, s2.dc, c.rhsSet(s1.fc)) || !uniqueMerge(s1.dcy, s2.dcy, c.rhsSet(s1.fcy)) {
-		return nil
+		return dst
 	}
 	s := s1
 	s.fy = unionSorted(s1.fy, s2.fy)
 	s.dc = unionSorted(s1.dc, s2.dc)
 	s.dcy = unionSorted(s1.dcy, s2.dcy)
 	s.mOut = s1.mOut || s2.mOut
-	return []string{s.encode()}
+	return append(dst, s.out())
 }
 
 func (c *rctx) rhsSet(fes []int) map[int]bool {

@@ -265,25 +265,26 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 		return out
 	}
 	successVar := -1
+	var results []solver.Out[int32]
 	for _, v := range nice.PostOrder() {
 		n := nice.Nodes[v]
 		bag := sortedBag(n.Bag)
 		switch n.Kind {
 		case tree.KindLeaf:
-			for _, o := range c.leafStates(bag) {
+			results = c.leafStates(results[:0], bag)
+			for _, o := range results {
 				prog.AddClause(id(v, o.State))
 			}
 		case tree.KindIntroduce, tree.KindForget, tree.KindCopy:
 			child := n.Children[0]
 			for _, cs := range allStates(sortedBag(nice.Nodes[child].Bag)) {
-				var results []solver.Out[int32]
 				switch n.Kind {
 				case tree.KindIntroduce:
-					results = c.introduce(bag, n.Elem, cs)
+					results = c.introduce(results[:0], bag, n.Elem, cs)
 				case tree.KindForget:
-					results = c.forget(n.Elem, cs)
+					results = c.forget(results[:0], n.Elem, cs)
 				default:
-					results = []solver.Out[int32]{{State: cs}}
+					results = append(results[:0], solver.Out[int32]{State: cs})
 				}
 				for _, o := range results {
 					prog.AddClause(id(v, o.State), id(child, cs))
@@ -293,7 +294,8 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 			states := allStates(bag)
 			for _, s1 := range states {
 				for _, s2 := range states {
-					for _, o := range c.branch(s1, s2) {
+					results = c.branch(results[:0], s1, s2)
+					for _, o := range results {
 						prog.AddClause(id(v, o.State), id(n.Children[0], s1), id(n.Children[1], s2))
 					}
 				}

@@ -8,6 +8,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -96,35 +97,51 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	sess := s.sessionFor(oldFP, st)
-	if s.testGate != nil {
-		s.testGate(ctx, "mutate")
-	}
-	// Re-key under the edit lock, on every return path, from the
-	// session's own pre-edit fingerprint: a concurrent /mutate may have
-	// moved it off oldFP first.
-	var text string
-	var fp uint64
-	ms, err := sess.Mutate(func(st *structure.Structure) error {
-		pre := session.Fingerprint(st)
-		defer func() {
-			fp = session.Fingerprint(st)
-			s.rekeySession(sess, pre, fp)
-		}()
-		for _, n := range req.AddElems {
-			st.AddElem(n)
+	var (
+		ms   session.MutationStats
+		text string
+		fp   uint64
+	)
+	for {
+		sess := s.sessionFor(oldFP, st)
+		if s.testGate != nil {
+			s.testGate(ctx, "mutate")
 		}
-		for _, f := range req.Remove {
-			st.RemoveFact(f.Pred, f.Args...)
-		}
-		for _, f := range req.Insert {
-			if err := st.AddFact(f.Pred, f.Args...); err != nil {
-				return err
+		ms, err = sess.Mutate(func(cur *structure.Structure) error {
+			// A concurrent /mutate may have edited the session since it
+			// was bound: edit only the structure the request's text
+			// describes, as a fresh server would.
+			if session.Fingerprint(cur) != oldFP {
+				return session.ErrMoved
 			}
+			// Re-key under the edit lock, on every return path.
+			defer func() {
+				fp = session.Fingerprint(cur)
+				s.rekeySession(sess, oldFP, fp)
+			}()
+			for _, n := range req.AddElems {
+				cur.AddElem(n)
+			}
+			for _, f := range req.Remove {
+				cur.RemoveFact(f.Pred, f.Args...)
+			}
+			for _, f := range req.Insert {
+				if err := cur.AddFact(f.Pred, f.Args...); err != nil {
+					return err
+				}
+			}
+			text = cur.String()
+			return nil
+		})
+		if !errors.Is(err, session.ErrMoved) {
+			break
 		}
-		text = st.String()
-		return nil
-	})
+		// The session left oldFP, and st may be the structure that was
+		// edited: bind the text again from a fresh parse, as onText does.
+		if st, err = parseStructure(req.Structure); err != nil {
+			break
+		}
+	}
 	if err != nil {
 		finish(sameOutcome(err))
 		s.fail(w, fmt.Errorf("%w: %v", cli.ErrUsage, err))

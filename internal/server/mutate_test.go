@@ -330,9 +330,11 @@ func TestMutateTwoEditsLeaveNoAlias(t *testing.T) {
 
 // TestMutateConcurrentOnOnePreEditText sends two /mutates on one
 // pre-edit text and holds both at the gate until both have taken the
-// session, then lets them edit one after the other. The second edits
-// the structure the first left, so the first response's text must
-// answer for the first edit alone, as a fresh server does.
+// session, then lets them edit one after the other. The first edit
+// moves the session off the text, so the second must bind the text
+// again and edit the structure it describes: each response answers for
+// its own text plus its own edit, as a fresh server does, whichever
+// order the two ran in.
 func TestMutateConcurrentOnOnePreEditText(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if a := colorAnswer(t, ts.URL, pathStructure); a.Status != http.StatusOK {
@@ -362,6 +364,7 @@ func TestMutateConcurrentOnOnePreEditText(t *testing.T) {
 		}
 	}
 	type reply struct {
+		added  string
 		status int
 		raw    []byte
 		err    error
@@ -375,28 +378,29 @@ func TestMutateConcurrentOnOnePreEditText(t *testing.T) {
 		go func() {
 			resp, err := http.Post(ts.URL+"/mutate", "application/json", bytes.NewReader(body))
 			if err != nil {
-				replies <- reply{err: err}
+				replies <- reply{added: v, err: err}
 				return
 			}
 			defer resp.Body.Close()
 			raw, err := io.ReadAll(resp.Body)
-			replies <- reply{resp.StatusCode, raw, err}
+			replies <- reply{v, resp.StatusCode, raw, err}
 		}()
 	}
-	var got [2]MutateResponse
-	for i := range got {
+	want := map[string][]string{"v1": {"v0", "v1", "v2"}, "v3": {"v0", "v2", "v3"}}
+	var texts []string
+	for range 2 {
 		r := <-replies
 		if r.err != nil || r.status != http.StatusOK {
-			t.Fatalf("mutate: status %d, error %v: %s", r.status, r.err, r.raw)
+			t.Fatalf("mutate adding c(%s): status %d, error %v: %s", r.added, r.status, r.err, r.raw)
 		}
-		got[i] = decodeInto[MutateResponse](t, r.raw)
+		text := decodeInto[MutateResponse](t, r.raw).Structure
+		if got := colorAnswer(t, ts.URL, text).Selected; !reflect.DeepEqual(got, want[r.added]) {
+			t.Errorf("response of the mutate adding c(%s): selected %v, want %v", r.added, got, want[r.added])
+		}
+		texts = append(texts, text)
 		releaseSecond()
 	}
-	first, second := got[0], got[1]
-	if got, want := colorAnswer(t, ts.URL, second.Structure).Selected, []string{"v0", "v1", "v2", "v3"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("second response text: selected %v, want %v", got, want)
-	}
-	answersAsFresh(t, ts.URL, first.Structure, second.Structure, pathStructure)
+	answersAsFresh(t, ts.URL, append(texts, pathStructure)...)
 	checkOneKeyPerSession(t, s)
 }
 

@@ -577,8 +577,8 @@ func problemFor(req SolveRequest, g *graph.Graph) (solver.Problem[uint64], error
 	case "threecol":
 		return threecol.Problem(g, 3), nil
 	case "kcolor":
-		if req.K <= 0 {
-			return nil, fmt.Errorf("%w: kcolor requires k ≥ 1, got %d", cli.ErrUsage, req.K)
+		if req.K < 1 || req.K > threecol.MaxColors {
+			return nil, fmt.Errorf("%w: kcolor requires k in 1..%d, got %d", cli.ErrUsage, threecol.MaxColors, req.K)
 		}
 		return threecol.Problem(g, req.K), nil
 	case "vcover":

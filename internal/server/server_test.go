@@ -17,6 +17,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/session"
 	"repro/internal/structure"
+	"repro/internal/threecol"
 )
 
 // cycleStructure is a colored 4-cycle: treewidth 2. The /solve tests
@@ -276,6 +277,30 @@ func TestSolveModes(t *testing.T) {
 	status, raw := postJSON(t, ts.URL+"/solve", SolveRequest{Structure: cycleStructure, Problem: "sat", Mode: "decide"}, nil)
 	if status != http.StatusBadRequest {
 		t.Fatalf("unknown problem: status %d, body %s", status, raw)
+	}
+}
+
+// TestSolveKColorBound: kcolor states pack 4 bits per bag position, so
+// k runs up to threecol.MaxColors. The 4-path has k(k−1)³ proper
+// k-colorings; k = MaxColors counts them exactly, and every k outside
+// 1..MaxColors is refused with 400 in every mode rather than answered
+// from overflowed states.
+func TestSolveKColorBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, raw := postJSON(t, ts.URL+"/solve", SolveRequest{Structure: pathStructure, Problem: "kcolor", K: threecol.MaxColors, Mode: "count"}, nil)
+	if status != http.StatusOK {
+		t.Fatalf("k=%d: status %d, body %s", threecol.MaxColors, status, raw)
+	}
+	if got := decodeInto[SolveResponse](t, raw).Count; got != "54000" {
+		t.Errorf("k=%d on the 4-path: %s colorings, want 54000", threecol.MaxColors, got)
+	}
+	for _, k := range []int{0, threecol.MaxColors + 1, 40} {
+		for _, mode := range []string{"decide", "count", "optimize"} {
+			status, raw := postJSON(t, ts.URL+"/solve", SolveRequest{Structure: pathStructure, Problem: "kcolor", K: k, Mode: mode}, nil)
+			if status != http.StatusBadRequest {
+				t.Errorf("k=%d %s: status %d, want 400; body %s", k, mode, status, raw)
+			}
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func (s *Session) Mutate(fn func(*structure.Structure) error) (MutationStats, er
 	rev := s.st.Rev()
 	ferr := fn(s.st)
 	ms := MutationStats{Changes: int(s.st.Rev() - rev)}
-	s.fp = Fingerprint(s.st)
+	s.setFPLocked(Fingerprint(s.st))
 	if ms.Changes == 0 {
 		return ms, ferr // no-op edit: every cache stays valid
 	}

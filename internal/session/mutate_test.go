@@ -803,9 +803,9 @@ type heldSelect struct {
 	entered, release chan struct{}
 }
 
-func (h heldSelect) Leaf(node int, bag []int) []solver.Out[uint64] {
+func (h heldSelect) Leaf(dst []solver.Out[uint64], node int, bag []int) []solver.Out[uint64] {
 	h.once.Do(func() { close(h.entered); <-h.release })
-	return h.freeSelect.Leaf(node, bag)
+	return h.freeSelect.Leaf(dst, node, bag)
 }
 
 // TestMutateSolveJoinsNoStaleFlight: a solve running over the pre-edit

@@ -127,9 +127,14 @@ type Session struct {
 	// a cache's lock.
 	stMu sync.RWMutex
 
-	mu    sync.Mutex
-	fp    uint64
-	stats Stats
+	mu sync.Mutex
+	// fp is the fingerprint of the structure at revision fpRev; hashed
+	// reports that fp was ever computed. An unmoved revision means an
+	// unchanged structure, so revalidation skips the hash.
+	fp     uint64
+	fpRev  uint64
+	hashed bool
+	stats  Stats
 
 	// Every cache below files an entry under the fingerprint of the
 	// structure it was computed from, so a stored value is right for its
@@ -265,18 +270,28 @@ func (s *Session) ShedResults() int {
 	return s.results.Clear() + s.solved.Clear()
 }
 
-// revalidateLocked brings s.fp up to date with the structure. A direct
+// revalidateLocked brings s.fp up to date with the structure, hashing
+// it only when its revision moved since the last hash. A direct
 // (non-Mutate) edit found while anything is cached counts as an
 // invalidation and drops the caches: their entries stay right for
 // their keys, but for a structure that is gone.
 func (s *Session) revalidateLocked() {
+	if s.hashed && s.st.Rev() == s.fpRev {
+		return
+	}
 	fp := Fingerprint(s.st)
 	if fp != s.fp && (s.raw.Len() > 0 || s.tuple.Len() > 0 || s.td.Len() > 0 ||
 		s.nice.Len() > 0 || s.results.Len() > 0 || s.solved.Len() > 0) {
 		s.invalidateLocked()
 		s.stats.Invalidations++
 	}
-	s.fp = fp
+	s.setFPLocked(fp)
+}
+
+// setFPLocked records fp as the fingerprint of the structure at its
+// current revision.
+func (s *Session) setFPLocked(fp uint64) {
+	s.fp, s.fpRev, s.hashed = fp, s.st.Rev(), true
 }
 
 // ErrMoved reports that the bound structure no longer has the

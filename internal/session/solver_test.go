@@ -21,41 +21,40 @@ type freeSelect struct{}
 
 func (freeSelect) Name() string { return "free-select" }
 
-func (freeSelect) Leaf(_ int, bag []int) []solver.Out[uint64] {
-	var out []solver.Out[uint64]
+func (freeSelect) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
 	for m := uint64(0); m < 1<<uint(len(bag)); m++ {
 		cost := 0
 		for p := range bag {
 			cost += int(m >> uint(p) & 1)
 		}
-		out = append(out, solver.Out[uint64]{State: m, Cost: cost})
+		dst = append(dst, solver.Out[uint64]{State: m, Cost: cost})
 	}
-	return out
+	return dst
 }
 
-func (freeSelect) Introduce(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (freeSelect) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	p := solver.Position(bag, elem)
 	w := solver.Width(1)
-	return []solver.Out[uint64]{
-		{State: w.Insert(child, p, 0)},
-		{State: w.Insert(child, p, 1), Cost: 1},
-	}
+	return append(dst,
+		solver.Out[uint64]{State: w.Insert(child, p, 0)},
+		solver.Out[uint64]{State: w.Insert(child, p, 1), Cost: 1},
+	)
 }
 
-func (freeSelect) Forget(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (freeSelect) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	childBag := solver.InsertSorted(bag, elem)
-	return []solver.Out[uint64]{{State: solver.Width(1).Drop(child, solver.Position(childBag, elem))}}
+	return append(dst, solver.Out[uint64]{State: solver.Width(1).Drop(child, solver.Position(childBag, elem))})
 }
 
-func (freeSelect) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
+func (freeSelect) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
 	if s1 != s2 {
-		return nil
+		return dst
 	}
 	dup := 0
 	for p := range bag {
 		dup += int(s1 >> uint(p) & 1)
 	}
-	return []solver.Out[uint64]{{State: s1, Cost: -dup}}
+	return append(dst, solver.Out[uint64]{State: s1, Cost: -dup})
 }
 
 func (freeSelect) Accept(int, []int, uint64) bool { return true }

@@ -16,18 +16,25 @@
 package solver
 
 // Position returns the index of elem in the sorted bag, or -1 if the
-// bag does not contain it. Bags have at most width+1 entries, so a
-// linear scan beats binary search in practice.
+// bag does not contain it.
 func Position(bag []int, elem int) int {
-	for i, e := range bag {
-		if e == elem {
-			return i
-		}
-		if e > elem {
-			return -1
-		}
+	if i := Rank(bag, elem); i < len(bag) && bag[i] == elem {
+		return i
 	}
 	return -1
+}
+
+// Rank returns the number of bag entries below elem: its index in the
+// sorted bag, or the index it takes when inserted — where a forget
+// node's element sat in its child's bag. Bags have at most width+1
+// entries, so a linear scan beats binary search in practice.
+func Rank(bag []int, elem int) int {
+	for i, e := range bag {
+		if e >= elem {
+			return i
+		}
+	}
+	return len(bag)
 }
 
 // Contains reports whether the sorted bag contains elem.

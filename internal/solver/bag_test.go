@@ -7,21 +7,21 @@ import (
 
 func TestPosition(t *testing.T) {
 	tests := []struct {
-		bag  []int
-		elem int
-		want int
+		bag        []int
+		elem       int
+		want, rank int
 	}{
-		{nil, 0, -1},
-		{[]int{}, 3, -1},
-		{[]int{5}, 5, 0},
-		{[]int{5}, 4, -1},
-		{[]int{5}, 6, -1},
-		{[]int{1, 3, 7}, 1, 0},
-		{[]int{1, 3, 7}, 3, 1},
-		{[]int{1, 3, 7}, 7, 2},
-		{[]int{1, 3, 7}, 0, -1},
-		{[]int{1, 3, 7}, 2, -1},
-		{[]int{1, 3, 7}, 9, -1},
+		{nil, 0, -1, 0},
+		{[]int{}, 3, -1, 0},
+		{[]int{5}, 5, 0, 0},
+		{[]int{5}, 4, -1, 0},
+		{[]int{5}, 6, -1, 1},
+		{[]int{1, 3, 7}, 1, 0, 0},
+		{[]int{1, 3, 7}, 3, 1, 1},
+		{[]int{1, 3, 7}, 7, 2, 2},
+		{[]int{1, 3, 7}, 0, -1, 0},
+		{[]int{1, 3, 7}, 2, -1, 1},
+		{[]int{1, 3, 7}, 9, -1, 3},
 	}
 	for _, tc := range tests {
 		if got := Position(tc.bag, tc.elem); got != tc.want {
@@ -29,6 +29,15 @@ func TestPosition(t *testing.T) {
 		}
 		if got := Contains(tc.bag, tc.elem); got != (tc.want >= 0) {
 			t.Errorf("Contains(%v, %d) = %v, want %v", tc.bag, tc.elem, got, tc.want >= 0)
+		}
+		if got := Rank(tc.bag, tc.elem); got != tc.rank {
+			t.Errorf("Rank(%v, %d) = %d, want %d", tc.bag, tc.elem, got, tc.rank)
+		}
+		// A forget node's element sits at its rank in the child's bag.
+		if tc.want < 0 {
+			if got := Position(InsertSorted(tc.bag, tc.elem), tc.elem); got != tc.rank {
+				t.Errorf("Position of %d in %v with it inserted = %d, Rank = %d", tc.elem, tc.bag, got, tc.rank)
+			}
 		}
 	}
 }

@@ -138,17 +138,11 @@ func upWith[S comparable, V any](ctx context.Context, d *tree.Decomposition, p P
 func upNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Problem[S], r Semiring[V], b *stage.Budget, tables Tables[S, V], trackProv bool, v int) error {
 	n := &d.Nodes[v]
 	bag := bags[v]
-	ap, _ := p.(Appender[S])
-	var scratch []Out[S] // reused per child state when the problem is an Appender
+	var outs []Out[S] // the node's transition buffer, reused per child state
 	var t Table[S, V]
 	switch n.Kind {
 	case tree.KindLeaf:
-		var outs []Out[S]
-		if ap != nil {
-			outs = ap.AppendLeaf(nil, v, bag)
-		} else {
-			outs = p.Leaf(v, bag)
-		}
+		outs = p.Leaf(outs, v, bag)
 		t.init(len(outs), trackProv)
 		for _, o := range outs {
 			t.add(r, o.State, r.Weight(o.Cost), leafProv)
@@ -161,21 +155,12 @@ func upNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Problem[
 		t.init(len(child.Order), trackProv)
 		intro := n.Kind == tree.KindIntroduce
 		for i := range child.Order {
-			cs := &child.Order[i]
-			cv := child.Vals[i]
-			var outs []Out[S]
-			switch {
-			case ap != nil && intro:
-				scratch = ap.AppendIntroduce(scratch[:0], v, bag, n.Elem, *cs)
-				outs = scratch
-			case ap != nil:
-				scratch = ap.AppendForget(scratch[:0], v, bag, n.Elem, *cs)
-				outs = scratch
-			case intro:
-				outs = p.Introduce(v, bag, n.Elem, *cs)
-			default:
-				outs = p.Forget(v, bag, n.Elem, *cs)
+			if intro {
+				outs = p.Introduce(outs[:0], v, bag, n.Elem, child.Order[i])
+			} else {
+				outs = p.Forget(outs[:0], v, bag, n.Elem, child.Order[i])
 			}
+			cv := child.Vals[i]
 			for _, o := range outs {
 				t.add(r, o.State, r.Extend(cv, o.Cost), Prov{First: int32(i), Second: -1})
 			}
@@ -198,17 +183,10 @@ func upNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Problem[
 		c1, c2 := &tables[n.Children[0]], &tables[n.Children[1]]
 		t.init(min(len(c1.Order), len(c2.Order)), trackProv)
 		for i := range c1.Order {
-			s1 := &c1.Order[i]
+			s1 := c1.Order[i]
 			v1 := c1.Vals[i]
 			for j := range c2.Order {
-				s2 := &c2.Order[j]
-				var outs []Out[S]
-				if ap != nil {
-					scratch = ap.AppendJoin(scratch[:0], v, bag, *s1, *s2)
-					outs = scratch
-				} else {
-					outs = p.Join(v, bag, *s1, *s2)
-				}
+				outs = p.Join(outs[:0], v, bag, s1, c2.Order[j])
 				for _, o := range outs {
 					val := r.Merge(v1, c2.Vals[j], o.Cost)
 					t.add(r, o.State, val, Prov{First: int32(i), Second: int32(j)})
@@ -270,16 +248,10 @@ func Down[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Pro
 func downNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Problem[S], r Semiring[V], b *stage.Budget, up, tables Tables[S, V], v int) error {
 	n := &d.Nodes[v]
 	bag := bags[v]
-	ap, _ := p.(Appender[S])
-	var scratch []Out[S]
+	var outs []Out[S] // the node's transition buffer, reused per parent state
 	var t Table[S, V]
 	if n.Parent < 0 {
-		var outs []Out[S]
-		if ap != nil {
-			outs = ap.AppendLeaf(nil, v, bag)
-		} else {
-			outs = p.Leaf(v, bag)
-		}
+		outs = p.Leaf(outs, v, bag)
 		t.init(len(outs), true)
 		for _, o := range outs {
 			t.add(r, o.State, r.Weight(o.Cost), leafProv)
@@ -307,21 +279,12 @@ func downNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Proble
 		}
 		forget := swapped == tree.KindForget
 		for i := range parent.Order {
-			ps := &parent.Order[i]
-			pv := parent.Vals[i]
-			var outs []Out[S]
-			switch {
-			case ap != nil && forget:
-				scratch = ap.AppendForget(scratch[:0], v, bag, pn.Elem, *ps)
-				outs = scratch
-			case ap != nil:
-				scratch = ap.AppendIntroduce(scratch[:0], v, bag, pn.Elem, *ps)
-				outs = scratch
-			case forget:
-				outs = p.Forget(v, bag, pn.Elem, *ps)
-			default:
-				outs = p.Introduce(v, bag, pn.Elem, *ps)
+			if forget {
+				outs = p.Forget(outs[:0], v, bag, pn.Elem, parent.Order[i])
+			} else {
+				outs = p.Introduce(outs[:0], v, bag, pn.Elem, parent.Order[i])
 			}
+			pv := parent.Vals[i]
 			for _, o := range outs {
 				t.add(r, o.State, r.Extend(pv, o.Cost), Prov{First: int32(i), Second: -1})
 			}
@@ -340,17 +303,10 @@ func downNode[S comparable, V any](d *tree.Decomposition, bags [][]int, p Proble
 		}
 		sibT := &up[sib]
 		for i := range parent.Order {
-			ps := &parent.Order[i]
+			ps := parent.Order[i]
 			pv := parent.Vals[i]
 			for j := range sibT.Order {
-				ss := &sibT.Order[j]
-				var outs []Out[S]
-				if ap != nil {
-					scratch = ap.AppendJoin(scratch[:0], v, bag, *ps, *ss)
-					outs = scratch
-				} else {
-					outs = p.Join(v, bag, *ps, *ss)
-				}
+				outs = p.Join(outs[:0], v, bag, ps, sibT.Order[j])
 				for _, o := range outs {
 					val := r.Merge(pv, sibT.Vals[j], o.Cost)
 					t.add(r, o.State, val, Prov{First: int32(i), Second: int32(j)})

@@ -3,17 +3,18 @@ package solver
 import "math/big"
 
 // Semiring fixes what the evaluator accumulates per (node, state). The
-// engine computes, for every derivation of a state, the Times-product
-// of the child values and the lifted transition cost, and folds
-// alternative derivations with Plus.
+// engine computes, for every derivation of a state, the ⊗-product of
+// the child values and the lifted transition cost — Weight for a leaf
+// state, Extend for a unary transition, Merge for a join — and folds
+// alternative derivations with Plus (⊕).
 //
 // Contracts the engine relies on:
 //
-//   - Weight and Times must NOT mutate their arguments and must return
-//     a value safe for the caller to own: child values are shared by
-//     every derivation that reads them, and leaf weights are stored
-//     directly in table cells (return a fresh value for reference
-//     types).
+//   - Weight, Extend and Merge must NOT mutate their arguments and must
+//     return a value safe for the caller to own: child values are
+//     shared by every derivation that reads them, and the results are
+//     stored directly in table cells (return a fresh value for
+//     reference types).
 //   - Plus(acc, alt) owns acc (the value stored in the table) and may
 //     mutate it in place for reference types. It returns the value to
 //     keep and whether the stored cell must be REPLACED — value and
@@ -27,17 +28,12 @@ import "math/big"
 type Semiring[V any] interface {
 	// Weight lifts a transition's cost delta into the value domain.
 	Weight(cost int) V
-	// Times combines a child value with another factor (a second child
-	// value, or a lifted cost).
-	Times(a, b V) V
 	// Plus folds an alternative derivation into the accumulated value.
 	Plus(acc, alt V) (V, bool)
-	// Extend is Times(child, Weight(cost)) fused: the unary-transition
-	// fast path, one dynamic call per output instead of two. Same
-	// ownership contract as Times.
+	// Extend is child ⊗ Weight(cost): a unary transition's value, in one
+	// dynamic call per output.
 	Extend(child V, cost int) V
-	// Merge is Times(Times(v1, v2), Weight(cost)) fused: the branch fast
-	// path. Same ownership contract as Times.
+	// Merge is v1 ⊗ v2 ⊗ Weight(cost): a join's value.
 	Merge(v1, v2 V, cost int) V
 }
 
@@ -48,9 +44,6 @@ type Decision struct{}
 
 // Weight lifts any cost to true (derivable).
 func (Decision) Weight(int) bool { return true }
-
-// Times is logical and.
-func (Decision) Times(a, b bool) bool { return a && b }
 
 // Plus is logical or; the stored cell never needs replacing, so the
 // first derivation's provenance wins.
@@ -74,10 +67,6 @@ type Counting struct{}
 // Plus later mutates in place.
 func (Counting) Weight(int) *big.Int { return big.NewInt(1) }
 
-// Times multiplies into a fresh value — child values are shared and
-// must not be aliased by the result (Plus mutates accumulators).
-func (Counting) Times(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
-
 // Plus adds in place into the accumulator it owns.
 func (Counting) Plus(acc, alt *big.Int) (*big.Int, bool) {
 	return acc.Add(acc, alt), false
@@ -99,9 +88,6 @@ type MinCost struct{}
 
 // Weight lifts a cost delta to itself.
 func (MinCost) Weight(cost int) int { return cost }
-
-// Times adds costs.
-func (MinCost) Times(a, b int) int { return a + b }
 
 // Plus keeps the minimum, replacing the stored cell only on strict
 // improvement.

@@ -133,17 +133,43 @@ type Derivation[S comparable, V any] struct {
 	tables Tables[S, V]
 }
 
-// Nice returns the nice decomposition the derivation was computed
-// over, so callers can pair Walk's node IDs with bags (SortedBags)
-// without re-deriving the decomposition.
-func (dv *Derivation[S, V]) Nice() *tree.Decomposition { return dv.d }
-
 // Walk visits every (node, state) pair of the derivation, parents
 // before children, following each table's preferred provenance. The
 // visit callback receives the node ID (bags are available via
 // SortedBags) and the state the derivation assigns there.
 func (dv *Derivation[S, V]) Walk(visit func(node int, s S) error) error {
 	return WalkProv(dv.d, dv.tables, dv.d.Root, dv.Root, visit)
+}
+
+// Members returns, in increasing order, the elements in [0, n) that the
+// derivation selects: e is selected when some node of the walk has e
+// at position pos of its sorted bag and in(s, pos) holds for the state
+// s assigned there. It is the one walk behind the set-valued witnesses
+// (a cover, a dominating set, an independent set).
+func (dv *Derivation[S, V]) Members(n int, in func(s S, pos int) bool) ([]int, error) {
+	bags, err := dv.d.SortedBags()
+	if err != nil {
+		return nil, stage.Wrap(stage.Solver, fmt.Errorf("solver: %w", err))
+	}
+	selected := make([]bool, n)
+	err = dv.Walk(func(v int, s S) error {
+		for pos, e := range bags[v] {
+			if in(s, pos) {
+				selected[e] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var set []int
+	for e, ok := range selected {
+		if ok {
+			set = append(set, e)
+		}
+	}
+	return set, nil
 }
 
 // WalkProv walks the preferred derivation of state s at node v through

@@ -45,37 +45,35 @@ type tcProblem struct{ g *graph.Graph }
 
 func (p tcProblem) Name() string { return "two-coloring" }
 
-func (p tcProblem) Leaf(_ int, bag []int) []solver.Out[uint64] {
-	var out []solver.Out[uint64]
+func (p tcProblem) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
 	for m := uint64(0); m < 1<<uint(len(bag)); m++ {
 		if proper(p.g, bag, m) {
-			out = append(out, solver.Out[uint64]{State: m, Cost: ones(bag, m)})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: ones(bag, m)})
 		}
 	}
-	return out
+	return dst
 }
 
-func (p tcProblem) Introduce(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (p tcProblem) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	q := solver.Position(bag, elem)
-	var out []solver.Out[uint64]
 	for bit := uint64(0); bit <= 1; bit++ {
 		if m := solver.Width(1).Insert(child, q, bit); proper(p.g, bag, m) {
-			out = append(out, solver.Out[uint64]{State: m, Cost: int(bit)})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: int(bit)})
 		}
 	}
-	return out
+	return dst
 }
 
-func (p tcProblem) Forget(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (p tcProblem) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	childBag := solver.InsertSorted(bag, elem)
-	return []solver.Out[uint64]{{State: solver.Width(1).Drop(child, solver.Position(childBag, elem))}}
+	return append(dst, solver.Out[uint64]{State: solver.Width(1).Drop(child, solver.Position(childBag, elem))})
 }
 
-func (p tcProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
+func (p tcProblem) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
 	if s1 != s2 {
-		return nil
+		return dst
 	}
-	return []solver.Out[uint64]{{State: s1, Cost: -ones(bag, s1)}}
+	return append(dst, solver.Out[uint64]{State: s1, Cost: -ones(bag, s1)})
 }
 
 func (p tcProblem) Accept(int, []int, uint64) bool { return true }

@@ -40,45 +40,43 @@ func (p twoCol) proper(bag []int, m uint64) bool {
 	return true
 }
 
-func (p twoCol) Leaf(_ int, bag []int) []solver.Out[uint64] {
-	var out []solver.Out[uint64]
+func (p twoCol) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
 	for m := uint64(0); m < 1<<uint(len(bag)); m++ {
 		if p.proper(bag, m) {
 			cost := 0
 			for q := range bag {
 				cost += int(m >> uint(q) & 1)
 			}
-			out = append(out, solver.Out[uint64]{State: m, Cost: cost})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: cost})
 		}
 	}
-	return out
+	return dst
 }
 
-func (p twoCol) Introduce(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (p twoCol) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	q := solver.Position(bag, elem)
-	var out []solver.Out[uint64]
 	for bit := uint64(0); bit <= 1; bit++ {
 		if m := w1.Insert(child, q, bit); p.proper(bag, m) {
-			out = append(out, solver.Out[uint64]{State: m, Cost: int(bit)})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: int(bit)})
 		}
 	}
-	return out
+	return dst
 }
 
-func (p twoCol) Forget(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (p twoCol) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	childBag := solver.InsertSorted(bag, elem)
-	return []solver.Out[uint64]{{State: w1.Drop(child, solver.Position(childBag, elem))}}
+	return append(dst, solver.Out[uint64]{State: w1.Drop(child, solver.Position(childBag, elem))})
 }
 
-func (p twoCol) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
+func (p twoCol) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
 	if s1 != s2 {
-		return nil
+		return dst
 	}
 	dup := 0
 	for q := range bag {
 		dup += int(s1 >> uint(q) & 1)
 	}
-	return []solver.Out[uint64]{{State: s1, Cost: -dup}}
+	return append(dst, solver.Out[uint64]{State: s1, Cost: -dup})
 }
 
 func (p twoCol) Accept(int, []int, uint64) bool { return true }
@@ -375,6 +373,6 @@ func TestProblemPanicContained(t *testing.T) {
 
 type panicky struct{ twoCol }
 
-func (p panicky) Forget(node int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (p panicky) Forget(dst []solver.Out[uint64], node int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	panic("kaboom")
 }

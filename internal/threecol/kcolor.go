@@ -21,8 +21,8 @@ import (
 
 // KColorable decides whether g has a proper coloring with k colors.
 func KColorable(g *graph.Graph, k int) (bool, error) {
-	if k < 1 || k > maxColors {
-		return false, fmt.Errorf("threecol: k must be in 1..%d, got %d", maxColors, k)
+	if k < 1 || k > MaxColors {
+		return false, fmt.Errorf("threecol: k must be in 1..%d, got %d", MaxColors, k)
 	}
 	nice, err := niceFor(g)
 	if err != nil {
@@ -34,8 +34,8 @@ func KColorable(g *graph.Graph, k int) (bool, error) {
 // KColoring returns a proper k-coloring (vertex → 0..k-1) if one
 // exists, from the same witness walk that backs Coloring.
 func KColoring(g *graph.Graph, k int) ([]int, bool, error) {
-	if k < 1 || k > maxColors {
-		return nil, false, fmt.Errorf("threecol: k must be in 1..%d, got %d", maxColors, k)
+	if k < 1 || k > MaxColors {
+		return nil, false, fmt.Errorf("threecol: k must be in 1..%d, got %d", MaxColors, k)
 	}
 	in, err := NewInstance(g)
 	if err != nil {
@@ -70,8 +70,8 @@ func (in *Instance) kColoring(ctx context.Context, k int) ([]int, bool, error) {
 // CountColoringsBig returns the exact number of proper k-colorings of
 // g, by the counting-semiring pass over the same Figure 5 transitions.
 func CountColoringsBig(g *graph.Graph, k int) (*big.Int, error) {
-	if k < 1 || k > maxColors {
-		return nil, fmt.Errorf("threecol: k must be in 1..%d, got %d", maxColors, k)
+	if k < 1 || k > MaxColors {
+		return nil, fmt.Errorf("threecol: k must be in 1..%d, got %d", MaxColors, k)
 	}
 	nice, err := niceFor(g)
 	if err != nil {
@@ -94,7 +94,7 @@ func CountColorings(g *graph.Graph, k int) (uint64, error) {
 }
 
 // ChromaticNumber returns the least k with a proper k-coloring (≤
-// maxColors; errors beyond — bounded-treewidth graphs satisfy
+// MaxColors; errors beyond — bounded-treewidth graphs satisfy
 // χ ≤ tw+1, so this only fails for very dense inputs). The graph is
 // decomposed once and the nice form reused for every k probe.
 func ChromaticNumber(g *graph.Graph) (int, error) {
@@ -105,7 +105,7 @@ func ChromaticNumber(g *graph.Graph) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for k := 1; k <= maxColors; k++ {
+	for k := 1; k <= MaxColors; k++ {
 		ok, err := solver.Decide(context.Background(), nice, newColorProblem(g, k))
 		if err != nil {
 			return 0, err
@@ -114,7 +114,7 @@ func ChromaticNumber(g *graph.Graph) (int, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("threecol: chromatic number exceeds %d", maxColors)
+	return 0, fmt.Errorf("threecol: chromatic number exceeds %d", MaxColors)
 }
 
 func niceFor(g *graph.Graph) (*tree.Decomposition, error) {

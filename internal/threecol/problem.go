@@ -16,8 +16,8 @@ import (
 	"repro/internal/solver"
 )
 
-// maxColors bounds k: wide states pack 4 bits per bag position.
-const maxColors = 16
+// MaxColors bounds k: wide states pack 4 bits per bag position.
+const MaxColors = 16
 
 // colorProblem is proper k-coloring over the sorted-bag position
 // states of Figure 5: a state assigns each bag position a color,
@@ -34,7 +34,8 @@ type colorProblem struct {
 // solver.Problem, for callers (like the decision service) that run
 // named problems through the session Solve* helpers on an existing
 // decomposition. Vertex IDs of g must match the decomposition's bag
-// elements.
+// elements, and k must lie in 1..MaxColors: larger colors overflow the
+// packed states.
 func Problem(g *graph.Graph, k int) solver.Problem[uint64] {
 	return newColorProblem(g, k)
 }
@@ -62,65 +63,52 @@ func (cp colorProblem) allowed(bag []int, s uint64) bool {
 	return true
 }
 
-// allStates enumerates every position-coloring of the bag, allowed or
-// not, in the canonical order: combos count up in base k with position
-// 0 varying fastest. GroundDecide needs the unfiltered enumeration.
-func (cp colorProblem) allStates(bag []int) []uint64 {
-	n := len(bag)
+// numStates is the number of position-colorings of an n-position bag:
+// k^n.
+func (cp colorProblem) numStates(n int) int {
 	total := 1
 	for i := 0; i < n; i++ {
 		total *= cp.k
 	}
-	out := make([]uint64, 0, total)
-	for combo := 0; combo < total; combo++ {
-		var s uint64
-		x := combo
-		for p := 0; p < n; p++ {
-			s |= uint64(x%cp.k) << (uint(p) * uint(cp.w))
-			x /= cp.k
-		}
-		out = append(out, s)
+	return total
+}
+
+// state decodes the combo-th position-coloring of an n-position bag in
+// the canonical order: combos count up in base k with position 0
+// varying fastest.
+func (cp colorProblem) state(combo, n int) uint64 {
+	var s uint64
+	for p := 0; p < n; p++ {
+		s |= uint64(combo%cp.k) << (uint(p) * uint(cp.w))
+		combo /= cp.k
+	}
+	return s
+}
+
+// allStates enumerates every position-coloring of the bag, allowed or
+// not, in the canonical order. GroundDecide needs the unfiltered
+// enumeration.
+func (cp colorProblem) allStates(bag []int) []uint64 {
+	out := make([]uint64, cp.numStates(len(bag)))
+	for combo := range out {
+		out[combo] = cp.state(combo, len(bag))
 	}
 	return out
 }
 
-// The Problem hooks delegate to the solver.Appender fast path below, so
-// the evaluator reuses one transition buffer per node instead of
-// allocating a fresh slice per child state.
-
-// Leaf enumerates the proper position-colorings of a leaf bag.
-func (cp colorProblem) Leaf(node int, bag []int) []solver.Out[uint64] {
-	return cp.AppendLeaf(nil, node, bag)
-}
-
-// Introduce tries every color for the new element, keeping proper
-// states.
-func (cp colorProblem) Introduce(node int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	return cp.AppendIntroduce(nil, node, bag, elem, child)
-}
-
-// Forget projects the forgotten element's position out of the state.
-func (cp colorProblem) Forget(node int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	return cp.AppendForget(nil, node, bag, elem, child)
-}
-
-// Join requires the two subtrees to agree on the bag coloring.
-func (cp colorProblem) Join(node int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
-	return cp.AppendJoin(nil, node, bag, s1, s2)
-}
-
-// AppendLeaf appends the proper position-colorings of a leaf bag.
-func (cp colorProblem) AppendLeaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
-	for _, s := range cp.allStates(bag) {
-		if cp.allowed(bag, s) {
+// Leaf appends the proper position-colorings of a leaf bag.
+func (cp colorProblem) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
+	for combo, total := 0, cp.numStates(len(bag)); combo < total; combo++ {
+		if s := cp.state(combo, len(bag)); cp.allowed(bag, s) {
 			dst = append(dst, solver.Out[uint64]{State: s})
 		}
 	}
 	return dst
 }
 
-// AppendIntroduce appends the proper extensions of a child state.
-func (cp colorProblem) AppendIntroduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+// Introduce appends every proper extension of a child state by a color
+// for the new element.
+func (cp colorProblem) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	p := solver.Position(bag, elem)
 	for c := 0; c < cp.k; c++ {
 		s := cp.w.Insert(child, p, uint64(c))
@@ -131,14 +119,14 @@ func (cp colorProblem) AppendIntroduce(dst []solver.Out[uint64], _ int, bag []in
 	return dst
 }
 
-// AppendForget appends the projection of the forgotten element.
-func (cp colorProblem) AppendForget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
-	return append(dst, solver.Out[uint64]{State: cp.w.Drop(child, solver.Position(childBag, elem))})
+// Forget appends the child state with the forgotten element's position
+// projected out.
+func (cp colorProblem) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+	return append(dst, solver.Out[uint64]{State: cp.w.Drop(child, solver.Rank(bag, elem))})
 }
 
-// AppendJoin appends the agreement state, if the subtrees agree.
-func (cp colorProblem) AppendJoin(dst []solver.Out[uint64], _ int, _ []int, s1, s2 uint64) []solver.Out[uint64] {
+// Join requires the two subtrees to agree on the bag coloring.
+func (cp colorProblem) Join(dst []solver.Out[uint64], _ int, _ []int, s1, s2 uint64) []solver.Out[uint64] {
 	if s1 == s2 {
 		dst = append(dst, solver.Out[uint64]{State: s1})
 	}

@@ -161,25 +161,26 @@ func (in *Instance) GroundDecide() (bool, error) {
 		return v
 	}
 	cp := newColorProblem(in.g, 3)
+	var results []solver.Out[uint64]
 	for _, v := range in.nice.PostOrder() {
 		n := in.nice.Nodes[v]
 		bag := sortedBag(n.Bag)
 		switch n.Kind {
 		case tree.KindLeaf:
-			for _, o := range cp.Leaf(v, bag) {
+			results = cp.Leaf(results[:0], v, bag)
+			for _, o := range results {
 				prog.AddClause(id(v, o.State))
 			}
 		case tree.KindIntroduce, tree.KindForget, tree.KindCopy:
 			child := n.Children[0]
 			for _, cs := range cp.allStates(sortedBag(in.nice.Nodes[child].Bag)) {
-				var results []solver.Out[uint64]
 				switch n.Kind {
 				case tree.KindIntroduce:
-					results = cp.Introduce(v, bag, n.Elem, cs)
+					results = cp.Introduce(results[:0], v, bag, n.Elem, cs)
 				case tree.KindForget:
-					results = cp.Forget(v, bag, n.Elem, cs)
+					results = cp.Forget(results[:0], v, bag, n.Elem, cs)
 				default:
-					results = []solver.Out[uint64]{{State: cs}}
+					results = append(results[:0], solver.Out[uint64]{State: cs})
 				}
 				for _, o := range results {
 					prog.AddClause(id(v, o.State), id(child, cs))

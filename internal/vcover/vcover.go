@@ -17,7 +17,6 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/graph"
 	"repro/internal/solver"
-	"repro/internal/tree"
 )
 
 // width packs one bit per sorted-bag position: the in-cover bitmask.
@@ -55,40 +54,37 @@ func (cp coverProblem) covered(bag []int, m uint64) bool {
 	return true
 }
 
-func (cp coverProblem) Leaf(_ int, bag []int) []solver.Out[uint64] {
-	var out []solver.Out[uint64]
+func (cp coverProblem) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
 	for m := uint64(0); m < 1<<uint(len(bag)); m++ {
 		if cp.covered(bag, m) {
 			cost := 0
 			for p := range bag {
 				cost += int(m >> uint(p) & 1)
 			}
-			out = append(out, solver.Out[uint64]{State: m, Cost: cost})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: cost})
 		}
 	}
-	return out
+	return dst
 }
 
-func (cp coverProblem) Introduce(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (cp coverProblem) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	p := solver.Position(bag, elem)
-	var out []solver.Out[uint64]
 	for bit := uint64(0); bit <= 1; bit++ {
 		m := width.Insert(child, p, bit)
 		if cp.covered(bag, m) {
-			out = append(out, solver.Out[uint64]{State: m, Cost: int(bit)})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: int(bit)})
 		}
 	}
-	return out
+	return dst
 }
 
-func (cp coverProblem) Forget(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
-	return []solver.Out[uint64]{{State: width.Drop(child, solver.Position(childBag, elem))}}
+func (cp coverProblem) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+	return append(dst, solver.Out[uint64]{State: width.Drop(child, solver.Rank(bag, elem))})
 }
 
-func (cp coverProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
+func (cp coverProblem) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
 	if s1 != s2 {
-		return nil
+		return dst
 	}
 	// The bag's cover members are counted in both children; subtract one
 	// copy.
@@ -96,33 +92,18 @@ func (cp coverProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64
 	for p := range bag {
 		dup += int(s1 >> uint(p) & 1)
 	}
-	return []solver.Out[uint64]{{State: s1, Cost: -dup}}
+	return append(dst, solver.Out[uint64]{State: s1, Cost: -dup})
 }
 
 // Accept: cover constraints are enforced edge-locally throughout, so
 // every surviving root state is a full cover.
 func (cp coverProblem) Accept(int, []int, uint64) bool { return true }
 
-func niceFor(g *graph.Graph) (*tree.Decomposition, error) {
-	d, err := decompose.Graph(g, decompose.MinFill)
-	if err != nil {
-		return nil, err
-	}
-	return tree.NormalizeNice(d, tree.NiceOptions{})
-}
-
 // MinVertexCover returns the size of a minimum vertex cover of g.
 func MinVertexCover(g *graph.Graph) (int, error) {
-	nice, err := niceFor(g)
+	der, err := optimize(g)
 	if err != nil {
 		return 0, err
-	}
-	der, err := solver.Optimize(context.Background(), nice, coverProblem{g})
-	if err != nil {
-		return 0, err
-	}
-	if der == nil {
-		return 0, fmt.Errorf("vcover: no feasible state at the root")
 	}
 	return der.Value, nil
 }
@@ -130,40 +111,25 @@ func MinVertexCover(g *graph.Graph) (int, error) {
 // CoverSet returns a minimum vertex cover itself, by walking the argmin
 // derivation of the tropical-semiring tables.
 func CoverSet(g *graph.Graph) ([]int, error) {
-	nice, err := niceFor(g)
+	der, err := optimize(g)
+	if err != nil {
+		return nil, err
+	}
+	return der.Members(g.N(), func(s uint64, p int) bool { return width.At(s, p) == 1 })
+}
+
+// optimize runs the tropical semiring over a min-fill nice
+// decomposition of g.
+func optimize(g *graph.Graph) (*solver.Derivation[uint64, int], error) {
+	nice, err := decompose.NiceGraph(g)
 	if err != nil {
 		return nil, err
 	}
 	der, err := solver.Optimize(context.Background(), nice, coverProblem{g})
-	if err != nil {
-		return nil, err
+	if err == nil && der == nil {
+		err = fmt.Errorf("vcover: no feasible state at the root")
 	}
-	if der == nil {
-		return nil, fmt.Errorf("vcover: no feasible state at the root")
-	}
-	bags, err := nice.SortedBags()
-	if err != nil {
-		return nil, fmt.Errorf("vcover: %w", err)
-	}
-	in := make([]bool, g.N())
-	err = der.Walk(func(v int, s uint64) error {
-		for p, e := range bags[v] {
-			if s>>uint(p)&1 == 1 {
-				in[e] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var cover []int
-	for v, ok := range in {
-		if ok {
-			cover = append(cover, v)
-		}
-	}
-	return cover, nil
+	return der, err
 }
 
 // MaxIndependentSet returns the size of a maximum independent set

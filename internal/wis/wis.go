@@ -19,7 +19,6 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/graph"
 	"repro/internal/solver"
-	"repro/internal/tree"
 )
 
 // width packs one bit per sorted-bag position: the selected bitmask.
@@ -65,8 +64,7 @@ func (ip wisProblem) independent(bag []int, m uint64) bool {
 	return true
 }
 
-func (ip wisProblem) Leaf(_ int, bag []int) []solver.Out[uint64] {
-	var out []solver.Out[uint64]
+func (ip wisProblem) Leaf(dst []solver.Out[uint64], _ int, bag []int) []solver.Out[uint64] {
 	for m := uint64(0); m < 1<<uint(len(bag)); m++ {
 		if ip.independent(bag, m) {
 			cost := 0
@@ -75,29 +73,28 @@ func (ip wisProblem) Leaf(_ int, bag []int) []solver.Out[uint64] {
 					cost -= ip.w[bag[p]]
 				}
 			}
-			out = append(out, solver.Out[uint64]{State: m, Cost: cost})
+			dst = append(dst, solver.Out[uint64]{State: m, Cost: cost})
 		}
 	}
-	return out
+	return dst
 }
 
-func (ip wisProblem) Introduce(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+func (ip wisProblem) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	p := solver.Position(bag, elem)
-	out := []solver.Out[uint64]{{State: width.Insert(child, p, 0)}}
+	dst = append(dst, solver.Out[uint64]{State: width.Insert(child, p, 0)})
 	if m := width.Insert(child, p, 1); ip.independent(bag, m) {
-		out = append(out, solver.Out[uint64]{State: m, Cost: -ip.w[elem]})
+		dst = append(dst, solver.Out[uint64]{State: m, Cost: -ip.w[elem]})
 	}
-	return out
+	return dst
 }
 
-func (ip wisProblem) Forget(_ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
-	return []solver.Out[uint64]{{State: width.Drop(child, solver.Position(childBag, elem))}}
+func (ip wisProblem) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
+	return append(dst, solver.Out[uint64]{State: width.Drop(child, solver.Rank(bag, elem))})
 }
 
-func (ip wisProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
+func (ip wisProblem) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 uint64) []solver.Out[uint64] {
 	if s1 != s2 {
-		return nil
+		return dst
 	}
 	// Both children paid (negative) weight for the bag's selected
 	// vertices; refund one copy.
@@ -107,7 +104,7 @@ func (ip wisProblem) Join(_ int, bag []int, s1, s2 uint64) []solver.Out[uint64] 
 			dup += ip.w[bag[p]]
 		}
 	}
-	return []solver.Out[uint64]{{State: s1, Cost: dup}}
+	return append(dst, solver.Out[uint64]{State: s1, Cost: dup})
 }
 
 // Accept: independence is enforced edge-locally throughout, so every
@@ -134,14 +131,6 @@ func problemFor(g *graph.Graph, weights []int) (wisProblem, error) {
 		return wisProblem{}, fmt.Errorf("wis: %d weights for %d vertices", len(w), g.N())
 	}
 	return wisProblem{g: g, w: w}, nil
-}
-
-func niceFor(g *graph.Graph) (*tree.Decomposition, error) {
-	d, err := decompose.Graph(g, decompose.MinFill)
-	if err != nil {
-		return nil, err
-	}
-	return tree.NormalizeNice(d, tree.NiceOptions{})
 }
 
 // MaxWeight returns the maximum total weight of an independent set of
@@ -171,29 +160,7 @@ func MaxWeightSet(g *graph.Graph, weights []int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	bags, err := der.Nice().SortedBags()
-	if err != nil {
-		return nil, fmt.Errorf("wis: %w", err)
-	}
-	in := make([]bool, g.N())
-	err = der.Walk(func(v int, s uint64) error {
-		for p, e := range bags[v] {
-			if s>>uint(p)&1 == 1 {
-				in[e] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var set []int
-	for v, ok := range in {
-		if ok {
-			set = append(set, v)
-		}
-	}
-	return set, nil
+	return der.Members(g.N(), func(s uint64, p int) bool { return width.At(s, p) == 1 })
 }
 
 // CountSets returns the number of independent sets of g (including the
@@ -202,7 +169,7 @@ func CountSets(g *graph.Graph) (*big.Int, error) {
 	if g.N() == 0 {
 		return big.NewInt(1), nil
 	}
-	nice, err := niceFor(g)
+	nice, err := decompose.NiceGraph(g)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +185,7 @@ func solve(g *graph.Graph, weights []int) (*solver.Derivation[uint64, int], erro
 	if err != nil {
 		return nil, err
 	}
-	nice, err := niceFor(g)
+	nice, err := decompose.NiceGraph(g)
 	if err != nil {
 		return nil, err
 	}
