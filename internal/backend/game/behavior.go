@@ -28,7 +28,7 @@ type behavior struct {
 	// Children exist only at rank > 0; all have rank-1.
 	pointAt  []int // per position i: behavior after pointing at tuple[i] (tuple grows to m+1)
 	pointNew []int // behaviors after pointing at some element equal to NO tuple element; sorted, deduped
-	sets     []int // behaviors after choosing one more set; sorted, deduped
+	sets     []int // behaviors after choosing one more set; sorted, deduped (none unless the formula has a set quantifier)
 }
 
 // posPair maps one combined tuple position onto the operand positions
@@ -193,40 +193,43 @@ func (e *evaluator) direct(tuple []int, mems []uint64, rank int) (int, error) {
 			}
 			b.pointAt[i] = cid
 		}
-		// Set moves: one child per subset of the domain. Enumerate over
-		// representative positions (first occurrence of each element) and
-		// expand each choice to a full position mask.
-		var reps []int
-		seen := map[int]int{}
-		for i, el := range tuple {
-			if _, ok := seen[el]; !ok {
-				seen[el] = i
-				reps = append(reps, i)
-			}
-		}
-		var setChildren []int
-		for mask := 0; mask < 1<<uint(len(reps)); mask++ {
-			var pmask uint64
+		// Set moves, only for a formula that can make one: one child per
+		// subset of the domain. Enumerate over representative positions
+		// (first occurrence of each element) and expand each choice to a
+		// full position mask.
+		if e.setMoves {
+			var reps []int
+			seen := map[int]int{}
 			for i, el := range tuple {
-				ri := 0
-				for k, r := range reps {
-					if tuple[r] == el {
-						ri = k
-						break
+				if _, ok := seen[el]; !ok {
+					seen[el] = i
+					reps = append(reps, i)
+				}
+			}
+			var setChildren []int
+			for mask := 0; mask < 1<<uint(len(reps)); mask++ {
+				var pmask uint64
+				for i, el := range tuple {
+					ri := 0
+					for k, r := range reps {
+						if tuple[r] == el {
+							ri = k
+							break
+						}
+					}
+					if mask&(1<<uint(ri)) != 0 {
+						pmask |= 1 << uint(i)
 					}
 				}
-				if mask&(1<<uint(ri)) != 0 {
-					pmask |= 1 << uint(i)
+				cm := append(append([]uint64(nil), mems...), pmask)
+				cid, err := e.direct(tuple, cm, rank-1)
+				if err != nil {
+					return 0, err
 				}
+				setChildren = append(setChildren, cid)
 			}
-			cm := append(append([]uint64(nil), mems...), pmask)
-			cid, err := e.direct(tuple, cm, rank-1)
-			if err != nil {
-				return 0, err
-			}
-			setChildren = append(setChildren, cid)
+			b.sets = dedupSorted(setChildren)
 		}
-		b.sets = dedupSorted(setChildren)
 	}
 	id, err := e.intern(b)
 	if err != nil {

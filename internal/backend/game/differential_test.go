@@ -10,6 +10,7 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/graph"
 	"repro/internal/mso"
+	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/tree"
 )
@@ -123,4 +124,116 @@ func TestBackendDifferentialPartialKTrees(t *testing.T) {
 	if total < 50 {
 		t.Fatalf("differential suite covered %d structures, want ≥ 50", total)
 	}
+}
+
+// Formulas of TestGameMatchesNaiveOraclePartialKTrees: first-order
+// queries and sentences up to rank 2 whose binary atoms join elements
+// on both sides of a node's bag, and set-quantified ones, which the
+// naive checker affords on small structures only.
+var (
+	kTreeQueries = []string{
+		"c(x)",
+		coldDPFormula,
+		"forall y ((edge(x,y) | edge(y,x)) -> c(y))",
+		"exists y exists z (edge(x,y) & edge(y,z) & x != z)",
+		"exists y (edge(y,x) & forall z (edge(y,z) -> c(z)))",
+		"exists y exists z (y != z & edge(x,y) & edge(x,z) & ~c(y) & ~c(z))",
+		"~exists y (edge(x,y) | edge(y,x))",
+	}
+	kTreeSentences = []string{
+		"exists x exists y (edge(x,y) & c(x) & c(y))",
+		"forall x (c(x) | exists y (edge(x,y) & c(y)))",
+	}
+	kTreeSetQueries = []string{
+		"exists Y (x in Y & forall z (edge(x,z) -> ~z in Y))",
+		"forall Y (x in Y -> exists z (z in Y & c(z)))",
+	}
+	kTreeSetSentences = []string{
+		"exists X ((exists x x in X) & forall y (y in X -> c(y)))",
+	}
+)
+
+// TestGameMatchesNaiveOraclePartialKTrees checks the game backend
+// against the naive model checker on the inputs the benchmark's cold-dp
+// ops send it: colored partial k-trees over {edge/2, c/1} (k = 1–3, up
+// to 45 elements) through the decomposition ladder's nice form. Their
+// nice forms are deep and branch, so each element's context — the
+// structure outside a node's subtree — is built from many forget,
+// introduce and branch steps, with edges crossing every boundary.
+func TestGameMatchesNaiveOraclePartialKTrees(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(41))
+	nb := Backend().(core.NiceBackend)
+	deep := false
+	for _, n := range []int{6, 10, 25, 45} {
+		for k := 1; k <= 3; k++ {
+			st := coloredKTree(n, k, rng)
+			d, _, err := decompose.StructureLadderCtx(ctx, st)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: decompose: %v", n, k, err)
+			}
+			nice, err := tree.NormalizeNiceCtx(ctx, d, tree.NiceOptions{})
+			if err != nil {
+				t.Fatalf("n=%d k=%d: normalize: %v", n, k, err)
+			}
+			if branches(nice) >= 3 && depth(nice, nice.Root) >= 20 {
+				deep = true
+			}
+			queries, sentences := kTreeQueries, kTreeSentences
+			if n <= 12 {
+				queries = append(append([]string(nil), queries...), kTreeSetQueries...)
+				sentences = append(append([]string(nil), sentences...), kTreeSetSentences...)
+			}
+			for _, q := range queries {
+				phi := mso.MustParse(q)
+				got, err := nb.EvalNiceCtx(ctx, st, nice, phi, "x", core.Options{}, &stage.Trace{})
+				if err != nil {
+					t.Fatalf("n=%d k=%d %q: game: %v", n, k, q, err)
+				}
+				want, err := mso.QueryCtx(ctx, st, phi, "x", nil)
+				if err != nil {
+					t.Fatalf("n=%d k=%d %q: naive: %v", n, k, q, err)
+				}
+				if !got.Selected.Equal(want) {
+					t.Fatalf("n=%d k=%d %q: game %v, naive %v\nstructure:\n%s", n, k, q, got.Selected, want, st)
+				}
+			}
+			for _, s := range sentences {
+				phi := mso.MustParse(s)
+				got, err := nb.EvalNiceCtx(ctx, st, nice, phi, "", core.Options{Decision: true}, &stage.Trace{})
+				if err != nil {
+					t.Fatalf("n=%d k=%d %q: game: %v", n, k, s, err)
+				}
+				want, err := mso.SentenceCtx(ctx, st, phi, nil)
+				if err != nil {
+					t.Fatalf("n=%d k=%d %q: naive: %v", n, k, s, err)
+				}
+				if got.Holds != want {
+					t.Fatalf("n=%d k=%d %q: game %v, naive %v", n, k, s, got.Holds, want)
+				}
+			}
+		}
+	}
+	if !deep {
+		t.Fatal("no nice form had ≥ 3 branch nodes and depth ≥ 20")
+	}
+}
+
+func branches(d *tree.Decomposition) int {
+	out := 0
+	for _, n := range d.Nodes {
+		if n.Kind == tree.KindBranch {
+			out++
+		}
+	}
+	return out
+}
+
+// depth counts the nodes on the longest path from v down to a leaf.
+func depth(d *tree.Decomposition, v int) int {
+	out := 0
+	for _, c := range d.Nodes[v].Children {
+		out = max(out, depth(d, c))
+	}
+	return out + 1
 }

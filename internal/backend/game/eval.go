@@ -15,9 +15,9 @@ import (
 )
 
 // evaluator holds the shared state of one game evaluation: the interned
-// behavior table plus every memo layer. All tables are shared across
-// the per-element pins of a unary query, which is what keeps the query
-// loop from re-exploring unaffected subtrees.
+// behavior table plus every memo layer. All tables are shared by the
+// bottom-up pass, the top-down pass and every element's selection, so
+// each behavior is built once however many of them reach it.
 type evaluator struct {
 	ctx    context.Context
 	st     *structure.Structure
@@ -27,6 +27,11 @@ type evaluator struct {
 	sig    *structure.Signature
 	preds  []structure.Predicate
 
+	// setMoves is set when the formula has a set quantifier: only then
+	// does eval read a behavior's set children, so only then does direct
+	// build them.
+	setMoves bool
+
 	nodes []*behavior    // interned behaviors by id
 	ids   map[string]int // canonical serialization → id
 
@@ -35,21 +40,19 @@ type evaluator struct {
 	truncMemo   map[int]int
 	projMemo    map[[2]int]int
 
-	walkMemo map[walkKey]walkRes
+	up       []bagBehavior // per decomposition node: its subtree's behavior
 	evalMemo map[evalKey]bool
 	fidx     map[*mso.Formula]int
-
-	subtree []*bitset.Set // per decomposition node: elements in its subtree's bags
 
 	steps   int
 	scratch []byte
 }
 
-type walkKey struct{ v, pin int }
-
-type walkRes struct {
+// bagBehavior is a behavior whose distinguished tuple is one node's
+// bag, with the tuple's elements in position order.
+type bagBehavior struct {
 	id    int
-	elems []int // tuple elements in position order
+	elems []int // must not be modified
 }
 
 type evalKey struct {
@@ -59,7 +62,7 @@ type evalKey struct {
 }
 
 func newEvaluator(ctx context.Context, st *structure.Structure, nice *tree.Decomposition, q int) *evaluator {
-	e := &evaluator{
+	return &evaluator{
 		ctx:         ctx,
 		st:          st,
 		nice:        nice,
@@ -72,26 +75,10 @@ func newEvaluator(ctx context.Context, st *structure.Structure, nice *tree.Decom
 		composeMemo: map[string]int{},
 		truncMemo:   map[int]int{},
 		projMemo:    map[[2]int]int{},
-		walkMemo:    map[walkKey]walkRes{},
 		evalMemo:    map[evalKey]bool{},
 		fidx:        map[*mso.Formula]int{},
 		scratch:     make([]byte, 0, 256),
 	}
-	// Subtree element sets, bottom-up: they decide whether a pin can
-	// affect a subtree's walk, so pin-independent subtrees share one
-	// memo entry across all pins.
-	e.subtree = make([]*bitset.Set, nice.Len())
-	for _, v := range nice.PostOrder() {
-		s := bitset.New(st.Size())
-		for _, el := range nice.Nodes[v].Bag {
-			s.Add(el)
-		}
-		for _, c := range nice.Nodes[v].Children {
-			s.UnionWith(e.subtree[c])
-		}
-		e.subtree[v] = s
-	}
-	return e
 }
 
 func (e *evaluator) indexFormula(f *mso.Formula) {
@@ -99,131 +86,185 @@ func (e *evaluator) indexFormula(f *mso.Formula) {
 		return
 	}
 	e.fidx[f] = len(e.fidx)
+	if f.Kind == mso.KExistsS || f.Kind == mso.KForallS {
+		e.setMoves = true
+	}
 	for _, s := range f.Sub {
 		e.indexFormula(s)
 	}
 }
 
-// walk computes the behavior of the structure induced by node v's
-// subtree, with the subtree's bag-and-pin elements as the distinguished
-// tuple. pin names one element that must survive forget nodes (so a
-// unary query can be read off at the root), or -1. The returned slice
-// lists the tuple's elements in position order and must not be
-// modified.
-func (e *evaluator) walk(v, pin int) (int, []int, error) {
-	if pin >= 0 && !e.subtree[v].Has(pin) {
-		// The pin cannot occur below v, so the walk is pin-independent;
-		// normalizing the key shares the result across all such pins.
-		pin = -1
+// upPass computes up[v] for every node, children first (Θ↑ of
+// Theorem 4.5): the behavior of the structure induced by v's subtree,
+// with bag(v) as the tuple.
+func (e *evaluator) upPass() error {
+	e.up = make([]bagBehavior, e.nice.Len())
+	for _, v := range e.nice.PostOrder() {
+		r, err := e.walk(v)
+		if err != nil {
+			return err
+		}
+		e.up[v] = r
 	}
-	key := walkKey{v, pin}
-	if r, ok := e.walkMemo[key]; ok {
-		return r.id, r.elems, nil
-	}
+	return nil
+}
+
+// walk computes up[v] from the up behaviors of v's children.
+func (e *evaluator) walk(v int) (bagBehavior, error) {
 	n := &e.nice.Nodes[v]
-	var id int
-	var elems []int
 	switch n.Kind {
 	case tree.KindLeaf:
 		tuple := append([]int(nil), n.Bag...)
 		sort.Ints(tuple)
-		var err error
-		id, err = e.direct(tuple, nil, e.q)
-		if err != nil {
-			return 0, nil, err
-		}
-		elems = tuple
-
+		id, err := e.direct(tuple, nil, e.q)
+		return bagBehavior{id, tuple}, err
 	case tree.KindCopy:
-		var err error
-		id, elems, err = e.walk(n.Children[0], pin)
-		if err != nil {
-			return 0, nil, err
-		}
-
+		return e.up[n.Children[0]], nil
 	case tree.KindIntroduce:
-		cid, celems, err := e.walk(n.Children[0], pin)
-		if err != nil {
-			return 0, nil, err
-		}
-		local := append([]int(nil), n.Bag...)
-		sort.Ints(local)
-		lid, err := e.direct(local, nil, e.q)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Shared elements are exactly the child's bag: the introduced
-		// element cannot occur below (connectedness), and the child's
-		// pinned extras cannot occur in this bag.
-		pm := make([]posPair, 0, len(celems)+1)
-		for i, el := range celems {
-			pm = append(pm, posPair{i, indexOf(local, el)})
-		}
-		pm = append(pm, posPair{-1, indexOf(local, n.Elem)})
-		id, err = e.compose(cid, lid, pm)
-		if err != nil {
-			return 0, nil, err
-		}
-		elems = append(append([]int(nil), celems...), n.Elem)
-
+		return e.extend(e.up[n.Children[0]], n.Bag, n.Elem)
 	case tree.KindForget:
-		cid, celems, err := e.walk(n.Children[0], pin)
-		if err != nil {
-			return 0, nil, err
-		}
-		if n.Elem == pin {
-			id, elems = cid, celems
-			break
-		}
-		p := indexOf(celems, n.Elem)
-		if p < 0 {
-			return 0, nil, fmt.Errorf("game: internal: forget of element %d absent from tuple", n.Elem)
-		}
-		id, err = e.project(cid, p)
-		if err != nil {
-			return 0, nil, err
-		}
-		elems = append(append([]int(nil), celems[:p]...), celems[p+1:]...)
-
+		return e.forget(e.up[n.Children[0]], n.Elem)
 	case tree.KindBranch:
-		lid, lel, err := e.walk(n.Children[0], pin)
-		if err != nil {
-			return 0, nil, err
-		}
-		rid, rel, err := e.walk(n.Children[1], pin)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Shared elements are exactly this bag (both children's bags
-		// equal it); a pinned element in one subtree is private to that
-		// side unless it sits in the bag itself.
-		pm := make([]posPair, 0, len(lel)+len(rel))
-		elems = append([]int(nil), lel...)
-		for i, el := range lel {
-			pm = append(pm, posPair{i, indexOf(rel, el)})
-		}
-		for j, el := range rel {
-			if indexOf(lel, el) < 0 {
-				pm = append(pm, posPair{-1, j})
-				elems = append(elems, el)
+		return e.glue(e.up[n.Children[0]], e.up[n.Children[1]])
+	}
+	return bagBehavior{}, fmt.Errorf("game: node %d has kind %v: decomposition is not in nice form", v, n.Kind)
+}
+
+// downPass computes down[v] for every node, parents first (Θ↓ of
+// Theorem 4.5): the behavior of the structure induced by v's envelope,
+// the elements outside v's subtree plus bag(v), with bag(v) as the
+// tuple. At the root that structure is the root bag alone; each step
+// down reverses one step of the up pass, and below a branch node the
+// context takes in the sibling's subtree.
+func (e *evaluator) downPass() ([]bagBehavior, error) {
+	down := make([]bagBehavior, e.nice.Len())
+	tuple := append([]int(nil), e.nice.Nodes[e.nice.Root].Bag...)
+	sort.Ints(tuple)
+	id, err := e.direct(tuple, nil, e.q)
+	if err != nil {
+		return nil, err
+	}
+	down[e.nice.Root] = bagBehavior{id, tuple}
+	for _, v := range e.nice.PreOrder() {
+		n := &e.nice.Nodes[v]
+		switch n.Kind {
+		case tree.KindCopy:
+			down[n.Children[0]] = down[v]
+		case tree.KindIntroduce:
+			down[n.Children[0]], err = e.forget(down[v], n.Elem)
+		case tree.KindForget:
+			c := n.Children[0]
+			down[c], err = e.extend(down[v], e.nice.Nodes[c].Bag, n.Elem)
+		case tree.KindBranch:
+			l, r := n.Children[0], n.Children[1]
+			if down[l], err = e.glue(down[v], e.up[r]); err == nil {
+				down[r], err = e.glue(down[v], e.up[l])
 			}
 		}
-		id, err = e.compose(lid, rid, pm)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-
-	default:
-		return 0, nil, fmt.Errorf("game: node %d has kind %v: decomposition is not in nice form", v, n.Kind)
 	}
-	e.walkMemo[key] = walkRes{id: id, elems: elems}
-	return id, elems, nil
+	return down, nil
+}
+
+// selectPass decides phi(x) for every element, once, at the first node
+// of a post-order whose bag holds it: on glue(up[v], down[v]), the
+// behavior of the whole structure with bag(v) as the tuple. The two
+// sides share exactly bag(v) (connectedness), so the gluing is sound.
+func (e *evaluator) selectPass(phi *mso.Formula, xVar string) (*bitset.Set, error) {
+	down, err := e.downPass()
+	if err != nil {
+		return nil, err
+	}
+	size := e.st.Size()
+	selected, decided := bitset.New(size), bitset.New(size)
+	for _, v := range e.nice.PostOrder() {
+		var whole bagBehavior
+		glued := false
+		for _, a := range e.nice.Nodes[v].Bag {
+			if decided.Has(a) {
+				continue
+			}
+			if !glued {
+				if whole, err = e.glue(e.up[v], down[v]); err != nil {
+					return nil, err
+				}
+				glued = true
+			}
+			decided.Add(a)
+			sel, err := e.eval(whole.id, phi, map[string]int{xVar: indexOf(whole.elems, a)})
+			if err != nil {
+				return nil, err
+			}
+			if sel {
+				selected.Add(a)
+			}
+		}
+	}
+	for a := 0; a < size; a++ {
+		if !decided.Has(a) {
+			return nil, fmt.Errorf("game: internal: element %d is in no bag", a)
+		}
+	}
+	return selected, nil
+}
+
+// extend glues the structure of r to the one induced by bag, which is
+// r's tuple plus elem: the introduce step of the up pass and the
+// forget step, read downwards, of the down pass. The tuple becomes
+// r's, then elem.
+func (e *evaluator) extend(r bagBehavior, bag []int, elem int) (bagBehavior, error) {
+	local := append([]int(nil), bag...)
+	sort.Ints(local)
+	lid, err := e.direct(local, nil, e.q)
+	if err != nil {
+		return bagBehavior{}, err
+	}
+	// Shared elements are exactly r's tuple: elem occurs on the other
+	// side of the bag only (connectedness).
+	pm := make([]posPair, 0, len(r.elems)+1)
+	for i, el := range r.elems {
+		pm = append(pm, posPair{i, indexOf(local, el)})
+	}
+	pm = append(pm, posPair{-1, indexOf(local, elem)})
+	id, err := e.compose(r.id, lid, pm)
+	if err != nil {
+		return bagBehavior{}, err
+	}
+	return bagBehavior{id, append(append([]int(nil), r.elems...), elem)}, nil
+}
+
+// forget drops elem from r's tuple; it stays in the structure. It is
+// the forget step of the up pass and the introduce step, read
+// downwards, of the down pass.
+func (e *evaluator) forget(r bagBehavior, elem int) (bagBehavior, error) {
+	p := indexOf(r.elems, elem)
+	if p < 0 {
+		return bagBehavior{}, fmt.Errorf("game: internal: forget of element %d absent from tuple", elem)
+	}
+	id, err := e.project(r.id, p)
+	if err != nil {
+		return bagBehavior{}, err
+	}
+	return bagBehavior{id, append(append([]int(nil), r.elems[:p]...), r.elems[p+1:]...)}, nil
+}
+
+// glue composes two behaviors over the same bag whose structures share
+// exactly that bag; the tuple keeps r's order.
+func (e *evaluator) glue(r, s bagBehavior) (bagBehavior, error) {
+	pm := make([]posPair, len(r.elems))
+	for i, el := range r.elems {
+		pm[i] = posPair{i, indexOf(s.elems, el)}
+	}
+	id, err := e.compose(r.id, s.id, pm)
+	return bagBehavior{id, r.elems}, err
 }
 
 // eval decides formula f on behavior id under env, which binds element
 // variables to tuple positions and set variables to set indices. This
-// is the ISSUE's game-position memo table: results are memoized on
-// (behavior, subformula, interpretation).
+// is the game-position memo table: results are memoized on (behavior,
+// subformula, interpretation).
 func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, error) {
 	if err := e.poll(); err != nil {
 		return false, err

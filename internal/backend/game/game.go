@@ -13,11 +13,15 @@
 // Behaviors of subtrees are computed bottom-up along the decomposition:
 // leaves and introduce nodes by brute force over the bag (at most w+1
 // elements), branch and introduce nodes by synchronized composition,
-// forget nodes by projecting the position out of the tuple. Because
-// behaviors are interned, isomorphic subgames collapse; the memo table
-// is keyed by (decomposition node, subformula, interpretation) at the
-// evaluation layer and by the behavior's canonical serialization at the
-// exploration layer.
+// forget nodes by projecting the position out of the tuple. A sentence
+// is decided on the root's behavior. A unary query, like Theorem 4.5,
+// adds a top-down pass for each node's context (the structure outside
+// its subtree) and decides each element once, on the composition of
+// subtree and context at a node whose bag holds it. Because behaviors
+// are interned, isomorphic subgames collapse; the memo table is keyed
+// by (behavior, subformula, interpretation) at the evaluation layer and
+// by the behavior's canonical serialization at the exploration layer.
+// Set moves are explored only for a formula with a set quantifier.
 //
 // The backend never materializes the type space, so it is metered by
 // Budget.MaxGamePositions (positions interned) rather than MaxStates —
@@ -33,7 +37,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/mso"
@@ -106,16 +109,12 @@ func run(ctx context.Context, st *structure.Structure, d *tree.Decomposition, ph
 }
 
 func evalNice(ctx context.Context, st *structure.Structure, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (*core.Result, error) {
-	elems, sets := phi.FreeVars()
-	if len(sets) > 0 {
-		return nil, fmt.Errorf("game: free set variables %v not supported", sets)
-	}
+	free := xVar
 	if opts.Decision {
-		if len(elems) != 0 {
-			return nil, fmt.Errorf("game: decision variant requires a sentence, got free variables %v", elems)
-		}
-	} else if len(elems) != 1 || elems[0] != xVar {
-		return nil, fmt.Errorf("game: expected exactly the free variable %q, got %v", xVar, elems)
+		free = ""
+	}
+	if err := phi.CheckFree(free); err != nil {
+		return nil, fmt.Errorf("game: %v", err)
 	}
 	q := phi.QuantifierDepth()
 	if opts.QuantifierDepth > q {
@@ -125,35 +124,17 @@ func evalNice(ctx context.Context, st *structure.Structure, nice *tree.Decomposi
 	e.indexFormula(phi)
 	start := time.Now()
 	res := &core.Result{Width: nice.Width(), TDNodes: nice.Len(), Trace: trace}
+	if err := e.upPass(); err != nil {
+		return nil, stage.Wrap(stage.Game, err)
+	}
+	var err error
 	if opts.Decision {
-		id, _, err := e.walk(nice.Root, -1)
-		if err != nil {
-			return nil, stage.Wrap(stage.Game, err)
-		}
-		holds, err := e.eval(id, phi, map[string]int{})
-		if err != nil {
-			return nil, stage.Wrap(stage.Game, err)
-		}
-		res.Holds = holds
+		res.Holds, err = e.eval(e.up[nice.Root].id, phi, map[string]int{})
 	} else {
-		res.Selected = bitset.New(st.Size())
-		for a := 0; a < st.Size(); a++ {
-			id, tuple, err := e.walk(nice.Root, a)
-			if err != nil {
-				return nil, stage.Wrap(stage.Game, err)
-			}
-			idx := indexOf(tuple, a)
-			if idx < 0 {
-				return nil, stage.Wrap(stage.Game, fmt.Errorf("game: internal: pinned element %d missing from root tuple", a))
-			}
-			sel, err := e.eval(id, phi, map[string]int{xVar: idx})
-			if err != nil {
-				return nil, stage.Wrap(stage.Game, err)
-			}
-			if sel {
-				res.Selected.Add(a)
-			}
-		}
+		res.Selected, err = e.selectPass(phi, xVar)
+	}
+	if err != nil {
+		return nil, stage.Wrap(stage.Game, err)
 	}
 	trace.RecordDetail(stage.Game, time.Since(start), len(e.nodes), false,
 		fmt.Sprintf("positions=%d", len(e.nodes)))

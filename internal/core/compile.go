@@ -160,16 +160,12 @@ func compileAutomatonCtx(ctx context.Context, sig *structure.Signature, phi *mso
 	if k := phi.QuantifierDepth(); opts.QuantifierDepth < k {
 		return nil, fmt.Errorf("core: quantifier depth %d below formula depth %d", opts.QuantifierDepth, k)
 	}
-	elems, sets := phi.FreeVars()
-	if len(sets) > 0 {
-		return nil, fmt.Errorf("core: free set variables %v not supported", sets)
-	}
+	free := xVar
 	if opts.Decision {
-		if len(elems) != 0 {
-			return nil, fmt.Errorf("core: decision variant requires a sentence, got free variables %v", elems)
-		}
-	} else if len(elems) != 1 || elems[0] != xVar {
-		return nil, fmt.Errorf("core: expected exactly the free variable %q, got %v", xVar, elems)
+		free = ""
+	}
+	if err := phi.CheckFree(free); err != nil {
+		return nil, fmt.Errorf("core: %v", err)
 	}
 	mc := msotype.NewComputer()
 	mc.MaxDomain = opts.MaxWitnessDomain

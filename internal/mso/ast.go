@@ -188,47 +188,42 @@ func (f *Formula) CheckSignature(sig *structure.Signature) error {
 	return nil
 }
 
+// CheckFree reports an error unless the formula's only free variable is
+// the element variable x, or, with x empty, it has none: the shapes of
+// a unary query and a sentence. Like CheckSignature, it allocates
+// nothing unless it fails.
+func (f *Formula) CheckFree(x string) error {
+	found := false
+	err := f.eachFree(nil, func(v string, set bool) error {
+		switch {
+		case set:
+			return fmt.Errorf("mso: set variable %s is free", v)
+		case v == x:
+			found = true
+		case x == "":
+			return fmt.Errorf("mso: %s is free in a sentence", v)
+		default:
+			return fmt.Errorf("mso: %s is free, want only %s", v, x)
+		}
+		return nil
+	})
+	if err == nil && x != "" && !found {
+		err = fmt.Errorf("mso: %s does not occur free", x)
+	}
+	return err
+}
+
 // FreeVars returns the free element and set variables, sorted.
 func (f *Formula) FreeVars() (elems, sets []string) {
 	em, sm := map[string]bool{}, map[string]bool{}
-	var walk func(g *Formula, bound map[string]bool)
-	walk = func(g *Formula, bound map[string]bool) {
-		switch g.Kind {
-		case KAtom:
-			for _, a := range g.Args {
-				if !bound[a] {
-					em[a] = true
-				}
-			}
-		case KEq:
-			if !bound[g.X] {
-				em[g.X] = true
-			}
-			if !bound[g.Y] {
-				em[g.Y] = true
-			}
-		case KIn:
-			if !bound[g.X] {
-				em[g.X] = true
-			}
-			if !bound[g.Y] {
-				sm[g.Y] = true
-			}
-		case KExistsE, KForallE, KExistsS, KForallS:
-			inner := map[string]bool{}
-			for k := range bound {
-				inner[k] = true
-			}
-			inner[g.Var] = true
-			walk(g.Sub[0], inner)
-		case KTrue, KFalse:
-		default:
-			for _, s := range g.Sub {
-				walk(s, bound)
-			}
+	f.eachFree(nil, func(v string, set bool) error {
+		if set {
+			sm[v] = true
+		} else {
+			em[v] = true
 		}
-	}
-	walk(f, map[string]bool{})
+		return nil
+	})
 	for v := range em {
 		elems = append(elems, v)
 	}
@@ -238,6 +233,56 @@ func (f *Formula) FreeVars() (elems, sets []string) {
 	sort.Strings(elems)
 	sort.Strings(sets)
 	return elems, sets
+}
+
+// scope lists the variables bound around a subformula, innermost
+// first, linked through the frames of eachFree.
+type scope struct {
+	name string
+	up   *scope
+}
+
+func (s *scope) binds(v string) bool {
+	for ; s != nil; s = s.up {
+		if s.name == v {
+			return true
+		}
+	}
+	return false
+}
+
+// eachFree calls visit on each free occurrence of a variable in f, set
+// telling a set variable from an element variable, and stops at the
+// first error visit returns. bound lists the variables bound around f.
+func (f *Formula) eachFree(bound *scope, visit func(v string, set bool) error) error {
+	vars := f.Args
+	switch f.Kind {
+	case KEq:
+		vars = []string{f.X, f.Y}
+	case KIn:
+		if !bound.binds(f.Y) {
+			if err := visit(f.Y, true); err != nil {
+				return err
+			}
+		}
+		vars = []string{f.X}
+	case KExistsE, KForallE, KExistsS, KForallS:
+		inner := scope{f.Var, bound}
+		return f.Sub[0].eachFree(&inner, visit)
+	}
+	for _, v := range vars {
+		if !bound.binds(v) {
+			if err := visit(v, false); err != nil {
+				return err
+			}
+		}
+	}
+	for _, s := range f.Sub {
+		if err := s.eachFree(bound, visit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // String renders the formula in the syntax accepted by Parse.

@@ -129,6 +129,41 @@ func TestCheckSignature(t *testing.T) {
 	}
 }
 
+// TestCheckFree pins CheckFree against FreeVars: a formula passes for x
+// exactly when its only free variable is the element variable x, and
+// for "" exactly when it is a sentence.
+func TestCheckFree(t *testing.T) {
+	for _, tc := range []struct {
+		src, x string
+		ok     bool
+	}{
+		{"c(x) & exists y edge(x, y)", "x", true},
+		{"exists x c(x)", "", true},
+		{"exists X (x in X)", "x", true},
+		{"(exists x c(x)) & c(x)", "x", true}, // bound and free occurrences
+		{"c(y)", "x", false},
+		{"x in Y", "x", false},        // a free set variable
+		{"c(x)", "", false},           // a unary query is not a sentence
+		{"exists x c(x)", "x", false}, // x does not occur free
+		{"x = y", "x", false},         // a second free variable
+		{"forall y edge(x, z)", "x", false},
+	} {
+		err := MustParse(tc.src).CheckFree(tc.x)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckFree(%q, %q) = %v, want ok %v", tc.src, tc.x, err, tc.ok)
+		}
+		elems, sets := MustParse(tc.src).FreeVars()
+		want := len(sets) == 0 && (tc.x == "" && len(elems) == 0 || len(elems) == 1 && elems[0] == tc.x)
+		if want != tc.ok {
+			t.Errorf("%q with %q: FreeVars gives %v %v, the table says ok %v", tc.src, tc.x, elems, sets, tc.ok)
+		}
+	}
+	f := MustParse("c(x) & exists y (edge(x, y) & forall Z (y in Z))")
+	if n := testing.AllocsPerRun(10, func() { f.CheckFree("x") }); n != 0 {
+		t.Errorf("CheckFree allocates %.0f times, want 0", n)
+	}
+}
+
 // TestParseConcurrentSub parses one text using sub and psub from many
 // goroutines at once: under -race this pins that Parse shares no state
 // between calls, and every parse must render alike.

@@ -449,6 +449,11 @@ func evalOne(ctx context.Context, sess *session.Session, formula, xVar, backend 
 	if err := phi.CheckSignature(sess.Structure().Sig()); err != nil {
 		return EvalResponse{}, fmt.Errorf("%w: formula: %v", cli.ErrUsage, err)
 	}
+	// A unary query has var as its one free variable; a decision (no
+	// var) takes a sentence.
+	if err := phi.CheckFree(xVar); err != nil {
+		return EvalResponse{}, fmt.Errorf("%w: formula: %v", cli.ErrUsage, err)
+	}
 	opts := core.Options{Decision: xVar == "", Backend: backend}
 	res, err := sess.Eval(ctx, phi, xVar, opts)
 	if err != nil {

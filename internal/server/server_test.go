@@ -197,32 +197,39 @@ func TestStatusTaxonomy(t *testing.T) {
 
 // TestBadSignatureFormula400 pins that a formula that is not over the
 // structure's signature — a predicate at another arity, or one the
-// structure lacks — is a usage error (400) on both backends, through
+// structure lacks — or whose free variables are not exactly var (none
+// for a decision) is a usage error (400) on both backends, through
 // /eval and /batch alike.
 func TestBadSignatureFormula400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, tc := range []struct{ formula, backend string }{
-		{"edge(x)", "automaton"},
-		{"edge(x)", "game"},
-		{"d(x)", "automaton"},
-		{"d(x)", "game"},
-		{"exists y edge(x,y,y)", "automaton"},
-		{"exists y edge(x,y,y)", "game"},
+	for _, tc := range []struct{ formula, xVar, backend string }{
+		{"edge(x)", "x", "automaton"},
+		{"edge(x)", "x", "game"},
+		{"d(x)", "x", "automaton"},
+		{"d(x)", "x", "game"},
+		{"exists y edge(x,y,y)", "x", "automaton"},
+		{"exists y edge(x,y,y)", "x", "game"},
+		{"c(y)", "x", "automaton"},
+		{"c(y)", "x", "game"},
+		{"x in Y", "x", "automaton"},
+		{"x in Y", "x", "game"},
+		{"c(x)", "", "automaton"},
+		{"c(x)", "", "game"},
 	} {
 		header := map[string]string{"X-Backend": tc.backend}
-		status, raw := postJSON(t, ts.URL+"/eval", EvalRequest{Structure: pathStructure, Formula: tc.formula, Var: "x"}, header)
+		status, raw := postJSON(t, ts.URL+"/eval", EvalRequest{Structure: pathStructure, Formula: tc.formula, Var: tc.xVar}, header)
 		if status != http.StatusBadRequest {
-			t.Errorf("%s on %s: /eval status %d (%s), want 400", tc.formula, tc.backend, status, raw)
+			t.Errorf("%s (var %q) on %s: /eval status %d (%s), want 400", tc.formula, tc.xVar, tc.backend, status, raw)
 		}
 		status, raw = postJSON(t, ts.URL+"/batch", BatchRequest{
 			Structures: []string{pathStructure},
-			Queries:    []BatchQuery{{Structure: 0, Formula: tc.formula, Var: "x"}},
+			Queries:    []BatchQuery{{Structure: 0, Formula: tc.formula, Var: tc.xVar}},
 		}, header)
 		if status != http.StatusOK {
-			t.Fatalf("%s on %s: /batch status %d: %s", tc.formula, tc.backend, status, raw)
+			t.Fatalf("%s (var %q) on %s: /batch status %d: %s", tc.formula, tc.xVar, tc.backend, status, raw)
 		}
 		if got := decodeInto[BatchResponse](t, raw).Results[0].Status; got != http.StatusBadRequest {
-			t.Errorf("%s on %s: /batch query status %d, want 400", tc.formula, tc.backend, got)
+			t.Errorf("%s (var %q) on %s: /batch query status %d, want 400", tc.formula, tc.xVar, tc.backend, got)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func (freeSelect) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int
 }
 
 func (freeSelect) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
+	childBag := insertSorted(bag, elem)
 	return append(dst, solver.Out[uint64]{State: solver.Width(1).Drop(child, solver.Position(childBag, elem))})
 }
 
@@ -166,4 +166,16 @@ func TestChaosSessionSolver(t *testing.T) {
 			t.Fatalf("%s: stats after fault+retry = %+v, want 1 solve 0 hits", point, stats)
 		}
 	}
+}
+
+// insertSorted returns a new sorted slice with v inserted: the
+// reference model of a forget node's child bag.
+func insertSorted(xs []int, v int) []int {
+	out := make([]int, 0, len(xs)+1)
+	i := 0
+	for ; i < len(xs) && xs[i] < v; i++ {
+		out = append(out, xs[i])
+	}
+	out = append(out, v)
+	return append(out, xs[i:]...)
 }

@@ -9,8 +9,8 @@
 // (tree.Decomposition.Schedule), so tables are byte-identical at every
 // worker count.
 //
-// This file holds the shared bag utilities: position maps, sorted-slice
-// editing, and fixed-width bit-packed per-element status vectors. These
+// This file holds the shared bag utilities: position maps and
+// fixed-width bit-packed per-element status vectors. These
 // subsume the private near-copies that the problem packages (threecol,
 // vcover, domset, primality) each grew independently.
 package solver
@@ -40,45 +40,6 @@ func Rank(bag []int, elem int) int {
 // Contains reports whether the sorted bag contains elem.
 func Contains(bag []int, elem int) bool { return Position(bag, elem) >= 0 }
 
-// InsertSorted returns a new sorted slice with v inserted, keeping the
-// input intact. Duplicates are preserved; use InsertSortedUnique for
-// set semantics.
-func InsertSorted(xs []int, v int) []int {
-	out := make([]int, 0, len(xs)+1)
-	i := 0
-	for ; i < len(xs) && xs[i] < v; i++ {
-		out = append(out, xs[i])
-	}
-	out = append(out, v)
-	out = append(out, xs[i:]...)
-	return out
-}
-
-// InsertSortedUnique returns a new sorted slice with v inserted unless
-// already present, keeping the input intact.
-func InsertSortedUnique(xs []int, v int) []int {
-	if Position(xs, v) >= 0 {
-		return append([]int(nil), xs...)
-	}
-	return InsertSorted(xs, v)
-}
-
-// RemoveSorted returns a new sorted slice with the first occurrence of
-// v removed, keeping the input intact. The input is returned copied
-// unchanged if v is absent.
-func RemoveSorted(xs []int, v int) []int {
-	out := make([]int, 0, len(xs))
-	removed := false
-	for _, x := range xs {
-		if !removed && x == v {
-			removed = true
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
-}
-
 // Width is the number of bits a packed status vector spends per bag
 // position. A uint64 state then holds up to 64/Width positions, with
 // position 0 in the lowest bits — so iterating combinations by
@@ -103,9 +64,9 @@ func (w Width) Set(s uint64, p int, v uint64) uint64 {
 }
 
 // Insert makes room at position p — shifting positions p and above up by
-// one — and stores v there. It is the packed mirror of InsertSorted:
-// when elem lands at Position(bag, elem)=p of the grown bag, the old
-// statuses keep their elements.
+// one — and stores v there. It is the packed mirror of inserting elem
+// into the sorted bag: when elem lands at Position(bag, elem)=p of the
+// grown bag, the old statuses keep their elements.
 func (w Width) Insert(s uint64, p int, v uint64) uint64 {
 	shift := uint(p) * uint(w)
 	low := s & (1<<shift - 1)
@@ -114,7 +75,7 @@ func (w Width) Insert(s uint64, p int, v uint64) uint64 {
 }
 
 // Drop removes position p, shifting positions above it down by one —
-// the packed mirror of RemoveSorted.
+// the packed mirror of removing that element from the sorted bag.
 func (w Width) Drop(s uint64, p int) uint64 {
 	shift := uint(p) * uint(w)
 	low := s & (1<<shift - 1)

@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestPosition(t *testing.T) {
 	tests := []struct {
@@ -35,43 +32,9 @@ func TestPosition(t *testing.T) {
 		}
 		// A forget node's element sits at its rank in the child's bag.
 		if tc.want < 0 {
-			if got := Position(InsertSorted(tc.bag, tc.elem), tc.elem); got != tc.rank {
+			if got := Position(insertSorted(tc.bag, tc.elem), tc.elem); got != tc.rank {
 				t.Errorf("Position of %d in %v with it inserted = %d, Rank = %d", tc.elem, tc.bag, got, tc.rank)
 			}
-		}
-	}
-}
-
-func TestInsertRemoveSorted(t *testing.T) {
-	tests := []struct {
-		xs         []int
-		v          int
-		insert     []int
-		insertUniq []int
-		remove     []int
-	}{
-		{nil, 4, []int{4}, []int{4}, []int{}},
-		{[]int{2}, 1, []int{1, 2}, []int{1, 2}, []int{2}},
-		{[]int{2}, 3, []int{2, 3}, []int{2, 3}, []int{2}},
-		{[]int{2}, 2, []int{2, 2}, []int{2}, []int{}},
-		{[]int{1, 3, 5}, 4, []int{1, 3, 4, 5}, []int{1, 3, 4, 5}, []int{1, 3, 5}},
-		{[]int{1, 3, 5}, 3, []int{1, 3, 3, 5}, []int{1, 3, 5}, []int{1, 5}},
-		{[]int{1, 3, 5}, 0, []int{0, 1, 3, 5}, []int{0, 1, 3, 5}, []int{1, 3, 5}},
-		{[]int{1, 3, 5}, 6, []int{1, 3, 5, 6}, []int{1, 3, 5, 6}, []int{1, 3, 5}},
-	}
-	for _, tc := range tests {
-		orig := append([]int(nil), tc.xs...)
-		if got := InsertSorted(tc.xs, tc.v); !reflect.DeepEqual(got, tc.insert) {
-			t.Errorf("InsertSorted(%v, %d) = %v, want %v", tc.xs, tc.v, got, tc.insert)
-		}
-		if got := InsertSortedUnique(tc.xs, tc.v); !reflect.DeepEqual(got, tc.insertUniq) {
-			t.Errorf("InsertSortedUnique(%v, %d) = %v, want %v", tc.xs, tc.v, got, tc.insertUniq)
-		}
-		if got := RemoveSorted(tc.xs, tc.v); !reflect.DeepEqual(got, tc.remove) {
-			t.Errorf("RemoveSorted(%v, %d) = %v, want %v", tc.xs, tc.v, got, tc.remove)
-		}
-		if !reflect.DeepEqual(tc.xs, orig) {
-			t.Errorf("input %v mutated to %v", orig, tc.xs)
 		}
 	}
 }
@@ -109,7 +72,7 @@ func TestWidthPacking(t *testing.T) {
 
 // TestWidthInsertDropMirrorsSortedBags pins the defining property:
 // Insert/Drop keep packed statuses aligned with their bag elements
-// under the corresponding InsertSorted/RemoveSorted bag edit.
+// under the corresponding sorted-bag insertion and removal.
 func TestWidthInsertDropMirrorsSortedBags(t *testing.T) {
 	const w = Width(2)
 	bag := []int{2, 5, 9}
@@ -119,7 +82,7 @@ func TestWidthInsertDropMirrorsSortedBags(t *testing.T) {
 		s = w.Set(s, p, status[e])
 	}
 	for _, elem := range []int{0, 4, 7, 11} { // before, between, between, after
-		grown := InsertSorted(bag, elem)
+		grown := insertSorted(bag, elem)
 		p := Position(grown, elem)
 		s2 := w.Insert(s, p, 0)
 		for q, e := range grown {
@@ -152,4 +115,16 @@ func TestWidthInsertAtBoundary(t *testing.T) {
 			t.Fatalf("At(%d) = %d after boundary insert, want 3", p, got)
 		}
 	}
+}
+
+// insertSorted returns a new sorted slice with v inserted: the
+// reference model of a forget node's child bag.
+func insertSorted(xs []int, v int) []int {
+	out := make([]int, 0, len(xs)+1)
+	i := 0
+	for ; i < len(xs) && xs[i] < v; i++ {
+		out = append(out, xs[i])
+	}
+	out = append(out, v)
+	return append(out, xs[i:]...)
 }

@@ -65,7 +65,7 @@ func (p tcProblem) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem in
 }
 
 func (p tcProblem) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
+	childBag := insertSorted(bag, elem)
 	return append(dst, solver.Out[uint64]{State: solver.Width(1).Drop(child, solver.Position(childBag, elem))})
 }
 

@@ -64,7 +64,7 @@ func (p twoCol) Introduce(dst []solver.Out[uint64], _ int, bag []int, elem int, 
 }
 
 func (p twoCol) Forget(dst []solver.Out[uint64], _ int, bag []int, elem int, child uint64) []solver.Out[uint64] {
-	childBag := solver.InsertSorted(bag, elem)
+	childBag := insertSorted(bag, elem)
 	return append(dst, solver.Out[uint64]{State: w1.Drop(child, solver.Position(childBag, elem))})
 }
 
@@ -375,4 +375,16 @@ type panicky struct{ twoCol }
 
 func (p panicky) Forget(dst []solver.Out[uint64], node int, bag []int, elem int, child uint64) []solver.Out[uint64] {
 	panic("kaboom")
+}
+
+// insertSorted returns a new sorted slice with v inserted: the
+// reference model of a forget node's child bag.
+func insertSorted(xs []int, v int) []int {
+	out := make([]int, 0, len(xs)+1)
+	i := 0
+	for ; i < len(xs) && xs[i] < v; i++ {
+		out = append(out, xs[i])
+	}
+	out = append(out, v)
+	return append(out, xs[i:]...)
 }
