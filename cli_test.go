@@ -224,6 +224,21 @@ func TestCLIMonadicdRetiredFlags(t *testing.T) {
 	}
 }
 
+// TestCLIMso2datalogRetiredBackend pins that mso2datalog rejects its
+// removed -backend flag as unknown, with the usage exit code 2: the
+// automaton is the only backend with a compiled form to print.
+func TestCLIMso2datalogRetiredBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for _, name := range []string{"automaton", "game"} {
+		code, _, stderr := runToolErr(t, nil, "./cmd/mso2datalog", "-sig", "c/1", "-formula", "c(x)", "-backend", name)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -backend") {
+			t.Fatalf("mso2datalog -backend %s: exit code %d, want 2\nstderr: %s", name, code, stderr)
+		}
+	}
+}
+
 // TestCLIBudgetExceeded pins exit code 3 and the stage-tagged one-line
 // message when -budget is too small for the run.
 func TestCLIBudgetExceeded(t *testing.T) {

@@ -17,9 +17,6 @@ import (
 	"strconv"
 	"strings"
 
-	// Register the game backend so -backend game resolves (and reports
-	// that it has no compiled form) instead of failing as unknown.
-	_ "repro/internal/backend/game"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/mso"
@@ -32,7 +29,6 @@ func main() {
 	freeVar := flag.String("var", "x", "free element variable of the unary query")
 	width := flag.Int("width", 1, "treewidth the program is compiled for")
 	decision := flag.Bool("decision", false, "compile the 0-ary decision variant (formula must be a sentence)")
-	backendName := flag.String("backend", "", "compilation backend (default automaton; game refuses — it has no compiled form)")
 	maxTypes := flag.Int("maxtypes", 2000, "abort after this many types")
 	maxWitness := flag.Int("maxwitness", 12, "witness-domain size limit")
 	timeout := flag.Duration("timeout", 0, "abort the compilation after this duration (0 = none)")
@@ -58,15 +54,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if _, err := cli.Backend(*backendName); err != nil {
-		fail(err)
-	}
 	compiled, err := core.CompileCtx(ctx, sig, f, *freeVar, core.Options{
 		Width:            *width,
 		Decision:         *decision,
 		MaxTypes:         *maxTypes,
 		MaxWitnessDomain: *maxWitness,
-		Backend:          *backendName,
 	})
 	if err != nil {
 		fail(err)

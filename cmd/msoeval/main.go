@@ -22,8 +22,6 @@ import (
 	"strings"
 	"time"
 
-	// Register the game backend for -backend game.
-	_ "repro/internal/backend/game"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/mso"

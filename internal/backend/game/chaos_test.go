@@ -1,4 +1,4 @@
-package game
+package game_test
 
 import (
 	"context"
@@ -23,7 +23,7 @@ func TestBudgetGamePositionsExceeded(t *testing.T) {
 
 	b := &stage.Budget{MaxGamePositions: 5}
 	ctx := stage.WithBudget(context.Background(), b)
-	_, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: Name})
+	_, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: core.GameBackend})
 	if !errors.Is(err, stage.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exceeded", err)
 	}
@@ -45,12 +45,12 @@ func TestBudgetGameSufficientIsInvisible(t *testing.T) {
 	st := randomStructure(rand.New(rand.NewSource(5)), 6)
 	phi := mso.MustParse("c(x)")
 
-	plain, err := core.RunCtx(context.Background(), st, phi, "x", core.Options{Backend: Name})
+	plain, err := core.RunCtx(context.Background(), st, phi, "x", core.Options{Backend: core.GameBackend})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := &stage.Budget{MaxGamePositions: 1 << 20}
-	res, err := core.RunCtx(stage.WithBudget(context.Background(), b), st, phi, "x", core.Options{Backend: Name})
+	res, err := core.RunCtx(stage.WithBudget(context.Background(), b), st, phi, "x", core.Options{Backend: core.GameBackend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGameCancellation(t *testing.T) {
 	phi := mso.MustParse("exists Y (x in Y & forall z (z in Y -> c(z)))")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: Name})
+	_, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: core.GameBackend})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -90,7 +90,7 @@ func TestChaosGameFaultPoints(t *testing.T) {
 	ctx := context.Background()
 
 	faultinject.Reset()
-	want, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: Name})
+	want, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: core.GameBackend})
 	if err != nil {
 		t.Fatalf("uninjected run: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestChaosGameFaultPoints(t *testing.T) {
 			snap := leak.Before()
 			faultinject.Reset()
 			faultinject.FailAt(point, 1)
-			_, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: Name})
+			_, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: core.GameBackend})
 			if err == nil {
 				t.Fatalf("injected fault at %s did not surface", point)
 			}
@@ -108,7 +108,7 @@ func TestChaosGameFaultPoints(t *testing.T) {
 				t.Fatalf("fault at %s tagged stage %q, want %q", point, got, stage.Game)
 			}
 			faultinject.Reset()
-			res, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: Name})
+			res, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: core.GameBackend})
 			if err != nil {
 				t.Fatalf("retry after %s fault: %v", point, err)
 			}

@@ -1,4 +1,4 @@
-package game
+package game_test
 
 import (
 	"context"
@@ -97,7 +97,7 @@ func TestBackendDifferentialPartialKTrees(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d s=%d (%s) automaton %q: %v", tier.k, s, dr.rung, q, err)
 				}
-				gres, err := core.RunWithDecompositionCtx(ctx, st, dr.d, phi, "x", core.Options{Backend: Name})
+				gres, err := core.RunWithDecompositionCtx(ctx, st, dr.d, phi, "x", core.Options{Backend: core.GameBackend})
 				if err != nil {
 					t.Fatalf("k=%d s=%d (%s) game %q: %v", tier.k, s, dr.rung, q, err)
 				}
@@ -111,7 +111,7 @@ func TestBackendDifferentialPartialKTrees(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d s=%d automaton sentence %q: %v", tier.k, s, snt, err)
 				}
-				gres, err := core.RunWithDecompositionCtx(ctx, st, dr.d, phi, "", core.Options{Decision: true, Backend: Name})
+				gres, err := core.RunWithDecompositionCtx(ctx, st, dr.d, phi, "", core.Options{Decision: true, Backend: core.GameBackend})
 				if err != nil {
 					t.Fatalf("k=%d s=%d game sentence %q: %v", tier.k, s, snt, err)
 				}
@@ -163,7 +163,6 @@ var (
 func TestGameMatchesNaiveOraclePartialKTrees(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
-	nb := Backend().(core.NiceBackend)
 	deep := false
 	for _, n := range []int{6, 10, 25, 45} {
 		for k := 1; k <= 3; k++ {
@@ -186,7 +185,7 @@ func TestGameMatchesNaiveOraclePartialKTrees(t *testing.T) {
 			}
 			for _, q := range queries {
 				phi := mso.MustParse(q)
-				got, err := nb.EvalNiceCtx(ctx, st, nice, phi, "x", core.Options{}, &stage.Trace{})
+				got, err := core.EvalGame(ctx, st, nice, phi, "x", core.Options{}, &stage.Trace{})
 				if err != nil {
 					t.Fatalf("n=%d k=%d %q: game: %v", n, k, q, err)
 				}
@@ -200,7 +199,7 @@ func TestGameMatchesNaiveOraclePartialKTrees(t *testing.T) {
 			}
 			for _, s := range sentences {
 				phi := mso.MustParse(s)
-				got, err := nb.EvalNiceCtx(ctx, st, nice, phi, "", core.Options{Decision: true}, &stage.Trace{})
+				got, err := core.EvalGame(ctx, st, nice, phi, "", core.Options{Decision: true}, &stage.Trace{})
 				if err != nil {
 					t.Fatalf("n=%d k=%d %q: game: %v", n, k, s, err)
 				}

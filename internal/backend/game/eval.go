@@ -22,7 +22,7 @@ type evaluator struct {
 	ctx    context.Context
 	st     *structure.Structure
 	nice   *tree.Decomposition
-	q      int // rank: max(formula depth, opts.QuantifierDepth)
+	q      int // rank: max(formula depth, Eval's depth)
 	budget *stage.Budget
 	sig    *structure.Signature
 	preds  []structure.Predicate

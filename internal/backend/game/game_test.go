@@ -1,4 +1,4 @@
-package game
+package game_test
 
 import (
 	"context"
@@ -69,7 +69,7 @@ func TestGameMatchesNaiveOracle(t *testing.T) {
 		st := randomStructure(rng, n)
 		for _, q := range oracleQueries {
 			phi := mso.MustParse(q)
-			got, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: Name})
+			got, err := core.RunCtx(ctx, st, phi, "x", core.Options{Backend: core.GameBackend})
 			if err != nil {
 				t.Fatalf("trial %d, query %q: game: %v", trial, q, err)
 			}
@@ -86,7 +86,7 @@ func TestGameMatchesNaiveOracle(t *testing.T) {
 		}
 		for _, s := range oracleSentences {
 			phi := mso.MustParse(s)
-			got, err := core.RunCtx(ctx, st, phi, "", core.Options{Backend: Name, Decision: true})
+			got, err := core.RunCtx(ctx, st, phi, "", core.Options{Backend: core.GameBackend, Decision: true})
 			if err != nil {
 				t.Fatalf("trial %d, sentence %q: game: %v", trial, s, err)
 			}

@@ -1,4 +1,4 @@
-package game
+package game_test
 
 import (
 	"context"
@@ -65,7 +65,7 @@ func coloredPath(n int) *structure.Structure {
 func positions(t *testing.T, st *structure.Structure, formula, xVar string) int64 {
 	t.Helper()
 	b := &stage.Budget{MaxGamePositions: 1 << 30}
-	opts := core.Options{Backend: Name, Decision: xVar == ""}
+	opts := core.Options{Backend: core.GameBackend, Decision: xVar == ""}
 	if _, err := core.RunCtx(stage.WithBudget(context.Background(), b), st, mso.MustParse(formula), xVar, opts); err != nil {
 		t.Fatalf("%s: %v", formula, err)
 	}
@@ -114,7 +114,7 @@ func BenchmarkGameEval(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Backend().(core.NiceBackend).EvalNiceCtx(ctx, st, nice, phi, "x", core.Options{}, &stage.Trace{}); err != nil {
+				if _, err := core.EvalGame(ctx, st, nice, phi, "x", core.Options{}, &stage.Trace{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	// Register the game backend for the head-to-head run.
-	_ "repro/internal/backend/game"
 	"repro/internal/core"
 	"repro/internal/mso"
 	"repro/internal/stage"
@@ -116,7 +114,7 @@ func GameCompare(ctx context.Context, n int) (GameResult, error) {
 			}
 			pt.AutomatonNS = time.Since(t0).Nanoseconds()
 			t0 = time.Now()
-			gres, err := core.RunCtx(ctx, w.st, phi, "x", core.Options{Backend: "game"})
+			gres, err := core.RunCtx(ctx, w.st, phi, "x", core.Options{Backend: core.GameBackend})
 			if err != nil {
 				return res, fmt.Errorf("bench: game %s %q: %w", w.name, q, err)
 			}
@@ -148,7 +146,7 @@ func GameCompare(ctx context.Context, n int) (GameResult, error) {
 	}
 	gb := &stage.Budget{MaxGamePositions: 1 << 20}
 	t0 := time.Now()
-	gres, gerr := core.RunCtx(stage.WithBudget(ctx, gb), path, phi, "", core.Options{Decision: true, Backend: "game"})
+	gres, gerr := core.RunCtx(stage.WithBudget(ctx, gb), path, phi, "", core.Options{Decision: true, Backend: core.GameBackend})
 	res.GameNS = time.Since(t0).Nanoseconds()
 	if gerr != nil {
 		return res, fmt.Errorf("bench: game backend failed the escape point: %w", gerr)

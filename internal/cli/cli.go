@@ -157,16 +157,13 @@ func Init() error {
 	return faultinject.InitFromSpec(os.Getenv("FAULTINJECT"))
 }
 
-// Backend resolves an evaluation backend name against the core registry
-// ("" = the default automaton pipeline), wrapping unknown names in
-// ErrUsage so ExitCode classifies them as ExitUsage. Backends register
-// from package init — a tool selecting a non-default backend must link
-// its package (cmd tools get internal/backend/game via internal/session,
-// or blank-import it directly).
-func Backend(name string) (core.Backend, error) {
-	b, err := core.BackendByName(name)
+// Backend checks an evaluation backend name by core.CheckBackend ("" =
+// the default automaton pipeline) and returns it normalized, wrapping an
+// unknown name in ErrUsage so ExitCode classifies it as ExitUsage.
+func Backend(name string) (string, error) {
+	b, err := core.CheckBackend(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUsage, err)
+		return "", fmt.Errorf("%w: %v", ErrUsage, err)
 	}
 	return b, nil
 }

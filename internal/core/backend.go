@@ -3,101 +3,39 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"time"
 
+	"repro/internal/backend/game"
 	"repro/internal/mso"
 	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/tree"
 )
 
-// DefaultBackend is the backend used when Options.Backend is empty: the
-// paper's Theorem 4.4/4.5 automaton pipeline.
-const DefaultBackend = "automaton"
-
-// Backend is the evaluation seam: one strategy for answering an MSO
-// query over a bounded-treewidth structure. Two implementations exist —
-// "automaton" (this package: k-type enumeration compiled to monadic
-// datalog, Theorems 4.4/4.5) and "game" (backend/game: lazy
-// model-checking-game exploration after Kneis–Langer–Rossmanith, which
-// never materializes the type space and so escapes the MaxStates wall).
-//
-// All methods honor context cancellation, meter work against the
-// stage.Budget attached to ctx, and report stage-tagged errors; RunCtx
-// and RunWithDecompositionCtx populate a stage.Trace on the Result.
-type Backend interface {
-	// Name is the stable identifier used in cache keys, the -backend
-	// flags and the X-Backend header.
-	Name() string
-	// CompileCtx materializes the backend's reusable artifact for
-	// (sig, phi, xVar, opts). Backends that evaluate lazily and have no
-	// standalone compiled form (the game backend) return an error.
-	CompileCtx(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts Options) (*Compiled, error)
-	// RunCtx evaluates phi over st end to end, computing a tree
-	// decomposition internally.
-	RunCtx(ctx context.Context, st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (*Result, error)
-	// RunWithDecompositionCtx is RunCtx with a caller-provided (raw,
-	// valid) tree decomposition.
-	RunWithDecompositionCtx(ctx context.Context, st *structure.Structure, d *tree.Decomposition, phi *mso.Formula, xVar string, opts Options) (*Result, error)
-}
-
-// NiceBackend is implemented by backends that can evaluate directly on
-// an already-normalized nice decomposition (tree.NormalizeNice). The
-// session layer uses it to feed its cached nice form to the backend,
-// skipping re-decomposition on the warm path.
-type NiceBackend interface {
-	Backend
-	EvalNiceCtx(ctx context.Context, st *structure.Structure, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts Options, trace *stage.Trace) (*Result, error)
-}
-
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]Backend{}
+// The two evaluation backends, by the names Options.Backend, the
+// -backend flags and the X-Backend header select them with.
+const (
+	// DefaultBackend, also selected by the empty name, is the paper's
+	// Theorem 4.4/4.5 pipeline: k-types compiled to a quasi-guarded
+	// monadic datalog program over τ_td, grounded and evaluated.
+	DefaultBackend = "automaton"
+	// GameBackend explores the model-checking game lazily over the nice
+	// decomposition (internal/backend/game, after Kneis–Langer–
+	// Rossmanith). It never materializes the type space, so it escapes
+	// the MaxStates wall, and it has no compiled form.
+	GameBackend = "game"
 )
 
-// RegisterBackend makes b selectable by name. Backends self-register
-// from init (the automaton backend here, the game backend from
-// backend/game); a duplicate name panics, as that is a wiring bug.
-func RegisterBackend(b Backend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[b.Name()]; dup {
-		panic(fmt.Sprintf("core: duplicate backend %q", b.Name()))
+// CheckBackend returns name normalized ("" reads as DefaultBackend), or
+// an error listing both backends when name is neither.
+func CheckBackend(name string) (string, error) {
+	switch name {
+	case "", DefaultBackend:
+		return DefaultBackend, nil
+	case GameBackend:
+		return GameBackend, nil
 	}
-	backends[b.Name()] = b
-}
-
-// BackendByName resolves name ("" means DefaultBackend). An unknown
-// name is an error listing the registered backends, so flag and header
-// validation can surface the menu.
-func BackendByName(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	if b, ok := backends[name]; ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("core: unknown backend %q (have %s)", name, strings.Join(backendNamesLocked(), ", "))
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendNamesLocked()
-}
-
-func backendNamesLocked() []string {
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return "", fmt.Errorf("core: unknown backend %q (have %s, %s)", name, DefaultBackend, GameBackend)
 }
 
 // BackendName is Options.Backend normalized: "" reads as
@@ -110,32 +48,30 @@ func (o Options) BackendName() string {
 	return o.Backend
 }
 
-// ---- the automaton backend (this package's pipeline) ----
-
-// automatonBackend adapts the package-level pipeline to the Backend
-// seam. Its methods call the unexported run/compile entry points
-// directly — not the exported dispatchers — so dispatch cannot recurse.
-type automatonBackend struct{}
-
-func init() { RegisterBackend(automatonBackend{}) }
-
-func (automatonBackend) Name() string { return DefaultBackend }
-
-func (automatonBackend) CompileCtx(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts Options) (*Compiled, error) {
-	return compileAutomatonCtx(ctx, sig, phi, xVar, opts)
+// runGame is the game backend's route through runWithDecomposition once
+// d is validated: normalize to nice form, check the width, explore.
+func runGame(ctx context.Context, st *structure.Structure, d *tree.Decomposition, phi *mso.Formula, xVar string, opts Options, trace *stage.Trace) (*Result, error) {
+	start := time.Now()
+	nice, err := tree.NormalizeNiceCtx(ctx, d, tree.NiceOptions{})
+	if err != nil {
+		return nil, stage.Wrap(stage.NormalizeNice, err)
+	}
+	trace.Record(stage.NormalizeNice, time.Since(start), nice.Len(), false)
+	if opts.RequestedWidth != nil && *opts.RequestedWidth != nice.Width() {
+		return nil, fmt.Errorf("core: decomposition width %d does not match requested width %d", nice.Width(), *opts.RequestedWidth)
+	}
+	return EvalGame(ctx, st, nice, phi, xVar, opts, trace)
 }
 
-func (automatonBackend) RunCtx(ctx context.Context, st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (*Result, error) {
-	return runAutomatonCtx(ctx, st, phi, xVar, opts)
-}
-
-func (automatonBackend) RunWithDecompositionCtx(ctx context.Context, st *structure.Structure, d *tree.Decomposition, phi *mso.Formula, xVar string, opts Options) (*Result, error) {
-	return runWithDecomposition(ctx, st, d, phi, xVar, opts, &stage.Trace{})
-}
-
-// ---- dispatching wrappers (the public entry points) ----
-
-// backendFor resolves opts.Backend for the dispatchers below.
-func backendFor(opts Options) (Backend, error) {
-	return BackendByName(opts.Backend)
+// EvalGame answers phi over st by the game backend on nice, an already
+// normalized nice decomposition of st (tree.NormalizeNice): the cold
+// route of Run and the session layer's cached nice form both end here.
+// Of opts it reads Decision and QuantifierDepth. The game stat is
+// recorded on trace, which the Result carries.
+func EvalGame(ctx context.Context, st *structure.Structure, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts Options, trace *stage.Trace) (*Result, error) {
+	selected, holds, err := game.Eval(ctx, st, nice, phi, xVar, opts.Decision, opts.QuantifierDepth, trace)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Selected: selected, Holds: holds, Width: nice.Width(), TDNodes: nice.Len(), Trace: trace}, nil
 }

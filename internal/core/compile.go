@@ -61,9 +61,9 @@ type Options struct {
 	// EvalBudget caps the naive MSO evaluations on witness structures
 	// during element selection (0 = unlimited).
 	EvalBudget int64
-	// Backend selects the evaluation strategy by name ("" means
-	// DefaultBackend, the automaton pipeline of this package). See the
-	// Backend interface and RegisterBackend.
+	// Backend selects the evaluation backend: "" or DefaultBackend for
+	// the automaton pipeline of this package, GameBackend for the
+	// model-checking game. See CheckBackend.
 	Backend string
 }
 
@@ -133,8 +133,8 @@ type compiler struct {
 // Compile transforms the MSO formula phi with free element variable xVar
 // (ignored in Decision mode) over the signature sig into an equivalent
 // quasi-guarded monadic datalog program over τ_td for the given width.
-// It dispatches on opts.Backend; only the automaton backend has a
-// compiled form, so the game backend answers with an error here.
+// Only the automaton backend has a compiled form, so opts.Backend set
+// to GameBackend is an error here.
 func Compile(sig *structure.Signature, phi *mso.Formula, xVar string, opts Options) (*Compiled, error) {
 	return CompileCtx(context.Background(), sig, phi, xVar, opts)
 }
@@ -146,16 +146,13 @@ func Compile(sig *structure.Signature, phi *mso.Formula, xVar string, opts Optio
 // *stage.Error tagged stage.Compile (or stage.MSOEval when the witness
 // oracle observed it first).
 func CompileCtx(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts Options) (*Compiled, error) {
-	b, err := backendFor(opts)
+	backend, err := CheckBackend(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
-	return b.CompileCtx(ctx, sig, phi, xVar, opts)
-}
-
-// compileAutomatonCtx is the automaton backend's CompileCtx: the
-// Theorem 4.5 type-saturation compiler.
-func compileAutomatonCtx(ctx context.Context, sig *structure.Signature, phi *mso.Formula, xVar string, opts Options) (*Compiled, error) {
+	if backend == GameBackend {
+		return nil, fmt.Errorf("core: the game backend evaluates lazily and has no compiled datalog form (compile with the automaton backend)")
+	}
 	opts = opts.withDefaults(phi)
 	if k := phi.QuantifierDepth(); opts.QuantifierDepth < k {
 		return nil, fmt.Errorf("core: quantifier depth %d below formula depth %d", opts.QuantifierDepth, k)

@@ -79,10 +79,9 @@ func InReduct(phi *mso.Formula, p structure.Predicate) bool {
 // tuple normal form (Def. 2.3), build the τ_td structure (Section 4),
 // compile φ over its reduct signature (see ReductSignature) to a
 // quasi-guarded monadic datalog program (Theorem 4.5), and evaluate it
-// in time O(|P|·|A_td|) (Theorem 4.4). It dispatches on
-// opts.Backend — "game" replaces the compile/evaluate stages with lazy
-// model-checking-game exploration — so call sites select a strategy
-// without changing shape.
+// in time O(|P|·|A_td|) (Theorem 4.4). With opts.Backend set to
+// GameBackend, the nice form and the model-checking game (EvalGame)
+// replace the tuple form, τ_td, compile and evaluate stages.
 func Run(st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), st, phi, xVar, opts)
 }
@@ -99,17 +98,10 @@ func Run(st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (
 // decomposition is recorded as the Decompose stat's Detail. A panic in
 // any stage is recovered into a stage-tagged *stage.PanicError rather
 // than crashing the caller.
-func RunCtx(ctx context.Context, st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (*Result, error) {
-	b, err := backendFor(opts)
-	if err != nil {
+func RunCtx(ctx context.Context, st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (res *Result, err error) {
+	if _, err := CheckBackend(opts.Backend); err != nil {
 		return nil, err
 	}
-	return b.RunCtx(ctx, st, phi, xVar, opts)
-}
-
-// runAutomatonCtx is the automaton backend's RunCtx: decompose via the
-// degradation ladder, then run the compiled-datalog pipeline.
-func runAutomatonCtx(ctx context.Context, st *structure.Structure, phi *mso.Formula, xVar string, opts Options) (res *Result, err error) {
 	defer stage.RecoverTo(stage.Decompose, &err)
 	trace := &stage.Trace{}
 	start := time.Now()
@@ -131,15 +123,18 @@ func RunWithDecomposition(st *structure.Structure, d *tree.Decomposition, phi *m
 }
 
 // RunWithDecompositionCtx is RunWithDecomposition with cancellation
-// support; see RunCtx. Like RunCtx it dispatches on opts.Backend.
+// support; see RunCtx. Like RunCtx it selects the backend by
+// opts.Backend.
 func RunWithDecompositionCtx(ctx context.Context, st *structure.Structure, d *tree.Decomposition, phi *mso.Formula, xVar string, opts Options) (*Result, error) {
-	b, err := backendFor(opts)
-	if err != nil {
+	if _, err := CheckBackend(opts.Backend); err != nil {
 		return nil, err
 	}
-	return b.RunWithDecompositionCtx(ctx, st, d, phi, xVar, opts)
+	return runWithDecomposition(ctx, st, d, phi, xVar, opts, &stage.Trace{})
 }
 
+// runWithDecomposition validates d, then takes the game route or the
+// automaton route (tuple form, τ_td, compile, ground). opts.Backend has
+// been checked by the caller.
 func runWithDecomposition(ctx context.Context, st *structure.Structure, d *tree.Decomposition, phi *mso.Formula, xVar string, opts Options, trace *stage.Trace) (res *Result, err error) {
 	// A single deferred recover covers every stage below; cur tracks the
 	// stage in flight so a panic surfaces tagged with the stage it
@@ -148,6 +143,10 @@ func runWithDecomposition(ctx context.Context, st *structure.Structure, d *tree.
 	defer stage.RecoverAt(&cur, &err)
 	if err := d.Validate(st); err != nil {
 		return nil, fmt.Errorf("core: invalid decomposition: %w", err)
+	}
+	if opts.Backend == GameBackend {
+		cur = stage.NormalizeNice
+		return runGame(ctx, st, d, phi, xVar, opts, trace)
 	}
 	if err := faultinject.Check("core.normalize-tuple"); err != nil {
 		return nil, stage.Wrap(stage.NormalizeTuple, err)
@@ -178,7 +177,7 @@ func runWithDecomposition(ctx context.Context, st *structure.Structure, d *tree.
 		return nil, stage.Wrap(stage.Compile, err)
 	}
 	start = time.Now()
-	compiled, err := compileAutomatonCtx(ctx, ReductSignature(st.Sig(), phi), phi, xVar, opts)
+	compiled, err := CompileCtx(ctx, ReductSignature(st.Sig(), phi), phi, xVar, opts)
 	if err != nil {
 		return nil, stage.Wrap(stage.Compile, err)
 	}

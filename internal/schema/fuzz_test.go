@@ -6,12 +6,14 @@ import "testing"
 // survive a print/reparse round trip.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
+		"",
 		"a b -> c\nc -> b",
 		"attrs a b c\na -> b",
 		"-> a",
 		"a ->",
 		"a -> b -> c",
 		"a a -> b",
+		"a b #-> c",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -118,7 +118,9 @@ func (s *Schema) AddFDByNames(name string, lhs []string, rhs string) error {
 //	c -> b
 //
 // Each FD line lists left-hand-side attributes, "->", and a single
-// right-hand-side attribute. FDs are named f1, f2, … in order.
+// right-hand-side attribute. FDs are named f1, f2, … in order. A "%" or
+// "#" starts a comment that runs to the end of its line, so no
+// attribute name contains one and String's output parses back.
 func Parse(src string) (sch *Schema, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -127,12 +129,15 @@ func Parse(src string) (sch *Schema, err error) {
 	}()
 	s := New()
 	for lineNo, raw := range strings.Split(src, "\n") {
+		if i := strings.IndexAny(raw, "%#"); i >= 0 {
+			raw = raw[:i]
+		}
 		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "%") || strings.HasPrefix(line, "#") {
+		if line == "" {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "attrs "); ok {
-			for _, n := range strings.Fields(rest) {
+		if fields := strings.Fields(line); fields[0] == "attrs" && !strings.Contains(line, "->") {
+			for _, n := range fields[1:] {
 				s.AddAttr(n)
 			}
 			continue

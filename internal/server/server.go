@@ -317,19 +317,19 @@ func (s *Server) admit(r *http.Request) (context.Context, context.CancelFunc, er
 }
 
 // backendName resolves the request's evaluation backend: the X-Backend
-// header, falling back to the server default. The name is validated
-// against the backend registry — an unknown name is a usage error (400),
-// mirroring the X-Budget ceiling check — and returned normalized.
+// header, falling back to the server default. The name is checked by
+// core.CheckBackend — an unknown name is a usage error (400), mirroring
+// the X-Budget ceiling check — and returned normalized.
 func (s *Server) backendName(r *http.Request) (string, error) {
 	name := r.Header.Get("X-Backend")
 	if name == "" {
 		name = s.cfg.Backend
 	}
-	b, err := core.BackendByName(name)
+	b, err := core.CheckBackend(name)
 	if err != nil {
 		return "", fmt.Errorf("%w: X-Backend: %v", cli.ErrUsage, err)
 	}
-	return b.Name(), nil
+	return b, nil
 }
 
 // countBackend tallies one admitted eval/batch request per backend.

@@ -661,6 +661,10 @@ func TestBackendSelection(t *testing.T) {
 		Structures: []string{pathStructure},
 		Queries:    []BatchQuery{{Structure: 0, Formula: "~c(x)", Var: "x"}},
 	}
+	status, raw = postJSON(t, ts.URL+"/batch", breq, map[string]string{"X-Backend": "Game"})
+	if status != http.StatusBadRequest {
+		t.Fatalf("unknown backend on /batch: status %d, body %s", status, raw)
+	}
 	status, raw = postJSON(t, ts.URL+"/batch", breq, map[string]string{"X-Backend": "game"})
 	if status != http.StatusOK {
 		t.Fatalf("game batch: status %d, body %s", status, raw)
@@ -674,7 +678,7 @@ func TestBackendSelection(t *testing.T) {
 	resp.Body.Close()
 	stats := decodeInto[StatszResponse](t, raw)
 	if stats.Backends["automaton"] != 1 || stats.Backends["game"] != 2 {
-		t.Errorf("backend request counts = %v, want automaton:1 game:2 (the 400 is not admitted)", stats.Backends)
+		t.Errorf("backend request counts = %v, want automaton:1 game:2 (the 400s are not counted)", stats.Backends)
 	}
 	by := stats.SessionTotals.EvalsByBackend
 	if by["automaton"] != 1 || by["game"] != 2 {

@@ -49,9 +49,6 @@ import (
 	"sync"
 	"time"
 
-	// Register the game backend so any session user (server, CLIs,
-	// tests) can select it by name without its own import.
-	_ "repro/internal/backend/game"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/datalog"
@@ -76,7 +73,7 @@ type Trace = stage.Trace
 // cache guarantees are expressed in these counters: evaluating any
 // number of queries over an unchanged structure keeps Decompositions,
 // TupleNormalizations and TDBuilds at 1 (the latter two at 0 while only
-// non-default backends evaluate, as they read neither).
+// the game backend evaluates, as it reads neither).
 type Stats struct {
 	// Decompositions counts min-fill tree decompositions computed.
 	Decompositions int
@@ -492,6 +489,9 @@ func (s *Session) Width(ctx context.Context) (int, error) {
 // any in-flight work.
 func (s *Session) Eval(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options) (res *core.Result, err error) {
 	defer stage.RecoverTo(stage.Compile, &err)
+	if _, err := core.CheckBackend(opts.Backend); err != nil {
+		return nil, stage.Wrap(stage.Compile, err)
+	}
 	for {
 		res, err = s.eval(ctx, phi, xVar, opts)
 		if _, edited := err.(editedError); !edited {
@@ -509,11 +509,10 @@ func (editedError) Error() string { return "session: structure edited during eva
 // eval is one attempt at Eval.
 func (s *Session) eval(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options) (*core.Result, error) {
 	trace := &stage.Trace{}
-	if opts.BackendName() != core.DefaultBackend {
-		// Alternate backends evaluate lazily on the cached nice
-		// decomposition: no tuple form, τ_td, datalog compilation or
-		// program cache.
-		return s.evalBackend(ctx, phi, xVar, opts, trace)
+	if opts.Backend == core.GameBackend {
+		// The game evaluates lazily on the cached nice decomposition: no
+		// tuple form, τ_td, datalog compilation or program cache.
+		return s.evalGame(ctx, phi, xVar, opts, trace)
 	}
 	art, err := s.frontEnd(ctx, trace, true)
 	if err != nil {
@@ -580,24 +579,15 @@ func waited(st stage.Stage, err error) error {
 	return err
 }
 
-// evalBackend is Eval's path for non-default backends: it resolves the
-// named backend and feeds it the session's cached nice decomposition,
-// built from the raw decomposition alone, through the same result cache
-// as the default path. opts.RequestedWidth is checked against the nice
-// form's width before the result cache is consulted, since result-cache
-// keys do not include it. They do include the backend name (see
-// keyFor), so the same formula evaluated under different backends
-// occupies distinct entries and a backend switch can never serve
-// another backend's result.
-func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (*core.Result, error) {
-	b, err := core.BackendByName(opts.BackendName())
-	if err != nil {
-		return nil, stage.Wrap(stage.Compile, err)
-	}
-	nb, ok := b.(core.NiceBackend)
-	if !ok {
-		return nil, stage.Wrap(stage.Compile, fmt.Errorf("session: backend %q cannot evaluate on cached session artifacts", b.Name()))
-	}
+// evalGame is Eval's path for the game backend: it feeds the session's
+// cached nice decomposition, built from the raw decomposition alone, to
+// core.EvalGame through the same result cache as the default path.
+// opts.RequestedWidth is checked against the nice form's width before
+// the result cache is consulted, since result-cache keys do not include
+// it. They do include the backend name (see keyFor), so the same
+// formula evaluated under different backends occupies distinct entries
+// and a backend switch can never serve another backend's result.
+func (s *Session) evalGame(ctx context.Context, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (*core.Result, error) {
 	nice, fp, err := s.niceForm(ctx)
 	if err != nil {
 		return nil, err
@@ -606,14 +596,14 @@ func (s *Session) evalBackend(ctx context.Context, phi *mso.Formula, xVar string
 		return nil, fmt.Errorf("session: decomposition width %d does not match requested width %d", nice.Width(), *opts.RequestedWidth)
 	}
 	key := resultKey{fp: fp, progKey: keyFor(s.st.Sig(), phi, xVar, opts)}
-	return s.evalShared(ctx, key, nb.Name(), trace, func() (*resultEntry, error) {
-		return s.runEvalBackend(ctx, nb, nice, phi, xVar, opts, trace)
+	return s.evalShared(ctx, key, core.GameBackend, trace, func() (*resultEntry, error) {
+		return s.runEvalGame(ctx, nice, phi, xVar, opts, trace)
 	})
 }
 
-// runEvalBackend performs one uncached alternate-backend evaluation. A
-// panic is recovered into a stage-tagged error here.
-func (s *Session) runEvalBackend(ctx context.Context, nb core.NiceBackend, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (e *resultEntry, err error) {
+// runEvalGame performs one uncached game evaluation. A panic is
+// recovered into a stage-tagged error here.
+func (s *Session) runEvalGame(ctx context.Context, nice *tree.Decomposition, phi *mso.Formula, xVar string, opts core.Options, trace *stage.Trace) (e *resultEntry, err error) {
 	defer stage.RecoverTo(stage.Eval, &err)
 	if testHookEvalStart != nil {
 		testHookEvalStart()
@@ -621,7 +611,7 @@ func (s *Session) runEvalBackend(ctx context.Context, nb core.NiceBackend, nice 
 	if err := faultinject.Check("session.eval"); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
-	res, err := nb.EvalNiceCtx(ctx, s.st, nice, phi, xVar, opts, trace)
+	res, err := core.EvalGame(ctx, s.st, nice, phi, xVar, opts, trace)
 	if err != nil {
 		return nil, err
 	}
