@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/overload"
 	"repro/internal/server"
@@ -215,10 +216,13 @@ func percentileNS(lat []int64, p float64) int64 {
 // (sub-ms solver hits would dilute the latency EWMA and over-admit).
 // Mutate re-keys the session to the post-edit fingerprint, so the next
 // touch of the original text is a cold rebuild — deliberate churn.
-func soakOp(ctx context.Context, c *client.Client, structs []string, worker, iter int) error {
+// c sends every op on the server's default backend; game, which sends
+// X-Backend: game, carries the game-backend batch, so the game path's
+// fault points fire under the same overload.
+func soakOp(ctx context.Context, c, game *client.Client, structs []string, worker, iter int) error {
 	st := structs[(worker*31+iter)%len(structs)]
 	var err error
-	switch [8]int{0, 1, 0, 2, 0, 3, 1, 2}[iter%8] {
+	switch [8]int{0, 1, 0, 2, 0, 3, 4, 2}[iter%8] {
 	case 0: // eval: the SLO class
 		_, err = c.Eval(ctx, server.EvalRequest{Structure: st, Formula: "c(x)", Var: "x"})
 	case 1: // batch: one query, same weight class as eval
@@ -233,6 +237,11 @@ func soakOp(ctx context.Context, c *client.Client, structs []string, worker, ite
 		})
 	case 3: // solve: the fast class, deliberately rare
 		_, err = c.Solve(ctx, server.SolveRequest{Structure: st, Problem: "vcover", Mode: "optimize"})
+	case 4: // batch on the game backend: same weight class as eval
+		_, err = game.Batch(ctx, server.BatchRequest{
+			Structures: []string{st},
+			Queries:    []server.BatchQuery{{Structure: 0, Formula: "c(x)", Var: "x"}},
+		})
 	}
 	return err
 }
@@ -353,6 +362,11 @@ func Soak(ctx context.Context, clients int, dur time.Duration) (SoakResult, erro
 		c.MaxBackoff = time.Second
 		return c
 	}
+	newGameClient := func(url string, counts *soakCounts, attempts int) *client.Client {
+		c := newClient(url, counts, attempts)
+		c.Backend = core.GameBackend
+		return c
+	}
 
 	// Calibration: one sequential client, same op mix and session cap,
 	// against a throwaway server — yielding the unloaded /eval p50 the
@@ -369,6 +383,7 @@ func Soak(ctx context.Context, clients int, dur time.Duration) (SoakResult, erro
 	go func() { calDone <- server.Run(calCtx, calL, calSrv, 30*time.Second) }()
 	calCounts := &soakCounts{}
 	cal := newClient("http://"+calL.Addr().String(), calCounts, 1)
+	calGame := newGameClient("http://"+calL.Addr().String(), calCounts, 1)
 	calOps := 4 * soakStructures
 	calStart := time.Now()
 	for iter := 0; iter < calOps; iter++ {
@@ -377,7 +392,7 @@ func Soak(ctx context.Context, clients int, dur time.Duration) (SoakResult, erro
 			<-calDone
 			return res, ctx.Err()
 		}
-		_ = soakOp(ctx, cal, structs, 0, iter)
+		_ = soakOp(ctx, cal, calGame, structs, 0, iter)
 	}
 	calWall := time.Since(calStart)
 	calStop()
@@ -485,12 +500,13 @@ func Soak(ctx context.Context, clients int, dur time.Duration) (SoakResult, erro
 		go func(w int) {
 			defer wg.Done()
 			c := newClient(url, counts, 4)
+			game := newGameClient(url, counts, 4)
 			// Stagger starts across one interval so the herd offers a
 			// steady rate instead of synchronized bursts.
 			next := time.Now().Add(opInterval * time.Duration(w) / time.Duration(clients))
 			sleepUntil(ctx, next, deadline)
 			for iter := 0; time.Now().Before(deadline) && ctx.Err() == nil; iter++ {
-				err := soakOp(ctx, c, structs, w, iter)
+				err := soakOp(ctx, c, game, structs, w, iter)
 				next = next.Add(opInterval)
 				sleepUntil(ctx, next, deadline)
 				opMu.Lock()

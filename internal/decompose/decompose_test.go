@@ -294,3 +294,36 @@ func TestQuickIncrementalMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestNiceFormAllocGate gates the allocations of building a nice form
+// and its DP plan: NiceGraph, then SortedBags, on a seeded partial
+// 3-tree of 400 vertices (1,444 nice nodes), as a cold /solve builds
+// them. Allocation counts are deterministic, so the ceiling is 1.10×
+// the count measured (go1.24, linux/amd64) once bags and child lists
+// were carved from shared arrays and the plan shared the nice form's
+// bags; before that, one allocation per bag, per child list and per
+// plan bag made 25,791.
+func TestNiceFormAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race")
+	}
+	const measured = 20_548
+	g := graph.PartialKTree(400, 3, 0.3, rand.New(rand.NewSource(1)))
+	build := func() {
+		nice, err := NiceGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nice.Len() != 1444 {
+			t.Fatalf("nice form has %d nodes, want 1444", nice.Len())
+		}
+		if _, err := nice.SortedBags(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, build)
+	t.Logf("%.0f allocations per nice form and plan (ceiling %.0f)", allocs, 1.10*measured)
+	if allocs > 1.10*measured {
+		t.Fatalf("%.0f allocations per nice form and plan, ceiling %.0f", allocs, 1.10*measured)
+	}
+}

@@ -10,12 +10,12 @@ import (
 	"repro/internal/solver"
 )
 
-// TestCrossModeDominatingSet pins the three evaluation modes of the
+// TestCrossModeDominatingSet pins the evaluation modes of the
 // domination algebra against each other on random partial k-trees:
 // decision == (count > 0) == (optimization finds a feasible witness),
-// the witness dominates every vertex, and its size is the brute-force
-// optimum. (The all-vertices set always dominates, so all three must
-// be feasible.)
+// Minimum agrees with Optimize, the witness dominates every vertex, and
+// its size is the brute-force optimum. (The all-vertices set always
+// dominates, so every mode must be feasible.)
 func TestCrossModeDominatingSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	ctx := context.Background()
@@ -40,6 +40,13 @@ func TestCrossModeDominatingSet(t *testing.T) {
 		der, err := solver.Optimize(ctx, nice, prob)
 		if err != nil {
 			t.Fatal(err)
+		}
+		minimum, err := solver.Minimum(ctx, nice, prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (minimum == nil) != (der == nil) || (minimum != nil && minimum.Value != der.Value) {
+			t.Fatalf("trial %d: Minimum = %+v, Optimize = %+v", trial, minimum, der)
 		}
 		if !dec || cnt.Sign() <= 0 || der == nil {
 			t.Fatalf("trial %d: modes disagree: decide=%v count=%v optimize-feasible=%v",

@@ -131,15 +131,24 @@ func (dpb domProblem) Accept(_ int, bag []int, s uint64) bool {
 }
 
 // MinDominatingSet returns the size of a minimum dominating set of g.
+// It evaluates the tropical semiring without provenance: the size needs
+// no witness.
 func MinDominatingSet(g *graph.Graph) (int, error) {
 	if g.N() == 0 {
 		return 0, nil
 	}
-	der, err := optimize(g)
+	nice, err := decompose.NiceGraph(g)
 	if err != nil {
 		return 0, err
 	}
-	return der.Value, nil
+	opt, err := solver.Minimum(context.Background(), nice, domProblem{g})
+	if err == nil && opt == nil {
+		err = fmt.Errorf("domset: no feasible state at the root")
+	}
+	if err != nil {
+		return 0, err
+	}
+	return opt.Value, nil
 }
 
 // DominatingSet returns a minimum dominating set itself, by walking the
@@ -155,8 +164,8 @@ func DominatingSet(g *graph.Graph) ([]int, error) {
 	return der.Members(g.N(), func(s uint64, p int) bool { return width.At(s, p) == inSet })
 }
 
-// optimize runs the tropical semiring over a min-fill nice
-// decomposition of g.
+// optimize runs the tropical semiring with provenance over a min-fill
+// nice decomposition of g, for DominatingSet's witness walk.
 func optimize(g *graph.Graph) (*solver.Derivation[uint64, int], error) {
 	nice, err := decompose.NiceGraph(g)
 	if err != nil {

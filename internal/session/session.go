@@ -142,7 +142,8 @@ type Session struct {
 	// deterministic, so an unchanged structure makes a repeat of the
 	// same (formula, options) or (problem, mode) a pure cache hit:
 	// results holds the evaluated queries and solved the semiring-solver
-	// outcomes (see SolveDecide / SolveCount / SolveOptimize).
+	// outcomes (see SolveDecide / SolveCount / SolveOptimize): a bool, a
+	// count or a *solver.Optimum, never a solver table.
 	raw     *cache.Cache[uint64, decomposition]
 	tuple   *cache.Cache[uint64, *tree.Decomposition]
 	td      *cache.Cache[uint64, tauTD]
@@ -256,9 +257,10 @@ func (s *Session) invalidateLocked() int {
 }
 
 // ShedResults drops the per-session result and solver caches — the
-// memory-dominant state: full core.Results and solver outcomes — while
-// keeping the structural artifacts (decomposition, τ_td, EDB), which are
-// cheap to hold and expensive to rebuild. It returns how many cached
+// evaluated core.Results and the solver outcomes, which are scalars —
+// while keeping the structural artifacts (decompositions, τ_td, EDB).
+// Those are expensive to rebuild and, since the solver cache stopped
+// holding tables, most of a session's bytes. It returns how many cached
 // entries were released. The server's memory watchdog calls it as the
 // first shedding tier; subsequent evaluations recompute and re-populate.
 // In-flight evaluations are unaffected (their results re-enter the

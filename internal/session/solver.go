@@ -91,21 +91,27 @@ func SolveCount[S comparable](ctx context.Context, s *Session, p solver.Problem[
 	return new(big.Int).Set(n), nil
 }
 
-// SolveOptimize returns p's minimum-cost derivation over the session's
-// nice decomposition (nil if infeasible), memoized per (structure
-// fingerprint, problem, mode). The cached derivation is immutable
-// (Walk only reads), so hits share it.
-func SolveOptimize[S comparable](ctx context.Context, s *Session, p solver.Problem[S]) (*solver.Derivation[S, int], error) {
+// SolveOptimize returns p's minimum cost over the session's nice
+// decomposition (nil if infeasible), memoized per (structure
+// fingerprint, problem, mode). The cache holds the solver.Optimum
+// alone, not the tables behind it: a caller that wants an argmin
+// witness runs solver.Optimize on the nice form itself. The returned
+// Optimum is caller-owned.
+func SolveOptimize[S comparable](ctx context.Context, s *Session, p solver.Problem[S]) (*solver.Optimum, error) {
 	v, err := s.solveShared(ctx, p.Name(), solver.ModeOptimize, func(nice *tree.Decomposition) (any, error) {
-		der, err := solver.Optimize(ctx, nice, p)
+		opt, err := solver.Minimum(ctx, nice, p)
 		if err != nil {
 			return nil, err
 		}
-		return der, nil
+		return opt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	der, _ := v.(*solver.Derivation[S, int])
-	return der, nil
+	opt, _ := v.(*solver.Optimum)
+	if opt == nil {
+		return nil, nil
+	}
+	cp := *opt
+	return &cp, nil
 }

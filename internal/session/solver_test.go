@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -96,6 +97,69 @@ func TestSolverMemoization(t *testing.T) {
 	n2, err := SolveCount(ctx, s, freeSelect{})
 	if err != nil || n2.Cmp(want) != 0 {
 		t.Fatalf("cache poisoned by caller mutation: %v (%v)", n2, err)
+	}
+	// So is the optimum.
+	opt, _ := SolveOptimize(ctx, s, freeSelect{})
+	opt.Value = -1
+	opt2, err := SolveOptimize(ctx, s, freeSelect{})
+	if err != nil || opt2 == nil || opt2.Value != 0 {
+		t.Fatalf("optimum cache poisoned by caller mutation: %+v (%v)", opt2, err)
+	}
+}
+
+// noneAccepted is freeSelect with no accepting root state: every mode
+// finds it infeasible.
+type noneAccepted struct{ freeSelect }
+
+func (noneAccepted) Name() string                   { return "none-accepted" }
+func (noneAccepted) Accept(int, []int, uint64) bool { return false }
+
+// TestSolverCacheHoldsOptimumOnly pins what an optimize entry keeps
+// resident: a *solver.Optimum, whose type reaches no slice, map or
+// further pointer, so no solver table or derivation survives the
+// solve. A feasible and an infeasible problem are both checked, and
+// the infeasible one answers nil from the solve and from the cache.
+func TestSolverCacheHoldsOptimumOnly(t *testing.T) {
+	st := randColored(rand.New(rand.NewSource(67)), 9)
+	s := NewWithCache(st, NewProgramCache())
+	ctx := context.Background()
+
+	for i := 0; i < 2; i++ {
+		opt, err := SolveOptimize(ctx, s, freeSelect{})
+		if err != nil || opt == nil || opt.Value != 0 {
+			t.Fatalf("feasible optimize #%d: %+v, %v", i, opt, err)
+		}
+		none, err := SolveOptimize(ctx, s, noneAccepted{})
+		if err != nil || none != nil {
+			t.Fatalf("infeasible optimize #%d: %+v, %v; want nil", i, none, err)
+		}
+	}
+	if _, err := SolveCount(ctx, s, freeSelect{}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, fp, err := s.niceForm(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{freeSelect{}.Name(), noneAccepted{}.Name()} {
+		v, ok := s.solved.Peek(solverKey{fp: fp, problem: name, mode: solver.ModeOptimize})
+		if !ok {
+			t.Fatalf("%s: no cached optimize entry", name)
+		}
+		if _, isOpt := v.(*solver.Optimum); !isOpt {
+			t.Fatalf("%s: cached optimize entry is %T, want *solver.Optimum", name, v)
+		}
+	}
+	optimumType := reflect.TypeOf(solver.Optimum{})
+	for i := 0; i < optimumType.NumField(); i++ {
+		switch f := optimumType.Field(i); f.Type.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Array:
+			t.Errorf("solver.Optimum field %s has kind %v: a cached optimum must hold no table", f.Name, f.Type.Kind())
+		}
+	}
+	if got := s.solved.Len(); got != 3 {
+		t.Errorf("solver cache holds %d entries, want 3 (two optimize, one count)", got)
 	}
 }
 

@@ -60,7 +60,7 @@ func (t Table[S, V]) Value(s S) (V, bool) {
 }
 
 // Prov returns the preferred provenance of a state. Tables evaluated
-// without provenance tracking (Decide, Count) report false.
+// without provenance tracking (Decide, Count, Minimum) report false.
 func (t Table[S, V]) Prov(s S) (Prov, bool) {
 	i, ok := t.index[s]
 	if !ok || int(i) >= len(t.Provs) {
@@ -82,7 +82,7 @@ func (t *Table[S, V]) add(r Semiring[V], s S, v V, p Prov) {
 	if i, ok := t.index[s]; ok {
 		nv, replace := r.Plus(t.Vals[i], v)
 		t.Vals[i] = nv
-		if replace {
+		if replace && t.Provs != nil {
 			t.Provs[i] = p
 		}
 		return
@@ -90,7 +90,7 @@ func (t *Table[S, V]) add(r Semiring[V], s S, v V, p Prov) {
 	t.index[s] = int32(len(t.Order))
 	t.Order = append(t.Order, s)
 	t.Vals = append(t.Vals, v)
-	if t.Provs != nil { // nil when the run skips provenance (Decide, Count)
+	if t.Provs != nil { // nil when the run skips provenance (Decide, Count, Minimum)
 		t.Provs = append(t.Provs, p)
 	}
 }
@@ -117,8 +117,8 @@ func Up[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Probl
 }
 
 // upWith is Up with provenance tracking optional: the scalar front-ends
-// (Decide, Count) never read Provs, so they skip allocating and filling
-// one slice per node.
+// (Decide, Count, Minimum) never read Provs, so they skip allocating
+// and filling one slice per node.
 func upWith[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Problem[S], r Semiring[V], trackProv bool) (Tables[S, V], error) {
 	bags, err := d.SortedBags()
 	if err != nil {

@@ -40,7 +40,7 @@ type Problem[S comparable] interface {
 	// subtrees both counted for the shared bag.
 	Join(dst []Out[S], node int, bag []int, s1, s2 S) []Out[S]
 	// Accept reports whether a root state represents a full solution.
-	// The mode front-ends (Decide, Count, Optimize) quantify over
-	// accepting root states only.
+	// The mode front-ends (Decide, Count, Minimum, Optimize) quantify
+	// over accepting root states only.
 	Accept(node int, bag []int, s S) bool
 }

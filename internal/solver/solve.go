@@ -19,7 +19,8 @@ const (
 	ModeDecide Mode = "decide"
 	// ModeCount asks for the exact number of solutions.
 	ModeCount Mode = "count"
-	// ModeOptimize asks for the minimum cost and an argmin witness.
+	// ModeOptimize asks for the minimum cost; Optimize adds an argmin
+	// witness, Minimum does not.
 	ModeOptimize Mode = "optimize"
 )
 
@@ -89,6 +90,30 @@ func Count[S comparable](ctx context.Context, d *tree.Decomposition, p Problem[S
 	return total, nil
 }
 
+// Optimum is the value of a minimum-cost solution without its
+// derivation: what Minimum returns, and all an optimization query
+// needs when no witness is asked for.
+type Optimum struct {
+	Value int
+}
+
+// Minimum returns the minimum cost of a solution, or nil if no
+// accepting root state is derivable (the problem is infeasible). It is
+// to Optimize what Decide is to Witness: the same tropical evaluation,
+// without provenance, so the tables can be dropped as soon as the root
+// is scanned.
+func Minimum[S comparable](ctx context.Context, d *tree.Decomposition, p Problem[S]) (*Optimum, error) {
+	tables, err := upWith(ctx, d, p, MinCost{}, false)
+	if err != nil {
+		return nil, err
+	}
+	best, err := bestRoot(d, p, tables)
+	if err != nil || best < 0 {
+		return nil, err
+	}
+	return &Optimum{Value: tables[d.Root].Vals[best]}, nil
+}
+
 // Optimize returns a minimum-cost solution: the tropical semiring's
 // value at the best accepting root state, with a walkable argmin
 // derivation. It returns nil if no accepting root state is derivable
@@ -100,9 +125,21 @@ func Optimize[S comparable](ctx context.Context, d *tree.Decomposition, p Proble
 	if err != nil {
 		return nil, err
 	}
+	best, err := bestRoot(d, p, tables)
+	if err != nil || best < 0 {
+		return nil, err
+	}
+	rt := &tables[d.Root]
+	return &Derivation[S, int]{Root: rt.Order[best], Value: rt.Vals[best], d: d, tables: tables}, nil
+}
+
+// bestRoot returns the position in the root table's Order of the
+// cheapest accepting state — the earliest on ties — or -1 if no root
+// state is accepting.
+func bestRoot[S comparable](d *tree.Decomposition, p Problem[S], tables Tables[S, int]) (int, error) {
 	bags, err := d.SortedBags()
 	if err != nil {
-		return nil, stage.Wrap(stage.Solver, err)
+		return -1, stage.Wrap(stage.Solver, err)
 	}
 	root, rootBag := d.Root, bags[d.Root]
 	rt := &tables[root]
@@ -115,10 +152,7 @@ func Optimize[S comparable](ctx context.Context, d *tree.Decomposition, p Proble
 			best = i
 		}
 	}
-	if best < 0 {
-		return nil, nil
-	}
-	return &Derivation[S, int]{Root: rt.Order[best], Value: rt.Vals[best], d: d, tables: tables}, nil
+	return best, nil
 }
 
 // Derivation is one complete derivation tree rooted at an accepting

@@ -120,10 +120,11 @@ func niceTC(t *testing.T, g *graph.Graph, guard bool) *tree.Decomposition {
 	return nice
 }
 
-// TestSolverDifferentialBruteForce compares all three evaluation modes
-// of the semiring engine against exhaustive enumeration on random
-// partial k-trees, and walks the optimization witness back to a
-// concrete coloring that must be proper and match the reported cost.
+// TestSolverDifferentialBruteForce compares the evaluation modes of the
+// semiring engine against exhaustive enumeration on random partial
+// k-trees (Minimum against Optimize, including on the infeasible
+// trials), and walks the optimization witness back to a concrete
+// coloring that must be proper and match the reported cost.
 // Alternating BranchGuard covers the copy-node path.
 func TestSolverDifferentialBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -156,6 +157,13 @@ func TestSolverDifferentialBruteForce(t *testing.T) {
 		opt, err := solver.Optimize(ctx, nice, p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		minimum, err := solver.Minimum(ctx, nice, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (minimum == nil) != (opt == nil) || (minimum != nil && minimum.Value != opt.Value) {
+			t.Fatalf("trial %d: Minimum = %+v, Optimize = %+v", trial, minimum, opt)
 		}
 		if wantCount == 0 {
 			if opt != nil {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/solver"
 )
 
-// TestCrossModeColoring pins the three evaluation modes of the
-// coloring algebra against each other on random partial k-trees:
-// decision == (count > 0) == (optimization finds a feasible witness),
-// and the witness is a proper coloring.
+// TestCrossModeColoring pins the evaluation modes of the coloring
+// algebra against each other on random partial k-trees: decision ==
+// (count > 0) == (optimization finds a feasible witness), Minimum
+// agrees with Optimize, and the witness is a proper coloring.
 func TestCrossModeColoring(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ctx := context.Background()
@@ -37,6 +37,13 @@ func TestCrossModeColoring(t *testing.T) {
 		der, err := solver.Optimize(ctx, nice, cp)
 		if err != nil {
 			t.Fatal(err)
+		}
+		minimum, err := solver.Minimum(ctx, nice, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (minimum == nil) != (der == nil) || (minimum != nil && minimum.Value != der.Value) {
+			t.Fatalf("trial %d: Minimum = %+v, Optimize = %+v", trial, minimum, der)
 		}
 		if dec != (cnt.Sign() > 0) || dec != (der != nil) {
 			t.Fatalf("trial %d: modes disagree: decide=%v count=%v optimize-feasible=%v",

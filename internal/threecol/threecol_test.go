@@ -1,12 +1,17 @@
 package threecol
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/mso"
+	"repro/internal/solver"
+	"repro/internal/stage"
 	"repro/internal/tree"
 )
 
@@ -181,5 +186,42 @@ func TestQuickAgainstMSO(t *testing.T) {
 func TestFigure5Constant(t *testing.T) {
 	if len(Figure5) == 0 {
 		t.Fatal("Figure5 program text missing")
+	}
+}
+
+// TestFigure5TableEntriesLinear states the complexity claim behind
+// Fig. 5 (E5) as an exact count rather than a timing: a nice node's
+// decision table holds at most one state per 3-coloring of its bag, so
+// at most 3^(w+1) entries for a nice form of width w, and over seeded
+// partial 2-trees of doubling size the entries per vertex stay flat.
+// The entries are the budget's table-entry tally for solver.Decide,
+// which is deterministic. (Seed 5 reads 6.4–8.0 entries per node at
+// w = 3, and 19.6–26.3 per vertex.)
+func TestFigure5TableEntriesLinear(t *testing.T) {
+	var perVertex []float64
+	for _, n := range []int{50, 100, 200, 400, 800} {
+		g := graph.PartialKTree(n, 2, 0.3, rand.New(rand.NewSource(5)))
+		nice, err := niceFor(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The budget tallies table entries only under a positive cap.
+		b := &stage.Budget{MaxTableEntries: 1 << 40}
+		if _, err := solver.Decide(stage.WithBudget(context.Background(), b), nice, newColorProblem(g, 3)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, entries := b.Used()
+		w := nice.Width()
+		bound := math.Pow(3, float64(w+1))
+		perNode := float64(entries) / float64(nice.Len())
+		t.Logf("n=%d: width %d, %d nice nodes, %d entries: %.2f per node, %.2f per vertex",
+			n, w, nice.Len(), entries, perNode, float64(entries)/float64(n))
+		if perNode > bound {
+			t.Errorf("n=%d: %.2f entries per nice node exceed 3^(w+1) = %.0f", n, perNode, bound)
+		}
+		perVertex = append(perVertex, float64(entries)/float64(n))
+	}
+	if lo, hi := slices.Min(perVertex), slices.Max(perVertex); hi > 2*lo {
+		t.Errorf("entries per vertex range over %.2f–%.2f across sizes, more than a factor of 2", lo, hi)
 	}
 }

@@ -155,8 +155,8 @@ func (d *Decomposition) insertAbove(v int, bag []int, kind Kind, elem int) int {
 	p := d.Nodes[v].Parent
 	id := len(d.Nodes)
 	d.Nodes = append(d.Nodes, Node{
-		Bag:      append([]int(nil), bag...),
-		Children: []int{v},
+		Bag:      d.carve(bag),
+		Children: d.carve([]int{v}),
 		Parent:   p,
 		Kind:     kind,
 		Elem:     elem,

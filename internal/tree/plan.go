@@ -2,6 +2,7 @@ package tree
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,15 +11,15 @@ import (
 )
 
 // plan is the precomputation shared by every SortedBags and Schedule
-// call on one nice decomposition: the CheckNice verdict, one sorted copy
-// of every bag, the post-order, and the chain schedule driving the
+// call on one nice decomposition: the CheckNice verdict, every bag in
+// sorted order, the post-order, and the chain schedule driving the
 // worker pool. It is built on first use and kept on the decomposition it
 // describes, so a decide-then-witness pair, an Up-then-Down pass and
 // repeated probes of one form share it, and it is collected with the
 // form. It holds no pointer back to the decomposition.
 type plan struct {
 	niceErr error
-	bags    [][]int // node → sorted bag
+	bags    [][]int // node → sorted bag: the node's own Bag when sorted
 	post    []int   // children before parents
 
 	// Chain schedule: a chain is a maximal path of unary (introduce /
@@ -60,7 +61,13 @@ func buildPlan(d *Decomposition) *plan {
 	n := d.Len()
 	p.bags = make([][]int, n)
 	for v := 0; v < n; v++ {
-		p.bags[v] = sortedBag(d.Nodes[v].Bag)
+		// NormalizeNice keeps every bag sorted, so its forms share their
+		// bags with the plan; only a hand-built form pays for copies.
+		if bag := d.Nodes[v].Bag; slices.IsSorted(bag) {
+			p.bags[v] = bag
+		} else {
+			p.bags[v] = sortedBag(bag)
+		}
 	}
 	p.post = d.PostOrder()
 
@@ -104,11 +111,12 @@ func buildPlan(d *Decomposition) *plan {
 	return p
 }
 
-// SortedBags returns one sorted copy of every bag of a nice
-// decomposition, indexed by node ID. It fails with the CheckNice verdict
-// if d is not in the nice normal form. Callers must treat the returned
-// slices as immutable: every caller of SortedBags and Schedule on d
-// shares them.
+// SortedBags returns every bag of a nice decomposition in sorted order,
+// indexed by node ID: the node's own Bag when it is sorted, as
+// NormalizeNice's always are, and a sorted copy otherwise. It fails with
+// the CheckNice verdict if d is not in the nice normal form. Callers
+// must treat the returned slices as immutable: they are d's own bags,
+// and every caller of SortedBags and Schedule on d shares them.
 func (d *Decomposition) SortedBags() ([][]int, error) {
 	p := d.planFor()
 	if p.niceErr != nil {

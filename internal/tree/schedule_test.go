@@ -146,7 +146,7 @@ func TestScheduleDependencyOrder(t *testing.T) {
 	}
 }
 
-// TestBagsSortedAndChecked pins the SortedBags contract: sorted copies
+// TestBagsSortedAndChecked pins the SortedBags contract: sorted bags
 // for a nice decomposition, the CheckNice verdict for a raw one.
 func TestBagsSortedAndChecked(t *testing.T) {
 	g := graph.Cycle(6)

@@ -58,6 +58,12 @@ type Node struct {
 	// Bag lists the elements of the node's bag. In the tuple normal form
 	// the order is significant (the bag is a tuple of pairwise distinct
 	// elements); in raw and nice decompositions it is kept sorted.
+	//
+	// AddNode, Clone and the normal forms carve Bag and Children out of
+	// an array the decomposition's nodes share, each with its capacity
+	// cut at its length. An append to either therefore reallocates
+	// instead of overwriting the next node's slice, and a write to an
+	// element changes this node alone.
 	Bag []int
 	// Children lists child node IDs; order is significant (child1/child2).
 	Children []int
@@ -79,7 +85,34 @@ type Decomposition struct {
 	Nodes []Node
 	Root  int
 
+	// ints is the array that carve cuts bags and child lists from: its
+	// length is what the nodes hold, its capacity the unused tail.
+	ints []int
+
 	plan atomic.Pointer[plan]
+}
+
+// Chunk sizes of the carving array. A decomposition's first chunk
+// holds minChunk ints and each later one twice its predecessor, up to
+// maxChunk: a small decomposition keeps a small tail, and a large one
+// allocates once per maxChunk ints instead of twice per node.
+const (
+	minChunk = 32
+	maxChunk = 4096
+)
+
+// carve copies xs to the end of d's carving array and returns the copy
+// with its capacity cut at its length, or nil when xs is empty.
+func (d *Decomposition) carve(xs []int) []int {
+	if len(xs) == 0 {
+		return nil
+	}
+	if cap(d.ints)-len(d.ints) < len(xs) {
+		d.ints = make([]int, 0, max(min(2*cap(d.ints), maxChunk), minChunk, len(xs)))
+	}
+	i := len(d.ints)
+	d.ints = append(d.ints, xs...)
+	return d.ints[i:len(d.ints):len(d.ints)]
 }
 
 // New returns an empty decomposition with no nodes and an unset root.
@@ -89,12 +122,13 @@ func New() *Decomposition {
 
 // AddNode appends a node with the given bag and (already added) children
 // and returns its ID. Parent pointers of the children are set. The bag
-// slice is copied.
+// and the child list are copied into d's carving array (see Node.Bag):
+// the node shares no memory with the caller's slices.
 func (d *Decomposition) AddNode(bag []int, children ...int) int {
 	id := len(d.Nodes)
 	n := Node{
-		Bag:      append([]int(nil), bag...),
-		Children: append([]int(nil), children...),
+		Bag:      d.carve(bag),
+		Children: d.carve(children),
 		Parent:   -1,
 		Elem:     -1,
 	}
@@ -355,13 +389,19 @@ func (d *Decomposition) ValidateGraph(g *graph.Graph) error {
 	return d.checkConnectedness(d.bagSets())
 }
 
-// Clone returns a deep copy of the decomposition, without its plan.
+// Clone returns a deep copy of the decomposition, without its plan. Its
+// bags and child lists are carved from one array of the exact size.
 func (d *Decomposition) Clone() *Decomposition {
 	c := &Decomposition{Root: d.Root, Nodes: make([]Node, len(d.Nodes))}
+	total := 0
+	for i := range d.Nodes {
+		total += len(d.Nodes[i].Bag) + len(d.Nodes[i].Children)
+	}
+	c.ints = make([]int, 0, total)
 	for i, n := range d.Nodes {
 		c.Nodes[i] = Node{
-			Bag:      append([]int(nil), n.Bag...),
-			Children: append([]int(nil), n.Children...),
+			Bag:      c.carve(n.Bag),
+			Children: c.carve(n.Children),
 			Parent:   n.Parent,
 			Kind:     n.Kind,
 			Elem:     n.Elem,

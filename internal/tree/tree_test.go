@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -304,6 +305,101 @@ func TestFormat(t *testing.T) {
 	if strings.Count(out, "\n") != d.Len() {
 		t.Fatalf("Format line count = %d, want %d", strings.Count(out, "\n"), d.Len())
 	}
+}
+
+// TestPlanSharesNiceBags pins that the DP plan of a nice form holds the
+// nodes' own bags rather than copies (NormalizeNice keeps them sorted),
+// and that it copies and sorts a bag only when one is out of order.
+func TestPlanSharesNiceBags(t *testing.T) {
+	st := exampleStructure(t)
+	nice, err := NormalizeNice(exampleDecomposition(t, st), NiceOptions{LeafElems: st.DomSet(), BranchGuard: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bags, err := nice.SortedBags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, bag := range bags {
+		own := nice.Nodes[v].Bag
+		if len(bag) != len(own) || len(bag) > 0 && &bag[0] != &own[0] {
+			t.Fatalf("plan bag of node %d is a copy, not the node's own bag", v)
+		}
+	}
+
+	// A hand-built nice form whose leaf bag is out of order: the plan
+	// sorts a copy and leaves the node's bag as it was.
+	d := New()
+	leaf := d.AddNode([]int{2, 1})
+	d.Nodes[leaf].Kind = KindLeaf
+	top := d.AddNode([]int{1}, leaf)
+	d.Nodes[top].Kind, d.Nodes[top].Elem = KindForget, 2
+	d.SetRoot(top)
+	bags, err = d.SortedBags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bags[leaf]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("plan bag of the unsorted leaf = %v, want [1 2]", got)
+	}
+	if got := d.Nodes[leaf].Bag; got[0] != 2 || got[1] != 1 {
+		t.Fatalf("planning reordered the node's own bag: %v", got)
+	}
+	if &bags[top][0] != &d.Nodes[top].Bag[0] {
+		t.Fatal("plan copied the sorted bag of the forget node")
+	}
+}
+
+// TestCarvedAppendReallocates pins the carving contract of Node.Bag:
+// the bags and child lists of neighbouring nodes share one array, so an
+// append to a node's Bag or Children must reallocate rather than write
+// over the slice carved next (NormalizeNice appends to Children when it
+// attaches a leaf). It checks the three carvers: AddNode, Clone and
+// insertAbove.
+func TestCarvedAppendReallocates(t *testing.T) {
+	d := New()
+	a := d.AddNode([]int{1, 2})
+	b := d.AddNode([]int{3, 4}, a)
+	c := d.AddNode([]int{5, 6})
+	root := d.AddNode([]int{7}, b, c)
+	d.SetRoot(root)
+
+	check := func(name string, d *Decomposition) {
+		t.Helper()
+		want := [][]int{{1, 2}, {3, 4}, {5, 6}, {7}}
+		// Carving order is bag, then children, node by node: b's bag is
+		// followed by b's child list, which is followed by c's bag.
+		d.Nodes[b].Bag = append(d.Nodes[b].Bag, 99)
+		d.Nodes[b].Children = append(d.Nodes[b].Children, 98)
+		d.Nodes[a].Bag = append(d.Nodes[a].Bag, 97)
+		if got := d.Nodes[b].Children; len(got) != 2 || got[0] != a || got[1] != 98 {
+			t.Fatalf("%s: children of b = %v after appends, want [%d 98]", name, got, a)
+		}
+		for v, w := range want {
+			got := d.Nodes[v].Bag
+			if v == a || v == b {
+				got = got[:len(got)-1]
+			}
+			if !slices.Equal(got, w) {
+				t.Fatalf("%s: bag of node %d = %v after appends to its neighbours, want %v", name, v, d.Nodes[v].Bag, w)
+			}
+		}
+	}
+	clone := d.Clone()
+	// The copy's child list is the last carved slice, so an append that
+	// wrote in place would land in the array's free tail, where the
+	// next AddNode carves its bag.
+	copyID := d.insertAbove(c, d.Nodes[c].Bag, KindCopy, -1)
+	d.Nodes[copyID].Children = append(d.Nodes[copyID].Children, 96)
+	next := d.AddNode([]int{8, 9})
+	if got := d.Nodes[copyID].Children; !slices.Equal(got, []int{c, 96}) {
+		t.Fatalf("insertAbove: children of the copy = %v after the next AddNode, want [%d 96]", got, c)
+	}
+	if got := d.Nodes[next].Bag; !slices.Equal(got, []int{8, 9}) {
+		t.Fatalf("AddNode after insertAbove: bag = %v, want [8 9]", got)
+	}
+	check("AddNode", d)
+	check("Clone", clone)
 }
 
 // Property: normalizing a heuristic decomposition of a random structure

@@ -10,12 +10,13 @@ import (
 	"repro/internal/solver"
 )
 
-// TestCrossModeVertexCover pins the three evaluation modes of the
-// cover algebra against each other on random partial k-trees:
-// decision == (count > 0) == (optimization finds a feasible witness),
-// the witness covers every edge, and its size is the brute-force
-// optimum. (A full cover always exists, so all three must be
-// feasible — the interesting content is the witness and the optimum.)
+// TestCrossModeVertexCover pins the evaluation modes of the cover
+// algebra against each other on random partial k-trees: decision ==
+// (count > 0) == (optimization finds a feasible witness), Minimum
+// agrees with Optimize, the witness covers every edge, and its size is
+// the brute-force optimum. (A full cover always exists, so every mode
+// must be feasible — the interesting content is the witness and the
+// optimum.)
 func TestCrossModeVertexCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ctx := context.Background()
@@ -40,6 +41,13 @@ func TestCrossModeVertexCover(t *testing.T) {
 		der, err := solver.Optimize(ctx, nice, cp)
 		if err != nil {
 			t.Fatal(err)
+		}
+		minimum, err := solver.Minimum(ctx, nice, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (minimum == nil) != (der == nil) || (minimum != nil && minimum.Value != der.Value) {
+			t.Fatalf("trial %d: Minimum = %+v, Optimize = %+v", trial, minimum, der)
 		}
 		if !dec || cnt.Sign() <= 0 || der == nil {
 			t.Fatalf("trial %d: modes disagree: decide=%v count=%v optimize-feasible=%v",

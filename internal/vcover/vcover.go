@@ -99,13 +99,22 @@ func (cp coverProblem) Join(dst []solver.Out[uint64], _ int, bag []int, s1, s2 u
 // every surviving root state is a full cover.
 func (cp coverProblem) Accept(int, []int, uint64) bool { return true }
 
-// MinVertexCover returns the size of a minimum vertex cover of g.
+// MinVertexCover returns the size of a minimum vertex cover of g. It
+// evaluates the tropical semiring without provenance: the size needs
+// no witness.
 func MinVertexCover(g *graph.Graph) (int, error) {
-	der, err := optimize(g)
+	nice, err := decompose.NiceGraph(g)
 	if err != nil {
 		return 0, err
 	}
-	return der.Value, nil
+	opt, err := solver.Minimum(context.Background(), nice, coverProblem{g})
+	if err == nil && opt == nil {
+		err = fmt.Errorf("vcover: no feasible state at the root")
+	}
+	if err != nil {
+		return 0, err
+	}
+	return opt.Value, nil
 }
 
 // CoverSet returns a minimum vertex cover itself, by walking the argmin
@@ -118,8 +127,8 @@ func CoverSet(g *graph.Graph) ([]int, error) {
 	return der.Members(g.N(), func(s uint64, p int) bool { return width.At(s, p) == 1 })
 }
 
-// optimize runs the tropical semiring over a min-fill nice
-// decomposition of g.
+// optimize runs the tropical semiring with provenance over a min-fill
+// nice decomposition of g, for CoverSet's witness walk.
 func optimize(g *graph.Graph) (*solver.Derivation[uint64, int], error) {
 	nice, err := decompose.NiceGraph(g)
 	if err != nil {

@@ -137,16 +137,29 @@ func problemFor(g *graph.Graph, weights []int) (wisProblem, error) {
 // g. weights[v] is the weight of vertex v; nil means unit weights (so
 // the result is the maximum independent set size). Negative weights
 // are allowed — such vertices are simply never worth selecting, and
-// the empty set (weight 0) is always available.
+// the empty set (weight 0) is always available. The weight needs no
+// witness, so the tropical semiring runs without provenance.
 func MaxWeight(g *graph.Graph, weights []int) (int, error) {
 	if g.N() == 0 {
 		return 0, nil
 	}
-	der, err := solve(g, weights)
+	p, err := problemFor(g, weights)
 	if err != nil {
 		return 0, err
 	}
-	return -der.Value, nil
+	nice, err := decompose.NiceGraph(g)
+	if err != nil {
+		return 0, err
+	}
+	opt, err := solver.Minimum(context.Background(), nice, p)
+	if err != nil {
+		return 0, err
+	}
+	if opt == nil {
+		// Unreachable: the all-unselected state survives every node.
+		return 0, fmt.Errorf("wis: no feasible state at the root")
+	}
+	return -opt.Value, nil
 }
 
 // MaxWeightSet returns a maximum-weight independent set itself, by
@@ -180,6 +193,8 @@ func CountSets(g *graph.Graph) (*big.Int, error) {
 	return solver.Count(context.Background(), nice, p)
 }
 
+// solve runs the tropical semiring with provenance over a min-fill nice
+// decomposition of g, for MaxWeightSet's witness walk.
 func solve(g *graph.Graph, weights []int) (*solver.Derivation[uint64, int], error) {
 	p, err := problemFor(g, weights)
 	if err != nil {
