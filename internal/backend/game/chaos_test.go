@@ -119,3 +119,51 @@ func TestChaosGameFaultPoints(t *testing.T) {
 		})
 	}
 }
+
+// TestGameMemoOncePerPosition pins that the game.memo fault point fires
+// once per new position and at no lookup that finds one: on the seed-40
+// tree of TestGamePositionsPinned, whose cold-dp query interns 806
+// positions, failing the 806th check fails the evaluation, and failing
+// only the 807th leaves it to finish with 806 positions and the
+// uninjected answer.
+func TestGameMemoOncePerPosition(t *testing.T) {
+	defer faultinject.Reset()
+	st := coloredKTree(40, 2, rand.New(rand.NewSource(40)))
+	phi := mso.MustParse(coldDPFormula)
+	run := func() (*core.Result, int64, error) {
+		b := &stage.Budget{MaxGamePositions: 1 << 30}
+		opts := core.Options{Backend: core.GameBackend}
+		res, err := core.RunCtx(stage.WithBudget(context.Background(), b), st, phi, "x", opts)
+		return res, b.GamePositionsUsed(), err
+	}
+
+	faultinject.Reset()
+	want, positions, err := run()
+	if err != nil {
+		t.Fatalf("uninjected run: %v", err)
+	}
+	if positions != 806 {
+		t.Fatalf("uninjected run interned %d positions, want 806", positions)
+	}
+
+	faultinject.Reset()
+	faultinject.FailAt("game.memo", 806)
+	if _, _, err := run(); err == nil {
+		t.Fatal("a fault at the 806th game.memo check did not surface")
+	} else if got := stage.Of(err); got != stage.Game {
+		t.Fatalf("fault tagged stage %q, want %q", got, stage.Game)
+	}
+
+	faultinject.Reset()
+	faultinject.FailAt("game.memo", 807)
+	res, positions, err := run()
+	if err != nil {
+		t.Fatalf("a fault at the 807th game.memo check surfaced: %v", err)
+	}
+	if positions != 806 {
+		t.Fatalf("%d positions with the 807th check armed, want 806", positions)
+	}
+	if !res.Selected.Equal(want.Selected) {
+		t.Fatal("answer with the 807th check armed diverged from the uninjected answer")
+	}
+}

@@ -3,9 +3,7 @@ package game
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/mso"
@@ -14,10 +12,10 @@ import (
 	"repro/internal/tree"
 )
 
-// evaluator holds the shared state of one game evaluation: the interned
-// behavior table plus every memo layer. All tables are shared by the
-// bottom-up pass, the top-down pass and every element's selection, so
-// each behavior is built once however many of them reach it.
+// evaluator holds the shared state of one game evaluation: the intern
+// tables plus every memo layer. All tables are shared by the bottom-up
+// pass, the top-down pass and every element's selection, so each
+// behavior is built once however many of them reach it.
 type evaluator struct {
 	ctx    context.Context
 	st     *structure.Structure
@@ -32,20 +30,48 @@ type evaluator struct {
 	// build them.
 	setMoves bool
 
-	nodes []*behavior    // interned behaviors by id
-	ids   map[string]int // canonical serialization → id
+	// The intern tables: positions by (rank, atomic id, child ids),
+	// atomic layers by value, and compose's position maps and eval's
+	// bindings, flattened to ints, to key the memos.
+	nodes   []*behavior // interned positions by id
+	posIDs  chains
+	atoms   []*atomic // interned atomic layers by id
+	atomIDs chains
+	maps    seqs // per posPair: x, then y
+	envs    seqs // per binding slot: a tuple position or set index, -1 if unbound
 
-	directMemo  map[string]int
-	composeMemo map[string]int
+	// The memos. Every key is fixed-size, so a hit allocates nothing.
+	directMemo  map[[2]int]int // (rank, atomic id)
+	composeMemo map[[3]int]int // (x, y, position map id)
 	truncMemo   map[int]int
-	projMemo    map[[2]int]int
+	projMemo    map[[2]int]int // (position, tuple index)
+	evalMemo    map[evalKey]bool
 
-	up       []bagBehavior // per decomposition node: its subtree's behavior
-	evalMemo map[evalKey]bool
-	fidx     map[*mso.Formula]int
+	up     []bagBehavior // per decomposition node: its subtree's behavior
+	fnodes map[*mso.Formula]fnode
+	slots  map[string]int // variable name → binding slot
 
-	steps   int
-	scratch []byte
+	// Scratch, reused by every call. A candidate's atomic layer is
+	// computed into atab/arels/amems and interned before any recursive
+	// call (layer). What must survive a recursive call lives on a stack
+	// instead: each call pushes above the length it found and truncates
+	// back to it on return. stack holds child ids and direct's child
+	// tuples, masks direct's child set masks, and pairs the position
+	// maps of compose's children and of extend and glue. An error
+	// abandons the evaluator, so error paths leave the stacks as they
+	// are.
+	atab   []bool
+	arels  [][]bool
+	amems  []uint64
+	idx    []int // odometer digits, max arity long
+	args   []int // one relation tuple, max arity long
+	keyBuf []int // a position map or binding being interned
+	stack  []int
+	masks  []uint64
+	pairs  []posPair
+	chunk  []int // what take hands out: child lists and bag tuples
+
+	steps int
 }
 
 // bagBehavior is a behavior whose distinguished tuple is one node's
@@ -55,13 +81,21 @@ type bagBehavior struct {
 	elems []int // must not be modified
 }
 
-type evalKey struct {
-	id  int
-	f   int
-	env string
+// evalKey is a game-position memo key: (position, subformula, binding).
+type evalKey struct{ id, f, env int }
+
+// fnode is what eval needs of one subformula, resolved by indexFormula.
+type fnode struct {
+	idx   int   // the subformula's index in evalMemo keys
+	slots []int // KAtom: one per argument; KEq, KIn: X's, then Y's; quantifiers: the bound variable's
 }
 
 func newEvaluator(ctx context.Context, st *structure.Structure, nice *tree.Decomposition, q int) *evaluator {
+	preds := st.Sig().Predicates()
+	arity := 0
+	for _, p := range preds {
+		arity = max(arity, p.Arity)
+	}
 	return &evaluator{
 		ctx:         ctx,
 		st:          st,
@@ -69,29 +103,72 @@ func newEvaluator(ctx context.Context, st *structure.Structure, nice *tree.Decom
 		q:           q,
 		budget:      stage.BudgetFrom(ctx),
 		sig:         st.Sig(),
-		preds:       st.Sig().Predicates(),
-		ids:         map[string]int{},
-		directMemo:  map[string]int{},
-		composeMemo: map[string]int{},
+		preds:       preds,
+		directMemo:  map[[2]int]int{},
+		composeMemo: map[[3]int]int{},
 		truncMemo:   map[int]int{},
 		projMemo:    map[[2]int]int{},
 		evalMemo:    map[evalKey]bool{},
-		fidx:        map[*mso.Formula]int{},
-		scratch:     make([]byte, 0, 256),
+		fnodes:      map[*mso.Formula]fnode{},
+		slots:       map[string]int{},
+		arels:       make([][]bool, len(preds)),
+		idx:         make([]int, arity),
+		args:        make([]int, arity),
 	}
 }
 
+// indexFormula gives every subformula of f its memo index and binding
+// slots. It runs before the first binding is interned, since bindings
+// have one slot per variable name.
 func (e *evaluator) indexFormula(f *mso.Formula) {
-	if _, ok := e.fidx[f]; ok {
+	if _, ok := e.fnodes[f]; ok {
 		return
 	}
-	e.fidx[f] = len(e.fidx)
-	if f.Kind == mso.KExistsS || f.Kind == mso.KForallS {
+	fn := fnode{idx: len(e.fnodes)}
+	switch f.Kind {
+	case mso.KAtom:
+		for _, a := range f.Args {
+			fn.slots = append(fn.slots, e.slot(a))
+		}
+	case mso.KEq, mso.KIn:
+		fn.slots = []int{e.slot(f.X), e.slot(f.Y)}
+	case mso.KExistsS, mso.KForallS:
 		e.setMoves = true
+		fn.slots = []int{e.slot(f.Var)}
+	case mso.KExistsE, mso.KForallE:
+		fn.slots = []int{e.slot(f.Var)}
 	}
+	e.fnodes[f] = fn
 	for _, s := range f.Sub {
 		e.indexFormula(s)
 	}
+}
+
+// slot returns the binding slot of variable name, adding one if new.
+func (e *evaluator) slot(name string) int {
+	s, ok := e.slots[name]
+	if !ok {
+		s = len(e.slots)
+		e.slots[name] = s
+	}
+	return s
+}
+
+// unbound returns the id of the binding with no variable bound.
+func (e *evaluator) unbound() int {
+	e.keyBuf = e.keyBuf[:0]
+	for range e.slots {
+		e.keyBuf = append(e.keyBuf, -1)
+	}
+	return e.envs.intern(e.keyBuf)
+}
+
+// bind returns the id of binding env with slot s set to v: one copy of
+// the binding per quantifier move, interned to a small id.
+func (e *evaluator) bind(env, s, v int) int {
+	e.keyBuf = append(e.keyBuf[:0], e.envs.at(env)...)
+	e.keyBuf[s] = v
+	return e.envs.intern(e.keyBuf)
 }
 
 // upPass computes up[v] for every node, children first (Θ↑ of
@@ -114,8 +191,8 @@ func (e *evaluator) walk(v int) (bagBehavior, error) {
 	n := &e.nice.Nodes[v]
 	switch n.Kind {
 	case tree.KindLeaf:
-		tuple := append([]int(nil), n.Bag...)
-		sort.Ints(tuple)
+		tuple := e.carve(n.Bag)
+		slices.Sort(tuple)
 		id, err := e.direct(tuple, nil, e.q)
 		return bagBehavior{id, tuple}, err
 	case tree.KindCopy:
@@ -138,8 +215,8 @@ func (e *evaluator) walk(v int) (bagBehavior, error) {
 // context takes in the sibling's subtree.
 func (e *evaluator) downPass() ([]bagBehavior, error) {
 	down := make([]bagBehavior, e.nice.Len())
-	tuple := append([]int(nil), e.nice.Nodes[e.nice.Root].Bag...)
-	sort.Ints(tuple)
+	tuple := e.carve(e.nice.Nodes[e.nice.Root].Bag)
+	slices.Sort(tuple)
 	id, err := e.direct(tuple, nil, e.q)
 	if err != nil {
 		return nil, err
@@ -179,6 +256,7 @@ func (e *evaluator) selectPass(phi *mso.Formula, xVar string) (*bitset.Set, erro
 	}
 	size := e.st.Size()
 	selected, decided := bitset.New(size), bitset.New(size)
+	root, x := e.unbound(), e.slots[xVar]
 	for _, v := range e.nice.PostOrder() {
 		var whole bagBehavior
 		glued := false
@@ -193,7 +271,7 @@ func (e *evaluator) selectPass(phi *mso.Formula, xVar string) (*bitset.Set, erro
 				glued = true
 			}
 			decided.Add(a)
-			sel, err := e.eval(whole.id, phi, map[string]int{xVar: indexOf(whole.elems, a)})
+			sel, err := e.eval(whole.id, phi, e.bind(root, x, indexOf(whole.elems, a)))
 			if err != nil {
 				return nil, err
 			}
@@ -215,24 +293,28 @@ func (e *evaluator) selectPass(phi *mso.Formula, xVar string) (*bitset.Set, erro
 // forget step, read downwards, of the down pass. The tuple becomes
 // r's, then elem.
 func (e *evaluator) extend(r bagBehavior, bag []int, elem int) (bagBehavior, error) {
-	local := append([]int(nil), bag...)
-	sort.Ints(local)
+	t, p := len(e.stack), len(e.pairs)
+	e.stack = append(e.stack, bag...)
+	local := e.stack[t:]
+	slices.Sort(local)
 	lid, err := e.direct(local, nil, e.q)
 	if err != nil {
 		return bagBehavior{}, err
 	}
 	// Shared elements are exactly r's tuple: elem occurs on the other
 	// side of the bag only (connectedness).
-	pm := make([]posPair, 0, len(r.elems)+1)
 	for i, el := range r.elems {
-		pm = append(pm, posPair{i, indexOf(local, el)})
+		e.pairs = append(e.pairs, posPair{i, indexOf(local, el)})
 	}
-	pm = append(pm, posPair{-1, indexOf(local, elem)})
-	id, err := e.compose(r.id, lid, pm)
+	e.pairs = append(e.pairs, posPair{-1, indexOf(local, elem)})
+	id, err := e.compose(r.id, lid, e.pairs[p:])
 	if err != nil {
 		return bagBehavior{}, err
 	}
-	return bagBehavior{id, append(append([]int(nil), r.elems...), elem)}, nil
+	e.stack, e.pairs = e.stack[:t], e.pairs[:p]
+	elems := e.take(len(r.elems) + 1)
+	elems[copy(elems, r.elems)] = elem
+	return bagBehavior{id, elems}, nil
 }
 
 // forget drops elem from r's tuple; it stays in the structure. It is
@@ -247,33 +329,38 @@ func (e *evaluator) forget(r bagBehavior, elem int) (bagBehavior, error) {
 	if err != nil {
 		return bagBehavior{}, err
 	}
-	return bagBehavior{id, append(append([]int(nil), r.elems[:p]...), r.elems[p+1:]...)}, nil
+	elems := e.take(len(r.elems) - 1)
+	copy(elems[copy(elems, r.elems[:p]):], r.elems[p+1:])
+	return bagBehavior{id, elems}, nil
 }
 
 // glue composes two behaviors over the same bag whose structures share
 // exactly that bag; the tuple keeps r's order.
 func (e *evaluator) glue(r, s bagBehavior) (bagBehavior, error) {
-	pm := make([]posPair, len(r.elems))
+	p := len(e.pairs)
 	for i, el := range r.elems {
-		pm[i] = posPair{i, indexOf(s.elems, el)}
+		e.pairs = append(e.pairs, posPair{i, indexOf(s.elems, el)})
 	}
-	id, err := e.compose(r.id, s.id, pm)
+	id, err := e.compose(r.id, s.id, e.pairs[p:])
+	e.pairs = e.pairs[:p]
 	return bagBehavior{id, r.elems}, err
 }
 
-// eval decides formula f on behavior id under env, which binds element
-// variables to tuple positions and set variables to set indices. This
-// is the game-position memo table: results are memoized on (behavior,
-// subformula, interpretation).
-func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, error) {
+// eval decides formula f on behavior id under binding env (an id in
+// envs), which binds element variables to tuple positions and set
+// variables to set indices. This is the game-position memo table:
+// results are memoized on (behavior, subformula, binding).
+func (e *evaluator) eval(id int, f *mso.Formula, env int) (bool, error) {
 	if err := e.poll(); err != nil {
 		return false, err
 	}
-	key := evalKey{id: id, f: e.fidx[f], env: envKey(env)}
+	fn := e.fnodes[f]
+	key := evalKey{id: id, f: fn.idx, env: env}
 	if v, ok := e.evalMemo[key]; ok {
 		return v, nil
 	}
 	b := e.nodes[id]
+	a := b.a
 	var out bool
 	switch f.Kind {
 	case mso.KTrue:
@@ -288,29 +375,30 @@ func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, erro
 		if len(f.Args) != p.Arity {
 			return false, fmt.Errorf("game: predicate %q wants %d arguments, got %d", f.Pred, p.Arity, len(f.Args))
 		}
+		binds := e.envs.at(env)
 		flat := 0
-		for _, a := range f.Args {
-			pos, bound := env[a]
-			if !bound {
-				return false, fmt.Errorf("game: unbound element variable %q", a)
+		for k, s := range fn.slots {
+			pos := binds[s]
+			if pos < 0 {
+				return false, fmt.Errorf("game: unbound element variable %q", f.Args[k])
 			}
-			flat = flat*b.m + pos
+			flat = flat*a.m + pos
 		}
-		out = b.rels[pi][flat]
+		out = a.rels[pi][flat]
 	case mso.KEq:
-		xi, okx := env[f.X]
-		yi, oky := env[f.Y]
-		if !okx || !oky {
+		binds := e.envs.at(env)
+		xi, yi := binds[fn.slots[0]], binds[fn.slots[1]]
+		if xi < 0 || yi < 0 {
 			return false, fmt.Errorf("game: unbound element variable in %s = %s", f.X, f.Y)
 		}
-		out = b.eq[xi*b.m+yi]
+		out = a.eq[xi*a.m+yi]
 	case mso.KIn:
-		xi, okx := env[f.X]
-		si, oks := env[f.Y]
-		if !okx || !oks {
+		binds := e.envs.at(env)
+		xi, si := binds[fn.slots[0]], binds[fn.slots[1]]
+		if xi < 0 || si < 0 {
 			return false, fmt.Errorf("game: unbound variable in %s in %s", f.X, f.Y)
 		}
-		out = b.mems[si]&(1<<uint(xi)) != 0
+		out = a.mems[si]&(1<<uint(xi)) != 0
 	case mso.KNot:
 		v, err := e.eval(id, f.Sub[0], env)
 		if err != nil {
@@ -331,11 +419,11 @@ func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, erro
 			}
 		}
 	case mso.KImpl:
-		a, err := e.eval(id, f.Sub[0], env)
+		lhs, err := e.eval(id, f.Sub[0], env)
 		if err != nil {
 			return false, err
 		}
-		if !a {
+		if !lhs {
 			out = true
 			break
 		}
@@ -344,15 +432,15 @@ func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, erro
 			return false, err
 		}
 	case mso.KIff:
-		a, err := e.eval(id, f.Sub[0], env)
+		lhs, err := e.eval(id, f.Sub[0], env)
 		if err != nil {
 			return false, err
 		}
-		c, err := e.eval(id, f.Sub[1], env)
+		rhs, err := e.eval(id, f.Sub[1], env)
 		if err != nil {
 			return false, err
 		}
-		out = a == c
+		out = lhs == rhs
 	case mso.KExistsE, mso.KForallE:
 		if b.rank == 0 {
 			return false, fmt.Errorf("game: internal: quantifier at rank 0")
@@ -360,13 +448,11 @@ func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, erro
 		forall := f.Kind == mso.KForallE
 		out = forall
 		// The bound variable lands on the child's appended position,
-		// index b.m; existing bindings keep their indices.
-		candidates := b.pointAt
-		for _, lst := range [][]int{candidates, b.pointNew} {
+		// index a.m; existing bindings keep their indices.
+		child := e.bind(env, fn.slots[0], a.m)
+		for _, lst := range [][]int{b.pointAt, b.pointNew} {
 			for _, c := range lst {
-				env2 := cloneEnv(env)
-				env2[f.Var] = b.m
-				v, err := e.eval(c, f.Sub[0], env2)
+				v, err := e.eval(c, f.Sub[0], child)
 				if err != nil {
 					return false, err
 				}
@@ -382,10 +468,9 @@ func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, erro
 		}
 		forall := f.Kind == mso.KForallS
 		out = forall
+		child := e.bind(env, fn.slots[0], a.nsets())
 		for _, c := range b.sets {
-			env2 := cloneEnv(env)
-			env2[f.Var] = b.nsets
-			v, err := e.eval(c, f.Sub[0], env2)
+			v, err := e.eval(c, f.Sub[0], child)
 			if err != nil {
 				return false, err
 			}
@@ -400,31 +485,4 @@ func (e *evaluator) eval(id int, f *mso.Formula, env map[string]int) (bool, erro
 done:
 	e.evalMemo[key] = out
 	return out, nil
-}
-
-func cloneEnv(env map[string]int) map[string]int {
-	out := make(map[string]int, len(env)+1)
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
-func envKey(env map[string]int) string {
-	if len(env) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(env))
-	for k := range env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Itoa(env[k]))
-		sb.WriteByte(';')
-	}
-	return sb.String()
 }

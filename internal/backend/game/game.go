@@ -18,10 +18,12 @@
 // adds a top-down pass for each node's context (the structure outside
 // its subtree) and decides each element once, on the composition of
 // subtree and context at a node whose bag holds it. Because behaviors
-// are interned, isomorphic subgames collapse; the memo table is keyed
-// by (behavior, subformula, interpretation) at the evaluation layer and
-// by the behavior's canonical serialization at the exploration layer.
-// Set moves are explored only for a formula with a set quantifier.
+// are interned, isomorphic subgames collapse. A candidate's atomic
+// layer is interned first, and the position is then looked up by its
+// rank, atomic id and child ids before anything is allocated for it;
+// the memo table is keyed by (behavior, subformula, interned binding)
+// at the evaluation layer. Set moves are explored only for a formula
+// with a set quantifier.
 //
 // The backend never materializes the type space, so it is metered by
 // Budget.MaxGamePositions (positions interned) rather than MaxStates —
@@ -70,7 +72,7 @@ func Eval(ctx context.Context, st *structure.Structure, nice *tree.Decomposition
 		return nil, false, stage.Wrap(stage.Game, err)
 	}
 	if decision {
-		holds, err = e.eval(e.up[nice.Root].id, phi, map[string]int{})
+		holds, err = e.eval(e.up[nice.Root].id, phi, e.unbound())
 	} else {
 		selected, err = e.selectPass(phi, xVar)
 	}

@@ -96,6 +96,42 @@ func TestGamePositionsPinned(t *testing.T) {
 	}
 }
 
+// TestGameAllocGate gates the allocations of one game evaluation: the
+// cold-dp query on a prebuilt nice form of the seed-120 tree that
+// TestGamePositionsPinned pins, as BenchmarkGameEval/n=120 runs it.
+// Allocation counts are deterministic, so the ceiling is 1.10× the
+// count measured (go1.24, linux/amd64) once positions were looked up
+// before they were built, and memo keys, position maps and bindings
+// were interned to small ids. Building every candidate position in
+// full, with string memo keys and a map per quantifier move, made
+// 73,192.
+func TestGameAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race")
+	}
+	const measured = 12_194
+	ctx := context.Background()
+	st := coloredKTree(120, 2, rand.New(rand.NewSource(120)))
+	d, _, err := decompose.StructureLadderCtx(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nice, err := tree.NormalizeNiceCtx(ctx, d, tree.NiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := mso.MustParse(coldDPFormula)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := core.EvalGame(ctx, st, nice, phi, "x", core.Options{}, &stage.Trace{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per game evaluation (ceiling %.0f)", allocs, 1.10*measured)
+	if allocs > 1.10*measured {
+		t.Fatalf("%.0f allocations per game evaluation, ceiling %.0f", allocs, 1.10*measured)
+	}
+}
+
 // BenchmarkGameEval times one cold-dp-shaped unary query on a prebuilt
 // nice form of a colored partial 2-tree.
 func BenchmarkGameEval(b *testing.B) {

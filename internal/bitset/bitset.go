@@ -9,6 +9,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -33,10 +34,15 @@ func FromSlice(elems []int) *Set {
 	return s
 }
 
+// grow extends s to hold word, in one amortized allocation however far
+// past the end it lies.
 func (s *Set) grow(word int) {
-	for len(s.words) <= word {
-		s.words = append(s.words, 0)
+	if word < len(s.words) {
+		return
 	}
+	n := len(s.words)
+	s.words = slices.Grow(s.words, word+1-n)[:word+1]
+	clear(s.words[n:]) // CopyFrom may have left stale words past the end
 }
 
 // Add inserts i into the set. i must be non-negative.

@@ -323,12 +323,14 @@ func FromOrderCtx(ctx context.Context, g *graph.Graph, order []int) (*tree.Decom
 	}
 
 	children := make([][]int, n)
+	ints := n - 1 // every vertex but the root is one child-list entry
 	for v := 0; v < n; v++ {
 		if parent[v] >= 0 {
 			children[parent[v]] = append(children[parent[v]], v)
 		}
+		ints += 1 + len(later[v])
 	}
-	d := tree.New()
+	d := tree.NewSized(n, ints)
 	ids := make([]int, n)
 	var build func(v int) int
 	build = func(v int) int {

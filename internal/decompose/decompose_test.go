@@ -295,19 +295,50 @@ func TestQuickIncrementalMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestNodesSizedOnce pins that a raw decomposition and its nice form
+// each allocate their Nodes array once, at its final size: FromOrderCtx
+// knows it makes one node per vertex, and NormalizeNice counts its
+// output before building it. Growing Nodes by append had left up to
+// half of each array unused. The nice forms must still pass CheckNice.
+func TestNodesSizedOnce(t *testing.T) {
+	for _, n := range []int{40, 120, 400} {
+		g := graph.PartialKTree(n, 2, 0.3, rand.New(rand.NewSource(int64(n))))
+		d, err := Graph(g, MinFill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Nodes) != n || cap(d.Nodes) != n {
+			t.Errorf("n=%d: raw decomposition has %d nodes in an array of %d, want %d in %d", n, len(d.Nodes), cap(d.Nodes), n, n)
+		}
+		nice, err := tree.NormalizeNice(d, tree.NiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nice.Nodes) != cap(nice.Nodes) {
+			t.Errorf("n=%d: nice form has %d nodes in an array of %d", n, len(nice.Nodes), cap(nice.Nodes))
+		}
+		if err := tree.CheckNice(nice); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
+		t.Logf("n=%d: %d/%d raw, %d/%d nice", n, len(d.Nodes), cap(d.Nodes), len(nice.Nodes), cap(nice.Nodes))
+	}
+}
+
 // TestNiceFormAllocGate gates the allocations of building a nice form
 // and its DP plan: NiceGraph, then SortedBags, on a seeded partial
 // 3-tree of 400 vertices (1,444 nice nodes), as a cold /solve builds
 // them. Allocation counts are deterministic, so the ceiling is 1.10×
-// the count measured (go1.24, linux/amd64) once bags and child lists
-// were carved from shared arrays and the plan shared the nice form's
-// bags; before that, one allocation per bag, per child list and per
-// plan bag made 25,791.
+// the count measured (go1.24, linux/amd64) once both arrays were sized
+// before they were filled and CheckNice and NormalizeNice compared
+// sorted bags and stamps instead of bit sets. Before that, one
+// allocation per bag, per child list and per plan bag made 25,791;
+// carving bags and child lists from shared arrays and sharing the nice
+// form's bags with the plan made 20,548.
 func TestNiceFormAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are gated without -race")
 	}
-	const measured = 20_548
+	const measured = 6_602
 	g := graph.PartialKTree(400, 3, 0.3, rand.New(rand.NewSource(1)))
 	build := func() {
 		nice, err := NiceGraph(g)

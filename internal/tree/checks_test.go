@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,6 +159,27 @@ func TestCheckNiceViolations(t *testing.T) {
 				t.Fatalf("CheckNice = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCheckNiceUnsortedBags pins that CheckNice compares bags as sets:
+// a nice form with every bag reversed passes, and it still fails once
+// an introduce node names an element its bag lacks.
+func TestCheckNiceUnsortedBags(t *testing.T) {
+	st := exampleStructure(t)
+	nice, err := NormalizeNice(exampleDecomposition(t, st), NiceOptions{BranchGuard: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range nice.Nodes {
+		slices.Reverse(nice.Nodes[v].Bag)
+	}
+	if err := CheckNice(nice); err != nil {
+		t.Fatalf("CheckNice on reversed bags: %v", err)
+	}
+	nice.Nodes[findKind(nice, KindIntroduce)].Elem = freshElem(nice)
+	if err := CheckNice(nice); err == nil || !strings.Contains(err.Error(), "introduce") {
+		t.Fatalf("CheckNice = %v, want an introduce error", err)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // NormalizeNice always emits a decomposition that (a) passes CheckNice,
 // (b) is still a valid tree decomposition of the source graph, (c) never
 // increases the width, and (d) honors the LeafElems/CheckEnumerable
-// contract when requested.
+// contract when requested, and (e) without BranchGuard's copy nodes,
+// sizes its node and carving arrays once.
 func FuzzNormalizeNice(f *testing.F) {
 	f.Add(int64(42), byte(18), byte(3), byte(77), byte(0))
 	f.Add(int64(1), byte(5), byte(1), byte(0), byte(1))
@@ -55,6 +56,10 @@ func FuzzNormalizeNice(f *testing.F) {
 		}
 		if nice.Width() > d.Width() {
 			t.Fatalf("normalization increased width: %d > %d", nice.Width(), d.Width())
+		}
+		if !no.BranchGuard && (len(nice.Nodes) != cap(nice.Nodes) || tree.CarveSpare(nice) != 0) {
+			t.Fatalf("nice form not sized once: %d nodes in %d, %d carved ints spare",
+				len(nice.Nodes), cap(nice.Nodes), tree.CarveSpare(nice))
 		}
 		if attrElems != nil {
 			if no.BranchGuard {

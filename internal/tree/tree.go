@@ -120,6 +120,13 @@ func New() *Decomposition {
 	return &Decomposition{Root: -1}
 }
 
+// NewSized is New for a builder that knows its size: Nodes has room for
+// nodes nodes and the carving array for ints bag and child-list
+// entries, so a decomposition of that size allocates each array once.
+func NewSized(nodes, ints int) *Decomposition {
+	return &Decomposition{Root: -1, Nodes: make([]Node, 0, nodes), ints: make([]int, 0, ints)}
+}
+
 // AddNode appends a node with the given bag and (already added) children
 // and returns its ID. Parent pointers of the children are set. The bag
 // and the child list are copied into d's carving array (see Node.Bag):
