@@ -102,35 +102,49 @@ func TestCLIBenchtable(t *testing.T) {
 	}
 }
 
-func TestCLIBenchtableSessionJSON(t *testing.T) {
+// TestCLIBenchtableRAJSON pins -json's artifact envelope on the
+// cheapest mode that writes one: BENCH_ra.json names its mode, and its
+// results carry the chain size and a non-empty fixpoint.
+func TestCLIBenchtableRAJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	out := runTool(t, "./cmd/benchtable", "-session", "30", "-json", "-jsondir", dir)
-	if !strings.Contains(out, "session reuse") || !strings.Contains(out, "1 decomposition(s)") {
+	out := runTool(t, "./cmd/benchtable", "-ra", "100", "-reps", "1", "-json", "-jsondir", dir)
+	if !strings.Contains(out, "ra(n=100)") {
 		t.Fatalf("output: %q", out)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_session.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_ra.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
 		Name    string `json:"name"`
 		Results struct {
-			Queries        int     `json:"queries"`
-			Speedup        float64 `json:"speedup"`
-			Decompositions int     `json:"decompositions"`
+			N     int `json:"n"`
+			Facts int `json:"facts"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("BENCH_session.json is not valid JSON: %v\n%s", err, raw)
+		t.Fatalf("BENCH_ra.json is not valid JSON: %v\n%s", err, raw)
 	}
-	if rep.Name != "session" || rep.Results.Queries != 10 || rep.Results.Decompositions != 1 {
+	if rep.Name != "ra" || rep.Results.N != 100 || rep.Results.Facts <= 0 {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
-	if rep.Results.Speedup <= 0 {
-		t.Fatalf("speedup missing: %+v", rep)
+}
+
+// TestCLIBenchtableRetiredModes pins that benchtable rejects the flags
+// of its retired modes as unknown, with the usage exit code 2: Go tests,
+// Go benchmarks and benchledger measure what those modes did.
+func TestCLIBenchtableRetiredModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for _, flag := range []string{"-tc", "-pipeline", "-session", "-serve", "-serveReqs", "-mutate", "-mutateElems"} {
+		code, _, stderr := runToolErr(t, nil, "./cmd/benchtable", flag, "10")
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Fatalf("benchtable %s 10: exit code %d, want 2\nstderr: %s", flag, code, stderr)
+		}
 	}
 }
 

@@ -1,40 +1,20 @@
 // Command benchtable regenerates the paper's Table 1 (Section 6):
 // PRIMALITY processing time of the monadic-datalog program (MD) against
 // the budget-capped naive MSO baseline (the MONA substitute), on balanced
-// treewidth-3 workloads.
+// treewidth-3 workloads. Its other modes write the repository's
+// committed and CI-checked benchmark artifacts.
 //
 //	benchtable [-fds 1,2,3,...] [-seed n] [-budget steps] [-skipmona] [-reps n]
-//	benchtable -tc n
 //	benchtable -ra n
-//	benchtable -pipeline n
-//	benchtable -session n
-//	benchtable -serve n [-serveReqs m]
-//	benchtable -mutate n [-mutateElems m]
 //	benchtable -soak n [-soakDur d]
 //	benchtable -game n
 //
-// Each MD measurement is the median of -reps runs. The -tc mode instead
-// times transitive closure over an n-vertex path through the generic
-// engine — the quick engine health check behind BenchmarkTCPath1000.
-// The -ra mode compares the streaming engine's direct fixpoint with the
-// Theorem 4.4 grounding on an n-bag τ_td chain (allocation volume and
-// wall time), and demonstrates a MaxGroundAtoms-capped run completing
-// on the direct streaming path; with -json it writes the BENCH_ra.json
-// artifact. The
-// -pipeline mode times the end-to-end FPT pipeline (graph → min-fill →
-// nice form → 3-colorability DP) on an n-vertex workload, the health row
-// behind BenchmarkPipeline. The -session mode measures the session
-// architecture's artifact reuse: ten MSO queries over one n-element
-// structure, cold (full pipeline each) versus warm (one session). The
-// -serve mode starts an in-process monadicd server and drives n
-// concurrent clients with -serveReqs requests each against one warm
-// structure, reporting throughput and latency percentiles; any request
-// error or unclean shutdown fails the run. The -mutate mode measures
-// incremental evaluation under mutation: n single-tuple edits, each
-// followed by a re-query, on a warm session via Session.Mutate versus
-// the same edits invalidating and recomputing wholesale; every edit's
-// answers are cross-checked and any divergence fails the run. The -soak
-// mode is the overload-control chaos experiment: n clients of mixed
+// Each MD measurement is the median of -reps runs. The -ra mode compares
+// the streaming engine's direct fixpoint with the Theorem 4.4 grounding
+// on an n-bag τ_td chain (allocation volume and wall time), and
+// demonstrates a MaxGroundAtoms-capped run completing on the direct
+// streaming path; with -json it writes the BENCH_ra.json artifact. The
+// -soak mode is the overload-control chaos experiment: n clients of mixed
 // traffic for -soakDur against an in-process server sized for ~half
 // that concurrency, with fault injection armed (FAULTINJECT, or a
 // default seeded plan) and a poison driver forcing circuit-breaker
@@ -51,6 +31,9 @@
 //
 // With -json, the active mode also writes a machine-readable
 // BENCH_<mode>.json report into -jsondir. -timeout bounds the whole run.
+// The engine, pipeline and session timings are Go benchmarks
+// (BenchmarkTCPath1000, BenchmarkPipeline, BenchmarkSessionReuse), and
+// benchledger measures the server end to end.
 package main
 
 import (
@@ -73,14 +56,7 @@ func main() {
 	budget := flag.Int64("budget", bench.MonaBudget, "baseline step budget")
 	skipMona := flag.Bool("skipmona", false, "skip the baseline column")
 	reps := flag.Int("reps", 3, "repetitions per MD measurement (median reported)")
-	tc := flag.Int("tc", 0, "instead time transitive closure over an n-vertex path")
 	ra := flag.Int("ra", 0, "instead compare the streaming engine with grounding on an n-bag τ_td chain")
-	pipeline := flag.Int("pipeline", 0, "instead time the end-to-end FPT pipeline on an n-vertex graph")
-	sessionN := flag.Int("session", 0, "instead measure session artifact reuse on an n-element structure")
-	serveN := flag.Int("serve", 0, "instead load-test an in-process monadicd server with n concurrent clients")
-	serveReqs := flag.Int("serveReqs", 5, "requests per client in -serve mode")
-	mutateN := flag.Int("mutate", 0, "instead measure incremental evaluation across n single-tuple edits")
-	mutateElems := flag.Int("mutateElems", 40, "structure size for -mutate mode")
 	soakN := flag.Int("soak", 0, "instead soak-test overload control with n clients (try 2x capacity: 16)")
 	gameN := flag.Int("game", 0, "instead run the automaton/game backend head-to-head on n-element workloads")
 	soakDur := flag.Duration("soakDur", 8*time.Second, "load-phase duration for -soak mode")
@@ -94,20 +70,6 @@ func main() {
 	}
 	ctx, cancel := cli.Context(*timeout, 0)
 	defer cancel()
-
-	if *serveN > 0 {
-		res, err := bench.ServeLoad(ctx, *serveN, *serveReqs)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("serve load (%d clients × %d reqs): %d requests, %d errors, %.0f req/s\n",
-			res.Clients, res.PerClient, res.Requests, res.Errors, res.ThroughputRPS)
-		fmt.Printf("cold %v; warm p50 %v, p90 %v, p99 %v, max %v; decompositions %d; drained %v\n",
-			time.Duration(res.ColdNS), time.Duration(res.P50NS), time.Duration(res.P90NS),
-			time.Duration(res.P99NS), time.Duration(res.MaxNS), res.Decompositions, res.Drained)
-		writeJSON(*jsonOut, *jsonDir, "serve", res)
-		return
-	}
 
 	if *soakN > 0 {
 		res, err := bench.Soak(ctx, *soakN, *soakDur)
@@ -154,56 +116,6 @@ func main() {
 		return
 	}
 
-	if *mutateN > 0 {
-		res, err := bench.Mutate(ctx, *mutateElems, *mutateN)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("mutate (n=%d, %d edits): warm %v/edit, cold %v/edit, speedup %.2fx\n",
-			res.Elems, res.Edits, time.Duration(res.WarmPerEditNS), time.Duration(res.ColdPerEditNS), res.Speedup)
-		fmt.Printf("warm session: %d delta(s) applied, %d invalidation(s), %d decomposition(s); answers matched %v\n",
-			res.DeltasApplied, res.Invalidations, res.WarmDecompositions, res.Matched)
-		writeJSON(*jsonOut, *jsonDir, "mutate", res)
-		return
-	}
-
-	if *sessionN > 0 {
-		res, err := bench.SessionReuse(ctx, *sessionN, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("session reuse (n=%d, %d queries): cold %v, warm %v, speedup %.2fx\n",
-			res.Elems, res.Queries, res.Cold, res.Warm, res.Speedup)
-		fmt.Printf("warm session: %d decomposition(s), %d compile(s), %d cache hit(s)\n",
-			res.Decompositions, res.Compiles, res.CompileCacheHits)
-		writeJSON(*jsonOut, *jsonDir, "session", res)
-		return
-	}
-
-	if *pipeline > 0 {
-		durs := make([]time.Duration, 0, *reps)
-		var res bench.PipelineResult
-		for r := 0; r < *reps; r++ {
-			dur, err := bench.Measure(func() error {
-				var err error
-				res, err = bench.Pipeline(*pipeline, *seed)
-				return err
-			})
-			if err != nil {
-				fail(err)
-			}
-			durs = append(durs, dur)
-			fmt.Printf("pipeline(n=%d): width %d, 3-colorable %v in %v\n", *pipeline, res.Width, res.Colorable, dur)
-		}
-		sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-		fmt.Printf("median: %v\n", durs[len(durs)/2])
-		writeJSON(*jsonOut, *jsonDir, "pipeline", map[string]any{
-			"n": *pipeline, "width": res.Width, "colorable": res.Colorable,
-			"median_ns": durs[len(durs)/2], "runs_ns": durs,
-		})
-		return
-	}
-
 	if *ra > 0 {
 		res, err := bench.RACompare(ctx, *ra, *reps)
 		if err != nil {
@@ -217,29 +129,6 @@ func main() {
 		fmt.Printf("budget cap %d ground atoms: grounded dies (%s); direct completes %v (%d facts in %v)\n",
 			res.BudgetCap, res.GroundedBudget, res.DirectUnderCap, res.DirectBudgetFact, time.Duration(res.DirectBudgetNS))
 		writeJSON(*jsonOut, *jsonDir, "ra", res)
-		return
-	}
-
-	if *tc > 0 {
-		durs := make([]time.Duration, 0, *reps)
-		var facts int
-		for r := 0; r < *reps; r++ {
-			dur, err := bench.Measure(func() error {
-				var err error
-				facts, err = bench.TCPath(*tc)
-				return err
-			})
-			if err != nil {
-				fail(err)
-			}
-			durs = append(durs, dur)
-			fmt.Printf("tc path(%d): %d facts in %v\n", *tc, facts, dur)
-		}
-		sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-		fmt.Printf("median: %v\n", durs[len(durs)/2])
-		writeJSON(*jsonOut, *jsonDir, "tc", map[string]any{
-			"n": *tc, "facts": facts, "median_ns": durs[len(durs)/2], "runs_ns": durs,
-		})
 		return
 	}
 

@@ -101,15 +101,15 @@ func TestGamePositionsPinned(t *testing.T) {
 // TestGamePositionsPinned pins, as BenchmarkGameEval/n=120 runs it.
 // Allocation counts are deterministic, so the ceiling is 1.10× the
 // count measured (go1.24, linux/amd64) once positions were looked up
-// before they were built, and memo keys, position maps and bindings
-// were interned to small ids. Building every candidate position in
-// full, with string memo keys and a map per quantifier move, made
-// 73,192.
+// before they were built, memo keys, position maps and bindings were
+// interned to small ids, and structure.HasIdx stopped building a string
+// key per probe. Building every candidate position in full, with string
+// memo keys and a map per quantifier move, made 73,192.
 func TestGameAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are gated without -race")
 	}
-	const measured = 12_194
+	const measured = 6_251
 	ctx := context.Background()
 	st := coloredKTree(120, 2, rand.New(rand.NewSource(120)))
 	d, _, err := decompose.StructureLadderCtx(ctx, st)

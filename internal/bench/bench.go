@@ -152,10 +152,3 @@ func FormatTable1(rows []Table1Row) string {
 func fmtMillis(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
 }
-
-// Measure times f once and returns the duration.
-func Measure(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
-}

@@ -59,10 +59,3 @@ func TestSkipMona(t *testing.T) {
 		t.Fatal("SkipMona should mark the baseline column as unavailable")
 	}
 }
-
-func TestMeasure(t *testing.T) {
-	d, err := Measure(func() error { return nil })
-	if err != nil || d < 0 {
-		t.Fatal("Measure wrong")
-	}
-}

@@ -73,6 +73,28 @@ const escapeFormula = "exists x exists y (e(x,y) & c(x))"
 // generous for the feasible points above, hopeless for escapeFormula.
 const escapeMaxStates = 200
 
+var sigColoredPath = structure.MustSignature(
+	structure.Predicate{Name: "e", Arity: 2},
+	structure.Predicate{Name: "c", Arity: 1},
+)
+
+// coloredPath is an n-element path over e/2 (treewidth 1), with c/1 on
+// every other element: the regime where the quantifier-free automaton
+// compilation is cheap and evaluation dominates.
+func coloredPath(n int) *structure.Structure {
+	st := structure.New(sigColoredPath)
+	for i := 0; i < n; i++ {
+		st.AddElem(fmt.Sprintf("v%d", i))
+	}
+	for i := 0; i+1 < n; i++ {
+		st.MustAddTuple("e", i, i+1)
+	}
+	for i := 0; i < n; i += 2 {
+		st.MustAddTuple("c", i)
+	}
+	return st
+}
+
 // GameCompare runs the automaton/game head-to-head on n-element
 // workloads: agreement on every feasible point, then the escape point
 // under a deliberately tight MaxStates. It errors on any disagreement or
@@ -83,7 +105,7 @@ func GameCompare(ctx context.Context, n int) (GameResult, error) {
 	if n < 2 {
 		return res, fmt.Errorf("bench: game compare needs ≥2 elements, got %d", n)
 	}
-	path := mutateWorkload(n)
+	path := coloredPath(n)
 	colored := structure.New(structure.MustSignature(structure.Predicate{Name: "c", Arity: 1}))
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < n; i++ {

@@ -1,18 +1,11 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/mso"
-	"repro/internal/session"
-	"repro/internal/structure"
 )
 
 // Report is the envelope of a machine-readable benchmark artifact
@@ -44,89 +37,4 @@ func WriteJSON(dir, name string, payload any) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// SessionReuseResult reports the artifact-reuse experiment: the same
-// query set evaluated cold (full pipeline per query via core.Run) and
-// warm (through one session that builds the decomposition, normal form
-// and τ_td once).
-type SessionReuseResult struct {
-	Elems            int           `json:"elems"`
-	Queries          int           `json:"queries"`
-	Cold             time.Duration `json:"cold_ns"`
-	Warm             time.Duration `json:"warm_ns"`
-	Speedup          float64       `json:"speedup"`
-	Decompositions   int           `json:"decompositions"`
-	Compiles         int           `json:"compiles"`
-	CompileCacheHits int           `json:"compile_cache_hits"`
-}
-
-// sessionReuseQueries is the fixed workload: ten distinct unary queries
-// of rank ≤ 1 over the {c/1} signature (higher ranks or binary
-// signatures make the generic compilation dominate both columns).
-var sessionReuseQueries = []string{
-	"c(x)",
-	"~c(x)",
-	"c(x) | ~c(x)",
-	"c(x) & exists y ~c(y)",
-	"c(x) | forall y c(y)",
-	"~c(x) & exists y c(y)",
-	"c(x) -> exists y ~c(y)",
-	"c(x) & (c(x) | ~c(x))",
-	"~c(x) | c(x)",
-	"(c(x) -> c(x)) & c(x)",
-}
-
-// SessionReuse measures the session architecture's reuse win on an
-// n-element random colored structure with the given seed.
-func SessionReuse(ctx context.Context, n int, seed int64) (SessionReuseResult, error) {
-	sig := structure.MustSignature(structure.Predicate{Name: "c", Arity: 1})
-	rng := rand.New(rand.NewSource(seed))
-	st := structure.New(sig)
-	for i := 0; i < n; i++ {
-		id := st.AddElem(fmt.Sprintf("v%d", i))
-		if rng.Intn(2) == 0 {
-			st.MustAddTuple("c", id)
-		}
-	}
-	phis := make([]*mso.Formula, len(sessionReuseQueries))
-	for i, q := range sessionReuseQueries {
-		f, err := mso.Parse(q)
-		if err != nil {
-			return SessionReuseResult{}, err
-		}
-		phis[i] = f
-	}
-
-	coldStart := time.Now()
-	for _, phi := range phis {
-		if _, err := core.RunCtx(ctx, st, phi, "x", core.Options{}); err != nil {
-			return SessionReuseResult{}, err
-		}
-	}
-	cold := time.Since(coldStart)
-
-	s := session.NewWithCache(st, session.NewProgramCache())
-	warmStart := time.Now()
-	for _, phi := range phis {
-		if _, err := s.Eval(ctx, phi, "x", core.Options{}); err != nil {
-			return SessionReuseResult{}, err
-		}
-	}
-	warm := time.Since(warmStart)
-
-	stats := s.Stats()
-	res := SessionReuseResult{
-		Elems:            n,
-		Queries:          len(phis),
-		Cold:             cold,
-		Warm:             warm,
-		Decompositions:   stats.Decompositions,
-		Compiles:         stats.Compiles,
-		CompileCacheHits: stats.CompileCacheHits,
-	}
-	if warm > 0 {
-		res.Speedup = float64(cold) / float64(warm)
-	}
-	return res, nil
 }

@@ -19,9 +19,9 @@ type PipelineResult struct {
 // which may or may not be 3-colorable), compute a min-fill tree
 // decomposition, normalize it to the nice form of Section 5 and run the
 // Figure 5 decision DP. It is the health-check path behind
-// BenchmarkPipeline and benchtable -pipeline: a regression in any layer
-// (heuristic, normalization, DP scheduling) shows up here. The width must
-// stay within the padded bound of the generator's treewidth.
+// BenchmarkPipeline: a regression in any layer (heuristic,
+// normalization, DP scheduling) shows up here. The width must stay
+// within the padded bound of the generator's treewidth.
 func Pipeline(n int, seed int64) (PipelineResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	g := workload.ColorableGraph(n, 3, rng)

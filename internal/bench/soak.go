@@ -210,6 +210,25 @@ func percentileNS(lat []int64, p float64) int64 {
 	return lat[int(p*float64(len(lat)-1))]
 }
 
+// coloredPathText is a soak structure in the fact-list text the server
+// parses: an n-element path over edge/2 (treewidth 1), with c/1 on every
+// other element.
+func coloredPathText(n int) string {
+	var b bytes.Buffer
+	b.WriteString("dom")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " v%d", i)
+	}
+	b.WriteString(".\n")
+	for i := 0; i+1 < n; i++ {
+		fmt.Fprintf(&b, "edge(v%d, v%d).\n", i, i+1)
+	}
+	for i := 0; i < n; i += 2 {
+		fmt.Fprintf(&b, "c(v%d).\n", i)
+	}
+	return b.String()
+}
+
 // soakOp issues the iter'th operation of one worker: a deterministic
 // mixed workload over the shared structure pool, weighted so the
 // latency profile the limiter sees is dominated by the cold-eval class
@@ -339,12 +358,12 @@ func Soak(ctx context.Context, clients int, dur time.Duration) (SoakResult, erro
 	// sizes 10..25, each in a base and an extra-color variant.
 	structs := make([]string, soakStructures)
 	for i := range structs {
-		structs[i] = serveWorkload(10 + i/2)
+		structs[i] = coloredPathText(10 + i/2)
 		if i%2 == 1 {
 			structs[i] += "c(v1).\n"
 		}
 	}
-	poisonStruct := serveWorkload(9) // distinct fingerprint from every workload structure
+	poisonStruct := coloredPathText(9) // distinct fingerprint from every workload structure
 
 	snap := leak.Before()
 	res.GoroutinesBefore = int(snap)

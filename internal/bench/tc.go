@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/datalog"
@@ -24,19 +23,4 @@ func TCPathEDB(n int) *datalog.DB {
 		db.AddFact("e", "v"+strconv.Itoa(i), "v"+strconv.Itoa(i+1))
 	}
 	return db
-}
-
-// TCPath runs transitive closure over an n-vertex path and returns the
-// number of derived path facts, checking it against the closed form
-// n·(n−1)/2.
-func TCPath(n int) (int, error) {
-	out, err := datalog.Eval(TCProgram, TCPathEDB(n))
-	if err != nil {
-		return 0, err
-	}
-	got := out.Count("path")
-	if want := n * (n - 1) / 2; got != want {
-		return got, fmt.Errorf("bench: TC over path(%d): got %d path facts, want %d", n, got, want)
-	}
-	return got, nil
 }

@@ -1,12 +1,18 @@
 package primality
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mso"
 	"repro/internal/schema"
+	"repro/internal/stage"
+	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 func runningExample() *schema.Schema {
@@ -254,5 +260,56 @@ func TestQuickGroundAgreesWithDP(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(73))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFigure6TableEntriesLinear states the complexity claim behind
+// Fig. 6 and Table 1 (E1) as an exact count rather than a timing. A nice
+// node's table holds at most one entry per solve state of its bag, and a
+// state gives each of the k = w+1 bag elements one of at most four roles
+// (an attribute in Y, in Co∖DC or in DC; an FD in or out of FY and of
+// FC) and orders Co, so a node holds at most 4^k·k! entries, a bound of
+// the width alone. Over Table 1's balanced workloads of doubling size,
+// the entries per attribute stay flat. The entries are the budget's
+// table-entry tally for DecideCtx, which is deterministic. (Seed 1 reads
+// 11.67 entries per nice node at w = 3 at every size, against a bound
+// of 6,144, and 32.6–34.9 per attribute.)
+func TestFigure6TableEntriesLinear(t *testing.T) {
+	var perAttr []float64
+	for _, nFD := range []int{8, 16, 32, 64, 128} {
+		s, d, err := workload.BalancedSchema(nFD, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := NewInstanceWithDecomposition(s, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The budget tallies table entries only under a positive cap.
+		b := &stage.Budget{MaxTableEntries: 1 << 40}
+		if _, err := in.DecideCtx(stage.WithBudget(context.Background(), b), 0); err != nil {
+			t.Fatal(err)
+		}
+		_, _, entries := b.Used()
+		// The nice form DecideCtx solves on: rooted at a bag holding
+		// attribute 0.
+		rooted := in.raw.Clone()
+		rooted.ReRoot(rooted.NodeWithElem(in.ctx.attElem[0]))
+		nice, err := tree.NormalizeNice(rooted, tree.NiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := nice.Width() + 1
+		bound := math.Pow(4, float64(k)) * math.Gamma(float64(k+1))
+		perNode := float64(entries) / float64(nice.Len())
+		t.Logf("#FD=%d: %d attributes, width %d, %d nice nodes, %d entries: %.2f per node, %.2f per attribute",
+			nFD, s.NumAttrs(), k-1, nice.Len(), entries, perNode, float64(entries)/float64(s.NumAttrs()))
+		if perNode > bound {
+			t.Errorf("#FD=%d: %.2f entries per nice node exceed 4^k·k! = %.0f (k = %d)", nFD, perNode, bound, k)
+		}
+		perAttr = append(perAttr, float64(entries)/float64(s.NumAttrs()))
+	}
+	if lo, hi := slices.Min(perAttr), slices.Max(perAttr); hi > 2*lo {
+		t.Errorf("entries per attribute range over %.2f–%.2f across sizes, more than a factor of 2", lo, hi)
 	}
 }

@@ -849,9 +849,11 @@ type StatszResponse struct {
 	SessionCap       int              `json:"session_cap"`
 	SessionEvictions int64            `json:"session_evictions"`
 	// Backends counts admitted /eval and /batch requests per evaluation
-	// backend (resolved from X-Backend or the server default). The
-	// per-backend evaluation counts — after result-cache hits — are in
-	// SessionTotals.EvalsByBackend.
+	// backend (resolved from X-Backend or the server default) over the
+	// server's lifetime. SessionTotals.EvalsByBackend counts evaluations
+	// after result-cache hits, but only those of the sessions still
+	// resident: an evicted session's counts leave with it, so under
+	// registry churn it reads a small fraction of Backends.
 	Backends      map[string]int64        `json:"backends"`
 	ProgramCache  ProgCacheStats          `json:"program_cache"`
 	SessionTotals session.Stats           `json:"session_totals"`

@@ -186,13 +186,14 @@ func TestReductDifferentialPartialKTrees(t *testing.T) {
 	}
 }
 
-// BenchmarkSessionReuse measures the tentpole speedup: ten queries over
+// BenchmarkSessionReuse measures what a session saves: ten queries over
 // one structure through a warm Session versus ten cold core.Run calls
 // that redo decomposition, normalization, τ_td build, compilation and
 // evaluation each time. The warm path is the steady state of a repeated
 // workload — artifacts, compiled programs and memoized results all hit.
-// (`benchtable -session n` reports the first-pass number instead, where
-// every query still evaluates.)
+// The first pass, where every query still evaluates, is pinned as a
+// count by TestConcurrentDistinctQueriesOneBuild: one front-end build
+// for ten queries.
 func BenchmarkSessionReuse(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	st := randColored(rng, 40)

@@ -283,12 +283,14 @@ func TestMutateUncoveredEditInvalidates(t *testing.T) {
 // edit's outcome: the session keeps its decomposition exactly when the
 // decomposition still covers the edited structure. On a path, a colour
 // toggle, an edge retraction and the edge's restoration are covered and
-// keep the one decomposition; a new element and a chord between the
-// path's ends are not, and each forces a new one. After every edit the
-// warm session's answers must match a cold session's on a copy of the
-// edited structure. The chord closes a cycle (width 2); the queries
-// mention only c, so both backends answer there too, the automaton
-// compiling over the reduct {c/1}.
+// keep the one decomposition, and so do 25 consecutive colour toggles
+// after them; a new element and a chord between the path's ends are
+// not, and each forces a new one. Every covered edit counts as a delta
+// applied and none invalidates. After every edit the warm session's
+// answers must match a cold session's on a copy of the edited
+// structure. The chord closes a cycle (width 2); the queries mention
+// only c, so both backends answer there too, the automaton compiling
+// over the reduct {c/1}.
 func TestMutateKeepsCoveredDecomposition(t *testing.T) {
 	const n = 12
 	st := structure.New(sigMutate)
@@ -304,19 +306,31 @@ func TestMutateKeepsCoveredDecomposition(t *testing.T) {
 	automaton, game := core.Options{}, core.Options{Backend: "game"}
 	matchesCold(t, s, pc, automaton, "initial")
 
-	steps := []struct {
+	type step struct {
 		name     string
 		edit     func(*structure.Structure) error
 		covered  bool
 		backends []core.Options
-	}{
+	}
+	steps := []step{
 		{"colour toggle", func(st *structure.Structure) error { return st.AddTuple("c", 5) }, true, []core.Options{automaton}},
 		{"edge retract", func(st *structure.Structure) error { st.RemoveTuple("e", 5, 6); return nil }, true, []core.Options{automaton}},
 		{"edge restore", func(st *structure.Structure) error { return st.AddTuple("e", 5, 6) }, true, []core.Options{automaton, game}},
-		{"new element", func(st *structure.Structure) error { st.AddElem("w"); return nil }, false, []core.Options{automaton, game}},
-		{"chord", func(st *structure.Structure) error { return st.AddTuple("e", 0, n-1) }, false, []core.Options{automaton, game}},
 	}
-	decompositions, invalidations := 1, 0
+	for i := 0; i < 25; i++ {
+		v := i % n
+		steps = append(steps, step{fmt.Sprintf("toggle c(v%d)", v), func(st *structure.Structure) error {
+			if st.RemoveTuple("c", v) {
+				return nil
+			}
+			return st.AddTuple("c", v)
+		}, true, []core.Options{automaton}})
+	}
+	steps = append(steps,
+		step{"new element", func(st *structure.Structure) error { st.AddElem("w"); return nil }, false, []core.Options{automaton, game}},
+		step{"chord", func(st *structure.Structure) error { return st.AddTuple("e", 0, n-1) }, false, []core.Options{automaton, game}},
+	)
+	decompositions, invalidations, deltas := 1, 0, 0
 	for _, step := range steps {
 		ms, err := s.Mutate(step.edit)
 		if err != nil {
@@ -325,16 +339,18 @@ func TestMutateKeepsCoveredDecomposition(t *testing.T) {
 		if ms.Changes != 1 || ms.DeltaApplied != step.covered || ms.Invalidated == step.covered {
 			t.Fatalf("%s: %+v, want one change with DeltaApplied=%v", step.name, ms, step.covered)
 		}
-		if !step.covered {
+		if step.covered {
+			deltas++
+		} else {
 			decompositions++
 			invalidations++
 		}
 		for _, opts := range step.backends {
 			matchesCold(t, s, pc, opts, step.name)
 		}
-		if stats := s.Stats(); stats.Decompositions != decompositions || stats.Invalidations != invalidations {
-			t.Fatalf("%s: Decompositions=%d Invalidations=%d, want %d and %d",
-				step.name, stats.Decompositions, stats.Invalidations, decompositions, invalidations)
+		if stats := s.Stats(); stats.Decompositions != decompositions || stats.Invalidations != invalidations || stats.DeltasApplied != deltas {
+			t.Fatalf("%s: Decompositions=%d Invalidations=%d DeltasApplied=%d, want %d, %d and %d",
+				step.name, stats.Decompositions, stats.Invalidations, stats.DeltasApplied, decompositions, invalidations, deltas)
 		}
 	}
 }

@@ -186,15 +186,19 @@ func (st *Structure) DomSet() *bitset.Set {
 	return s
 }
 
-func tupleKey(tuple []int) string {
-	var b strings.Builder
+// appendTupleKey appends tuple's relation-set key to dst: its elements
+// in decimal, comma-separated. A lookup indexes with
+// string(appendTupleKey(buf[:0], t)) on a stack array, which the
+// compiler probes the map with without allocating the string; an insert
+// stores the converted key, which allocates.
+func appendTupleKey(dst []byte, tuple []int) []byte {
 	for i, e := range tuple {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.Itoa(e))
+		dst = strconv.AppendInt(dst, int64(e), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // AddTuple inserts a tuple into the relation of the named predicate.
@@ -212,13 +216,14 @@ func (st *Structure) AddTuple(pred string, tuple ...int) error {
 			return fmt.Errorf("structure: element %d out of range in %s tuple", e, pred)
 		}
 	}
-	key := tupleKey(tuple)
-	if _, dup := st.relSet[pi][key]; dup {
+	var buf [64]byte
+	key := appendTupleKey(buf[:0], tuple)
+	if _, dup := st.relSet[pi][string(key)]; dup {
 		return nil
 	}
 	cp := make([]int, len(tuple))
 	copy(cp, tuple)
-	st.relSet[pi][key] = len(st.rels[pi])
+	st.relSet[pi][string(key)] = len(st.rels[pi])
 	st.rels[pi] = append(st.rels[pi], cp)
 	st.rev++
 	return nil
@@ -233,20 +238,21 @@ func (st *Structure) RemoveTuple(pred string, tuple ...int) bool {
 	if !ok {
 		return false
 	}
-	key := tupleKey(tuple)
-	idx, present := st.relSet[pi][key]
+	var buf [64]byte
+	key := appendTupleKey(buf[:0], tuple)
+	idx, present := st.relSet[pi][string(key)]
 	if !present {
 		return false
 	}
+	delete(st.relSet[pi], string(key))
 	last := len(st.rels[pi]) - 1
 	if idx != last {
 		moved := st.rels[pi][last]
 		st.rels[pi][idx] = moved
-		st.relSet[pi][tupleKey(moved)] = idx
+		st.relSet[pi][string(appendTupleKey(buf[:0], moved))] = idx
 	}
 	st.rels[pi][last] = nil
 	st.rels[pi] = st.rels[pi][:last]
-	delete(st.relSet[pi], key)
 	st.rev++
 	return true
 }
@@ -287,13 +293,14 @@ func (st *Structure) Has(pred string, tuple ...int) bool {
 	if !ok {
 		return false
 	}
-	_, in := st.relSet[pi][tupleKey(tuple)]
-	return in
+	return st.HasIdx(pi, tuple)
 }
 
-// HasIdx is Has by predicate index (hot path for evaluators).
+// HasIdx is Has by predicate index (hot path for evaluators). It does
+// not allocate.
 func (st *Structure) HasIdx(pi int, tuple []int) bool {
-	_, in := st.relSet[pi][tupleKey(tuple)]
+	var buf [64]byte
+	_, in := st.relSet[pi][string(appendTupleKey(buf[:0], tuple))]
 	return in
 }
 
@@ -366,12 +373,13 @@ func (st *Structure) Clone() *Structure {
 	for n, id := range st.byName {
 		c.byName[n] = id
 	}
+	var buf [64]byte
 	for pi, tuples := range st.rels {
 		for i, t := range tuples {
 			cp := make([]int, len(t))
 			copy(cp, t)
 			c.rels[pi] = append(c.rels[pi], cp)
-			c.relSet[pi][tupleKey(t)] = i
+			c.relSet[pi][string(appendTupleKey(buf[:0], t))] = i
 		}
 	}
 	c.rev = st.rev

@@ -2,6 +2,7 @@ package structure
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,6 +77,29 @@ func TestAddAndQuery(t *testing.T) {
 	}
 	if st.NumTuples() != 1 || st.Size() != 2 {
 		t.Fatal("NumTuples/Size wrong")
+	}
+}
+
+// TestHasDoesNotAllocate pins that a membership probe builds its key on
+// the stack: the game backend and the naive MSO checker call HasIdx once
+// per truth-table entry. The elements have three digits, past the
+// small-integer strings strconv keeps preallocated.
+func TestHasDoesNotAllocate(t *testing.T) {
+	st := New(MustSignature(Predicate{"e", 2}, Predicate{"c", 1}))
+	for i := 0; i < 1000; i++ {
+		st.AddElem("v" + strconv.Itoa(i))
+	}
+	st.MustAddTuple("e", 998, 999)
+	st.MustAddTuple("c", 700)
+	pi, _, _ := st.Sig().Lookup("e")
+	in, out := []int{998, 999}, []int{999, 998}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !st.Has("e", 998, 999) || st.Has("c", 701) || !st.HasIdx(pi, in) || st.HasIdx(pi, out) {
+			t.Fatal("Has or HasIdx answered wrong")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Has and HasIdx make %.0f allocations per four probes, want 0", allocs)
 	}
 }
 
