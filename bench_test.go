@@ -22,7 +22,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mso"
 	"repro/internal/primality"
-	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/threecol"
 	"repro/internal/vcover"
@@ -216,23 +215,20 @@ func BenchmarkEnumerationNaive(b *testing.B) {
 
 func BenchmarkThreeColDP(b *testing.B) {
 	for _, n := range []int{20, 40, 80, 200} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(42))
-				g := workload.ColorableGraph(n, 3, rng)
-				in, err := threecol.NewInstance(g)
-				if err != nil {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			g := workload.ColorableGraph(n, 3, rng)
+			in, err := threecol.NewInstance(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := in.DecideCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
-				ctx := stage.WithWorkers(context.Background(), workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := in.DecideCtx(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

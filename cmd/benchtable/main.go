@@ -122,8 +122,8 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("ra(n=%d): ground program %d literals, fixpoint %d facts\n", res.N, res.GroundLits, res.Facts)
-		fmt.Printf("direct streaming:    %v, %d B (%d join steps, peak buffered %d)\n",
-			time.Duration(res.StreamNS), res.StreamBytes, res.TuplesStreamed, res.PeakBuffered)
+		fmt.Printf("direct streaming:    %v, %d B (%d join steps)\n",
+			time.Duration(res.StreamNS), res.StreamBytes, res.TuplesStreamed)
 		fmt.Printf("grounded (Thm 4.4):  %v, %d B  (alloc ratio grounded/streaming %.2fx)\n",
 			time.Duration(res.GroundedNS), res.GroundedBy, res.GroundedAllocRatio)
 		fmt.Printf("budget cap %d ground atoms: grounded dies (%s); direct completes %v (%d facts in %v)\n",

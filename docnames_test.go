@@ -28,9 +28,12 @@ var docName = regexp.MustCompile(`^(?:\(\*(\w+)\)\.)?(\w+(?:\.\w+)*)(?:\(.*\))?$
 // part is a standard-library package the tree imports (context.Canceled)
 // is skipped, and so are a file name such as BENCH_ra.json and an
 // environment variable such as FAULTINJECT, written in capitals only.
+// A backticked span that starts with a command name (benchtable …,
+// cmd/monadicd …) may name only flags that command's main.go defines.
 // CHANGES.md and EXPERIMENTS.md record history and are not checked.
 func TestDocNamesDeclared(t *testing.T) {
 	declared, stdlib := treeNames(t)
+	flags := cmdFlags(t)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		f, err := os.Open(doc)
 		if err != nil {
@@ -51,6 +54,9 @@ func TestDocNamesDeclared(t *testing.T) {
 			for i := 1; i < len(spans)-1; i += 2 {
 				if name := undeclared(spans[i], declared, stdlib); name != "" {
 					t.Errorf("%s:%d: `%s` names %s, which nothing in the tree declares", doc, line, spans[i], name)
+				}
+				if cmd, name := undefinedFlag(spans[i], flags); name != "" {
+					t.Errorf("%s:%d: `%s` names -%s, which %s does not define", doc, line, spans[i], name, cmd)
 				}
 			}
 		}
@@ -81,6 +87,80 @@ func undeclared(span string, declared, stdlib map[string]bool) string {
 		}
 	}
 	return ""
+}
+
+// undefinedFlag returns the command a backticked span starts with and
+// the first flag the span passes it that the command does not define,
+// or "" for the flag if there is none. A command is written as name,
+// ./name, cmd/name or ./cmd/name, optionally after "go run".
+func undefinedFlag(span string, flags map[string]map[string]bool) (cmd, flag string) {
+	fields := strings.Fields(span)
+	if len(fields) >= 2 && fields[0] == "go" && fields[1] == "run" {
+		fields = fields[2:]
+	}
+	if len(fields) == 0 {
+		return "", ""
+	}
+	cmd = strings.TrimPrefix(strings.TrimPrefix(fields[0], "./"), "cmd/")
+	defined, ok := flags[cmd]
+	if !ok {
+		return "", ""
+	}
+	for _, f := range fields[1:] {
+		f = strings.Trim(f, "[]")
+		if !strings.HasPrefix(f, "-") {
+			continue
+		}
+		name, _, _ := strings.Cut(strings.TrimLeft(f, "-"), "=")
+		if name != "" && name != "h" && name != "help" && !defined[name] {
+			return cmd, name
+		}
+	}
+	return cmd, ""
+}
+
+// cmdFlags parses each cmd/<name>/main.go and returns, per command
+// name, the flags its flag.* calls define: the first string literal
+// among a call's first two arguments (flag.Int("n", …),
+// flag.IntVar(&n, "n", …)).
+func cmdFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			for _, arg := range call.Args[:min(2, len(call.Args))] {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					defined[name] = true
+					break
+				}
+			}
+			return true
+		})
+		flags[filepath.Base(filepath.Dir(path))] = defined
+	}
+	return flags
 }
 
 // treeNames parses every Go file of the tree outside benchledger/ and

@@ -68,8 +68,7 @@ type RAResult struct {
 	// GroundedAllocRatio is grounded bytes over streaming bytes.
 	GroundedAllocRatio float64 `json:"grounded_alloc_ratio"`
 
-	TuplesStreamed int64 `json:"tuples_streamed"` // join steps
-	PeakBuffered   int64 `json:"peak_buffered_tuples"`
+	TuplesStreamed int64 `json:"tuples_streamed"` // join steps per direct run
 
 	// Budget demo: the grounded path dies on MaxGroundAtoms = BudgetCap
 	// while the streaming direct path completes under the same cap.
@@ -117,12 +116,13 @@ func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 
 	// EvalCtx clones internally and never mutates edb, so the direct
 	// runs share one EDB; the grounded leg interns into its input and
-	// gets a pre-made clone outside the measured region.
-	var collector datalog.StatsCollector
+	// gets a pre-made clone outside the measured region. The direct runs
+	// tally their join steps in one budget whose cap no run reaches.
+	tally := &stage.Budget{MaxStreamTuples: 1 << 40}
+	dctx := stage.WithBudget(ctx, tally)
 	runDirect := func() (time.Duration, int64, error) {
-		rctx := datalog.WithStatsCollector(ctx, &collector)
 		return measureAlloc(func() error {
-			out, err := datalog.EvalCtx(rctx, prog, edb)
+			out, err := datalog.EvalCtx(dctx, prog, edb)
 			if err != nil {
 				return err
 			}
@@ -147,9 +147,7 @@ func RACompare(ctx context.Context, n, reps int) (*RAResult, error) {
 		sNS, sBy = append(sNS, dur.Nanoseconds()), append(sBy, bytes)
 	}
 	res.StreamNS, res.StreamBytes = median(sNS), median(sBy)
-	es := collector.Snapshot()
-	res.TuplesStreamed = es.TuplesStreamed / int64(reps)
-	res.PeakBuffered = es.PeakBufferedTuples
+	res.TuplesStreamed = tally.StreamTuplesUsed() / int64(reps)
 
 	// Grounded leg (Theorem 4.4): size the ground program, then time the
 	// full ground-and-solve evaluation once (it dwarfs the direct legs).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
-	"repro/internal/stage"
 )
 
 // TestRACompareSmoke runs the full -ra comparison at a small size: all
@@ -41,13 +40,13 @@ func TestRACompareSmoke(t *testing.T) {
 // τ_td chain (BenchmarkTDGrounding's shape), and the Theorem 4.4
 // grounding on the same chain. The grounded pin was re-set when
 // grounding began sharing rule prefixes and storing the ground program
-// flat. The worker count is fixed on the context, since the parallel
-// rounds' merge buffers scale the τ_td leg's volume with it.
+// flat, and the streaming pins when the semi-naive rounds stopped
+// buffering derivations for a parallel merge.
 func TestRAAllocGate(t *testing.T) {
 	if os.Getenv("BENCH_ALLOC_GATE") == "" {
 		t.Skip("set BENCH_ALLOC_GATE=1 to run the allocation gate")
 	}
-	ctx := stage.WithWorkers(context.Background(), 2)
+	ctx := context.Background()
 	tcEDB := TCPathEDB(1000)
 	prog, edb := TDChainProgram(RATypes), TDChain(2000)
 	legs := []struct {
@@ -55,11 +54,11 @@ func TestRAAllocGate(t *testing.T) {
 		pinned int64 // B/op when the pin was set
 		run    func() error
 	}{
-		{"streaming TC(1000)", 115_497_872, func() error {
+		{"streaming TC(1000)", 115_400_496, func() error {
 			_, err := datalog.EvalCtx(ctx, TCProgram, tcEDB)
 			return err
 		}},
-		{"streaming TDChain(2000)", 11_284_104, func() error {
+		{"streaming TDChain(2000)", 4_095_216, func() error {
 			_, err := datalog.EvalCtx(ctx, prog, edb)
 			return err
 		}},

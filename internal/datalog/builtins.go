@@ -3,8 +3,6 @@ package datalog
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // BuiltinFunc evaluates a builtin predicate on ground arguments (constant
@@ -13,28 +11,11 @@ import (
 //
 // The paper highlights built-in predicates as one of datalog's advantages
 // over the MSO-to-FTA route ("the possibility to define new built-in
-// predicates if they admit an efficient implementation"); RegisterBuiltin
-// is the corresponding extension point.
+// predicates if they admit an efficient implementation"); builtins is
+// the table of them, fixed at build time.
 type BuiltinFunc func(args []string) (bool, error)
 
-// The builtins registry is copy-on-write: IsBuiltin and callBuiltin run
-// in the innermost evaluation loops (millions of calls per fixpoint), so
-// reads go through a single atomic pointer load with no locking, while
-// RegisterBuiltin — rare, and legal to race with a running Eval —
-// publishes a fresh copy of the map under builtinsMu.
-var builtinsMu sync.Mutex
-
-// builtins is a pointer-typed package var (not an init-stored value):
-// package-level variables elsewhere parse programs during their own
-// initialization, and Go orders variable initializers by dependency —
-// which an init function would run after.
-var builtins = func() *atomic.Pointer[map[string]BuiltinFunc] {
-	p := new(atomic.Pointer[map[string]BuiltinFunc])
-	p.Store(&defaultBuiltins)
-	return p
-}()
-
-var defaultBuiltins = map[string]BuiltinFunc{
+var builtins = map[string]BuiltinFunc{
 	"eq":  func(a []string) (bool, error) { return binary(a, func(x, y string) bool { return x == y }) },
 	"neq": func(a []string) (bool, error) { return binary(a, func(x, y string) bool { return x != y }) },
 	"lt":  func(a []string) (bool, error) { return binary(a, less) },
@@ -59,30 +40,15 @@ func less(x, y string) bool {
 	return x < y
 }
 
-// IsBuiltin reports whether the predicate name is a registered builtin.
-// Builtin names shadow extensional predicates; programs must not reuse
-// them.
+// IsBuiltin reports whether the predicate name is a builtin. Builtin
+// names shadow extensional predicates; programs must not reuse them.
 func IsBuiltin(name string) bool {
-	_, ok := (*builtins.Load())[name]
+	_, ok := builtins[name]
 	return ok
 }
 
-// RegisterBuiltin installs (or replaces) a builtin predicate. It is safe
-// to call concurrently with evaluation.
-func RegisterBuiltin(name string, f BuiltinFunc) {
-	builtinsMu.Lock()
-	defer builtinsMu.Unlock()
-	old := *builtins.Load()
-	next := make(map[string]BuiltinFunc, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = f
-	builtins.Store(&next)
-}
-
 func callBuiltin(name string, args []string) (bool, error) {
-	f, ok := (*builtins.Load())[name]
+	f, ok := builtins[name]
 	if !ok {
 		return false, fmt.Errorf("datalog: unknown builtin %s", name)
 	}

@@ -35,7 +35,7 @@ func TestChaosGroundRuleFault(t *testing.T) {
 	}
 }
 
-// TestChaosStratumTaskFault injects inside the seminaive worker loop.
+// TestChaosStratumTaskFault injects at the semi-naive per-task point.
 func TestChaosStratumTaskFault(t *testing.T) {
 	defer faultinject.Reset()
 	prog := MustParse(`
@@ -70,7 +70,7 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 // *stage.PanicError, not a process crash.
 func TestChaosStratumPanicContained(t *testing.T) {
 	prog := MustParse(`boom(X) :- edge(X, Y), chaos_explode(X).`)
-	RegisterBuiltin("chaos_explode", func(args []string) (bool, error) { panic("builtin bug") })
+	setBuiltin(t, "chaos_explode", func(args []string) (bool, error) { panic("builtin bug") })
 	edb := NewDB()
 	edb.AddFact("edge", "a", "b")
 	_, err := EvalCtx(context.Background(), prog, edb)

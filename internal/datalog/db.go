@@ -82,12 +82,11 @@ const maxReuseBucket = 4
 // probing with element-wise equality checks, so insertion performs no
 // per-entry allocation.
 //
-// Concurrency: probe and has may be called from many goroutines during a
-// parallel evaluation round, during which no inserts happen (derivations
-// are buffered and merged serially between rounds — the WaitGroup
-// barrier orders the phases). The only cross-goroutine mutation is the
-// lazy construction of probe indexes, which mu guards; tuples, slots and
-// existing index buckets are immutable while readers are active.
+// Concurrency: probe and has may be called from several goroutines that
+// share a relation none of them inserts into. The only mutation a probe
+// makes is the lazy construction of probe indexes, which mu guards;
+// tuples, slots and existing index buckets are immutable while readers
+// are active.
 type relation struct {
 	arity  int
 	dedup  bool // delta relations skip dedup: their tuples are pre-deduplicated

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/stage"
@@ -21,11 +19,10 @@ import (
 // all the paper's constructions need (the programs of Theorem 4.5 negate
 // only τ-atoms) — is always stratified.
 //
-// Within each stratum the rule×delta-occurrence evaluations of a round
-// run on a pool of stage.Workers(ctx) goroutines; each task buffers its
-// derivations, and buffers are merged through the dedup sets in task
-// order, so the result (and even the tuple insertion order) is
-// deterministic and independent of the worker count.
+// Within each stratum a round runs its rule×delta-occurrence tasks one
+// after another on the calling goroutine, each derivation going straight
+// into its head relation, so the result (and even the tuple insertion
+// order) is deterministic.
 func Eval(p *Program, edb *DB) (*DB, error) {
 	return EvalCtx(context.Background(), p, edb)
 }
@@ -37,6 +34,16 @@ func Eval(p *Program, edb *DB) (*DB, error) {
 // *stage.Error tagged stage.Eval. The join steps are charged to the
 // context's MaxStreamTuples budget at the same polls.
 func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
+	planner, err := evalSemiNaive(ctx, p, edb)
+	if err != nil {
+		return nil, err
+	}
+	return planner.db, nil
+}
+
+// evalSemiNaive is EvalCtx returning the evaluation's planner, whose db
+// is the fixpoint.
+func evalSemiNaive(ctx context.Context, p *Program, edb *DB) (*grounding, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,16 +57,11 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := configFrom(ctx)
 	db := edb.Clone()
-	// Intern every constant of the program up front: planning then only
-	// reads the interning table, which keeps parallel tasks free of
-	// writes to shared DB state.
-	internProgramConsts(p, db)
 	byHead := headIndex(p)
 	// The planner's ruleJoin holds what every task copies: the context,
-	// the database and the configuration.
-	planner := &grounding{ruleJoin: ruleJoin{ctx: ctx, db: db, cfg: &cfg}}
+	// the database and the stream-tuples budget.
+	planner := &grounding{ruleJoin: ruleJoin{ctx: ctx, db: db, budget: stage.BudgetFrom(ctx)}}
 	for _, stratum := range strata {
 		if err := ctx.Err(); err != nil {
 			return nil, stage.Wrap(stage.Eval, err)
@@ -75,37 +77,7 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB) (*DB, error) {
 			return nil, err
 		}
 	}
-	return db, nil
-}
-
-// evalConfig is the per-run evaluation setup read once from the
-// context: the stream-tuples budget, the stats collector and the worker
-// count of the parallel rounds.
-type evalConfig struct {
-	budget    *stage.Budget
-	collector *StatsCollector
-	workers   int
-}
-
-func configFrom(ctx context.Context) evalConfig {
-	return evalConfig{budget: stage.BudgetFrom(ctx), collector: statsCollectorFrom(ctx), workers: stage.Workers(ctx)}
-}
-
-func internProgramConsts(p *Program, db *DB) {
-	for _, r := range p.Rules {
-		for _, t := range r.Head.Args {
-			if !t.IsVar() {
-				db.Intern(t.Const)
-			}
-		}
-		for _, a := range r.Body {
-			for _, t := range a.Args {
-				if !t.IsVar() {
-					db.Intern(t.Const)
-				}
-			}
-		}
-	}
+	return planner, nil
 }
 
 // headIndex maps every head predicate to the ordered indices of its
@@ -247,25 +219,11 @@ func stratify(p *Program) ([][]string, error) {
 	return groups, nil
 }
 
-// parallelThreshold is the minimum number of pending input tuples before
-// a round fans its tasks out to goroutines; below it the per-goroutine
-// overhead outweighs the work.
-const parallelThreshold = 128
-
-// planBuilds counts semi-naive task plans built process-wide; the
-// regression test pins that evaluation plans each (rule, delta
-// occurrence) instance once, never once per round.
-var planBuilds atomic.Int64
-
-// PlanBuilds reports the total number of semi-naive rule plans built
-// since process start; tests diff it around an evaluation.
-func PlanBuilds() int64 { return planBuilds.Load() }
-
 // ruleTask is one (rule, delta occurrence) instance of semi-naive
 // evaluation: the rule's slot plan, with the delta occurrence in the
 // quasi-guard's place so it is joined first, and the state of running
 // it. A task is planned once and runs in every round with a delta for
-// it, on one goroutine at a time.
+// it.
 type ruleTask struct {
 	ruleJoin
 	pred      string // the head predicate
@@ -278,7 +236,7 @@ type ruleTask struct {
 // tested against its current relation. The task keeps only its plan and
 // binding; the planning scratch is s's, shared by every task.
 func (s *grounding) planTask(r Rule, occ int) (*ruleTask, error) {
-	planBuilds.Add(1)
+	s.planBuilds++
 	s.kinds = s.kinds[:0]
 	for _, a := range r.Body {
 		s.kinds = append(s.kinds, atomKind(a.Pred, nil))
@@ -297,7 +255,7 @@ func (s *grounding) planTask(r Rule, occ int) (*ruleTask, error) {
 	}
 	t := &ruleTask{
 		ruleJoin: ruleJoin{
-			ctx: s.ctx, db: s.db, steps: steps, head: args, cfg: s.cfg,
+			ctx: s.ctx, db: s.db, steps: steps, head: args, budget: s.budget,
 			binding: make([]int, s.nslots), cands: make([]candidates, len(steps)),
 		},
 		pred:      r.Head.Pred,
@@ -337,62 +295,38 @@ func (t *ruleTask) eval(db *DB, delta map[string]*relation) error {
 }
 
 // derive is semi-naive evaluation's hand-off of a completed binding: the
-// head tuple goes into the head relation and the round's delta or, in a
-// parallel round, into the task's buffer if the head relation lacks it.
-// The datalog.join fault point is checked once per derived row.
+// head tuple goes into the head relation and, if it is new there, the
+// round's delta. The datalog.join fault point is checked once per
+// derived row.
 func (s *ruleJoin) derive() error {
 	if err := faultinject.Check("datalog.join"); err != nil {
 		return stage.Wrap(stage.Eval, err)
 	}
-	row := s.ground(s.head)
-	if s.outDelta != nil {
-		if stored, added := s.out.insertRow(row); added {
-			s.outDelta.appendShared(stored)
-		}
-	} else if !s.out.has(row) {
-		s.buf = append(s.buf, s.arenaCopy(row))
+	if stored, added := s.out.insertRow(s.ground(s.head)); added {
+		s.outDelta.appendShared(stored)
 	}
 	return nil
 }
 
-// charge reports the join steps since the last charge to the stats
-// collector and the stream-tuples budget. A grounding charges nothing.
+// charge charges the join steps since the last charge to the
+// stream-tuples budget. A grounding has no budget here and charges
+// nothing.
 func (s *ruleJoin) charge() error {
-	if s.cfg == nil {
-		return nil
-	}
 	n := int64(s.tick - s.charged)
 	s.charged = s.tick
-	addTuplesStreamed(s.cfg.collector, n)
-	if err := s.cfg.budget.AddStreamTuples(n); err != nil {
+	if err := s.budget.AddStreamTuples(n); err != nil {
 		return stage.Wrap(stage.Eval, err)
 	}
 	return nil
-}
-
-// arenaCopy copies a row into an arena-carved tuple the caller may
-// retain. Rows a parallel round buffers are ultimately adopted by the
-// database, so allocating them one slice at a time would dominate GC
-// work on derivation-heavy programs.
-func (s *ruleJoin) arenaCopy(row []int) []int {
-	n := len(row)
-	if len(s.arena) < n {
-		s.arena = make([]int, 4096+n)
-	}
-	tuple := s.arena[:n:n]
-	s.arena = s.arena[n:]
-	copy(tuple, row)
-	return tuple
 }
 
 // evalStratum runs semi-naive iteration for one stratum's rules, planning
 // their tasks with planner.
 func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, planner *grounding) error {
-	db, cfg := planner.db, planner.cfg
+	db := planner.db
 	// Tasks per rule, indexed by occ+1 (slot 0 is the full first pass),
 	// planned lazily and kept across rounds, so a plan and its buffers
-	// warm up once and parallel tasks share no mutable state. Planning
-	// is serial; the parallel phase only runs tasks.
+	// warm up once.
 	planned := make([][]*ruleTask, len(rules))
 	task := func(ri, occ int) (*ruleTask, error) {
 		if planned[ri] == nil {
@@ -418,7 +352,7 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, p
 		}
 		tasks[i] = t
 	}
-	delta, err := runStratumRound(ctx, tasks, nil, db, db.NumFacts(), cfg)
+	delta, err := runStratumRound(ctx, tasks, nil, db)
 	if err != nil {
 		return err
 	}
@@ -453,102 +387,45 @@ func evalStratum(ctx context.Context, rules []Rule, inStratum map[string]bool, p
 		if len(tasks) == 0 {
 			return nil
 		}
-		delta, err = runStratumRound(ctx, tasks, delta, db, total, cfg)
+		delta, err = runStratumRound(ctx, tasks, delta, db)
 		if err != nil {
 			return err
 		}
 	}
 }
 
-// runStratumRound runs one round's tasks, each reading its delta
-// occurrence, if it has one, from delta, and returns the delta of
-// genuinely new facts. Small rounds run serially with derivations
-// inserted as they are found; large rounds fan the tasks out to a
-// worker pool, with each task buffering its derivations and the buffers
-// merged through the dedup tables in task order afterwards — so the
-// derived fact set is identical, and for a fixed worker setting even the
-// tuple insertion order is deterministic.
-//
-// Each task evaluates one rule, so everything it derives belongs to the
-// rule's head predicate. New tuples are shared between the database and
-// the (dedup-free) delta relation rather than re-hashed into it.
-func runStratumRound(ctx context.Context, tasks []*ruleTask, delta map[string]*relation, db *DB, workSize int, cfg *evalConfig) (map[string]*relation, error) {
+// runStratumRound runs one round's tasks in order, each reading its
+// delta occurrence, if it has one, from delta, and returns the delta of
+// genuinely new facts. Each task evaluates one rule, so everything it
+// derives belongs to the rule's head predicate; derivations go straight
+// into the head relation, which copies only genuinely new tuples, and
+// each new tuple is shared between the database and the (dedup-free)
+// delta relation rather than re-hashed into it. The
+// datalog.stratum-task fault point is checked before every task, and a
+// builtin or join panic comes back as a stage-tagged *stage.PanicError.
+func runStratumRound(ctx context.Context, tasks []*ruleTask, delta map[string]*relation, db *DB) (newDelta map[string]*relation, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, stage.Wrap(stage.Eval, err)
 	}
-	newDelta := map[string]*relation{}
-	sink := func(t *ruleTask) (*relation, *relation) {
+	defer func() {
+		if r := recover(); r != nil {
+			newDelta, err = nil, stage.Wrap(stage.Eval, stage.NewPanicError(r))
+		}
+	}()
+	newDelta = map[string]*relation{}
+	for _, t := range tasks {
 		nd, ok := newDelta[t.pred]
 		if !ok {
 			nd = newDeltaRelation(len(t.head))
 			newDelta[t.pred] = nd
 		}
-		return db.rel(t.pred, len(t.head)), nd
-	}
-	workers := min(cfg.workers, len(tasks))
-	// evalTask wraps one task with panic containment and the worker-loop
-	// fault-injection point: a builtin or join panic becomes a
-	// stage-tagged *stage.PanicError instead of killing the worker
-	// goroutine (and with it the process).
-	evalTask := func(t *ruleTask) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = stage.Wrap(stage.Eval, stage.NewPanicError(r))
-			}
-		}()
+		t.out, t.outDelta = db.rel(t.pred, len(t.head)), nd
 		if err := faultinject.Check("datalog.stratum-task"); err != nil {
-			return stage.Wrap(stage.Eval, err)
+			return nil, stage.Wrap(stage.Eval, err)
 		}
-		return t.eval(db, delta)
-	}
-	if workers <= 1 || workSize < parallelThreshold {
-		for _, t := range tasks {
-			// Derivations go straight into the head relation, which copies
-			// only genuinely new tuples, so a serial round buffers nothing.
-			t.out, t.outDelta = sink(t)
-			if err := evalTask(t); err != nil {
-				return nil, err
-			}
-		}
-		return newDelta, nil
-	}
-	// Parallel round: each task buffers its derivations privately and the
-	// buffers merge in task order. Tasks pre-filter against the (frozen,
-	// read-only) head relation so already-known facts are never buffered,
-	// and the buffers themselves are reused across rounds.
-	for _, t := range tasks {
-		t.out, t.outDelta = db.rel(t.pred, len(t.head)), nil
-	}
-	errs := make([]error, len(tasks))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(tasks); i += workers {
-				errs[i] = evalTask(tasks[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if err := t.eval(db, delta); err != nil {
 			return nil, err
 		}
-	}
-	pending := int64(0)
-	for _, t := range tasks {
-		pending += int64(len(t.buf))
-	}
-	notePeakBuffered(cfg.collector, pending)
-	for _, t := range tasks {
-		rel, nd := sink(t)
-		for _, tuple := range t.buf {
-			if rel.insertOwned(tuple) {
-				nd.appendShared(tuple)
-			}
-		}
-		t.buf = t.buf[:0]
 	}
 	return newDelta, nil
 }

@@ -656,16 +656,12 @@ type ruleJoin struct {
 	headID int32
 	lits   []int
 
-	// Semi-naive evaluation's hand-off (g nil): the head relation and,
-	// in a serial round, the round's delta, which shares every new tuple.
-	// In a parallel round (outDelta nil) buf collects the derivations the
-	// frozen head relation lacks, carved from arena. cfg holds the
-	// stream-tuples budget and the stats collector the join steps are
-	// charged to; charged is the tick count already charged.
+	// Semi-naive evaluation's hand-off (g nil): the head relation and the
+	// round's delta, which shares every new tuple. budget is the
+	// stream-tuples budget the join steps are charged to; charged is the
+	// tick count already charged.
 	out, outDelta *relation
-	buf           [][]int
-	arena         []int
-	cfg           *evalConfig
+	budget        *stage.Budget
 	charged       uint
 }
 
@@ -681,15 +677,16 @@ type grounding struct {
 	// occurrence, each argument's variable number (-1 for a constant),
 	// where each atom's arguments end (the head last), and each
 	// variable's slot, or -1 while no step binds it.
-	varNames  []string
-	argVar    []int
-	atomEnd   []int
-	varSlot   []int
-	nslots    int
-	processed []bool
-	known     []bool     // quasiGuard: variables the candidate determines
-	fdAtoms   []atomFD   // quasiGuard: the rule's usable dependencies
-	kinds     []stepKind // planTask: the rule's body atoms' kinds
+	varNames   []string
+	argVar     []int
+	atomEnd    []int
+	varSlot    []int
+	nslots     int
+	processed  []bool
+	known      []bool     // quasiGuard: variables the candidate determines
+	fdAtoms    []atomFD   // quasiGuard: the rule's usable dependencies
+	kinds      []stepKind // planTask: the rule's body atoms' kinds
+	planBuilds int        // planTask: the task plans built so far
 
 	args      []gArg // backing store of the plan's argument lists, in step order, the head's last
 	guardStep int    // the step plan gave the guard, if the rule has one

@@ -1,20 +1,17 @@
 package datalog
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
 	"testing"
-
-	"repro/internal/stage"
 )
 
 // naiveEval is a deliberately simple reference evaluator: stratified, but
 // within each stratum it re-runs every rule in full until a whole pass
-// derives nothing new (naive fixpoint, no deltas, no parallelism), each
+// derives nothing new (naive fixpoint, no deltas), each
 // rule by naiveRule's nested-loop join. The differential tests below
 // hold the optimized semi-naive engine to it.
 func naiveEval(p *Program, edb *DB) (*DB, error) {
@@ -362,29 +359,5 @@ func TestDifferentialKnownPrograms(t *testing.T) {
 			t.Fatalf("%q: %v", src, err)
 		}
 		sameFacts(t, got, want, src)
-	}
-}
-
-// TestParallelDeterminism checks the determinism claim: the derived fact
-// set is identical across worker counts, including runs big enough to
-// actually take the parallel path (where tasks pre-filter against the
-// frozen head relation and reused per-task buffers merge in task order).
-func TestParallelDeterminism(t *testing.T) {
-	t.Parallel()
-	p := MustParse("path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).")
-	db := NewDB()
-	for i := 0; i < 300; i++ {
-		db.AddFact("e", "v"+strconv.Itoa(i), "v"+strconv.Itoa(i+1))
-	}
-	serial, err := EvalCtx(stage.WithWorkers(context.Background(), 1), p, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 13} {
-		out, err := EvalCtx(stage.WithWorkers(context.Background(), workers), p, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFacts(t, out, serial, fmt.Sprintf("workers=%d", workers))
 	}
 }

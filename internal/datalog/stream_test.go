@@ -32,12 +32,12 @@ func chainEDB(n int) *DB {
 // (two full first-pass instances plus rule 2's delta occurrence).
 func TestStreamPlanBuiltOncePerRule(t *testing.T) {
 	p := MustParse(tcProgramSrc)
-	builds := func(n int) int64 {
-		before := PlanBuilds()
-		if _, err := Eval(p, chainEDB(n)); err != nil {
+	builds := func(n int) int {
+		plans, err := planBuilds(p, chainEDB(n))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return PlanBuilds() - before
+		return plans
 	}
 	small, large := builds(10), builds(60)
 	if small != large {
@@ -124,31 +124,30 @@ func TestStreamTuplesBudgetExceeded(t *testing.T) {
 	}
 }
 
-// TestEngineStatsCollector pins the stats plumbing: an evaluation run
-// under a context-attached collector reports its join steps and peak
-// buffered tuples to that collector.
-func TestEngineStatsCollector(t *testing.T) {
+// TestStreamTuplesTally pins the work meter's plumbing: an evaluation
+// run under a context-attached budget tallies its join steps there,
+// where a cap above anything the run reaches leaves it untouched, and a
+// second evaluation without the budget adds nothing to it.
+func TestStreamTuplesTally(t *testing.T) {
 	t.Parallel()
 	p := MustParse(tcProgramSrc)
-	db := chainEDB(200) // large enough to clear parallelThreshold
-	var c StatsCollector
-	ctx := stage.WithWorkers(context.Background(), 4) // force the parallel buffered path
-	if _, err := EvalCtx(WithStatsCollector(ctx, &c), p, db); err != nil {
+	db := chainEDB(200)
+	b := &stage.Budget{MaxStreamTuples: 1 << 40}
+	out, err := EvalCtx(stage.WithBudget(context.Background(), b), p, db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
-	if snap.TuplesStreamed == 0 {
-		t.Fatal("collector saw no join steps")
+	if got, want := out.Count("path"), 200*201/2; got != want {
+		t.Fatalf("%d path facts, want %d", got, want)
 	}
-	if snap.PeakBufferedTuples == 0 {
-		t.Fatal("collector saw no peak buffered tuples from the parallel rounds")
+	used := b.StreamTuplesUsed()
+	if used == 0 {
+		t.Fatal("budget tallied no join steps")
 	}
-
-	// A second evaluation without the collector must not leak into it.
 	if _, err := Eval(p, db); err != nil {
 		t.Fatal(err)
 	}
-	if again := c.Snapshot(); again != snap {
-		t.Fatalf("collector changed without an attached run: %+v vs %+v", again, snap)
+	if again := b.StreamTuplesUsed(); again != used {
+		t.Fatalf("tally changed without an attached run: %d vs %d", again, used)
 	}
 }

@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, seeded fault injection
 // for chaos-testing the solver pipeline. Code under test calls
-// Check("point") at its stage boundaries and inside worker loops; a
+// Check("point") at its stage boundaries and inside its loops; a
 // test (or the FAULTINJECT environment variable, for the cmd/* tools)
 // arms specific points to fail on specific calls, or arms a seeded
 // pseudo-random plan that fails each check with a fixed probability.
@@ -17,15 +17,14 @@
 //	session.decompose session.normalize-tuple session.build-td
 //	session.compile session.eval session.solver
 //	decompose.min-fill decompose.min-degree decompose.greedy-bfs
-//	dp.node dp.chain datalog.ground-rule datalog.stratum-task datalog.join
+//	dp.node datalog.ground-rule datalog.stratum-task datalog.join
 //	solver.introduce solver.forget solver.join solver.witness
 //	game.expand game.memo
 //
-// Determinism: FailAt plans are exact — the nth Check of a point fails,
-// independent of scheduling. Seeded plans hash (seed, point, per-point
-// call index); with parallel workers the call index a given node
-// observes may vary between runs, but the multiset of outcomes per
-// point is fixed, which is what the chaos properties quantify over.
+// Determinism: FailAt plans are exact — the nth Check of a point fails.
+// Seeded plans hash (seed, point, per-point call index), and one run
+// checks every point in a fixed order, so a seeded plan fails the same
+// checks of a run every time.
 package faultinject
 
 import (

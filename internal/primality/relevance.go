@@ -635,6 +635,10 @@ func (in *Instance) EnumerateRelevant(hyp, man *bitset.Set) (*bitset.Set, error)
 			}
 		}
 	}
+	bags, err := nice.SortedBags()
+	if err != nil {
+		return nil, err
+	}
 	relevant := bitset.New(c.s.NumAttrs())
 	for a := 0; a < c.s.NumAttrs(); a++ {
 		if !hyp.Has(a) {
@@ -644,7 +648,7 @@ func (in *Instance) EnumerateRelevant(hyp, man *bitset.Set) (*bitset.Set, error)
 		if !ok {
 			return nil, fmt.Errorf("primality: attribute %s missing from every leaf bag", c.s.AttrName(a))
 		}
-		bag := sortedBag(nice.Nodes[leaf].Bag)
+		bag := bags[leaf]
 		for _, key := range down[leaf].Order {
 			if c.rAccepting(bag, key, c.attElem[a]) {
 				relevant.Add(a)

@@ -3,6 +3,7 @@ package primality
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/decompose"
@@ -131,13 +132,17 @@ func (in *Instance) EnumerateCtx(cx context.Context) (*bitset.Set, error) {
 			}
 		}
 	}
+	bags, err := nice.SortedBags()
+	if err != nil {
+		return nil, err
+	}
 	primes := bitset.New(c.s.NumAttrs())
 	for a := 0; a < c.s.NumAttrs(); a++ {
 		leaf, ok := leafOf[c.attElem[a]]
 		if !ok {
 			return nil, fmt.Errorf("primality: attribute %s missing from every leaf bag", c.s.AttrName(a))
 		}
-		bag := sortedBag(nice.Nodes[leaf].Bag)
+		bag := bags[leaf]
 		for _, key := range down[leaf].Order {
 			if c.accepting(bag, key, c.attElem[a]) {
 				primes.Add(a)
@@ -163,16 +168,6 @@ func (in *Instance) EnumerateNaive() (*bitset.Set, error) {
 		}
 	}
 	return primes, nil
-}
-
-func sortedBag(bag []int) []int {
-	out := append([]int(nil), bag...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // GroundDecide decides primality of attribute a by full grounding: every
@@ -248,7 +243,7 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 					}
 					fyCopy := append([]int(nil), fy...)
 					dcCand := append([]int(nil), coCopy...)
-					sortInts(dcCand)
+					slices.Sort(dcCand)
 					subsets(dcCand, func(dc, _ []int) {
 						dcCopy := append([]int(nil), dc...)
 						subsets(candFC, func(fc, _ []int) {
@@ -264,11 +259,15 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 		})
 		return out
 	}
+	bags, err := nice.SortedBags()
+	if err != nil {
+		return nil, -1, err
+	}
 	successVar := -1
 	var results []solver.Out[int32]
 	for _, v := range nice.PostOrder() {
 		n := nice.Nodes[v]
-		bag := sortedBag(n.Bag)
+		bag := bags[v]
 		switch n.Kind {
 		case tree.KindLeaf:
 			results = c.leafStates(results[:0], bag)
@@ -277,7 +276,7 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 			}
 		case tree.KindIntroduce, tree.KindForget, tree.KindCopy:
 			child := n.Children[0]
-			for _, cs := range allStates(sortedBag(nice.Nodes[child].Bag)) {
+			for _, cs := range allStates(bags[child]) {
 				switch n.Kind {
 				case tree.KindIntroduce:
 					results = c.introduce(results[:0], bag, n.Elem, cs)
@@ -304,7 +303,7 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 			return nil, -1, fmt.Errorf("primality: unexpected node kind %v", n.Kind)
 		}
 	}
-	rootBag := sortedBag(nice.Nodes[nice.Root].Bag)
+	rootBag := bags[nice.Root]
 	for _, s := range allStates(rootBag) {
 		if c.accepting(rootBag, s, aElem) {
 			if successVar < 0 {
@@ -318,14 +317,6 @@ func (c *ctx) ground(nice *tree.Decomposition, aElem int) (*horn.Program, int, e
 		prog.NumVars = nextVar
 	}
 	return prog, successVar, nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Primes is a convenience wrapper: build an instance and enumerate.

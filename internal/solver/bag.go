@@ -5,9 +5,9 @@
 // reachability (decision), derivation counts (counting) or minimum cost
 // with an argmin witness (optimization). A problem is written once and
 // runs in all three modes by swapping the semiring; the evaluator rides
-// the nice form's plan and chain-parallel scheduler
-// (tree.Decomposition.Schedule), so tables are byte-identical at every
-// worker count.
+// the nice form's plan and its post-order schedule
+// (tree.Decomposition.Schedule), so tables are byte-identical on every
+// run.
 //
 // This file holds the shared bag utilities: position maps and
 // fixed-width bit-packed per-element status vectors. These

@@ -106,12 +106,11 @@ const chargeEvery = 1024
 
 // Up evaluates the problem bottom-up over a nice decomposition in the
 // given semiring, producing one table per node. The run rides the nice
-// form's plan and chain-parallel scheduler: each node is computed
+// form's plan and its post-order schedule: each node is computed
 // exactly once, from complete inputs, iterating child tables in their
-// deterministic Order — so tables (values, Order and provenance) are
-// byte-identical at every worker count (stage.Workers). Errors are
-// stage-tagged stage.Solver; cancellation, budget and panic containment
-// follow the tree.Decomposition.Schedule contract.
+// deterministic Order. Errors are stage-tagged stage.Solver;
+// cancellation, budget and panic containment follow the
+// tree.Decomposition.Schedule contract.
 func Up[S comparable, V any](ctx context.Context, d *tree.Decomposition, p Problem[S], r Semiring[V]) (Tables[S, V], error) {
 	return upWith(ctx, d, p, r, true)
 }

@@ -16,9 +16,7 @@ type Out[S comparable] struct {
 // (appending nothing kills the partial solution). The engine passes dst
 // with length 0 and reuses its backing array for every child state of a
 // node — one transition buffer per node — so a hook must not retain dst
-// or the returned slice past the call. When the run's worker count
-// (stage.Workers) is above 1 the hooks are invoked from multiple
-// goroutines and must be safe for concurrent use.
+// or the returned slice past the call.
 type Problem[S comparable] interface {
 	// Name identifies the problem for session memoization: an outcome is
 	// cached per (structure fingerprint, Name, mode), so the name must

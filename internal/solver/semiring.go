@@ -21,9 +21,9 @@ import "math/big"
 //     provenance — because alt displaced acc as the preferred
 //     derivation. Returning false means the stored cell already reflects
 //     the fold (either unchanged, or mutated in place).
-//   - Both must be order-independent up to the replacement rule, so the
-//     chain-parallel schedule yields identical tables at any worker
-//     count. All three semirings below fold by ∨, + or min, which are
+//   - Both must be order-independent up to the replacement rule: a
+//     cell's value must not depend on the order its derivations arrive
+//     in. All three semirings below fold by ∨, + or min, which are
 //     associative and commutative.
 type Semiring[V any] interface {
 	// Weight lifts a transition's cost delta into the value domain.

@@ -118,8 +118,7 @@ func Minimum[S comparable](ctx context.Context, d *tree.Decomposition, p Problem
 // value at the best accepting root state, with a walkable argmin
 // derivation. It returns nil if no accepting root state is derivable
 // (the problem is infeasible). Ties keep the earliest state in the
-// deterministic table order, so the witness is identical at every
-// worker count.
+// deterministic table order, so the witness is identical on every run.
 func Optimize[S comparable](ctx context.Context, d *tree.Decomposition, p Problem[S]) (*Derivation[S, int], error) {
 	tables, err := Up(ctx, d, p, MinCost{})
 	if err != nil {

@@ -252,7 +252,7 @@ func TestBudgetTableEntries(t *testing.T) {
 	g := graph.PartialKTree(120, 3, 0.3, rng)
 	nice := niceTC(t, g, true)
 	p := tcProblem{g}
-	ctx := stage.WithWorkers(context.Background(), 8)
+	ctx := context.Background()
 
 	// Establish the unconstrained total so the cap is genuinely binding.
 	full, err := solver.Up[uint64, bool](ctx, nice, p, solver.Decision{})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -167,65 +166,6 @@ func TestModesOnKnownGraphs(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkers pins the byte-identity guarantee: the
-// tables of every semiring — Order, Vals and resolved provenance — are
-// identical at every worker count, on a decomposition large enough to
-// engage the parallel scheduler.
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(3))
-	g := graph.PartialKTree(120, 3, 0.3, rng)
-	nice := niceFor(t, g)
-	if nice.Len() < 64 {
-		t.Fatalf("decomposition too small (%d nodes) to engage the worker pool", nice.Len())
-	}
-	p := twoCol{g}
-
-	ctx := stage.WithWorkers(context.Background(), 1)
-	base, err := solver.Up[uint64, int](ctx, nice, p, solver.MinCost{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseCount, err := solver.Up[uint64, *big.Int](ctx, nice, p, solver.Counting{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{2, 4, 8} {
-		ctx := stage.WithWorkers(context.Background(), workers)
-		got, err := solver.Up[uint64, int](ctx, nice, p, solver.MinCost{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range base {
-			if !reflect.DeepEqual(base[v].Order, got[v].Order) {
-				t.Fatalf("%d workers: node %d Order differs", workers, v)
-			}
-			if !reflect.DeepEqual(base[v].Vals, got[v].Vals) {
-				t.Fatalf("%d workers: node %d Vals differ", workers, v)
-			}
-			for i, s := range base[v].Order {
-				bp, _ := base[v].Prov(s)
-				gp, _ := got[v].Prov(s)
-				if bp != gp {
-					t.Fatalf("%d workers: node %d state %d provenance differs", workers, v, i)
-				}
-			}
-		}
-		gotCount, err := solver.Up[uint64, *big.Int](ctx, nice, p, solver.Counting{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range baseCount {
-			for i := range baseCount[v].Vals {
-				if baseCount[v].Vals[i].Cmp(gotCount[v].Vals[i]) != 0 {
-					t.Fatalf("%d workers: node %d count differs", workers, v)
-				}
-			}
-		}
-	}
-}
-
 // TestSolvedNiceIsCollectable pins that a solve leaves nothing behind
 // that keeps its nice form alive: the DP plan rides the form itself, so
 // once the caller drops the form the garbage collector reclaims it.
@@ -299,9 +239,6 @@ func TestChaosSolverPoints(t *testing.T) {
 	}
 
 	snap := leak.Before()
-	// dp.chain is exercised by the scheduler's own chaos tests in
-	// internal/tree: it only fires on the parallel path, which this
-	// decomposition is too small to engage.
 	for _, point := range []string{"solver.introduce", "solver.forget", "solver.join", "solver.witness", "dp.node"} {
 		faultinject.Reset()
 		faultinject.FailAt(point, 1)

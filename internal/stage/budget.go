@@ -23,8 +23,8 @@ var ErrBudgetExceeded = errors.New("resource budget exceeded")
 //
 // A zero cap means "unlimited" for that dimension, and a nil *Budget is
 // fully unlimited; every method is nil-safe. Consumption is tracked
-// with atomic counters, so one Budget may be shared by the parallel
-// workers of a single run.
+// with atomic counters, so a Budget is safe to share between
+// goroutines.
 //
 // Contract: a Budget is a SINGLE-RUN tally. The counters only ever go
 // up, so attaching one Budget to a second run charges that run for the

@@ -160,11 +160,15 @@ func (in *Instance) GroundDecide() (bool, error) {
 		varID[k] = v
 		return v
 	}
+	bags, err := in.nice.SortedBags()
+	if err != nil {
+		return false, err
+	}
 	cp := newColorProblem(in.g, 3)
 	var results []solver.Out[uint64]
 	for _, v := range in.nice.PostOrder() {
 		n := in.nice.Nodes[v]
-		bag := sortedBag(n.Bag)
+		bag := bags[v]
 		switch n.Kind {
 		case tree.KindLeaf:
 			results = cp.Leaf(results[:0], v, bag)
@@ -173,7 +177,7 @@ func (in *Instance) GroundDecide() (bool, error) {
 			}
 		case tree.KindIntroduce, tree.KindForget, tree.KindCopy:
 			child := n.Children[0]
-			for _, cs := range cp.allStates(sortedBag(in.nice.Nodes[child].Bag)) {
+			for _, cs := range cp.allStates(bags[child]) {
 				switch n.Kind {
 				case tree.KindIntroduce:
 					results = cp.Introduce(results[:0], v, bag, n.Elem, cs)
@@ -196,21 +200,11 @@ func (in *Instance) GroundDecide() (bool, error) {
 	}
 	success := len(varID)
 	varID["success"] = success
-	for _, s := range cp.allStates(sortedBag(in.nice.Nodes[in.nice.Root].Bag)) {
+	for _, s := range cp.allStates(bags[in.nice.Root]) {
 		prog.AddClause(success, id(in.nice.Root, s))
 	}
 	truth := prog.Solve()
 	return truth[success], nil
-}
-
-func sortedBag(bag []int) []int {
-	out := append([]int(nil), bag...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Decide is a convenience wrapper.

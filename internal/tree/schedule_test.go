@@ -5,16 +5,12 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/decompose"
 	"repro/internal/graph"
-	"repro/internal/stage"
 	"repro/internal/tree"
 )
 
@@ -36,9 +32,9 @@ func niceFor(t testing.TB, g *graph.Graph, opts tree.NiceOptions) *tree.Decompos
 // a hash of its bag and its dependency values (children bottom-up,
 // parent top-down). It is order-sensitive in exactly the way a real
 // evaluator is — any node computed before its dependencies, or twice,
-// changes the result — so equal outputs across worker counts pin both
-// the dependency order and the exactly-once contract. It reports
-// failures with t.Error, so goroutines may call it.
+// changes the result — so equal outputs across runs pin both the
+// dependency order and the exactly-once contract. It reports failures
+// with t.Error, so goroutines may call it.
 func hashDP(t *testing.T, ctx context.Context, d *tree.Decomposition, down bool) []uint64 {
 	t.Helper()
 	bags, err := d.SortedBags()
@@ -79,67 +75,39 @@ func hashDP(t *testing.T, ctx context.Context, d *tree.Decomposition, down bool)
 	return vals
 }
 
-// TestParallelMatchesSequential pins the determinism contract of the
-// scheduler: both passes produce identical per-node values at worker
-// counts 1, 2 and 8, on randomized partial-k-tree decompositions large
-// enough to cross the parallel threshold. Run under -race in CI.
-func TestParallelMatchesSequential(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 4; trial++ {
-		g := graph.PartialKTree(40+trial*20, 3, 0.3, rng)
-		nice := niceFor(t, g, tree.NiceOptions{BranchGuard: trial%2 == 0})
-		if nice.Len() < tree.MinParallelNodes {
-			t.Fatalf("trial %d: decomposition too small (%d nodes) to exercise the pool", trial, nice.Len())
-		}
-		serial := stage.WithWorkers(context.Background(), 1)
-		upSeq := hashDP(t, serial, nice, false)
-		downSeq := hashDP(t, serial, nice, true)
-		for _, w := range []int{2, 8} {
-			ctx := stage.WithWorkers(context.Background(), w)
-			if up := hashDP(t, ctx, nice, false); !reflect.DeepEqual(up, upSeq) {
-				t.Fatalf("trial %d: bottom-up values differ at %d workers", trial, w)
-			}
-			if down := hashDP(t, ctx, nice, true); !reflect.DeepEqual(down, downSeq) {
-				t.Fatalf("trial %d: top-down values differ at %d workers", trial, w)
-			}
-		}
-	}
-}
-
 // TestScheduleDependencyOrder asserts the ordering contract directly:
 // bottom-up, every node runs strictly after all of its children;
-// top-down, strictly after its parent — at full parallelism.
+// top-down, strictly after its parent.
 func TestScheduleDependencyOrder(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	g := graph.PartialKTree(90, 3, 0.3, rng)
 	nice := niceFor(t, g, tree.NiceOptions{BranchGuard: true})
-	ctx := stage.WithWorkers(context.Background(), 8)
 	for _, down := range []bool{false, true} {
-		done := make([]atomic.Bool, nice.Len())
-		err := nice.Schedule(ctx, down, func(v int) error {
+		done := make([]bool, nice.Len())
+		err := nice.Schedule(context.Background(), down, func(v int) error {
 			if down {
-				if p := nice.Nodes[v].Parent; p >= 0 && !done[p].Load() {
+				if p := nice.Nodes[v].Parent; p >= 0 && !done[p] {
 					t.Errorf("down: node %d ran before parent %d", v, p)
 				}
 			} else {
 				for _, c := range nice.Nodes[v].Children {
-					if !done[c].Load() {
+					if !done[c] {
 						t.Errorf("up: node %d ran before child %d", v, c)
 					}
 				}
 			}
-			if done[v].Swap(true) {
+			if done[v] {
 				t.Errorf("node %d scheduled twice (down=%v)", v, down)
 			}
+			done[v] = true
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := range done {
-			if !done[v].Load() {
+			if !done[v] {
 				t.Fatalf("node %d never scheduled (down=%v)", v, down)
 			}
 		}
@@ -187,7 +155,7 @@ func TestConcurrentScheduleSharedPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.PartialKTree(80, 3, 0.3, rng)
 	nice := niceFor(t, g, tree.NiceOptions{BranchGuard: true})
-	ctx := stage.WithWorkers(context.Background(), 4)
+	ctx := context.Background()
 	want := hashDP(t, ctx, nice.Clone(), false) // the clone leaves nice unplanned
 
 	const users = 8
@@ -213,68 +181,5 @@ func TestConcurrentScheduleSharedPlan(t *testing.T) {
 		if len(bags[i]) == 0 || &bags[i][0] != &bags[0][0] {
 			t.Fatalf("goroutine %d got a different plan than goroutine 0", i)
 		}
-	}
-}
-
-// TestWorkersPerCall runs a serial and an 8-worker schedule at the same
-// time on one decomposition. Each reads its worker count from its own
-// context: the serial run never has two computes in flight, while the
-// parallel one does. The parallel run's computes wait, up to a few
-// seconds, until a second compute is in flight, so the overlap does
-// not depend on how the goroutines happen to be scheduled.
-func TestWorkersPerCall(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(19))
-	nice := niceFor(t, graph.PartialKTree(120, 3, 0.3, rng), tree.NiceOptions{BranchGuard: true})
-	if nice.Len() < tree.MinParallelNodes {
-		t.Fatalf("decomposition too small (%d nodes) to exercise the pool", nice.Len())
-	}
-	run := func(workers int, peak *atomic.Int32, rendezvous bool) error {
-		var inFlight atomic.Int32
-		var once sync.Once
-		second := make(chan struct{})
-		wait, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		ctx := stage.WithWorkers(context.Background(), workers)
-		return nice.Schedule(ctx, false, func(int) error {
-			n := inFlight.Add(1)
-			for {
-				cur := peak.Load()
-				if n <= cur || peak.CompareAndSwap(cur, n) {
-					break
-				}
-			}
-			if rendezvous {
-				if n >= 2 {
-					once.Do(func() { close(second) })
-				}
-				select {
-				case <-second:
-				case <-wait.Done():
-				}
-			} else {
-				runtime.Gosched() // let another worker start a compute meanwhile
-			}
-			inFlight.Add(-1)
-			return nil
-		})
-	}
-	var serialPeak, parallelPeak atomic.Int32
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = run(1, &serialPeak, false) }()
-	go func() { defer wg.Done(); errs[1] = run(8, &parallelPeak, true) }()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p := serialPeak.Load(); p != 1 {
-		t.Fatalf("serial run had %d computes in flight at once", p)
-	}
-	if p := parallelPeak.Load(); p < 2 {
-		t.Fatalf("8-worker run never had two computes in flight (peak %d)", p)
 	}
 }

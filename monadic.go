@@ -41,7 +41,6 @@ import (
 	"repro/internal/primality"
 	"repro/internal/schema"
 	"repro/internal/session"
-	"repro/internal/stage"
 	"repro/internal/structure"
 	"repro/internal/threecol"
 	"repro/internal/tree"
@@ -213,12 +212,6 @@ func TDFuncDeps(w int) []FuncDep { return datalog.TDFuncDeps(w) }
 
 // DBFromStructure loads a structure as a datalog EDB.
 func DBFromStructure(st *Structure) *DB { return datalog.FromStructure(st, "") }
-
-// WithWorkers returns a context whose evaluations use at most n
-// goroutines each: the datalog engine's parallel stratum rounds and the
-// decomposition DP scheduler (1 = serial; without it, GOMAXPROCS).
-// Results are identical at every count.
-func WithWorkers(ctx context.Context, n int) context.Context { return stage.WithWorkers(ctx, n) }
 
 // MSO and the generic compiler.
 
